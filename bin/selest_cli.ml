@@ -544,15 +544,6 @@ let serve_cmd =
       & info [ "learn" ]
           ~doc:"Learn a PRM from the dataset at start-up and register it as \"default\".")
   in
-  let pool_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "pool-size" ] ~docv:"N"
-          ~doc:
-            "Worker domains for ESTBATCH inference (default: number of cores minus \
-             one; 0 answers batches inline on the dispatcher).")
-  in
   let slow_quantile_arg =
     Arg.(
       value & opt float 0.99
@@ -604,7 +595,7 @@ let serve_cmd =
       & info [ "backlog" ] ~docv:"N"
           ~doc:"listen(2) backlog for both the Unix-socket and TCP listeners.")
   in
-  let run dataset seed scale from_dir budget socket cache_bytes pool_size model_file
+  let run dataset seed scale from_dir budget socket cache_bytes model_file
       learn slow_quantile qerror_gate slo_p99_us domains tcp max_inflight backlog
       verbose trace =
     setup_logs verbose;
@@ -612,7 +603,7 @@ let serve_cmd =
     Logs.set_level (Some (if verbose then Logs.Debug else Logs.Info));
     let db = make_db dataset ~scale ~seed ~from_dir in
     let server =
-      Serve.Server.create ~cache_bytes ?pool_size ~slow_quantile ~qerror_gate
+      Serve.Server.create ~cache_bytes ~slow_quantile ~qerror_gate
         ~slo_p99_us ~domains ?tcp ~max_inflight ~backlog ~db ~socket ()
     in
     (match model_file with
@@ -647,7 +638,7 @@ let serve_cmd =
           BUSY line.")
     Term.(
       const run $ dataset_arg $ seed_arg $ scale_arg $ from_dir_arg $ budget_arg
-      $ socket_arg $ cache_arg $ pool_arg $ model_arg $ learn_arg
+      $ socket_arg $ cache_arg $ model_arg $ learn_arg
       $ slow_quantile_arg $ qerror_gate_arg $ slo_p99_arg $ domains_arg $ tcp_arg
       $ max_inflight_arg $ backlog_arg $ verbose_arg $ trace_arg)
 

@@ -48,10 +48,8 @@ let set_global_sink s = Atomic.set global_sink s
 (* No structural equality on [sink option]: sinks are closures. *)
 let no_sink = function None -> true | Some _ -> false
 
-let enabled () =
-  (not (no_sink (state ()).local_sink)) || not (no_sink (Atomic.get global_sink))
-
-let collecting () = not (no_sink (state ()).local_sink)
+let disabled st = no_sink st.local_sink && no_sink (Atomic.get global_sink)
+let enabled () = not (disabled (state ()))
 
 let live sp = sp.s_live
 
@@ -61,34 +59,57 @@ let emit st r =
   (match st.local_sink with Some f -> f r | None -> ());
   match Atomic.get global_sink with Some f -> f r | None -> ()
 
-(* Top-level rather than a closure inside [with_]: closing is on the
-   traced hot path and a per-span closure allocation buys nothing. *)
-let close st sp =
-  st.cur_id <- sp.s_parent;
-  st.cur_depth <- sp.s_depth;
-  emit st
-    { name = sp.s_name; id = sp.s_id; parent = sp.s_parent; depth = sp.s_depth;
-      start_ns = sp.s_start; end_ns = Clock.now_ns ();
-      attrs = List.rev sp.s_attrs }
+(* Closure-free open/close: a disabled [enter] reads the sinks and
+   returns the shared {!null} (no allocation), so callers on zero-alloc
+   paths bracket their stages with [enter]/[exit] directly.  The [_at]
+   forms take a timestamp the caller already read, so a stage whose
+   boundaries are timed anyway costs no extra clock read when traced. *)
+let open_at st attrs name start_ns =
+  let id = st.next_id in
+  st.next_id <- id + 1;
+  let sp =
+    { s_name = name; s_id = id; s_parent = st.cur_id; s_depth = st.cur_depth;
+      s_start = start_ns;
+      s_attrs = List.rev attrs;
+      s_live = true }
+  in
+  st.cur_id <- id;
+  st.cur_depth <- st.cur_depth + 1;
+  sp
 
-let with_ ?(attrs = []) name f =
+let enter ?(attrs = []) name =
   let st = state () in
-  if no_sink st.local_sink && no_sink (Atomic.get global_sink) then f null
-  else begin
-    let id = st.next_id in
-    st.next_id <- id + 1;
-    let sp =
-      { s_name = name; s_id = id; s_parent = st.cur_id; s_depth = st.cur_depth;
-        s_start = Clock.now_ns ();
-        s_attrs = List.rev attrs;
-        s_live = true }
-    in
-    st.cur_id <- id;
-    st.cur_depth <- st.cur_depth + 1;
-    match f sp with
-    | x -> close st sp; x
-    | exception e -> close st sp; raise e
+  if disabled st then null else open_at st attrs name (Clock.now_ns ())
+
+let enter_at name start_ns =
+  let st = state () in
+  if disabled st then null else open_at st [] name start_ns
+
+let exit_at sp end_ns =
+  if sp.s_live then begin
+    let st = state () in
+    st.cur_id <- sp.s_parent;
+    st.cur_depth <- sp.s_depth;
+    emit st
+      { name = sp.s_name; id = sp.s_id; parent = sp.s_parent; depth = sp.s_depth;
+        start_ns = sp.s_start; end_ns; attrs = List.rev sp.s_attrs }
   end
+
+let exit sp = if sp.s_live then exit_at sp (Clock.now_ns ())
+
+let next sp name =
+  if sp.s_live then begin
+    let t = Clock.now_ns () in
+    exit_at sp t;
+    enter_at name t
+  end
+  else enter name
+
+let with_ ?attrs name f =
+  let sp = enter ?attrs name in
+  match f sp with
+  | x -> exit sp; x
+  | exception e -> exit sp; raise e
 
 let collect f =
   let st = state () in

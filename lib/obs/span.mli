@@ -14,12 +14,14 @@
       be thread-safe; span records are pushed from whichever domain
       closed the span.
 
-    When neither sink is installed — the default — {!with_} costs one
-    domain-local read and two branches, then runs the callback with the
-    shared {!null} span: no clock read, no allocation of a record, and
-    {!add} on the null span is a no-op.  This is the "global no-op sink"
-    fast path; instrumentation can therefore stay on hot paths
-    unconditionally. *)
+    When neither sink is installed — the default — {!enter} costs one
+    domain-local read and two branches and returns the shared {!null}
+    span: no clock read, no allocation, and {!add} and {!exit} on the
+    null span are no-ops.  This is the "global no-op sink" fast path;
+    the serving path brackets its stages with {!enter}/{!exit} (no
+    closure to allocate), so a warm request with tracing off allocates
+    nothing, and with tracing on it runs the same code and emits its
+    spans. *)
 
 type record = {
   name : string;
@@ -34,8 +36,8 @@ type record = {
 type sink = record -> unit
 
 type t
-(** An open span, passed to the {!with_} callback.  Valid only within
-    that callback. *)
+(** An open span, returned by {!enter} or passed to the {!with_}
+    callback.  Valid until it is closed. *)
 
 val null : t
 (** The dead span handed out when tracing is disabled.  {!add} on it
@@ -45,14 +47,6 @@ val enabled : unit -> bool
 (** [true] iff some sink (per-domain or global) would receive records
     right now.  Lets callers skip building expensive attribute strings. *)
 
-val collecting : unit -> bool
-(** [true] iff a {e per-domain} sink is installed — the dynamic extent of
-    a {!collect}.  Deep engine instrumentation keys off this rather than
-    {!enabled}: a per-request collect ([EXPLAIN]) must see the full stage
-    breakdown and so disables fast paths that skip instrumented code (the
-    plan bytecode executor), while a process-wide trace log
-    ([--trace-log]) keeps the fast path and its coarse request spans. *)
-
 val live : t -> bool
 (** [true] for spans handed out while a sink is active, [false] for
     {!null}.  Cheaper than {!enabled} inside a [with_] callback. *)
@@ -60,10 +54,33 @@ val live : t -> bool
 val add : t -> string -> string -> unit
 (** [add sp key value] attaches an attribute.  No-op on {!null}. *)
 
+val enter : ?attrs:(string * string) list -> string -> t
+(** [enter name] opens a span nested under the domain's current one and
+    returns it; {!null} (no allocation) when no sink is installed.
+    Every [enter] must be paired with exactly one {!exit}, on every
+    path — including exceptions — or the domain's nesting is left
+    pointing at the dead span. *)
+
+val exit : t -> unit
+(** Close a span opened by {!enter} and emit its record to the active
+    sinks.  No-op on {!null}. *)
+
+val enter_at : string -> int -> t
+(** [enter_at name start_ns]: {!enter} with a start time the caller
+    already read from {!Clock.now_ns} — a stage whose boundaries are
+    timed anyway costs no extra clock read when traced. *)
+
+val exit_at : t -> int -> unit
+(** [exit_at sp end_ns]: {!exit} with a caller-read end time. *)
+
+val next : t -> string -> t
+(** [next sp name] closes [sp] and opens its sibling [name] at the same
+    instant (one clock read for both); {!enter} when [sp] is {!null}. *)
+
 val with_ : ?attrs:(string * string) list -> string -> (t -> 'a) -> 'a
-(** [with_ name f] opens a span, runs [f], closes the span and emits its
-    record to the active sinks (even when [f] raises).  Records are
-    emitted at close, so children are emitted before their parents. *)
+(** [with_ name f] is {!enter}, [f], {!exit} — the span is closed even
+    when [f] raises.  Records are emitted at close, so children are
+    emitted before their parents. *)
 
 val collect : (unit -> 'a) -> 'a * record list
 (** [collect f] runs [f] with a buffering per-domain sink installed and

@@ -126,13 +126,6 @@ let skeleton_key q =
 
 type binding = (int * Query.pred) list
 
-(* Schedules are memoized per restricted-variable set: a binding's [Eq]
-   (or singleton-mask) predicates slice those variables out of the
-   factors, and the restricted shapes are all the planner sees.  The
-   rendered order rides along so a traced memo hit never rebuilds the
-   string. *)
-type sched_entry = { sched : Ve.Schedule.t; order_str : string }
-
 type t = {
   fingerprint : string;
   skeleton : string;
@@ -142,15 +135,16 @@ type t = {
   node_of_attr : (string * int, int) Hashtbl.t;  (* (tv, attr idx) -> node *)
   node_names : string array;  (* node id -> "tv.Attr" / "tv.fk=ptv" *)
   join_evidence : binding;  (* every closure join indicator = true *)
-  schedules : (string, sched_entry) Hashtbl.t;
+  (* Schedules are memoized per restricted-variable set: a binding's [Eq]
+     (or singleton-mask) predicates slice those variables out of the
+     factors, and the restricted shapes are all the planner sees. *)
+  schedules : (string, Ve.Schedule.t) Hashtbl.t;
   (* Compiled bytecode programs, one per restricted-variable set (same
      key space as [schedules]).  The immutable assoc list is scanned
      lock-free on the hot path — [Bytecode.load] itself is the key test —
      and replaced under [mutex] on a miss. *)
   mutable programs : (string * Bytecode.program) list;
   mutex : Mutex.t;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let skeleton t = t.skeleton
@@ -217,59 +211,21 @@ let sched_add t key entry =
   if not (Hashtbl.mem t.schedules key) then Hashtbl.add t.schedules key entry;
   Mutex.unlock t.mutex
 
-(* [count] separates the hot path (execute: bumps the domain-local
-   schedule-memo counters and the plan's own hit/miss totals) from
-   introspection ({!steps}), which must not skew them. *)
-let schedule_of t ~count prep =
+let schedule_of t prep =
   let key = sched_key (Ve.restricted_vars prep) in
-  Selest_obs.Span.with_ "ve.plan" (fun sp ->
-      let note cached entry =
-        if Selest_obs.Span.live sp then begin
-          Selest_obs.Span.add sp "cached" cached;
-          Selest_obs.Span.add sp "order" entry.order_str
-        end
-      in
-      match sched_find t key with
-      | Some entry ->
-        if count then begin
-          Selest_obs.Hotpath.order_hit ();
-          Mutex.lock t.mutex;
-          t.hits <- t.hits + 1;
-          Mutex.unlock t.mutex
-        end;
-        note "hit" entry;
-        entry.sched
-      | None ->
-        if count then begin
-          Selest_obs.Hotpath.order_miss ();
-          Mutex.lock t.mutex;
-          t.misses <- t.misses + 1;
-          Mutex.unlock t.mutex
-        end;
-        let sched = Ve.Schedule.plan ~keep:[||] (Ve.prepared_factors prep) in
-        let entry =
-          {
-            sched;
-            order_str =
-              String.concat "," (List.map string_of_int sched.Ve.Schedule.order);
-          }
-        in
-        sched_add t key entry;
-        note "miss" entry;
-        sched)
-
-let schedule_stats t =
-  Mutex.lock t.mutex;
-  let r = (t.hits, t.misses) in
-  Mutex.unlock t.mutex;
-  r
+  match sched_find t key with
+  | Some sched -> sched
+  | None ->
+    let sched = Ve.Schedule.plan ~keep:[||] (Ve.prepared_factors prep) in
+    sched_add t key sched;
+    sched
 
 (* ---- compiled bytecode programs --------------------------------------------- *)
 
 (* A binding that names a join indicator explicitly would collide with
-   the program's static slots; leave that (unusual) shape to the generic
-   engine.  Top-level recursion (not a closure) so a warm execute
-   allocates nothing while routing. *)
+   the program's static slots, so {!execute} rejects it.  Top-level
+   recursion (not a closure) so a warm execute allocates nothing while
+   checking. *)
 let rec no_join_nodes join_ev = function
   | [] -> true
   | (v, _) :: rest -> (not (List.mem_assoc v join_ev)) && no_join_nodes join_ev rest
@@ -325,7 +281,7 @@ let program_for t binding =
         match Ve.prepare t.factors (binding @ t.join_evidence) with
         | None -> None
         | Some prep ->
-          let sched = schedule_of t ~count:false prep in
+          let sched = schedule_of t prep in
           let static =
             List.map
               (fun (node, pred) ->
@@ -343,67 +299,72 @@ let program_for t binding =
 let execute_generic t binding =
   match Ve.prepare t.factors (binding @ t.join_evidence) with
   | None -> 0.0 (* contradictory binding: the event is empty *)
-  | Some prep ->
-    let sched = schedule_of t ~count:true prep in
-    Ve.run prep ~order:sched.Ve.Schedule.order
+  | Some prep -> Ve.run prep ~order:(schedule_of t prep).Ve.Schedule.order
 
-let count_hit t =
+(* Memo accounting lands on the domain-local {!Selest_obs.Hotpath}
+   counters only: a request takes no lock to count itself. *)
+let count_hit () =
   Selest_obs.Hotpath.order_hit ();
-  Selest_obs.Hotpath.program_hit ();
-  Mutex.lock t.mutex;
-  t.hits <- t.hits + 1;
-  Mutex.unlock t.mutex
+  Selest_obs.Hotpath.program_hit ()
 
-let count_miss t =
+let count_miss () =
   Selest_obs.Hotpath.order_miss ();
-  Selest_obs.Hotpath.program_miss ();
-  Mutex.lock t.mutex;
-  t.misses <- t.misses + 1;
-  Mutex.unlock t.mutex
+  Selest_obs.Hotpath.program_miss ()
+
+(* The two traced stages: [exec.load] (find the binding's program —
+   compiling it on a memo miss — and write its evidence slots) and
+   [exec.run] (contractions and read-out).  [load] is the span still
+   open when the binding has loaded. *)
+let run_loaded load st =
+  let sp = Selest_obs.Span.next load "exec.run" in
+  Bytecode.run st;
+  let r = Bytecode.result st in
+  Selest_obs.Span.exit sp;
+  r
 
 (* No program matched the binding: compile one for its restricted set
    (counted as a memo miss, like a fresh schedule), then run it. *)
-let execute_slow t binding =
+let execute_slow t load binding =
   match program_for t binding with
-  | None -> 0.0 (* contradictory binding: the event is empty *)
+  | None -> Selest_obs.Span.exit load; 0.0 (* contradictory: empty event *)
   | Some prog -> (
-    count_miss t;
+    count_miss ();
     let st = Bytecode.state_for prog in
     match Bytecode.load prog st binding with
-    | `Ok ->
-      Bytecode.run st;
-      Bytecode.result st
-    | `Contradiction -> 0.0
-    | `No_match -> execute_generic t binding (* unreachable safety net *))
+    | `Ok -> run_loaded load st
+    | `Contradiction -> Selest_obs.Span.exit load; 0.0
+    | `No_match ->
+      invalid_arg "Plan.execute: binding does not fit its own compiled program")
 
-let rec execute_scan t binding progs =
+let rec execute_scan t load binding progs =
   match progs with
-  | [] -> execute_slow t binding
+  | [] -> execute_slow t load binding
   | (_, prog) :: rest -> (
     let st = Bytecode.state_for prog in
     match Bytecode.load prog st binding with
     | `Ok ->
-      count_hit t;
-      Bytecode.run st;
-      Bytecode.result st
-    | `Contradiction -> 0.0 (* empty event; no buffer was touched *)
-    | `No_match -> execute_scan t binding rest)
+      count_hit ();
+      run_loaded load st
+    | `Contradiction -> Selest_obs.Span.exit load; 0.0 (* no buffer touched *)
+    | `No_match -> execute_scan t load binding rest)
 
 let execute t binding =
-  if
-    (* a per-request collect (EXPLAIN) needs the ve.* stage spans only
-       the generic engine emits; a global trace log keeps the fast path *)
-    Selest_obs.Span.collecting ()
-    || not (no_join_nodes t.join_evidence binding)
-  then execute_generic t binding
-  else execute_scan t binding t.programs
+  if not (no_join_nodes t.join_evidence binding) then
+    invalid_arg "Plan.execute: binding names a join indicator";
+  let load = Selest_obs.Span.enter "exec.load" in
+  (* [Bytecode.run] never raises, so an exception here left [load] open *)
+  match execute_scan t load binding t.programs with
+  | r -> r
+  | exception e ->
+    Selest_obs.Span.exit load;
+    raise e
 
 let estimate t ~sizes q = execute t (bind t q) *. scale t ~sizes
 
 let steps t q =
   match Ve.prepare t.factors (bind t q @ t.join_evidence) with
   | None -> []
-  | Some prep -> (schedule_of t ~count:false prep).Ve.Schedule.steps
+  | Some prep -> (schedule_of t prep).Ve.Schedule.steps
 
 let compile prm q =
   Selest_obs.Span.with_ "plan.compile" (fun _ ->
@@ -521,8 +482,6 @@ let compile prm q =
           schedules = Hashtbl.create 4;
           programs = [];
           mutex = Mutex.create ();
-          hits = 0;
-          misses = 0;
         }
       in
       (* Seed the schedule memo — and the compiled bytecode program —
@@ -533,7 +492,7 @@ let compile prm q =
          eliminating). *)
       let b0 = bind t q in
       (match Ve.prepare t.factors (b0 @ t.join_evidence) with
-      | Some prep -> ignore (schedule_of t ~count:false prep)
+      | Some prep -> ignore (schedule_of t prep)
       | None -> ());
       ignore (program_for t b0);
       t)
@@ -582,7 +541,7 @@ let pp fmt t =
   Format.pp_print_newline fmt ();
   Mutex.lock t.mutex;
   let scheds =
-    Hashtbl.fold (fun key e acc -> (key, e.sched) :: acc) t.schedules []
+    Hashtbl.fold (fun key sched acc -> (key, sched) :: acc) t.schedules []
   in
   Mutex.unlock t.mutex;
   List.iter

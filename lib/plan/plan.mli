@@ -16,14 +16,15 @@
     intermediate sizes — rendered by {!pp} (the CLI explain mode) and
     the server's [EXPLAIN] verb.
 
-    Plans are immutable apart from an internal schedule memo (the
-    restricted-variable set of a binding determines the factor shapes,
-    hence the schedule), which is mutex-guarded: one plan may be executed
-    concurrently from many domains.  Schedule-memo hits and misses are
-    counted in {!Selest_obs.Hotpath} ([order_hits] / [order_misses]);
-    the bytecode path additionally counts its program-memo reuse there
-    ([program_hits] / [program_misses]), which the server surfaces in
-    [STATS] and as [selest_program_memo_{hits,misses}] in [METRICS]. *)
+    Plans are immutable apart from internal schedule and program memos
+    (the restricted-variable set of a binding determines the factor
+    shapes, hence the schedule and the bytecode program), which are
+    replaced under a mutex on a miss and read lock-free: one plan may be
+    executed concurrently from many domains.  Memo hits and misses are
+    counted only in the domain-local {!Selest_obs.Hotpath} counters
+    ([order_hits] / [order_misses] and [program_hits] /
+    [program_misses]), which the server surfaces in [STATS] and as
+    [selest_program_memo_{hits,misses}] in [METRICS]. *)
 
 type t
 
@@ -46,35 +47,37 @@ val bind : t -> Selest_db.Query.t -> binding
     slot for (i.e. a different skeleton). *)
 
 val execute : t -> binding -> float
-(** P(selects ∧ all closure joins) under the model.  Bindings run on the
-    plan's compiled bytecode program ({!Exec}): evidence-slot writes —
-    one value per [Eq]-shaped slot, an allowed-value mask per range/set
-    slot — then strided contractions over preallocated arenas and a
-    scalar read-out, with zero GC allocation and no closure dispatch
-    once the program for the binding's (value nodes, mask nodes) shape
-    exists (the compile query's shape is pre-compiled).  Results are
-    bit-identical to the generic engine.  Requests under a per-domain
-    span collect ({!Selest_obs.Span.collecting}) take
-    {!execute_generic}, so [EXPLAIN] keeps its staged spans; a
-    process-wide trace log stays on the bytecode path, as do bindings
-    that name a join indicator explicitly — those fall back to the
-    generic engine.  Contradictory bindings — mutually exclusive
-    predicates on one attribute — describe an empty event and return
-    [0.0], never an error, and on the bytecode path they are detected in
-    the evidence slots {e before} any buffer is touched. *)
+(** P(selects ∧ all closure joins) under the model, on the plan's
+    compiled bytecode program ({!Exec}) — the only serving engine:
+    evidence-slot writes — one value per [Eq]-shaped slot, an
+    allowed-value mask per range/set slot — then strided contractions
+    over preallocated arenas and a scalar read-out, with zero GC
+    allocation and no closure dispatch once the program for the
+    binding's (value nodes, mask nodes) shape exists (the compile
+    query's shape is pre-compiled).  Results are bit-identical to
+    {!execute_generic} and [Ve.Reference].  The two stages open the
+    spans ["exec.load"] (program lookup, compiling it on a memo miss,
+    and the evidence writes) and ["exec.run"] through the closure-free
+    {!Selest_obs.Span.enter}/[exit], so [EXPLAIN] and [SLOWLOG] trace
+    the program that serves requests.  Contradictory bindings — mutually
+    exclusive predicates on one attribute — describe an empty event and
+    return [0.0], never an error, detected in the evidence slots
+    {e before} any buffer is touched.  Raises [Invalid_argument] when
+    the binding names a join indicator (the program fixes those as
+    static evidence); {!bind} never produces one. *)
 
 val execute_generic : t -> binding -> float
 (** The pre-bytecode engine: slice/mask fresh [Factor.t] values by the
     bound predicates and run the fused elimination kernels
-    ([Ve.prepare] / [Ve.run]).  Same result, bit for bit — kept callable
-    as the comparison baseline and as the path for traced requests. *)
+    ([Ve.prepare] / [Ve.run]).  Same result, bit for bit — kept only as
+    the comparison oracle for tests and benchmarks; nothing serves on
+    it.  Uncounted. *)
 
 val program_for : t -> binding -> Exec.program option
 (** The compiled bytecode program for the binding's evidence shape —
     the (value nodes, mask nodes) partition of its merged predicates —
     compiling and memoizing it on first use.  [None] when the binding
-    is not bytecode-eligible (an explicit join-indicator binding) or is
-    contradictory (there is no schedule to lower).  Uncounted —
+    names a join indicator or is contradictory (there is no schedule to lower).  Uncounted —
     introspection and benchmarks. *)
 
 val estimate : t -> sizes:int array -> Selest_db.Query.t -> float
@@ -118,9 +121,6 @@ val steps : t -> Selest_db.Query.t -> Selest_bn.Ve.Schedule.step list
     the planner's predicted intermediate sizes (compare against the
     actual [max_factor_entries] of {!Selest_obs.Hotpath}).  Empty for a
     contradictory binding (nothing is eliminated — the estimate is 0). *)
-
-val schedule_stats : t -> int * int
-(** (hits, misses) of this plan's schedule memo. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line human rendering: closure, factor shapes, binding slots and

@@ -25,13 +25,6 @@ type t = {
   c_frontend_collisions : Obs.Telemetry.counter_handle;
 }
 
-(* Layout constants kept for dashboards that re-bucket from [lat_hist]:
-   the raw buckets are now the HDR layout of {!Selest_obs.Histogram} —
-   [n_buckets] fixed buckets whose width grows by at most [bucket_base]
-   (1 + 1/128) per bucket across the ns→s range. *)
-let n_buckets = Obs.Histogram.n_buckets
-let bucket_base = 1.0 +. (1.0 /. float_of_int Obs.Histogram.half)
-
 let create () =
   let tel = Obs.Telemetry.create () in
   {
@@ -140,13 +133,6 @@ let report t =
       ("lat_p95_us", Printf.sprintf "%.1f" (q 0.95));
       ("lat_p99_us", Printf.sprintf "%.1f" (q 0.99));
       ("lat_p999_us", Printf.sprintf "%.1f" (q 0.999));
-      (* bucket layout + raw counts, so dashboards can re-bucket.  The
-         keys predate the HDR histograms and are kept as aliases for one
-         release; [lat_bucket_base] is now the per-bucket growth bound
-         (1 + 1/128), not a global geometric ratio. *)
-      ("lat_buckets", string_of_int n_buckets);
-      ("lat_bucket_base", Printf.sprintf "%.4f" bucket_base);
-      ("lat_hist", Obs.Histogram.nonzero h);
       ("lat_quantization", "percentiles=bucket-upper-edge(<0.8%) mean=exact");
     ]
 

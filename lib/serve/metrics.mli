@@ -24,18 +24,11 @@
     bounded by 1/128 < 0.8% relative error, replacing the old fixed
     1.5×-geometric buckets whose error was ~50%.  {!mean_latency_us}
     divides the exact running sum by the count and carries no
-    quantization at all.  {!report} states this in [lat_quantization]
-    and exposes the bucket layout so dashboards can re-bucket; the
-    [lat_buckets]/[lat_bucket_base]/[lat_hist] keys predate the HDR
-    layout and are kept as aliases for one release. *)
+    quantization at all.  {!report} states this in [lat_quantization];
+    the full bucket layout is exported by [METRICS]
+    ([selest_request_latency_us]). *)
 
 type t
-
-val n_buckets : int
-(** Raw buckets in the HDR layout ({!Selest_obs.Histogram.n_buckets}). *)
-
-val bucket_base : float
-(** Per-bucket width growth bound of the HDR layout, [1 + 1/128]. *)
 
 val create : unit -> t
 
@@ -157,10 +150,8 @@ val latency_histogram : t -> Selest_obs.Histogram.t
 val report : t -> (string * string) list
 (** Merged snapshot as [key=value]-ready pairs: the counters (sorted),
     then [lat_count], [lat_mean_us], [lat_p50_us], [lat_p95_us],
-    [lat_p99_us], [lat_p999_us], then the bucket layout — [lat_buckets],
-    [lat_bucket_base] (per-bucket growth bound), [lat_hist] (nonzero raw
-    buckets as [index:count,...], or [-] when empty) — and
-    [lat_quantization] documenting the percentile-vs-mean asymmetry. *)
+    [lat_p99_us], [lat_p999_us], and [lat_quantization] documenting the
+    percentile-vs-mean asymmetry. *)
 
 val pp : Format.formatter -> t -> unit
 (** One [key=value] pair per line (the shutdown report). *)

@@ -9,12 +9,8 @@
    with 63-bit FNV over short keys this is a theoretical case, and
    keeping one chain per hash keeps the probe branch-free.
 
-   Two modes: the default mutex-guarded one (the ESTBATCH worker pool of
-   a single-shard server shares one instance, and a miss compiles under
-   the lock so one skeleton never compiles twice concurrently), and an
-   unsynchronized one for shard-per-domain servers where each executor
-   domain owns a private instance and the request path must stay
-   lock-free. *)
+   No lock: each executor shard owns a private instance, so the request
+   path probes and compiles without one. *)
 
 type node = {
   hash : int;
@@ -27,8 +23,6 @@ type node = {
 type t = {
   capacity : int;
   tbl : (int, node) Hashtbl.t;
-  mutex : Mutex.t;
-  sync : bool;
   mutable hot : node option;
   mutable cold : node option;
   mutable hits : int;
@@ -37,13 +31,11 @@ type t = {
   mutable collisions : int;
 }
 
-let create ?(capacity = 256) ?(synchronized = true) () =
+let create ?(capacity = 256) () =
   if capacity <= 0 then invalid_arg "Plan_cache.create: capacity must be positive";
   {
     capacity;
     tbl = Hashtbl.create 64;
-    mutex = Mutex.create ();
-    sync = synchronized;
     hot = None;
     cold = None;
     hits = 0;
@@ -51,15 +43,6 @@ let create ?(capacity = 256) ?(synchronized = true) () =
     evictions = 0;
     collisions = 0;
   }
-
-let synchronized t = t.sync
-
-let locked t f =
-  if t.sync then begin
-    Mutex.lock t.mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-  end
-  else f ()
 
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.hot <- n.next);
@@ -93,29 +76,26 @@ let insert t ~hash ~key ~compile =
   (plan, `Miss)
 
 let find_or_compile t ~hash ~key ~compile =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl hash with
-      | Some n when String.equal n.key key ->
-        t.hits <- t.hits + 1;
-        unlink t n;
-        push_hot t n;
-        (n.plan, `Hit)
-      | Some n ->
-        (* hash collision: evict the resident entry, compile ours *)
-        t.collisions <- t.collisions + 1;
-        unlink t n;
-        Hashtbl.remove t.tbl n.hash;
-        t.evictions <- t.evictions + 1;
-        insert t ~hash ~key ~compile
-      | None -> insert t ~hash ~key ~compile)
+  match Hashtbl.find_opt t.tbl hash with
+  | Some n when String.equal n.key key ->
+    t.hits <- t.hits + 1;
+    unlink t n;
+    push_hot t n;
+    (n.plan, `Hit)
+  | Some n ->
+    (* hash collision: evict the resident entry, compile ours *)
+    t.collisions <- t.collisions + 1;
+    unlink t n;
+    Hashtbl.remove t.tbl n.hash;
+    t.evictions <- t.evictions + 1;
+    insert t ~hash ~key ~compile
+  | None -> insert t ~hash ~key ~compile
 
-let stats t = locked t (fun () -> (t.hits, t.misses, t.evictions))
-let collisions t = locked t (fun () -> t.collisions)
-
-let length t = locked t (fun () -> Hashtbl.length t.tbl)
+let stats t = (t.hits, t.misses, t.evictions)
+let collisions t = t.collisions
+let length t = Hashtbl.length t.tbl
 
 let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.tbl;
-      t.hot <- None;
-      t.cold <- None)
+  Hashtbl.reset t.tbl;
+  t.hot <- None;
+  t.cold <- None

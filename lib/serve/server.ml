@@ -8,12 +8,11 @@ module Log = (val Logs.src_log log : Logs.LOG)
 
 (* One executor shard's domain-local state.  Nothing in here is shared
    with another shard on the request path: the estimate cache and plan
-   cache are private to the owning domain (the plan cache is created
-   unsynchronized whenever the server has more than one shard), and the
-   admission counters are single-word atomics shared only with the
-   listener.  The registry and telemetry are shared but lock-free —
-   epoch-pinned snapshots and per-domain DLS shards respectively — so a
-   whole EST request acquires zero mutexes. *)
+   cache are private to the owning domain, and the admission counters
+   are single-word atomics shared only with the listener.  The registry
+   and telemetry are shared but lock-free — epoch-pinned snapshots and
+   per-domain DLS shards respectively — so a whole EST request acquires
+   zero mutexes. *)
 type sstate = {
   sid : int;
   scache : Lru.t;
@@ -38,8 +37,6 @@ type t = {
   registry : Registry.t;
   shards : sstate array;
   metrics : Metrics.t;
-  pool_size : int option;
-  mutable pool : Selest_util.Pool.t option;
   avi : Selest_est.Estimator.t option Atomic.t;
       (* lazily-built AVI baseline: EXPLAINPLAN's fallback oracle for
          sub-queries the model cannot price *)
@@ -73,7 +70,7 @@ let slow_warmup = 64
 let refresh_mask = 511
 let capture_min_gap = 256
 
-let create ?(cache_bytes = 1 lsl 20) ?pool_size ?(slowlog_capacity = 128)
+let create ?(cache_bytes = 1 lsl 20) ?(slowlog_capacity = 128)
     ?(slow_quantile = 0.99) ?(qerror_gate = 100.0) ?(slo_p99_us = 10_000.0)
     ?(slo_qerror = 100.0) ?(domains = 1) ?tcp ?(max_inflight = 1024)
     ?(backlog = 128) ~db ~socket () =
@@ -88,11 +85,7 @@ let create ?(cache_bytes = 1 lsl 20) ?pool_size ?(slowlog_capacity = 128)
         {
           sid;
           scache = Lru.create ~capacity_bytes:cache_bytes;
-          (* A single-shard server still fans ESTBATCH misses across the
-             domain pool, whose workers share this plan cache — keep the
-             mutex there.  With >1 shards the cache is domain-private
-             and the request path must stay lock-free. *)
-          splans = Plan_cache.create ~synchronized:(domains = 1) ();
+          splans = Plan_cache.create ();
           scratch = Squery.create symtab;
           slice = Protocol.Slice.create ();
           c_req = Metrics.counter_handle metrics req_counter;
@@ -112,8 +105,6 @@ let create ?(cache_bytes = 1 lsl 20) ?pool_size ?(slowlog_capacity = 128)
     registry = Registry.create ~schema:(Database.schema db);
     shards;
     metrics;
-    pool_size;
-    pool = None;
     avi = Atomic.make None;
     slowlog = Obs.Slowlog.create ~capacity:slowlog_capacity ();
     slow_quantile;
@@ -172,23 +163,6 @@ let plan_stats t =
 
 let plan_entries t = sum_shards t (fun st -> Plan_cache.length st.splans)
 
-(* The domain pool is spawned on the first ESTBATCH, so servers that never
-   batch never pay for idle domains. *)
-let pool t =
-  match t.pool with
-  | Some p -> p
-  | None ->
-    let p = Selest_util.Pool.create ?size:t.pool_size () in
-    t.pool <- Some p;
-    p
-
-let shutdown_pool t =
-  match t.pool with
-  | Some p ->
-    Selest_util.Pool.shutdown p;
-    t.pool <- None
-  | None -> ()
-
 (* ---- request handlers ------------------------------------------------------ *)
 
 let handle_load t ~name ~path =
@@ -203,41 +177,58 @@ let handle_load t ~name ~path =
     Metrics.incr t.metrics "load_errors";
     Protocol.err msg
 
-(* Resolve against a pinned snapshot: one atomic load, then pure reads
-   on immutable data.  The (name, version, fingerprint, model) tuple the
-   request sees was published together — a concurrent LOAD can only flip
-   the pointer for *later* requests, never tear this one. *)
-let resolve_model t model =
-  let snap = Registry.Epoch.pin t.registry in
-  match model with
-  | Some name -> (
-    match Registry.Epoch.find snap name with
-    | Some e -> Ok (name, e)
-    | None -> Error (Printf.sprintf "no model named %S (use LOAD)" name))
-  | None -> (
-    match Registry.Epoch.default snap with
-    | Some (name, e) -> Ok (name, e)
-    | None -> Error "no model loaded (use LOAD)")
+(* ---- the EST core ------------------------------------------------------------
 
-(* Parse and canonicalize one query body into the shard's scratch query
-   ({!Selest_db.Squery}): symbols are interned, predicates land in
-   reusable int arrays, and the warm path never builds an intermediate
-   string or list.  Acceptance agrees with the reference pipeline
-   ([Qparse.parse] + [Canon.normalize]); errors become messages.  The
-   two stages get their own spans so EXPLAIN can price them apart. *)
-let parse_scratch st body =
-  match
-    Obs.Span.with_ "est.parse" (fun _ ->
-        Squery.parse st.scratch
-          (Bytes.unsafe_of_string body)
-          ~off:0 ~len:(String.length body))
-  with
-  | exception Failure msg -> Error msg
-  | exception Not_found -> Error "unknown table, tuple variable or attribute in query"
-  | exception Invalid_argument msg -> Error msg
-  | () ->
-    Obs.Span.with_ "est.canon" (fun _ -> Squery.canon st.scratch);
-    Ok ()
+   Every estimate the server computes — the wire fast path, text and
+   binary EST, ESTBATCH body by body, TRUTH, EXPLAIN and the SLOWLOG
+   replay — runs [resolve] then [est_core]: pin the registry, lex the
+   body into the shard scratch, canonicalize, hash, probe the shard's
+   estimate cache and, on a miss, fetch the skeleton's plan, execute it
+   on the bytecode engine and fill the cache.  Stages are bracketed with
+   the closure-free {!Obs.Span.enter}/[exit], so a warm hit allocates
+   nothing with tracing off and tracing on traces this very code.  A
+   request the core refuses raises [Rejected] with the reference error
+   message; callers count it and format it for their transport. *)
+
+exception Rejected of string
+
+(* Does the slice equal [s], byte for byte?  Allocation-free. *)
+let slice_eq buf ~off ~len s =
+  String.length s = len
+  &&
+  let rec go i =
+    i = len
+    || (Bytes.unsafe_get buf (off + i) = String.unsafe_get s i && go (i + 1))
+  in
+  go 0
+
+(* Resolve a model named by a buffer slice ([len = 0]: the default, the
+   MRU head) against a pinned snapshot without allocating.  The (name,
+   version, fingerprint, model) the request sees was published together
+   — a concurrent LOAD can only flip the pointer for *later* requests,
+   never tear this one. *)
+let resolve t buf ~off ~len =
+  let entries = Registry.Epoch.entries (Registry.Epoch.pin t.registry) in
+  if len = 0 then
+    match entries with
+    | [] -> raise (Rejected "no model loaded (use LOAD)")
+    | hd :: _ -> hd
+  else
+    let rec named = function
+      | [] ->
+        raise
+          (Rejected
+             (Printf.sprintf "no model named %S (use LOAD)"
+                (Bytes.sub_string buf off len)))
+      | ((name, _) as hd) :: rest ->
+        if slice_eq buf ~off ~len name then hd else named rest
+    in
+    named entries
+
+let resolve_model t = function
+  | None -> resolve t Bytes.empty ~off:0 ~len:0
+  | Some name ->
+    resolve t (Bytes.unsafe_of_string name) ~off:0 ~len:(String.length name)
 
 (* The estimate cache keys on a 63-bit hash: the canonical scratch hash
    folded with the model name and version (FNV-1a), so a hot-reload
@@ -290,8 +281,7 @@ let make_entry ~name ~version ~vec est =
    and hashed in one buffer pass ({!Canon.Skel}).  Hot-reloading bumps
    the version, so a stale model's plans can never be fetched again —
    on every shard, since every shard's keys carry the version. *)
-let plan_for t st ~name ~(entry : Registry.entry) q =
-  ignore t;
+let plan_for st ~name ~(entry : Registry.entry) q =
   Obs.Span.with_ "plan.fetch" (fun sp ->
       let skel = Canon.Skel.make ~name ~version:entry.Registry.version q in
       let plan, status =
@@ -299,10 +289,8 @@ let plan_for t st ~name ~(entry : Registry.entry) q =
           ~key:skel.Canon.Skel.key
           ~compile:(fun () -> Plan.compile entry.Registry.model q)
       in
-      if Obs.Span.live sp then
-        Obs.Span.add sp "cached"
-          (match status with `Hit -> "hit" | `Miss -> "miss");
-      (plan, status))
+      Obs.Span.add sp "cached" (match status with `Hit -> "hit" | `Miss -> "miss");
+      plan)
 
 (* Fold one request's kernel-counter deltas into the service metrics.
    [max_factor_entries] is a per-query high-water mark, not additive, so
@@ -318,18 +306,19 @@ let roll_hotpath t (d : Obs.Hotpath.t) =
   bump "plan.program_hits" d.Obs.Hotpath.program_hits;
   bump "plan.program_misses" d.Obs.Hotpath.program_misses
 
-(* Run inference for one parsed query — fetch (or compile) the skeleton's
-   plan, then execute it — measuring the hot-path work and rolling it into
-   the metrics; fills the shard's estimate cache with a fully rendered
-   entry on success (the scratch must still hold the query, it provides
-   the entry's canonical snapshot).  Returns the resident entry. *)
-let infer_measured t st ~name ~(entry : Registry.entry) ~hash q =
+(* The miss half: fetch (or compile) the skeleton's plan, execute it,
+   and fill the shard's estimate cache with a fully rendered entry (the
+   scratch still holds the query; it provides the entry's canonical
+   snapshot).  [on_plan] sees the plan that ran (EXPLAIN renders it). *)
+let infer t st ~on_plan ~name ~(entry : Registry.entry) ~hash =
+  let q = Squery.to_query st.scratch in
   match
     Obs.Hotpath.measure (fun () ->
-        let plan, status = plan_for t st ~name ~entry q in
-        (Plan.estimate plan ~sizes:t.sizes q, plan, status))
+        let plan = plan_for st ~name ~entry q in
+        on_plan plan;
+        Plan.estimate plan ~sizes:t.sizes q)
   with
-  | (estimate, plan, status), d ->
+  | estimate, d ->
     let le =
       make_entry ~name ~version:entry.Registry.version
         ~vec:(Squery.Vec.of_scratch st.scratch)
@@ -338,223 +327,167 @@ let infer_measured t st ~name ~(entry : Registry.entry) ~hash q =
     Lru.add st.scache hash le;
     Metrics.incr t.metrics (Printf.sprintf "infer.%s" name);
     roll_hotpath t d;
-    Ok (le, d, plan, status)
-  | exception exn -> Error (Printexc.to_string exn)
+    le
+  | exception exn -> raise (Rejected (Printexc.to_string exn))
 
-(* The transport-free EST core shared by the text handler and the binary
-   frame handler: pin a registry snapshot, parse into the shard scratch,
-   probe the shard's cache by hash, measured inference.  Zero mutex
-   acquisitions end to end: the snapshot pin is one atomic load, the
-   caches are domain-local, and the telemetry writes land on the
-   domain's own shard.  Bumps [est_errors] on every failure; the caller
-   formats the result. *)
-let est_core t st ~model ~body =
-  match resolve_model t model with
-  | Error msg ->
-    Metrics.incr t.metrics "est_errors";
-    Error msg
-  | Ok (name, e) -> (
-    match parse_scratch st body with
-    | Error msg ->
-      Metrics.incr t.metrics "est_errors";
-      Error msg
-    | Ok () -> (
-      let version = e.Registry.version in
-      let hash = est_hash st ~name ~version in
-      match
-        Obs.Span.with_ "est.cache" (fun _ -> probe t st ~name ~version hash)
-      with
-      | entry -> Ok entry.Lru.est
-      | exception Not_found -> (
-        match
-          infer_measured t st ~name ~entry:e ~hash
-            (Squery.to_query st.scratch)
-        with
-        | Ok (le, _, _, _) -> Ok le.Lru.est
-        | Error msg ->
-          Metrics.incr t.metrics "est_errors";
-          Error msg)))
+let parse_error sp msg =
+  Obs.Span.exit sp;
+  raise (Rejected msg)
+
+(* Lex one body into the shard scratch ({!Selest_db.Squery}) under the
+   open [est.parse] span [sp]: symbols are interned, predicates land in
+   reusable int arrays, and the warm path never builds an intermediate
+   string or list.  Acceptance and error messages agree with the
+   reference pipeline ([Qparse.parse] + [Canon.normalize]). *)
+let parse_into st sp buf ~off ~len =
+  match Squery.parse st.scratch buf ~off ~len with
+  | () -> ()
+  | exception (Failure msg | Invalid_argument msg) -> parse_error sp msg
+  | exception Not_found ->
+    parse_error sp "unknown table, tuple variable or attribute in query"
+
+(* Answer one body for a resolved model: the resident or freshly filled
+   cache entry.  [force] (EXPLAIN, SLOWLOG replay) probes the cache but
+   never lets a hit short-circuit inference, so the stages price a real
+   estimate; the probe outcome is the [est.cache] span's [cached]
+   attribute.  Moves the [frontend.*] stage counters for every caller;
+   the front-end spans reuse those clock reads. *)
+let est_core ?(force = false) ?(on_plan = ignore) t st (name, (e : Registry.entry))
+    buf ~off ~len =
+  let t0 = Obs.Clock.now_ns () in
+  let sp = Obs.Span.enter_at "est.parse" t0 in
+  parse_into st sp buf ~off ~len;
+  let t1 = Obs.Clock.now_ns () in
+  Obs.Span.exit_at sp t1;
+  let sp = Obs.Span.enter_at "est.canon" t1 in
+  Squery.canon st.scratch;
+  let t2 = Obs.Clock.now_ns () in
+  Obs.Span.exit_at sp t2;
+  let version = e.Registry.version in
+  let hash = est_hash st ~name ~version in
+  let t3 = Obs.Clock.now_ns () in
+  Metrics.frontend_parse_ns t.metrics (t1 - t0);
+  Metrics.frontend_canon_ns t.metrics (t2 - t1);
+  Metrics.frontend_key_ns t.metrics (t3 - t2);
+  let sp = Obs.Span.enter_at "est.cache" t3 in
+  match probe t st ~name ~version hash with
+  | entry when not force ->
+    Obs.Span.exit sp;
+    entry
+  | (_ : Lru.entry) ->
+    Obs.Span.add sp "cached" "hit";
+    Obs.Span.exit sp;
+    infer t st ~on_plan ~name ~entry:e ~hash
+  | exception Not_found ->
+    Obs.Span.add sp "cached" "miss";
+    Obs.Span.exit sp;
+    infer t st ~on_plan ~name ~entry:e ~hash
+
+(* [est_core] on a string body, for the allocating reference entry
+   points. *)
+let est_body ?force ?on_plan t st model body =
+  est_core ?force ?on_plan t st model (Bytes.unsafe_of_string body) ~off:0
+    ~len:(String.length body)
+
+(* The response stage: [respond] renders (or writes) the answer. *)
+let respond f x =
+  let sp = Obs.Span.enter "est.respond" in
+  match f x with
+  | r -> Obs.Span.exit sp; r
+  | exception e -> Obs.Span.exit sp; raise e
+
+(* The request root: every EST-shaped request runs under one ["est"]
+   span, closed on every path. *)
+let est_span f =
+  let sp = Obs.Span.enter "est" in
+  match f () with
+  | r -> Obs.Span.exit sp; r
+  | exception e -> Obs.Span.exit sp; raise e
 
 let handle_est t st ~model ~body =
-  Obs.Span.with_ "est" (fun _ ->
-      match est_core t st ~model ~body with
-      | Ok estimate ->
-        Obs.Span.with_ "est.respond" (fun _ ->
-            Protocol.ok (Printf.sprintf "%.17g" estimate))
-      | Error msg -> Protocol.err msg)
-
-(* ESTBATCH: parse and cache-probe every body on the dispatching shard,
-   fan only the distinct cache misses across the domain pool, then answer
-   in request order.  All-or-nothing: any parse or inference failure turns
-   the whole batch into one ERR, so clients never have to pair partial
-   results with queries. *)
-
-(* Domains the pool can actually make useful: the configured (or default)
-   size clamped to the host's spare cores.  Zero on a single-core host,
-   where fanning out can only lose. *)
-let effective_pool_size t =
-  let configured =
-    match t.pool_size with
-    | Some s -> s
-    | None -> Selest_util.Pool.default_size ()
-  in
-  min configured (Domain.recommended_domain_count () - 1)
-
-(* Below this many distinct misses, domain scheduling overhead outweighs
-   the parallel inference work — stay on the dispatcher thread. *)
-let batch_chunk_threshold = 8
-
-(* Transport-free like [est_core]: answers in request order, or the
-   first failure as [Error]. *)
-let estbatch_core t st ~model ~bodies =
-  match resolve_model t model with
-  | Error msg ->
+  (* the pre-rendered text response, minus its newline *)
+  let text (le : Lru.entry) = String.sub le.Lru.text 0 (String.length le.Lru.text - 1) in
+  match est_span (fun () -> respond text (est_body t st (resolve_model t model) body)) with
+  | r -> r
+  | exception Rejected msg ->
     Metrics.incr t.metrics "est_errors";
-    Error msg
-  | Ok (name, e) -> (
-    let version = e.Registry.version in
-    (* Parse, canonicalize and cache-probe every body on the dispatching
-       shard.  The scratch query is shard-local and each body overwrites
-       it, so a hit is verified (and a miss materialized into an owned
-       [Query.t] + snapshot for the workers) before the next body is
-       parsed. *)
-    let parsed =
-      List.mapi
-        (fun i body ->
-          match parse_scratch st body with
-          | Error msg -> Error (Printf.sprintf "query %d: %s" (i + 1) msg)
-          | Ok () -> (
-            let hash = est_hash st ~name ~version in
-            match probe t st ~name ~version hash with
-            | entry -> Ok (hash, `Hit entry.Lru.est)
-            | exception Not_found ->
-              Ok
-                ( hash,
-                  `Miss
-                    ( Squery.to_query st.scratch,
-                      Squery.Vec.of_scratch st.scratch ) )))
-        bodies
-    in
-    match
-      List.find_map (function Error msg -> Some msg | Ok _ -> None) parsed
-    with
-    | Some msg ->
-      Metrics.incr t.metrics "est_errors";
-      Error msg
-    | None -> (
-      let keyed =
-        List.map (function Ok kq -> kq | Error _ -> assert false) parsed
-      in
-      (* Collect each distinct missing hash once (repeats within one
-         batch answer from the first computation). *)
-      let misses = Hashtbl.create 16 in
-      let miss_order = ref [] in
-      List.iter
-        (fun (hash, outcome) ->
-          match outcome with
-          | `Hit _ -> ()
-          | `Miss (q, vec) ->
-            if not (Hashtbl.mem misses hash) then begin
-              Hashtbl.add misses hash ();
-              miss_order := (hash, q, vec) :: !miss_order
-            end)
-        keyed;
-      let miss_order = List.rev !miss_order in
-      let sizes = t.sizes in
-      let infer_one (hash, q, vec) =
-        (* measure inside the worker: hot-path counters are domain-local;
-           in the single-shard pool configuration the plan cache and each
-           plan's schedule memo are mutex-guarded, so workers share
-           compiled plans instead of recompiling *)
-        let v, d =
-          Obs.Hotpath.measure (fun () ->
-              let plan, _ = plan_for t st ~name ~entry:e q in
-              Plan.estimate plan ~sizes q)
-        in
-        (hash, vec, v, d)
-      in
-      match
-        (* Fan out only when domains can help: enough distinct misses to
-           amortize scheduling, spare cores to run them on, and a
-           single-shard server — a sharded server's shards already are
-           the parallelism, and its per-domain plan caches must not be
-           shared with pool workers.  The inline path raises the first
-           failure by request order, same as [Pool.map]'s
-           first-exception contract. *)
-        if
-          Array.length t.shards = 1
-          && effective_pool_size t > 1
-          && List.length miss_order >= batch_chunk_threshold
-        then Selest_util.Pool.map (pool t) infer_one miss_order
-        else List.map infer_one miss_order
-      with
-      | exception exn ->
-        Metrics.incr t.metrics "est_errors";
-        Error (Printexc.to_string exn)
-      | computed ->
-        (* Cache fills stay on the dispatcher (the shard cache is not
-           synchronized); answers for misses come from this batch's own
-           results, immune to a concurrent eviction. *)
-        let fresh = Hashtbl.create 16 in
-        List.iter
-          (fun (hash, vec, v, d) ->
-            Lru.add st.scache hash (make_entry ~name ~version ~vec v);
-            Hashtbl.replace fresh hash v;
-            Metrics.incr t.metrics (Printf.sprintf "infer.%s" name);
-            roll_hotpath t d)
-          computed;
-        Ok
-          (List.map
-             (fun (hash, outcome) ->
-               match outcome with
-               | `Hit est -> est
-               | `Miss _ -> Hashtbl.find fresh hash)
-             keyed)))
+    Protocol.err msg
+
+(* ESTBATCH: every body runs through the EST core in request order
+   against one pinned model, so answers are bit-identical to sequential
+   EST and a repeated body is a cache hit, never a second inference.
+   All-or-nothing: the first failing body turns the whole batch into
+   one [ERR query N: ...] (bodies before it may already be cached).
+   Transport-free; raises [Rejected]. *)
+let estbatch_core t st ~model ~bodies =
+  let m = resolve_model t model in
+  List.mapi
+    (fun i body ->
+      match est_body t st m body with
+      | le -> le.Lru.est
+      | exception Rejected msg ->
+        raise (Rejected (Printf.sprintf "query %d: %s" (i + 1) msg)))
+    bodies
 
 let handle_estbatch t st ~model ~bodies =
   match estbatch_core t st ~model ~bodies with
-  | Ok answers ->
+  | answers ->
     Protocol.ok (String.concat " " (List.map (Printf.sprintf "%.17g") answers))
-  | Error msg -> Protocol.err msg
+  | exception Rejected msg ->
+    Metrics.incr t.metrics "est_errors";
+    Protocol.err msg
 
 (* ---- EXPLAIN ---------------------------------------------------------------
 
-   Same request path as EST, but spans are collected and inference always
-   runs (the cache is probed and its outcome reported, never allowed to
-   short-circuit), so the breakdown prices a real end-to-end estimate.
+   The EST core under span collection, forced: the cache is probed and
+   its outcome reported but never allowed to short-circuit, so the
+   breakdown prices a real end-to-end estimate on the bytecode engine
+   that serves EST.
 
    Stage times are *self* times: each span's duration minus its direct
    children's.  Self times partition the root's wall time exactly, so the
-   stages sum to total_us and nothing is double-counted; plan-cache
-   lookup glue reports as fetch_us, a cold skeleton's compilation as
-   compile_us (zero on a plan-cache hit), and the glue inside "est"
-   itself (dispatch, cache fill, metrics) as other_us. *)
+   stages sum to total_us and nothing is double-counted; a span that is
+   not a stage (the evidence pass inside a cold compile) counts toward
+   its nearest stage ancestor.  Plan-cache lookup glue reports as
+   fetch_us, a cold skeleton's compilation as compile_us (zero on a
+   plan-cache hit), the bytecode program's lookup and evidence writes as
+   load_us, its contractions as run_us, and the glue inside "est" itself
+   (dispatch, binding, cache fill, metrics) as other_us. *)
 
 let explain_stages =
   [ ("parse_us", "est.parse"); ("canon_us", "est.canon");
     ("cache_us", "est.cache"); ("fetch_us", "plan.fetch");
-    ("compile_us", "plan.compile"); ("evidence_us", "ve.evidence");
-    ("sched_us", "ve.plan"); ("ve_us", "ve.eliminate");
-    ("respond_us", "est.respond"); ("other_us", "est") ]
+    ("compile_us", "plan.compile"); ("load_us", "exec.load");
+    ("run_us", "exec.run"); ("respond_us", "est.respond"); ("other_us", "est") ]
 
-(* (span name, self time) for every record: duration minus the direct
-   children's durations. *)
-let self_times records =
-  let children_us = Hashtbl.create 16 in
+(* (stage span name, self time) for every record: duration minus the
+   direct children's durations, attributed to the record's own name if
+   it is a stage, else to its nearest stage ancestor. *)
+let stage_self_times records =
+  let by_id = Hashtbl.create 16 and children_us = Hashtbl.create 16 in
   List.iter
     (fun (r : Obs.Span.record) ->
+      Hashtbl.replace by_id r.Obs.Span.id r;
       let prev =
         Option.value ~default:0.0 (Hashtbl.find_opt children_us r.Obs.Span.parent)
       in
       Hashtbl.replace children_us r.Obs.Span.parent
         (prev +. Obs.Span.duration_us r))
     records;
+  let rec stage (r : Obs.Span.record) =
+    if List.exists (fun (_, n) -> n = r.Obs.Span.name) explain_stages then
+      r.Obs.Span.name
+    else
+      match Hashtbl.find_opt by_id r.Obs.Span.parent with
+      | Some p -> stage p
+      | None -> r.Obs.Span.name
+  in
   List.map
     (fun (r : Obs.Span.record) ->
       let inner =
         Option.value ~default:0.0 (Hashtbl.find_opt children_us r.Obs.Span.id)
       in
-      (r.Obs.Span.name, Float.max 0.0 (Obs.Span.duration_us r -. inner)))
+      (stage r, Float.max 0.0 (Obs.Span.duration_us r -. inner)))
     records
 
 let stage_us selfs span_name =
@@ -571,71 +504,50 @@ let span_attr records span_name key =
     records
 
 let handle_explain t st ~model ~body =
-  match resolve_model t model with
-  | Error msg ->
+  let plan = ref None in
+  match
+    Obs.Span.collect (fun () ->
+        Obs.Hotpath.measure (fun () ->
+            est_span (fun () ->
+                respond
+                  (fun le -> Printf.sprintf "%.17g" le.Lru.est)
+                  (est_body ~force:true
+                     ~on_plan:(fun p -> plan := Some p)
+                     t st (resolve_model t model) body))))
+  with
+  | exception Rejected msg ->
     Metrics.incr t.metrics "est_errors";
     Protocol.err msg
-  | Ok (name, e) -> (
-    let outcome, records =
-      Obs.Span.collect (fun () ->
-          Obs.Span.with_ "est" (fun _ ->
-              match parse_scratch st body with
-              | Error msg -> Error msg
-              | Ok () -> (
-                let version = e.Registry.version in
-                let hash = est_hash st ~name ~version in
-                let cached =
-                  Obs.Span.with_ "est.cache" (fun _ ->
-                      match probe t st ~name ~version hash with
-                      | (_ : Lru.entry) -> true
-                      | exception Not_found -> false)
-                in
-                let q = Squery.to_query st.scratch in
-                match infer_measured t st ~name ~entry:e ~hash q with
-                | Error msg -> Error msg
-                | Ok (le, d, plan, plan_status) ->
-                  let rendered =
-                    Obs.Span.with_ "est.respond" (fun _ ->
-                        Printf.sprintf "%.17g" le.Lru.est)
-                  in
-                  Ok (rendered, cached, d, plan, plan_status, q))))
+  | (estimate, d), records ->
+    let selfs = stage_self_times records in
+    let stages =
+      List.map (fun (k, sp) -> (k, stage_us selfs sp)) explain_stages
     in
-    match outcome with
-    | Error msg ->
-      Metrics.incr t.metrics "est_errors";
-      Protocol.err msg
-    | Ok (estimate, cached, d, plan, plan_status, q) ->
-      let selfs = self_times records in
-      let stages =
-        List.map (fun (k, sp) -> (k, stage_us selfs sp)) explain_stages
-      in
-      let stage_sum = List.fold_left (fun acc (_, us) -> acc +. us) 0.0 stages in
-      let total_us =
-        List.fold_left
-          (fun acc (r : Obs.Span.record) ->
-            if r.Obs.Span.name = "est" then acc +. Obs.Span.duration_us r
-            else acc)
-          0.0 records
-      in
-      let buf = Buffer.create 256 in
-      Buffer.add_string buf (Printf.sprintf "estimate=%s" estimate);
-      Buffer.add_string buf (Printf.sprintf " total_us=%.1f" total_us);
-      List.iter
-        (fun (k, us) -> Buffer.add_string buf (Printf.sprintf " %s=%.1f" k us))
-        stages;
-      Buffer.add_string buf (Printf.sprintf " stage_sum_us=%.1f" stage_sum);
-      Buffer.add_string buf
-        (Printf.sprintf " cache=%s" (if cached then "hit" else "miss"));
-      Buffer.add_string buf
-        (Printf.sprintf " plan_cache=%s"
-           (match plan_status with `Hit -> "hit" | `Miss -> "miss"));
-      Buffer.add_string buf
-        (Printf.sprintf " sched=%s"
-           (Option.value ~default:"none" (span_attr records "ve.plan" "cached")));
+    let stage_sum = List.fold_left (fun acc (_, us) -> acc +. us) 0.0 stages in
+    let total_us =
+      List.fold_left
+        (fun acc (r : Obs.Span.record) ->
+          if r.Obs.Span.name = "est" then acc +. Obs.Span.duration_us r
+          else acc)
+        0.0 records
+    in
+    let attr span = Option.value ~default:"none" (span_attr records span "cached") in
+    let buf = Buffer.create 256 in
+    Buffer.add_string buf (Printf.sprintf "estimate=%s" estimate);
+    Buffer.add_string buf (Printf.sprintf " total_us=%.1f" total_us);
+    List.iter
+      (fun (k, us) -> Buffer.add_string buf (Printf.sprintf " %s=%.1f" k us))
+      stages;
+    Buffer.add_string buf (Printf.sprintf " stage_sum_us=%.1f" stage_sum);
+    Buffer.add_string buf (Printf.sprintf " cache=%s" (attr "est.cache"));
+    Buffer.add_string buf (Printf.sprintf " plan_cache=%s" (attr "plan.fetch"));
+    (match !plan with
+    | None -> ()
+    | Some plan ->
       (* the real executed schedule: per-step eliminated variable and the
          planner's predicted intermediate entries (compare against the
          measured max_factor_entries below) *)
-      let steps = Plan.steps plan q in
+      let steps = Plan.steps plan (Squery.to_query st.scratch) in
       Buffer.add_string buf
         (Printf.sprintf " plan=%s"
            (Format.asprintf "%a" Selest_bn.Ve.Schedule.pp
@@ -645,11 +557,11 @@ let handle_explain t st ~model ~body =
                 steps;
               }));
       Buffer.add_string buf
-        (Printf.sprintf " factors=%d" (List.length (Plan.factors plan)));
-      List.iter
-        (fun (k, v) -> Buffer.add_string buf (Printf.sprintf " %s=%d" k v))
-        (Obs.Hotpath.to_pairs d);
-      Protocol.ok (Buffer.contents buf))
+        (Printf.sprintf " factors=%d" (List.length (Plan.factors plan))));
+    List.iter
+      (fun (k, v) -> Buffer.add_string buf (Printf.sprintf " %s=%d" k v))
+      (Obs.Hotpath.to_pairs d);
+    Protocol.ok (Buffer.contents buf)
 
 (* ---- EXPLAINPLAN -----------------------------------------------------------
 
@@ -674,49 +586,49 @@ let avi_fallback t =
      | None -> e.Selest_est.Estimator.estimate)
 
 let handle_explainplan t st ~model ~body =
-  match resolve_model t model with
-  | Error msg ->
+  match
+    let name, e = resolve_model t model in
+    let sp = Obs.Span.enter "est.parse" in
+    parse_into st sp (Bytes.unsafe_of_string body) ~off:0 ~len:(String.length body);
+    Obs.Span.exit sp;
+    Squery.canon st.scratch;
+    (name, e, Squery.to_query st.scratch)
+  with
+  | exception Rejected msg ->
     Metrics.incr t.metrics "est_errors";
     Protocol.err msg
-  | Ok (name, e) -> (
-    match parse_scratch st body with
-    | Error msg ->
+  | name, e, q -> (
+    let model_cost sub =
+      Plan.estimate (plan_for st ~name ~entry:e sub) ~sizes:t.sizes sub
+    in
+    let fallback = avi_fallback t in
+    (* the oracle the plan was chosen by, fallback composed in — also
+       what the rendering prices each operator with *)
+    let price sub =
+      try model_cost sub
+      with Selest_est.Estimator.Unsupported _ -> fallback sub
+    in
+    match
+      let tree =
+        match q.Query.tvars with
+        | [ (tv, _) ] -> Selest_opt.Jointree.Leaf tv
+        | _ ->
+          (Selest_opt.Optimizer.best ~fallback ~cost:model_cost q)
+            .Selest_opt.Optimizer.tree
+      in
+      let result = Selest_opt.Hashjoin.run t.db q tree in
+      let cost_est =
+        Selest_opt.Optimizer.sum_intermediates ~cost:price q tree
+      in
+      Selest_opt.Explain.render ~est:price q result
+      ^ Selest_opt.Explain.summary_line ~cost_est result
+    with
+    | rendered ->
+      Metrics.incr t.metrics (Printf.sprintf "infer.%s" name);
+      Protocol.ok_multiline rendered
+    | exception exn ->
       Metrics.incr t.metrics "est_errors";
-      Protocol.err msg
-    | Ok () -> (
-      let q = Squery.to_query st.scratch in
-      let model_cost sub =
-        let plan, _ = plan_for t st ~name ~entry:e sub in
-        Plan.estimate plan ~sizes:t.sizes sub
-      in
-      let fallback = avi_fallback t in
-      (* the oracle the plan was chosen by, fallback composed in — also
-         what the rendering prices each operator with *)
-      let price sub =
-        try model_cost sub
-        with Selest_est.Estimator.Unsupported _ -> fallback sub
-      in
-      match
-        let tree =
-          match q.Query.tvars with
-          | [ (tv, _) ] -> Selest_opt.Jointree.Leaf tv
-          | _ ->
-            (Selest_opt.Optimizer.best ~fallback ~cost:model_cost q)
-              .Selest_opt.Optimizer.tree
-        in
-        let result = Selest_opt.Hashjoin.run t.db q tree in
-        let cost_est =
-          Selest_opt.Optimizer.sum_intermediates ~cost:price q tree
-        in
-        Selest_opt.Explain.render ~est:price q result
-        ^ Selest_opt.Explain.summary_line ~cost_est result
-      with
-      | rendered ->
-        Metrics.incr t.metrics (Printf.sprintf "infer.%s" name);
-        Protocol.ok_multiline rendered
-      | exception exn ->
-        Metrics.incr t.metrics "est_errors";
-        Protocol.err (Printexc.to_string exn)))
+      Protocol.err (Printexc.to_string exn))
 
 (* ---- TRUTH -----------------------------------------------------------------
 
@@ -738,31 +650,22 @@ let refresh_slow_threshold t =
       (max 1 (Obs.Histogram.quantile_ns h t.slow_quantile))
 
 (* Re-execute a captured request's query under span collection.  The
-   live path never collects (collection forces the generic engine and
-   would eat the telemetry budget on every request), so a capture replays
-   the query once — cache bypassed — to reconstruct the full
-   est.parse / est.canon / plan.fetch / ve.* tree.  Returns the
-   canonical query text and the span tree; the raw body and an empty
-   tree when the body no longer parses. *)
+   live path does not collect (collection would eat the telemetry budget
+   on every request), so a capture replays the query once through the
+   EST core — forced, so a cache hit cannot hide the stages — to
+   reconstruct the est.parse / est.canon / est.cache / plan.fetch /
+   exec.* tree of the bytecode path that served it.  Returns the
+   canonical query text and the span tree; the raw body when the body
+   no longer resolves or parses. *)
 let replay_spans t st ~model ~body =
   let outcome, records =
     Obs.Span.collect (fun () ->
-        Obs.Span.with_ "est" (fun _ ->
-            match resolve_model t model with
-            | Error _ -> None
-            | Ok (name, e) -> (
-              match parse_scratch st body with
-              | Error _ -> None
-              | Ok () -> (
-                let q = Squery.to_query st.scratch in
-                let plan, _ = plan_for t st ~name ~entry:e q in
-                match Plan.estimate plan ~sizes:t.sizes q with
-                | (_ : float) -> Some (Canon.key q)
-                | exception _ -> Some (Canon.key q)))))
+        est_span (fun () ->
+            match est_body ~force:true t st (resolve_model t model) body with
+            | (_ : Lru.entry) -> Some (Canon.key (Squery.to_query st.scratch))
+            | exception Rejected _ -> None))
   in
-  match outcome with
-  | Some canon -> (canon, records)
-  | None -> (body, records)
+  (Option.value ~default:body outcome, records)
 
 let capture t st ~verb ~reason ?model ?body ?qerror ~lat_ns () =
   let query, spans =
@@ -797,44 +700,24 @@ let observe_response t st ~verb ?model ?body ~dt_ns () =
     end
 
 let handle_truth t st ~model ~truth ~body ~t0 =
-  match resolve_model t model with
-  | Error msg ->
+  match est_span (fun () -> est_body t st (resolve_model t model) body) with
+  | exception Rejected msg ->
     Metrics.incr t.metrics "est_errors";
     Protocol.err msg
-  | Ok (name, e) -> (
-    match parse_scratch st body with
-    | Error msg ->
-      Metrics.incr t.metrics "est_errors";
-      Protocol.err msg
-    | Ok () -> (
-      let version = e.Registry.version in
-      let hash = est_hash st ~name ~version in
-      let computed =
-        match probe t st ~name ~version hash with
-        | entry -> Ok entry.Lru.est
-        | exception Not_found ->
-          Result.map
-            (fun (le, _, _, _) -> le.Lru.est)
-            (infer_measured t st ~name ~entry:e ~hash
-               (Squery.to_query st.scratch))
-      in
-      match computed with
-      | Error msg ->
-        Metrics.incr t.metrics "est_errors";
-        Protocol.err msg
-      | Ok estimate ->
-        Metrics.observe_qerror t.metrics name ~est:estimate ~truth;
-        let qv = Obs.Qerror.value ~est:estimate ~truth in
-        (* Accuracy gate: an estimate this wrong is captured with its
-           span tree regardless of how fast it was computed. *)
-        if qv >= t.qerror_gate then
-          capture t st ~verb:"truth" ~reason:Obs.Slowlog.Qerror ?model ~body
-            ~qerror:qv
-            ~lat_ns:(Obs.Clock.now_ns () - t0)
-            ();
-        Protocol.ok
-          (Printf.sprintf "qerror=%.6g estimate=%.17g n=%d" qv estimate
-             (Obs.Qerror.count (Metrics.qerror_merged t.metrics name)))))
+  | le ->
+    let estimate = le.Lru.est and name = le.Lru.model in
+    Metrics.observe_qerror t.metrics name ~est:estimate ~truth;
+    let qv = Obs.Qerror.value ~est:estimate ~truth in
+    (* Accuracy gate: an estimate this wrong is captured with its span
+       tree regardless of how fast it was computed. *)
+    if qv >= t.qerror_gate then
+      capture t st ~verb:"truth" ~reason:Obs.Slowlog.Qerror ?model ~body
+        ~qerror:qv
+        ~lat_ns:(Obs.Clock.now_ns () - t0)
+        ();
+    Protocol.ok
+      (Printf.sprintf "qerror=%.6g estimate=%.17g n=%d" qv estimate
+         (Obs.Qerror.count (Metrics.qerror_merged t.metrics name)))
 
 (* ---- STATS / METRICS ------------------------------------------------------- *)
 
@@ -1057,12 +940,11 @@ let handle_shards t =
     (fun st ->
       let ph, pm, _ = Plan_cache.stats st.splans in
       line
-        "shard id=%d inflight=%d accepted=%d requests=%d cache_entries=%d cache_hits=%d cache_misses=%d plan_entries=%d plan_hits=%d plan_misses=%d lock_free=%b"
+        "shard id=%d inflight=%d accepted=%d requests=%d cache_entries=%d cache_hits=%d cache_misses=%d plan_entries=%d plan_hits=%d plan_misses=%d"
         st.sid (Atomic.get st.inflight) (Atomic.get st.accepted)
         (Metrics.get t.metrics st.req_counter)
         (Lru.length st.scache) (Lru.hits st.scache) (Lru.misses st.scache)
-        (Plan_cache.length st.splans) ph pm
-        (not (Plan_cache.synchronized st.splans)))
+        (Plan_cache.length st.splans) ph pm)
     t.shards;
   Protocol.ok_multiline (Buffer.contents buf)
 
@@ -1328,8 +1210,8 @@ let handle_line_st t st line =
     finish ~verb:"slowlog" (handle_slowlog t n, `Continue)
   | Ok Protocol.Shutdown -> finish ~verb:"shutdown" (Protocol.ok "bye", `Stop)
 
-(* One binary frame, transport-free: decode, dispatch to the shared EST
-   cores, encode.  Same request/latency/error accounting as
+(* One binary frame, transport-free: decode, dispatch to the EST core,
+   encode.  Same request/latency/error accounting as
    [handle_line_st], minus the text formatting. *)
 let handle_frame_st t st payload =
   Metrics.incr t.metrics "requests";
@@ -1345,39 +1227,38 @@ let handle_frame_st t st payload =
   | Error msg ->
     Metrics.incr t.metrics "protocol_errors";
     finish ~verb:"error" (Protocol.Bin.Berr msg)
-  | Ok (Protocol.Bin.Best { model; body }) -> (
+  | Ok (Protocol.Bin.Best { model; body }) ->
     Metrics.incr t.metrics "est_requests";
-    match Obs.Span.with_ "est" (fun _ -> est_core t st ~model ~body) with
-    | Ok estimate -> finish ~verb:"est" ?model ~body (Protocol.Bin.Bvalue estimate)
-    | Error msg -> finish ~verb:"est" ?model ~body (Protocol.Bin.Berr msg))
-  | Ok (Protocol.Bin.Bestbatch { model; bodies }) -> (
+    finish ~verb:"est" ?model ~body
+      (match est_span (fun () -> est_body t st (resolve_model t model) body) with
+      | le -> Protocol.Bin.Bvalue le.Lru.est
+      | exception Rejected msg ->
+        Metrics.incr t.metrics "est_errors";
+        Protocol.Bin.Berr msg)
+  | Ok (Protocol.Bin.Bestbatch { model; bodies }) ->
     Metrics.incr t.metrics "estbatch_requests";
     List.iter (fun _ -> Metrics.incr t.metrics "est_requests") bodies;
-    match estbatch_core t st ~model ~bodies with
-    | Ok answers -> finish ~verb:"estbatch" (Protocol.Bin.Bvalues answers)
-    | Error msg -> finish ~verb:"estbatch" (Protocol.Bin.Berr msg))
+    finish ~verb:"estbatch"
+      (match estbatch_core t st ~model ~bodies with
+      | answers -> Protocol.Bin.Bvalues answers
+      | exception Rejected msg ->
+        Metrics.incr t.metrics "est_errors";
+        Protocol.Bin.Berr msg)
 
 (* ---- allocation-free fast path ---------------------------------------------
 
    The warm EST round trip — socket read to answer write — touches the
    heap zero times.  A request is recognized as a slice of the
-   connection buffer ({!Protocol.Slice}), lexed into the shard's
-   reusable scratch query, canonicalized, hashed and probed against the
-   shard cache; a verified hit writes the entry's pre-rendered response
-   bytes straight to the socket.  Misses and inference errors are
-   handled inline too (allocation is fine there — the cold half is
-   gated on latency, not allocation), so once a request commits to the
-   fast path the reference path never re-runs it and nothing is counted
-   twice.
-
-   The commit point is a successful scratch parse: before it the fast
-   path has no observable effect, so returning [false] (unknown model,
-   parse error, non-EST line) hands the request to the reference path
-   with its exact error messages and accounting.  Span collection
-   disables the fast path entirely ([Obs.Span.enabled]) so tracing
-   always sees the instrumented path.  Tail sampling is skipped: a warm
-   hit is answered far under any realistic capture threshold, and
-   slow-path responses keep the threshold fresh. *)
+   connection buffer ({!Protocol.Slice}) and handed to the EST core
+   straight from the buffer: resolve, lex, canonicalize, hash, probe; a
+   verified hit writes the entry's pre-rendered response bytes straight
+   to the socket.  Misses and errors are answered here too — by the
+   same core, with the reference error messages and accounting — so
+   the reference path only sees lines the slice recognizers reject
+   (other verbs, malformed EST lines).  Tracing does not switch paths:
+   with a sink installed the same code emits its spans.  Tail sampling
+   is skipped: a warm hit is answered far under any realistic capture
+   threshold, and slow-path responses keep the threshold fresh. *)
 
 let write_all_fd fd s =
   let b = Bytes.unsafe_of_string s in
@@ -1387,85 +1268,41 @@ let write_all_fd fd s =
     off := !off + Unix.write fd b !off (n - !off)
   done
 
-(* Does the slice equal [s], byte for byte?  Allocation-free. *)
-let slice_eq buf ~off ~len s =
-  String.length s = len
-  &&
-  let rec go i =
-    i = len
-    || (Bytes.unsafe_get buf (off + i) = String.unsafe_get s i && go (i + 1))
-  in
-  go 0
-
-(* Resolve the sliced model name against a pinned snapshot without
-   allocating: the default model is the MRU head, a named model is the
-   entry whose name equals the slice.  Raises [Not_found] when the
-   registry is empty or the name unknown — the reference path then
-   reports the error. *)
-let resolve_slice snap (sl : Protocol.Slice.t) buf =
-  let entries = Registry.Epoch.entries snap in
-  if sl.Protocol.Slice.model_len = 0 then
-    match entries with [] -> raise Not_found | hd :: _ -> hd
-  else
-    let rec named = function
-      | [] -> raise Not_found
-      | ((name, _) as hd) :: rest ->
-        if
-          slice_eq buf ~off:sl.Protocol.Slice.model_off
-            ~len:sl.Protocol.Slice.model_len name
-        then hd
-        else named rest
-    in
-    named entries
-
-(* Serve one recognized EST slice ([st.slice] already filled): parse →
-   canon → hash → probe → write.  [bin] selects which pre-rendered
-   response is written.  Returns [false] with no observable effect when
-   the fast path cannot own the request, [true] once the response —
-   hit, miss or inference error — is on the wire. *)
-let fast_est t st fd buf ~bin =
+(* Answer one recognized EST slice ([st.slice] already filled); [bin]
+   selects which rendering is written. *)
+let fast_answer t st fd buf ~bin =
   let sl = st.slice in
-  if Obs.Span.enabled () then false
-  else
-    match resolve_slice (Registry.Epoch.pin t.registry) sl buf with
-    | exception Not_found -> false
-    | name, e -> (
-      let t0 = Obs.Clock.now_ns () in
-      match
-        Squery.parse st.scratch buf ~off:sl.Protocol.Slice.body_off
-          ~len:sl.Protocol.Slice.body_len
-      with
-      | exception (Failure _ | Not_found | Invalid_argument _) -> false
-      | () ->
-        (* Committed: from here the fast path owns the request. *)
-        let t1 = Obs.Clock.now_ns () in
-        Squery.canon st.scratch;
-        let t2 = Obs.Clock.now_ns () in
-        let version = e.Registry.version in
-        let hash = est_hash st ~name ~version in
-        let t3 = Obs.Clock.now_ns () in
-        Metrics.fast_est_request t.metrics;
-        Metrics.bump t.metrics st.c_req;
-        Metrics.frontend_parse_ns t.metrics (t1 - t0);
-        Metrics.frontend_canon_ns t.metrics (t2 - t1);
-        Metrics.frontend_key_ns t.metrics (t3 - t2);
-        (match probe t st ~name ~version hash with
-        | entry -> write_all_fd fd (if bin then entry.Lru.bin else entry.Lru.text)
-        | exception Not_found -> (
-          match
-            infer_measured t st ~name ~entry:e ~hash
-              (Squery.to_query st.scratch)
-          with
-          | Ok (le, _, _, _) ->
-            write_all_fd fd (if bin then le.Lru.bin else le.Lru.text)
-          | Error msg ->
-            Metrics.incr t.metrics "est_errors";
-            write_all_fd fd
-              (if bin then
-                 Protocol.Bin.encode_response (Protocol.Bin.Berr msg)
-               else Protocol.err msg ^ "\n")));
-        Metrics.fast_est_latency_ns t.metrics (Obs.Clock.now_ns () - t0);
-        true)
+  match
+    est_core t st
+      (resolve t buf ~off:sl.Protocol.Slice.model_off
+         ~len:sl.Protocol.Slice.model_len)
+      buf ~off:sl.Protocol.Slice.body_off ~len:sl.Protocol.Slice.body_len
+  with
+  | le ->
+    let sp = Obs.Span.enter "est.respond" in
+    write_all_fd fd (if bin then le.Lru.bin else le.Lru.text);
+    Obs.Span.exit sp
+  | exception Rejected msg ->
+    Metrics.incr t.metrics "est_errors";
+    write_all_fd fd
+      (if bin then Protocol.Bin.encode_response (Protocol.Bin.Berr msg)
+       else Protocol.err msg ^ "\n")
+
+(* The fast path owns every request its slice recognizer accepts.
+   Closing the root span restores the domain's nesting even when a
+   write raises mid-stage. *)
+let fast_est t st fd buf ~bin =
+  let t0 = Obs.Clock.now_ns () in
+  Metrics.fast_est_request t.metrics;
+  Metrics.bump t.metrics st.c_req;
+  let root = Obs.Span.enter "est" in
+  (match fast_answer t st fd buf ~bin with
+  | () -> Obs.Span.exit root
+  | exception e ->
+    Obs.Span.exit root;
+    raise e);
+  Metrics.fast_est_latency_ns t.metrics (Obs.Clock.now_ns () - t0);
+  true
 
 let fast_line t st fd buf ~off ~len =
   Protocol.Slice.est_line st.slice buf ~off ~len
@@ -1618,7 +1455,6 @@ let run t =
   (try Unix.close stop_r with Unix.Unix_error _ -> ());
   (try Unix.close stop_w with Unix.Unix_error _ -> ());
   (try Unix.unlink t.socket with Unix.Unix_error _ -> ());
-  shutdown_pool t;
   (* Drain the JSONL trace sink before the final report: a SHUTDOWN must
      not strand buffered span records in a dying process. *)
   Obs.Trace_log.close ();

@@ -24,9 +24,8 @@
 
     On the [EST] hot path a shard acquires {e zero} mutexes: the
     registry read is one atomic snapshot pin, the estimate cache and
-    plan cache are domain-local (the plan cache is created
-    unsynchronized whenever [domains > 1]), and telemetry writes land on
-    the domain's own lock-free shard.  Estimates are bit-identical
+    plan cache are domain-local and lock-free, and telemetry writes
+    land on the domain's own lock-free shard.  Estimates are bit-identical
     across shard counts — every shard executes the same compiled plan
     for the same query.
 
@@ -37,7 +36,9 @@
     shard's cached estimates and plans for the old version simply stop
     being reachable.  Old snapshots are reclaimed by the GC.
 
-    An [EST] request is answered as follows: pin the registry snapshot;
+    Every estimate — [EST] over text or binary framing, [ESTBATCH] body
+    by body, [TRUTH], [EXPLAIN] and the [SLOWLOG] replay — runs one EST
+    core, as follows: pin the registry snapshot;
     lex the body straight out of the request buffer into the shard's
     reusable scratch query ({!Selest_db.Squery} — interned symbols, no
     intermediate strings); canonicalize in place; derive the 63-bit
@@ -46,47 +47,49 @@
     against the entry's canonical snapshot; on a miss fetch the
     skeleton's compiled plan from the shard's {!Plan_cache} (compiling
     it with {!Selest_plan.Plan.compile} on a cold skeleton), bind the
-    query and execute, then fill the estimate cache with pre-rendered
-    text and binary responses.  On the wire ({!run}) a warm EST is
-    recognized and served entirely from buffer slices
-    ({!fast_handlers}): the whole round trip from socket read to answer
-    write allocates nothing.  Requests the fast path cannot own —
-    errors, other verbs, span-collected traces — take the reference
-    path ({!Protocol.parse_request} + [handle_line]) with identical
-    observable behavior.
+    query and execute it on the bytecode engine
+    ({!Selest_plan.Plan.execute}), then fill the estimate cache with
+    pre-rendered text and binary responses.  On the wire ({!run}) an
+    [EST] line or frame is recognized and served entirely from buffer
+    slices ({!fast_handlers}): the whole warm round trip from socket
+    read to answer write allocates nothing, and misses and errors are
+    answered by the same core with the reference messages.  Only
+    requests the slice recognizers reject — other verbs, malformed EST
+    lines — take the reference path ({!Protocol.parse_request} +
+    [handle_line]).  Tracing does not change the path.
 
-    An [ESTBATCH] request on a {e single-shard} server fans its cache
-    misses across a {!Selest_util.Pool} of worker domains (probes and
-    cache fills stay on the dispatcher; the single-shard plan cache is
-    mutex-guarded so workers share compiled plans).  A sharded server
-    batches inline — its shards already are the parallelism, and its
-    plan caches are unsynchronized and must stay domain-private.
-    Estimates are bit-identical to sequential [EST] answers either way.
+    An [ESTBATCH] request runs its bodies through the EST core in
+    request order on the dispatching shard, so answers are bit-identical
+    to sequential [EST] answers and a repeated body is a cache hit.  The
+    first failing body fails the whole batch as [ERR query N: ...];
+    bodies before it may already be cached.
 
     {2 Observability}
 
-    The request path is instrumented with {!Selest_obs.Span} (spans
-    [est] → [est.parse], [est.canon], [est.cache], [plan.fetch],
-    [plan.compile], [ve.evidence], [ve.plan], [ve.eliminate],
-    [est.respond]) and every inference's {!Selest_obs.Hotpath} kernel
-    counters are rolled into the service metrics ([ve.factor_ops],
-    [ve.entries_touched], [ve.scratch_hits]/[misses],
-    [ve.order_hits]/[misses] — the last pair counts plan schedule-memo
-    hits and misses).
+    The EST core is instrumented with {!Selest_obs.Span} (spans [est] →
+    [est.parse], [est.canon], [est.cache], [plan.fetch],
+    [plan.compile], [exec.load], [exec.run], [est.respond]), opened
+    through the closure-free {!Selest_obs.Span.enter}/[exit], and every
+    inference's {!Selest_obs.Hotpath} kernel counters are rolled into
+    the service metrics ([ve.factor_ops], [ve.entries_touched],
+    [ve.scratch_hits]/[misses], [ve.order_hits]/[misses] and
+    [plan.program_hits]/[misses] — the memo pairs of the compiled
+    plans).
 
-    [EXPLAIN <query>] re-runs inference with span collection on and
+    [EXPLAIN <query>] runs the EST core with span collection on and
     answers one line of [key=value] fields: [estimate], [total_us], the
     per-stage times ([parse_us], [canon_us], [cache_us], [fetch_us],
-    [compile_us], [evidence_us], [sched_us], [ve_us], [respond_us],
-    [other_us] — {e self} times, so they partition [total_us]), their
-    [stage_sum_us], the estimate-cache ([cache]), plan-cache
-    ([plan_cache]) and schedule-memo ([sched]) outcomes, the executed
-    [plan] (per-step eliminated variable and predicted intermediate
-    entries, to set against the measured [max_factor_entries]), the
-    plan's [factors] count, and the per-query hot-path counters.  The
-    estimate cache is probed (and reported) but never short-circuits the
-    run, so the breakdown always prices real inference; the cache is
-    filled afterwards, making EXPLAIN a valid warm-up.
+    [compile_us], [load_us], [run_us], [respond_us], [other_us] —
+    {e self} times, so they partition [total_us]), their
+    [stage_sum_us], the estimate-cache ([cache]) and plan-cache
+    ([plan_cache]) outcomes, the executed [plan] (per-step eliminated
+    variable and predicted intermediate entries, to set against the
+    measured [max_factor_entries]), the plan's [factors] count, and the
+    per-query hot-path counters (whose [program_hits]/[program_misses]
+    say whether the bytecode program was memoized).  The estimate cache
+    is probed (and reported) but never short-circuits the run, so the
+    breakdown always prices real inference on the serving engine; the
+    cache is filled afterwards, making EXPLAIN a valid warm-up.
 
     [EXPLAINPLAN <query>] answers the optimizer's view: the C_out-minimal
     join tree under the model's sub-query estimates (priced through the
@@ -138,7 +141,6 @@ type t
 
 val create :
   ?cache_bytes:int ->
-  ?pool_size:int ->
   ?slowlog_capacity:int ->
   ?slow_quantile:float ->
   ?qerror_gate:float ->
@@ -152,11 +154,8 @@ val create :
   socket:string ->
   unit ->
   t
-(** [cache_bytes] defaults to 1 MiB {e per shard}.  [pool_size] is the
-    number of worker domains for single-shard [ESTBATCH] (default
-    [Domain.recommended_domain_count - 1]; [0] forces inline sequential
-    batching); the pool is spawned lazily on the first batch request.
-    No socket is bound until {!run}.
+(** [cache_bytes] defaults to 1 MiB {e per shard}.  No socket is bound
+    until {!run}.
 
     Sharding knobs: [domains] (default 1) is the number of executor
     shards {!run} spawns; [tcp] is an optional [(host, port)] endpoint
@@ -204,9 +203,7 @@ val shard_cache : t -> int -> Lru.t
 (** A specific shard's estimate cache (tests/benchmarks). *)
 
 val shard_plan_cache : t -> int -> Plan_cache.t
-(** A specific shard's plan cache.  On a sharded server
-    [Plan_cache.synchronized] is [false] for every shard — the lock-free
-    hot-path property tests assert on. *)
+(** A specific shard's plan cache (domain-private, no lock). *)
 
 val socket_path : t -> string
 
@@ -247,11 +244,12 @@ val fast_handlers :
 (** The shard's allocation-free fast-path handlers [(on_line_fast,
     on_frame_fast)], exactly as {!run} wires them into the connection
     loop ({!Shard.run}).  Each recognizes a warm [EST] request as a
-    slice of the connection buffer, answers it end to end (zero-copy
-    parse into the shard scratch, hash probe, pre-rendered response
-    write — no heap allocation on a verified hit) and returns [true];
-    anything else returns [false] with no observable effect so the
-    reference handlers take over.  Exposed so the front-end benchmark
+    slice of the connection buffer, answers it end to end through the
+    EST core (zero-copy parse into the shard scratch, hash probe,
+    pre-rendered response write — no heap allocation on a verified hit;
+    misses and errors answered with the reference bytes and counters)
+    and returns [true]; anything else returns [false] with no observable
+    effect so the reference handlers take over.  Exposed so the front-end benchmark
     can drive the true socket path through {!Shard.Loopback}.  Raises
     [Invalid_argument] when [shard] is out of range. *)
 
@@ -264,11 +262,6 @@ val handle_frame : t -> bytes -> string
     text line [BIN], which the shard connection loop answers with
     [OK bin] before switching to length-prefixed frames until EOF. *)
 
-val shutdown_pool : t -> unit
-(** Stop and join the worker domains (if any were spawned).  {!run} calls
-    this on exit; transport-free users ({!handle_line}) that issued
-    [ESTBATCH] requests should call it when done. *)
-
 val run : t -> unit
 (** Bind the Unix socket (unlinking a stale file first) and the optional
     TCP endpoint with the configured [backlog], spawn one executor
@@ -276,8 +269,8 @@ val run : t -> unit
     mailbox round-robin under the [max_inflight] admission budget
     (rejected connections get one [BUSY] line).  Returns once a
     [SHUTDOWN] request has been answered: the shard domains are joined,
-    the socket file is removed, the domain pool is shut down and the
-    final metrics are logged at info level. *)
+    the socket file is removed and the final metrics are logged at info
+    level. *)
 
 val shutdown : t -> unit
 (** Ask a running {!run} to stop, from any thread — the programmatic

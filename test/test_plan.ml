@@ -1,6 +1,7 @@
 open Selest_db
 open Selest_bn
 open Selest_plan
+module Hotpath = Selest_obs.Hotpath
 module Model = Selest_prm.Model
 module Learn = Selest_prm.Learn
 
@@ -158,14 +159,16 @@ let prop_plan_reuse_across_bindings =
           ()
       in
       let plan = Plan.compile prm skeleton in
-      let ok = ref true in
+      let ok = ref true and hits = ref 0 and misses = ref 0 in
       for r = 0 to 1 do
         for b = 0 to 1 do
           let q =
             Query.with_selects skeleton
               [ Query.eq "e" "Rank" r; Query.eq "d" "Budget" b ]
           in
-          let reused = Plan.estimate plan ~sizes q in
+          let reused, d = Hotpath.measure (fun () -> Plan.estimate plan ~sizes q) in
+          hits := !hits + d.Hotpath.order_hits;
+          misses := !misses + d.Hotpath.order_misses;
           let fresh = Plan.estimate (Plan.compile prm q) ~sizes q in
           let slow = oracle plan ~sizes q in
           if
@@ -175,8 +178,7 @@ let prop_plan_reuse_across_bindings =
         done
       done;
       (* every rebinding after the compile-seeded first one hits the memo *)
-      let hits, misses = Plan.schedule_stats plan in
-      !ok && hits >= 3 && misses = 0)
+      !ok && !hits >= 3 && !misses = 0)
 
 (* ---- compiled-plan structure -------------------------------------------- *)
 
@@ -213,9 +215,9 @@ let test_plan_introspection () =
   in
   check_float "scale" expected (Plan.scale plan ~sizes);
   (* executing the compile query's own binding hits the seeded schedule *)
-  ignore (Plan.execute plan (Plan.bind plan q));
-  let hits, misses = Plan.schedule_stats plan in
-  Alcotest.(check (pair int int)) "seeded schedule hit" (1, 0) (hits, misses);
+  let (_ : float), d = Hotpath.measure (fun () -> Plan.execute plan (Plan.bind plan q)) in
+  Alcotest.(check (pair int int)) "seeded schedule hit" (1, 0)
+    (d.Hotpath.order_hits, d.Hotpath.order_misses);
   let steps = Plan.steps plan q in
   Alcotest.(check bool) "steps predicted" true
     (List.for_all (fun s -> s.Ve.Schedule.predicted_entries >= 1) steps);
@@ -232,6 +234,30 @@ let test_plan_introspection () =
   (* pp renders without raising *)
   Alcotest.(check bool) "pp non-empty" true
     (String.length (Format.asprintf "%a" Plan.pp plan) > 0)
+
+(* Join indicators are static evidence of the compiled program; a
+   binding that names one has no bytecode shape, so execute refuses it
+   rather than answer on another engine. *)
+let test_join_indicator_binding_rejected () =
+  let prm = Lazy.force model in
+  let q =
+    Query.create
+      ~tvars:[ ("e", "emp"); ("d", "dept") ]
+      ~joins:[ Query.join ~child:"e" ~fk:"dept" ~parent:"d" ]
+      ~selects:[ Query.eq "e" "Rank" 1 ]
+      ()
+  in
+  let plan = Plan.compile prm q in
+  match Plan.join_evidence plan with
+  | [] -> Alcotest.fail "a joined skeleton has join evidence"
+  | (jnode, _) :: _ ->
+    Alcotest.(check bool) "join-indicator binding rejected" true
+      (try
+         ignore (Plan.execute plan ((jnode, Query.Eq 1) :: Plan.bind plan q));
+         false
+       with Invalid_argument _ -> true);
+    Alcotest.(check bool) "no program for it" true
+      (Plan.program_for plan ((jnode, Query.Eq 1) :: Plan.bind plan q) = None)
 
 let test_skeleton_key_splits_binding () =
   let q v =
@@ -311,6 +337,8 @@ let () =
         [
           Alcotest.test_case "introspection" `Quick test_plan_introspection;
           Alcotest.test_case "skeleton key" `Quick test_skeleton_key_splits_binding;
+          Alcotest.test_case "join-indicator binding rejected" `Quick
+            test_join_indicator_binding_rejected;
         ] );
       ( "oracle",
         qsuite

@@ -205,8 +205,6 @@ let test_metrics_report () =
   let f k = List.assoc_opt k report in
   Alcotest.(check (option string)) "counter listed" (Some "1") (f "requests");
   Alcotest.(check (option string)) "lat_count" (Some "1") (f "lat_count");
-  Alcotest.(check bool) "bucket layout exposed" true
-    (f "lat_buckets" <> None && f "lat_bucket_base" <> None && f "lat_hist" <> None);
   Alcotest.(check bool) "quantization asymmetry documented" true
     (f "lat_quantization" <> None)
 
@@ -454,7 +452,7 @@ let test_server_explainplan () =
 
 let test_server_estbatch () =
   (* Two servers over the same db/model: one answers each query through
-     sequential EST, the other with one parallel ESTBATCH on a cold cache.
+     sequential EST, the other with one ESTBATCH on a cold cache.
      Payloads must match character for character — %.17g round-trips
      doubles exactly, so string equality is bit-identity. *)
   let bodies =
@@ -472,10 +470,7 @@ let test_server_estbatch () =
       (fun b -> Protocol.payload (fst (Server.handle_line seq_server ("EST " ^ b))))
       bodies
   in
-  let batch_server =
-    Server.create ~db:(Lazy.force db) ~pool_size:4 ~socket:"(test: unused)" ()
-  in
-  ignore (Registry.register (Server.registry batch_server) ~name:"default" (Lazy.force model));
+  let batch_server = fresh_server () in
   let line = "ESTBATCH " ^ String.concat " || " bodies in
   let reply = fst (Server.handle_line batch_server line) in
   Alcotest.(check bool) "batch ok" true (Protocol.is_ok reply);
@@ -495,9 +490,7 @@ let test_server_estbatch () =
   Alcotest.(check bool) "error names the query" true
     (String.length err >= 12 && String.sub err 0 12 = "ERR query 2:");
   Alcotest.(check bool) "unknown model" true
-    (Protocol.is_err (fst (Server.handle_line batch_server "ESTBATCH @nope p=patient ;; p.USBorn=1")));
-  Server.shutdown_pool batch_server;
-  Server.shutdown_pool seq_server
+    (Protocol.is_err (fst (Server.handle_line batch_server "ESTBATCH @nope p=patient ;; p.USBorn=1")))
 
 (* ---- end-to-end over the socket --------------------------------------------------- *)
 
@@ -598,8 +591,10 @@ let test_socket_slowlog_capture () =
                lines);
           Alcotest.(check bool) "span tree replayed" true
             (List.exists (fun l -> contains l "span est.parse") lines);
-          Alcotest.(check bool) "generic engine spans present" true
-            (List.exists (fun l -> contains l "span ve.eliminate") lines);
+          Alcotest.(check bool) "bytecode engine spans present" true
+            (List.exists (fun l -> contains l "span exec.run") lines);
+          Alcotest.(check bool) "no generic engine spans" false
+            (List.exists (fun l -> contains l "span ve.") lines);
           (* the backing ring agrees with the text dump *)
           (match Selest_obs.Slowlog.recent ~n:1 (Server.slowlog server) with
           | [ e ] ->
@@ -669,28 +664,21 @@ let test_registry_epoch_pin () =
   Alcotest.(check (list string)) "names, MRU first" [ "other"; "tb" ]
     (Registry.Epoch.names s2)
 
+(* The plan cache has one (domain-private, unsynchronized) mode. *)
 let test_plan_cache_sync_modes () =
-  let sync = Plan_cache.create () in
-  Alcotest.(check bool) "default synchronized" true (Plan_cache.synchronized sync);
-  let unsync = Plan_cache.create ~synchronized:false () in
-  Alcotest.(check bool) "opt-out unsynchronized" false
-    (Plan_cache.synchronized unsync);
-  (* both modes implement the same cache contract *)
+  let pc = Plan_cache.create () in
   let m = Lazy.force model in
   let q = tb_query [ "p.USBorn=1" ] in
-  List.iter
-    (fun pc ->
-      let compile () = Selest_plan.Plan.compile m q in
-      let _, s1 = Plan_cache.find_or_compile pc ~hash:17 ~key:"k" ~compile in
-      let _, s2 = Plan_cache.find_or_compile pc ~hash:17 ~key:"k" ~compile in
-      Alcotest.(check bool) "miss then hit" true (s1 = `Miss && s2 = `Hit);
-      let hits, misses, _ = Plan_cache.stats pc in
-      Alcotest.(check (pair int int)) "stats" (1, 1) (hits, misses);
-      (* same hash, different full key: detected, evicted, recompiled *)
-      let _, s3 = Plan_cache.find_or_compile pc ~hash:17 ~key:"other" ~compile in
-      Alcotest.(check bool) "collision is a miss" true (s3 = `Miss);
-      Alcotest.(check int) "collision counted" 1 (Plan_cache.collisions pc))
-    [ sync; unsync ]
+  let compile () = Selest_plan.Plan.compile m q in
+  let _, s1 = Plan_cache.find_or_compile pc ~hash:17 ~key:"k" ~compile in
+  let _, s2 = Plan_cache.find_or_compile pc ~hash:17 ~key:"k" ~compile in
+  Alcotest.(check bool) "miss then hit" true (s1 = `Miss && s2 = `Hit);
+  let hits, misses, _ = Plan_cache.stats pc in
+  Alcotest.(check (pair int int)) "stats" (1, 1) (hits, misses);
+  (* same hash, different full key: detected, evicted, recompiled *)
+  let _, s3 = Plan_cache.find_or_compile pc ~hash:17 ~key:"other" ~compile in
+  Alcotest.(check bool) "collision is a miss" true (s3 = `Miss);
+  Alcotest.(check int) "collision counted" 1 (Plan_cache.collisions pc)
 
 (* q-error tables shard per domain and merge on read. *)
 let test_qerror_shard_merge () =
@@ -745,8 +733,8 @@ let test_shards_verb () =
        lines);
   List.iter
     (fun sid ->
-      (* every shard ran exactly one EST (one domain-local miss, lock-free
-         plan cache); shard 0 additionally served the SHARDS request *)
+      (* every shard ran exactly one EST (one domain-local miss);
+         shard 0 additionally served the SHARDS request *)
       let requests = if sid = 0 then 2 else 1 in
       Alcotest.(check bool)
         (Printf.sprintf "shard %d line" sid)
@@ -755,13 +743,12 @@ let test_shards_verb () =
            (fun l ->
              contains l (Printf.sprintf "shard id=%d" sid)
              && contains l (Printf.sprintf "requests=%d" requests)
-             && contains l "cache_misses=1"
-             && contains l "lock_free=true")
+             && contains l "cache_misses=1")
            lines))
     [ 0; 1; 2 ];
-  (* multi-shard plan caches are unsynchronized; shard 0 accessors alias *)
-  Alcotest.(check bool) "plan caches lock-free" false
-    (Plan_cache.synchronized (Server.shard_plan_cache server 1));
+  (* every shard owns its plan cache; shard 0 accessors alias *)
+  Alcotest.(check bool) "plan caches per shard" true
+    (Server.shard_plan_cache server 1 != Server.plan_cache server);
   Alcotest.(check bool) "cache is shard 0's" true
     (Server.cache server == Server.shard_cache server 0);
   Alcotest.(check bool) "out of range" true
@@ -1401,64 +1388,121 @@ let test_slice_recognizes_warm_forms () =
   Alcotest.(check (pair (option string) string)) "bin slices"
     (None, "p=patient") (slice_model_body frame)
 
-(* End-to-end fast path over a real socketpair: the loopback harness
-   drives the exact shard message-extraction code with the server's fast
-   handlers installed.  Warm and cold EST (text and binary) answer
-   bit-identically to the transport-free reference path; every other
-   verb falls back byte-identically. *)
-let test_fast_path_loopback () =
-  let server = fresh_server () in
+(* A socketpair loopback onto [server]'s shard 0 with its fast handlers
+   installed: [send] writes raw bytes, runs one shard step and returns
+   the bytes answered; [fallbacks] counts messages the fast handlers
+   declined, i.e. handed to the reference handlers. *)
+let loopback server =
   let client, srv = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let conn = Shard.Loopback.connect srv in
   let on_line_fast, on_frame_fast = Server.fast_handlers server ~shard:0 in
-  let on_line l = Server.handle_line server l in
-  let on_frame p = Server.handle_frame server p in
+  let fallbacks = ref 0 in
+  let on_line l = incr fallbacks; Server.handle_line server l in
+  let on_frame p = incr fallbacks; Server.handle_frame server p in
   let buf = Bytes.create 65536 in
-  let step () =
-    Shard.Loopback.step conn ~on_line_fast ~on_frame_fast ~on_line ~on_frame
-  in
-  let read_response () =
+  let send msg =
+    ignore (Unix.write_substring client msg 0 (String.length msg));
+    Shard.Loopback.step conn ~on_line_fast ~on_frame_fast ~on_line ~on_frame;
     let n = Unix.read client buf 0 (Bytes.length buf) in
     Bytes.sub_string buf 0 n
   in
-  let ask line =
-    let msg = line ^ "\n" in
-    ignore (Unix.write_substring client msg 0 (String.length msg));
-    step ();
-    read_response ()
+  let close () =
+    (try Unix.close client with Unix.Unix_error _ -> ());
+    if Shard.Loopback.alive conn then Unix.close srv
   in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close client with Unix.Unix_error _ -> ());
-      if Shard.Loopback.alive conn then Unix.close srv)
-    (fun () ->
+  (send, close, fallbacks)
+
+let est_counters = [ "requests"; "est_requests"; "est_errors"; "shard.0.requests" ]
+
+let counter_values server =
+  List.map (fun k -> Metrics.get (Server.metrics server) k) est_counters
+
+(* Run [f] and return the per-counter deltas it caused. *)
+let counter_deltas server f =
+  let c0 = counter_values server in
+  let r = f () in
+  (r, List.map2 ( - ) (counter_values server) c0)
+
+(* End-to-end fast path over a real socketpair: the loopback harness
+   drives the exact shard message-extraction code with the server's fast
+   handlers installed.  Warm and cold EST (text and binary) answer
+   bit-identically to the transport-free reference path; errors are
+   answered by the fast path itself with the reference bytes and
+   counters; tracing keeps the fast path; every other verb falls back
+   byte-identically. *)
+let test_fast_path_loopback () =
+  let server = fresh_server () in
+  let send, close, fallbacks = loopback server in
+  let ask line = send (line ^ "\n") in
+  (* [f] must be answered by the fast handlers alone *)
+  let fast label f =
+    let before = !fallbacks in
+    let r = f () in
+    Alcotest.(check int) (label ^ ": no fallback") before !fallbacks;
+    r
+  in
+  let frame_of ?model body =
+    Protocol.Bin.encode_request (Protocol.Bin.Best { model; body })
+  in
+  (* a fast-path answer must equal the reference entry point's bytes and
+     move the EST counters by the same amounts *)
+  let same_as_reference label f reference =
+    let got, d_fast = counter_deltas server (fun () -> fast label f) in
+    let want, d_ref = counter_deltas server reference in
+    Alcotest.(check string) (label ^ ": bytes") want got;
+    Alcotest.(check (list int)) (label ^ ": counters") d_ref d_fast
+  in
+  let m = Server.metrics server in
+  Fun.protect ~finally:close (fun () ->
       let body = "c=contact, p=patient ; c.patient=p ; p.USBorn=1, c.Contype=2" in
       (* non-EST verbs fall back to the reference path *)
       Alcotest.(check string) "fallback PING" "PONG\n" (ask "PING");
-      (* cold EST commits to the fast path and serves the miss inline *)
-      let cold = ask ("EST " ^ body) in
+      Alcotest.(check int) "PING fell back" 1 !fallbacks;
+      (* cold EST is owned by the fast path, which serves the miss inline *)
+      let cold = fast "cold est" (fun () -> ask ("EST " ^ body)) in
       Alcotest.(check bool) "cold est ok" true (Protocol.is_ok (String.trim cold));
       (* warm repeat: pre-rendered response, identical bytes *)
-      Alcotest.(check string) "warm repeat identical" cold (ask ("EST " ^ body));
+      Alcotest.(check string) "warm repeat identical" cold
+        (fast "warm est" (fun () -> ask ("EST " ^ body)));
       (* the transport-free reference path sees the same cache entry *)
       let direct, _ = Server.handle_line server ("EST " ^ body) in
       Alcotest.(check string) "matches handle_line" (direct ^ "\n") cold;
-      (* error paths are untouched: unknown model and bad query fall
-         back to the reference handler's exact messages *)
-      let bad_model = ask "EST @nope p=patient" in
-      Alcotest.(check string) "unknown model via fallback"
-        (fst (Server.handle_line server "EST @nope p=patient") ^ "\n")
-        bad_model;
-      let bad_query = ask "EST z=zebra" in
-      Alcotest.(check string) "bad query via fallback"
-        (fst (Server.handle_line server "EST z=zebra") ^ "\n")
-        bad_query;
-      (* binary upgrade, then warm frames served by the fast path *)
+      (* tracing on: same path, same bytes, front-end counters still
+         move, and the sink receives the request's spans *)
+      let records = ref [] in
+      let parse_ns0 = Metrics.get m "frontend.parse_ns" in
+      let traced =
+        Fun.protect
+          ~finally:(fun () -> Selest_obs.Span.set_global_sink None)
+          (fun () ->
+            Selest_obs.Span.set_global_sink (Some (fun r -> records := r :: !records));
+            fast "traced est" (fun () -> ask ("EST " ^ body)))
+      in
+      Alcotest.(check string) "traced est identical" cold traced;
+      Alcotest.(check bool) "traced est moves frontend.parse_ns" true
+        (Metrics.get m "frontend.parse_ns" > parse_ns0);
+      let names = List.map (fun (r : Selest_obs.Span.record) -> r.Selest_obs.Span.name) !records in
+      List.iter
+        (fun n -> Alcotest.(check bool) ("sink saw span " ^ n) true (List.mem n names))
+        [ "est"; "est.parse"; "est.canon"; "est.cache"; "est.respond" ];
+      (* error paths are answered by the fast path with the reference
+         handler's exact bytes and accounting *)
+      let bad =
+        [ ("unknown model", "EST @nope p=patient ; ; p.USBorn=1");
+          ("unknown attribute", "EST p=patient ; ; p.Nope=1");
+          ("out-of-range value", "EST p=patient ; ; p.USBorn=999");
+          ("unknown table", "EST z=zebra") ]
+      in
+      List.iter
+        (fun (label, line) ->
+          same_as_reference ("text " ^ label)
+            (fun () -> ask line)
+            (fun () -> fst (Server.handle_line server line) ^ "\n"))
+        bad;
+      Alcotest.(check bool) "errors counted" true (Metrics.get m "est_errors" >= 8);
+      (* binary upgrade, then frames served by the fast path *)
       Alcotest.(check string) "bin hello" (Protocol.Bin.hello_ok ^ "\n") (ask "BIN");
-      let frame = Protocol.Bin.encode_request (Protocol.Bin.Best { model = None; body }) in
-      ignore (Unix.write_substring client frame 0 (String.length frame));
-      step ();
-      let resp = read_response () in
+      let resp = fast "bin est" (fun () -> send (frame_of body)) in
       (match
          Protocol.Bin.decode_response
            (Bytes.of_string (String.sub resp 4 (String.length resp - 4)))
@@ -1468,15 +1512,100 @@ let test_fast_path_loopback () =
         Alcotest.(check int64) "bin bit-identical to text"
           (Int64.bits_of_float expected) (Int64.bits_of_float v)
       | _ -> Alcotest.fail "expected Bvalue over the binary fast path");
+      List.iter
+        (fun (label, line) ->
+          let model, qbody =
+            match Protocol.parse_request line with
+            | Ok (Protocol.Est { model; body }) -> (model, body)
+            | _ -> Alcotest.fail ("not an EST line: " ^ line)
+          in
+          let frame = frame_of ?model qbody in
+          same_as_reference ("bin " ^ label)
+            (fun () -> send frame)
+            (fun () ->
+              Server.handle_frame server
+                (Bytes.of_string (String.sub frame 4 (String.length frame - 4))));
+          (* and the binary error text is the text protocol's *)
+          let text = fst (Server.handle_line server line) in
+          let resp = send frame in
+          match
+            Protocol.Bin.decode_response
+              (Bytes.of_string (String.sub resp 4 (String.length resp - 4)))
+          with
+          | Ok (Protocol.Bin.Berr msg) ->
+            Alcotest.(check string) ("bin message " ^ label) text ("ERR " ^ msg)
+          | _ -> Alcotest.fail ("expected Berr for " ^ label))
+        bad;
       (* the fast path moved the front-end telemetry *)
-      let m = Server.metrics server in
       Alcotest.(check bool) "frontend parse ns counted" true
         (Metrics.get m "frontend.parse_ns" > 0);
       Alcotest.(check bool) "frontend canon ns counted" true
         (Metrics.get m "frontend.canon_ns" > 0);
       Alcotest.(check bool) "frontend key ns counted" true
         (Metrics.get m "frontend.key_ns" > 0);
-      Alcotest.(check int) "no collisions" 0 (Metrics.get m "frontend.collisions"))
+      Alcotest.(check int) "no collisions" 0 (Metrics.get m "frontend.collisions"));
+  (* an empty registry: the fast path answers the reference error, over
+     text and BIN *)
+  let empty = Server.create ~db:(Lazy.force db) ~socket:"(test: unused)" () in
+  let send, close, fallbacks = loopback empty in
+  Fun.protect ~finally:close (fun () ->
+      let line = "EST p=patient ; ; p.USBorn=1" in
+      let deltas = counter_deltas empty in
+      let got, d_fast = deltas (fun () -> send (line ^ "\n")) in
+      let want, d_ref = deltas (fun () -> fst (Server.handle_line empty line) ^ "\n") in
+      Alcotest.(check string) "empty registry: text bytes" want got;
+      Alcotest.(check (list int)) "empty registry: text counters" d_ref d_fast;
+      Alcotest.(check string) "empty registry: message"
+        "ERR no model loaded (use LOAD)\n" got;
+      ignore (send "BIN\n");
+      let frame = frame_of "p=patient ; ; p.USBorn=1" in
+      let got, d_fast = deltas (fun () -> send frame) in
+      let want, d_ref =
+        deltas (fun () ->
+            Server.handle_frame empty
+              (Bytes.of_string (String.sub frame 4 (String.length frame - 4))))
+      in
+      Alcotest.(check string) "empty registry: bin bytes" want got;
+      Alcotest.(check (list int)) "empty registry: bin counters" d_ref d_fast;
+      Alcotest.(check int) "empty registry: no fallback" 0 !fallbacks)
+
+(* EXPLAIN runs the EST core on the bytecode engine: cold and warm, its
+   estimate is EST's, bit for bit, and its stages partition total_us. *)
+let test_server_explain () =
+  let server = fresh_server () in
+  let ask line = fst (Server.handle_line server line) in
+  let body = "c=contact, p=patient ; c.patient=p ; p.USBorn=0, c.Contype=1" in
+  let explain ~label ~cache =
+    let resp = ask ("EXPLAIN " ^ body) in
+    Alcotest.(check bool) (label ^ " ok") true (Protocol.is_ok resp);
+    let f k =
+      match Protocol.stats_field resp k with
+      | Some v -> v
+      | None -> Alcotest.fail (Printf.sprintf "%s: no %s in %S" label k resp)
+    in
+    Alcotest.(check string) (label ^ " cache") cache (f "cache");
+    Alcotest.(check string) (label ^ " plan cache") cache (f "plan_cache");
+    let total = float_of_string (f "total_us") in
+    let stage_sum = float_of_string (f "stage_sum_us") in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s stages sum to total (%.1f vs %.1f)" label stage_sum total)
+      true
+      (Float.abs (stage_sum -. total) <= 0.11);
+    List.iter
+      (fun k -> ignore (float_of_string (f k)))
+      [ "load_us"; "run_us"; "fetch_us"; "compile_us" ];
+    List.iter
+      (fun k ->
+        Alcotest.(check (option string)) (label ^ " drops " ^ k) None
+          (Protocol.stats_field resp k))
+      [ "evidence_us"; "sched_us"; "ve_us"; "sched" ];
+    f "estimate"
+  in
+  let cold = explain ~label:"cold" ~cache:"miss" in
+  let est = Protocol.payload (ask ("EST " ^ body)) in
+  Alcotest.(check string) "cold EXPLAIN estimate = EST" est cold;
+  let warm = explain ~label:"warm" ~cache:"hit" in
+  Alcotest.(check string) "warm EXPLAIN estimate = EST" est warm
 
 (* ---- suite ------------------------------------------------------------------------ *)
 
@@ -1523,6 +1652,7 @@ let () =
         [
           Alcotest.test_case "handle_line" `Quick test_server_handle_line;
           Alcotest.test_case "explainplan" `Quick test_server_explainplan;
+          Alcotest.test_case "explain" `Quick test_server_explain;
           Alcotest.test_case "estbatch" `Quick test_server_estbatch;
           Alcotest.test_case "socket round trip" `Quick test_socket_round_trip;
           Alcotest.test_case "socket slow-log capture" `Quick
