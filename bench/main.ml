@@ -1274,7 +1274,9 @@ let fig_exec () =
    zero minor-heap words end to end — socket read to answer write — in
    both text and binary framing, driven through the true shard
    message-extraction loop (Shard.Loopback); (4) transport-free served
-   QPS holds the BENCH_exec.json baselines. *)
+   QPS holds the BENCH_exec.json baselines; (5) an estimate-cache miss
+   on a cached plan — keyed, fetched and bound straight from the parse
+   scratch — allocates at most 600 minor words. *)
 
 let read_json_field file field =
   match open_in (at_root file) with
@@ -1559,6 +1561,55 @@ let fig_frontend () =
     check "binary QPS holds the exec baseline" (bin_qps >= 0.9 *. base_bin)
       (Printf.sprintf "%.0f vs baseline %.0f q/s" bin_qps base_bin);
     jfield "baseline_bin_qps" (Printf.sprintf "%.1f" base_bin));
+
+  (* --- gate 5: the estimate-cache miss path, transport-free ------------- *)
+  (* Wide TB queries on the served benchmark's tb_miss skeletons
+     (Perfbench.Workloads), never repeating, through
+     [Server.handle_line_shard]: every one misses the estimate cache on
+     a cached plan.  The first [warm] bodies compile the skeletons'
+     plans; the next [n_miss] are measured. *)
+  let n_miss = 4_000 and warm = 200 and blocks = 4 in
+  let miss_bodies, _ =
+    Perfbench.Workloads.stream Perfbench.Workloads.tb_miss ~seed:cfg.seed
+      ~n:(warm + n_miss)
+  in
+  let miss_lines = Array.map (fun b -> "EST " ^ b) miss_bodies in
+  let mserver = Serve.Server.create ~db ~socket:"(bench: transport-free)" () in
+  ignore (Serve.Registry.register (Serve.Server.registry mserver) ~name:"default" model);
+  let serve_range lo hi =
+    for i = lo to hi - 1 do
+      ignore (Sys.opaque_identity (Serve.Server.handle_line_shard mserver ~shard:0 miss_lines.(i)))
+    done
+  in
+  serve_range 0 warm;
+  let misses0 = Serve.Lru.misses (Serve.Server.cache mserver) in
+  let _, pmiss0, _ = Serve.Plan_cache.stats (Serve.Server.plan_cache mserver) in
+  let block = n_miss / blocks in
+  let w0 = Gc.minor_words () in
+  let block_us =
+    List.init blocks (fun b ->
+        let lo = warm + (b * block) in
+        let t0 = Unix.gettimeofday () in
+        serve_range lo (lo + block);
+        (Unix.gettimeofday () -. t0) /. float_of_int block *. 1e6)
+  in
+  let miss_words = (Gc.minor_words () -. w0) /. float_of_int n_miss in
+  let miss_us = List.fold_left min infinity block_us in
+  let misses = Serve.Lru.misses (Serve.Server.cache mserver) - misses0 in
+  let _, pmiss1, _ = Serve.Plan_cache.stats (Serve.Server.plan_cache mserver) in
+  Printf.printf "miss path (handle_line_shard): %.2fus/est (best of %d blocks), %.0f minor words/est\n"
+    miss_us blocks miss_words;
+  (* (SLOWLOG latency captures replay a few bodies on top: those probes
+     hit the entry just filled, so count misses, not hits) *)
+  check "miss workload: every estimate misses on a cached plan"
+    (misses >= n_miss && pmiss1 = pmiss0)
+    (Printf.sprintf "%d misses, %d plan compiles over %d estimates" misses
+       (pmiss1 - pmiss0) n_miss);
+  check "miss path allocates <= 600 minor words/est" (miss_words <= 600.0)
+    (Printf.sprintf "%.0f words/est" miss_words);
+  jfield "miss_estimates" (string_of_int n_miss);
+  jfield "miss_us" (Printf.sprintf "%.3f" miss_us);
+  jfield "miss_minor_words_per_est" (Printf.sprintf "%.1f" miss_words);
 
   write_json "BENCH_frontend.json" (List.rev !json);
   if !failures <> [] then begin

@@ -111,7 +111,18 @@ module Symtab = struct
     values : Strmap.t array array;  (* per table, attr idx: label -> code *)
     cards : int array array;
     ordinal : bool array array;
+    arank : int array array;  (* per table, attr idx -> rank in name order *)
+    fkrank : int array array;  (* per table, fk idx -> rank in name order *)
   }
+
+  (* [ranks names] maps each index to its position in name order, so
+     the miss path orders by symbol name with int compares. *)
+  let ranks names =
+    let idx = Array.init (Array.length names) Fun.id in
+    Array.stable_sort (fun a b -> String.compare names.(a) names.(b)) idx;
+    let r = Array.make (Array.length names) 0 in
+    Array.iteri (fun pos i -> r.(i) <- pos) idx;
+    r
 
   let of_schema schema =
     let ts = Schema.tables schema in
@@ -186,6 +197,8 @@ module Symtab = struct
       values;
       cards;
       ordinal;
+      arank = Array.map ranks anames;
+      fkrank = Array.map ranks fknames;
     }
 
   let table_name t i = t.tnames.(i)
@@ -223,6 +236,11 @@ type t = {
   mutable tmp_b : int array;
   mutable tmp_c : int array;
   mutable uf : int array;
+  (* joins and selects in [to_query]'s name order (valid while
+     [ord_ok]; see [ensure_order]) *)
+  mutable j_ord : int array;
+  mutable s_ord : int array;
+  mutable ord_ok : bool;
   (* [Vec.matches] cursor — record fields rather than let-bound refs so
      the comparison needs no closure and allocates nothing *)
   mutable m_w : int;
@@ -256,6 +274,9 @@ let create tab =
     tmp_b = Array.make 16 0;
     tmp_c = Array.make 16 0;
     uf = Array.make 8 0;
+    j_ord = Array.make 8 0;
+    s_ord = Array.make 16 0;
+    ord_ok = false;
     m_w = 0;
     m_no = 0;
     m_ok = true;
@@ -318,9 +339,13 @@ let tv_find t o e =
   !r
 
 let push_tvar t o e tbl =
-  t.tv_off <- grow t.tv_off t.n_tv;
-  t.tv_len <- grow t.tv_len t.n_tv;
-  t.tv_tbl <- grow t.tv_tbl t.n_tv;
+  (* the parallel arrays grow in lockstep; skipping the field stores
+     when they fit keeps [caml_modify] off the per-item path *)
+  if t.n_tv >= Array.length t.tv_off then begin
+    t.tv_off <- grow t.tv_off t.n_tv;
+    t.tv_len <- grow t.tv_len t.n_tv;
+    t.tv_tbl <- grow t.tv_tbl t.n_tv
+  end;
   t.tv_off.(t.n_tv) <- o;
   t.tv_len.(t.n_tv) <- e - o;
   t.tv_tbl.(t.n_tv) <- tbl;
@@ -375,9 +400,11 @@ let parse_join_item t o e =
       t.tab.Symtab.fknames.(cti).(fk)
       t.tab.Symtab.tnames.(target)
       t.tab.Symtab.tnames.(t.tv_tbl.(parent));
-  t.j_child <- grow t.j_child t.n_j;
-  t.j_fk <- grow t.j_fk t.n_j;
-  t.j_parent <- grow t.j_parent t.n_j;
+  if t.n_j >= Array.length t.j_child then begin
+    t.j_child <- grow t.j_child t.n_j;
+    t.j_fk <- grow t.j_fk t.n_j;
+    t.j_parent <- grow t.j_parent t.n_j
+  end;
   t.j_child.(t.n_j) <- child;
   t.j_fk.(t.n_j) <- fk;
   t.j_parent.(t.n_j) <- parent;
@@ -418,11 +445,13 @@ let value_code t ti ai o e =
   end
 
 let push_sel t tv attr kind lo hi =
-  t.s_tv <- grow t.s_tv t.n_s;
-  t.s_attr <- grow t.s_attr t.n_s;
-  t.s_kind <- grow t.s_kind t.n_s;
-  t.s_lo <- grow t.s_lo t.n_s;
-  t.s_hi <- grow t.s_hi t.n_s;
+  if t.n_s >= Array.length t.s_tv then begin
+    t.s_tv <- grow t.s_tv t.n_s;
+    t.s_attr <- grow t.s_attr t.n_s;
+    t.s_kind <- grow t.s_kind t.n_s;
+    t.s_lo <- grow t.s_lo t.n_s;
+    t.s_hi <- grow t.s_hi t.n_s
+  end;
   t.s_tv.(t.n_s) <- tv;
   t.s_attr.(t.n_s) <- attr;
   t.s_kind.(t.n_s) <- kind;
@@ -431,7 +460,7 @@ let push_sel t tv attr kind lo hi =
   t.n_s <- t.n_s + 1
 
 let push_pool t v =
-  t.pool <- grow t.pool t.pool_len;
+  if t.pool_len >= Array.length t.pool then t.pool <- grow t.pool t.pool_len;
   t.pool.(t.pool_len) <- v;
   t.pool_len <- t.pool_len + 1
 
@@ -546,6 +575,7 @@ let validate_joins t =
 
 let parse t buf ~off ~len =
   t.buf <- buf;
+  t.ord_ok <- false;
   t.n_tv <- 0;
   t.n_j <- 0;
   t.n_s <- 0;
@@ -628,7 +658,9 @@ let cmp_sel t a b =
           done;
           if !r <> 0 then !r else compare la lb
 
-let swap a i j =
+(* Monomorphic, so the stores are plain int writes rather than the
+   generic array path (float-array check, [caml_modify]). *)
+let swap (a : int array) i j =
   let x = a.(i) in
   a.(i) <- a.(j);
   a.(j) <- x
@@ -751,7 +783,8 @@ let canon t =
       incr w
     end
   done;
-  t.n_s <- !w
+  t.n_s <- !w;
+  t.ord_ok <- false
 
 (* ------------------------------------------------------------------ *)
 (* Canonical hash: FNV over the canonical emission sequence.  Call
@@ -929,6 +962,115 @@ module Vec = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Name order (miss path).  [canon] orders joins and selects by interned
+   ids; [to_query] re-sorts them by symbol names.  [ensure_order]
+   computes that name order as index permutations — int compares
+   against the symtab's name ranks, no strings — so the plan-cache key
+   and the plan binding read straight off the scratch in exactly
+   [to_query]'s order, without materializing the query. *)
+
+(* Rank of a select kind in [Query.pred]'s constructor order (Eq,
+   In_set, Range), which is how polymorphic compare orders preds. *)
+let pred_rank = function 0 -> 0 | 2 -> 1 | _ -> 2
+
+(* (child, fk name); validation already rejected a (child, fk) bound
+   twice, so the parent never breaks a tie. *)
+let cmp_join_name t a b =
+  let c = compare t.j_child.(a) t.j_child.(b) in
+  if c <> 0 then c
+  else
+    let r = t.tab.Symtab.fkrank.(t.tv_tbl.(t.j_child.(a))) in
+    compare r.(t.j_fk.(a)) r.(t.j_fk.(b))
+
+(* (tv, attr name, pred) — [cmp_sel]'s value order within one kind is
+   already the polymorphic compare of the materialized preds. *)
+let cmp_sel_name t a b =
+  let c = compare t.s_tv.(a) t.s_tv.(b) in
+  if c <> 0 then c
+  else
+    let r = t.tab.Symtab.arank.(t.tv_tbl.(t.s_tv.(a))) in
+    let c = compare r.(t.s_attr.(a)) r.(t.s_attr.(b)) in
+    if c <> 0 then c
+    else
+      let c = compare (pred_rank t.s_kind.(a)) (pred_rank t.s_kind.(b)) in
+      if c <> 0 then c else cmp_sel t a b
+
+let sort_perm t perm n cmp =
+  for i = 0 to n - 1 do
+    perm.(i) <- i
+  done;
+  for i = 1 to n - 1 do
+    let p = perm.(i) in
+    let j = ref i in
+    while !j > 0 && cmp t perm.(!j - 1) p > 0 do
+      perm.(!j) <- perm.(!j - 1);
+      decr j
+    done;
+    perm.(!j) <- p
+  done
+
+let ensure_order t =
+  if not t.ord_ok then begin
+    t.j_ord <- grow t.j_ord t.n_j;
+    t.s_ord <- grow t.s_ord t.n_s;
+    sort_perm t t.j_ord t.n_j cmp_join_name;
+    sort_perm t t.s_ord t.n_s cmp_sel_name;
+    t.ord_ok <- true
+  end
+
+let add_tv buf t i = Buffer.add_subbytes buf t.buf t.tv_off.(i) t.tv_len.(i)
+
+let add_skeleton buf t =
+  ensure_order t;
+  let tab = t.tab in
+  for i = 0 to t.n_tv - 1 do
+    if i > 0 then Buffer.add_char buf ';';
+    add_tv buf t i;
+    Buffer.add_char buf ':';
+    Buffer.add_string buf tab.Symtab.tnames.(t.tv_tbl.(i))
+  done;
+  Buffer.add_char buf '|';
+  for k = 0 to t.n_j - 1 do
+    let j = t.j_ord.(k) in
+    if k > 0 then Buffer.add_char buf ';';
+    add_tv buf t t.j_child.(j);
+    Buffer.add_char buf '.';
+    Buffer.add_string buf tab.Symtab.fknames.(t.tv_tbl.(t.j_child.(j))).(t.j_fk.(j));
+    Buffer.add_char buf '=';
+    add_tv buf t t.j_parent.(j)
+  done;
+  Buffer.add_char buf '|';
+  (* distinct (tv, attr) pairs: equal pairs are adjacent in name order *)
+  for k = 0 to t.n_s - 1 do
+    let s = t.s_ord.(k) in
+    let p = if k = 0 then -1 else t.s_ord.(k - 1) in
+    if p < 0 || t.s_tv.(p) <> t.s_tv.(s) || t.s_attr.(p) <> t.s_attr.(s) then begin
+      if k > 0 then Buffer.add_char buf ';';
+      add_tv buf t t.s_tv.(s);
+      Buffer.add_char buf '.';
+      Buffer.add_string buf tab.Symtab.anames.(t.tv_tbl.(t.s_tv.(s))).(t.s_attr.(s))
+    end
+  done
+
+let pred_of t s =
+  match t.s_kind.(s) with
+  | 0 -> Query.Eq t.s_lo.(s)
+  | 1 -> Query.Range (t.s_lo.(s), t.s_hi.(s))
+  | _ -> Query.In_set (List.init t.s_hi.(s) (fun k -> t.pool.(t.s_lo.(s) + k)))
+
+let select_tv t k =
+  ensure_order t;
+  t.s_tv.(t.s_ord.(k))
+
+let select_attr t k =
+  ensure_order t;
+  t.s_attr.(t.s_ord.(k))
+
+let select_pred t k =
+  ensure_order t;
+  pred_of t t.s_ord.(k)
+
+(* ------------------------------------------------------------------ *)
 (* Materialization (miss path).  The result is exactly
    [Canon.normalize (Qparse.parse ...)]: predicate normalization
    already happened in [canon]; the final sorts below use symbol
@@ -947,18 +1089,10 @@ let to_query t =
   in
   let selects =
     List.init t.n_s (fun s ->
-        let pred =
-          match t.s_kind.(s) with
-          | 0 -> Query.Eq t.s_lo.(s)
-          | 1 -> Query.Range (t.s_lo.(s), t.s_hi.(s))
-          | _ ->
-            Query.In_set
-              (List.init t.s_hi.(s) (fun k -> t.pool.(t.s_lo.(s) + k)))
-        in
         {
           Query.sel_tv = tv_name t.s_tv.(s);
           sel_attr = t.tab.Symtab.anames.(t.tv_tbl.(t.s_tv.(s))).(t.s_attr.(s));
-          pred;
+          pred = pred_of t s;
         })
   in
   let tvars = List.sort compare tvars in

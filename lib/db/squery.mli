@@ -71,4 +71,35 @@ end
 val to_query : t -> Query.t
 (** Materialize the canonical query (call after [canon]).  Equals
     [Canon.normalize (Qparse.parse ...)] of the same body, including
-    list orderings. *)
+    list orderings.  The server's estimate path no longer calls this
+    per miss: it keys and binds straight off the scratch
+    ({!add_skeleton}, the [select_*] readers), and materializes only to
+    compile a cold skeleton's plan and for EXPLAIN, EXPLAINPLAN and the
+    SLOWLOG replay. *)
+
+(** {2 The miss path, read off the scratch}
+
+    Everything below reads a canonicalized scratch (call after
+    [canon]) in exactly [to_query]'s orderings — tuple variables by
+    name, joins by (child, foreign-key {e name}), selects by (tuple
+    variable, attribute {e name}, predicate) — using the symtab's
+    precomputed name ranks, so no string is compared and no [Query.t]
+    is built.  The name order is computed once per [canon] (insertion
+    sorts into scratch permutations) on the first call. *)
+
+val add_skeleton : Buffer.t -> t -> unit
+(** Append the query's skeleton — [tv:table;...|child.fk=parent;...|
+    tv.attr;...] over the {e distinct} selected attributes — byte for
+    byte as [Canon.Skel.make] renders it after its [name#version|]
+    prefix for [to_query]'s result. *)
+
+val select_tv : t -> int -> int
+(** [select_tv s k]: the tuple-variable position (in name order, i.e.
+    the index into [to_query]'s [tvars]) of the [k]-th select of
+    [to_query]'s select list, [0 <= k < n_selects s]. *)
+
+val select_attr : t -> int -> int
+(** The [k]-th select's attribute index in its table's schema. *)
+
+val select_pred : t -> int -> Query.pred
+(** The [k]-th select's predicate (allocates it). *)

@@ -31,37 +31,42 @@ let order_miss () = let c = get () in c.order_misses <- c.order_misses + 1
 let program_hit () = let c = get () in c.program_hits <- c.program_hits + 1
 let program_miss () = let c = get () in c.program_misses <- c.program_misses + 1
 
-let copy c =
-  { factor_ops = c.factor_ops; entries_touched = c.entries_touched;
-    max_factor_entries = c.max_factor_entries; scratch_hits = c.scratch_hits;
-    scratch_misses = c.scratch_misses; order_hits = c.order_hits;
-    order_misses = c.order_misses; program_hits = c.program_hits;
-    program_misses = c.program_misses }
+(* [d] holds the counters at [begin_delta] (and the enclosing
+   high-water mark, in its [max_factor_entries]) until [end_delta] turns
+   it into the difference.  Field writes only — nothing allocates. *)
+let begin_delta d =
+  let cur = get () in
+  d.factor_ops <- cur.factor_ops;
+  d.entries_touched <- cur.entries_touched;
+  d.max_factor_entries <- cur.max_factor_entries;
+  d.scratch_hits <- cur.scratch_hits;
+  d.scratch_misses <- cur.scratch_misses;
+  d.order_hits <- cur.order_hits;
+  d.order_misses <- cur.order_misses;
+  d.program_hits <- cur.program_hits;
+  d.program_misses <- cur.program_misses;
+  cur.max_factor_entries <- 0
+
+let end_delta d =
+  let cur = get () in
+  let outer_max = d.max_factor_entries in
+  d.factor_ops <- cur.factor_ops - d.factor_ops;
+  d.entries_touched <- cur.entries_touched - d.entries_touched;
+  d.max_factor_entries <- cur.max_factor_entries;
+  d.scratch_hits <- cur.scratch_hits - d.scratch_hits;
+  d.scratch_misses <- cur.scratch_misses - d.scratch_misses;
+  d.order_hits <- cur.order_hits - d.order_hits;
+  d.order_misses <- cur.order_misses - d.order_misses;
+  d.program_hits <- cur.program_hits - d.program_hits;
+  d.program_misses <- cur.program_misses - d.program_misses;
+  if outer_max > cur.max_factor_entries then cur.max_factor_entries <- outer_max
 
 let measure f =
-  let cur = get () in
-  let before = copy cur in
-  (* Scope the high-water mark to [f]; restore the enclosing mark after. *)
-  cur.max_factor_entries <- 0;
-  let delta () =
-    let d =
-      { factor_ops = cur.factor_ops - before.factor_ops;
-        entries_touched = cur.entries_touched - before.entries_touched;
-        max_factor_entries = cur.max_factor_entries;
-        scratch_hits = cur.scratch_hits - before.scratch_hits;
-        scratch_misses = cur.scratch_misses - before.scratch_misses;
-        order_hits = cur.order_hits - before.order_hits;
-        order_misses = cur.order_misses - before.order_misses;
-        program_hits = cur.program_hits - before.program_hits;
-        program_misses = cur.program_misses - before.program_misses }
-    in
-    if before.max_factor_entries > cur.max_factor_entries then
-      cur.max_factor_entries <- before.max_factor_entries;
-    d
-  in
+  let d = create () in
+  begin_delta d;
   match f () with
-  | x -> (x, delta ())
-  | exception e -> ignore (delta ()); raise e
+  | x -> end_delta d; (x, d)
+  | exception e -> end_delta d; raise e
 
 let to_pairs c =
   [ ("factor_ops", c.factor_ops);

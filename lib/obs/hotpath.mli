@@ -6,7 +6,8 @@
     kernels (one bump per {e kernel call}, never per table entry).
 
     Counters accumulate monotonically per domain.  {!measure} takes a
-    snapshot around a callback and returns the delta, which is how the
+    snapshot around a callback and returns the delta; its
+    allocation-free halves, {!begin_delta} and {!end_delta}, are how the
     server attributes kernel work to one request and rolls it into
     service-level metrics. *)
 
@@ -48,6 +49,20 @@ val measure : (unit -> 'a) -> 'a * t
     mark reached {e during} [f] (the surrounding mark is restored
     afterwards).  Work done by other domains (e.g. pool workers) is not
     included — measure inside the worker, not around the dispatch. *)
+
+val create : unit -> t
+(** A zeroed record — the target for {!begin_delta}/{!end_delta}. *)
+
+val begin_delta : t -> unit
+(** [begin_delta d] records this domain's counters into [d] and scopes
+    the [max_factor_entries] high-water mark, like entering
+    {!measure}.  Allocation-free: a request path keeps one [d] per
+    shard. *)
+
+val end_delta : t -> unit
+(** Turn [d] into the deltas since its {!begin_delta} on this domain
+    (same semantics as {!measure}'s result, the enclosing mark
+    restored).  Allocation-free. *)
 
 val to_pairs : t -> (string * int) list
 (** Stable [name, value] listing, for STATS / EXPLAIN rendering. *)

@@ -10,20 +10,6 @@ type record = {
 
 type sink = record -> unit
 
-type t = {
-  s_name : string;
-  s_id : int;
-  s_parent : int;
-  s_depth : int;
-  s_start : int;
-  mutable s_attrs : (string * string) list;  (* accumulated reversed *)
-  s_live : bool;
-}
-
-let null =
-  { s_name = ""; s_id = 0; s_parent = 0; s_depth = 0; s_start = 0;
-    s_attrs = []; s_live = false }
-
 (* Per-domain open-span bookkeeping.  Ids are seeded from the domain id
    so two domains never hand out the same id within one trace log. *)
 type dstate = {
@@ -32,6 +18,22 @@ type dstate = {
   mutable cur_depth : int;
   mutable next_id : int;
 }
+
+type t = {
+  s_name : string;
+  s_id : int;
+  s_parent : int;
+  s_depth : int;
+  s_start : int;
+  mutable s_attrs : (string * string) list;  (* accumulated reversed *)
+  s_live : bool;
+  s_st : dstate;  (* the opening domain's state: [exit] needs no DLS read *)
+}
+
+let null =
+  { s_name = ""; s_id = 0; s_parent = 0; s_depth = 0; s_start = 0;
+    s_attrs = []; s_live = false;
+    s_st = { local_sink = None; cur_id = 0; cur_depth = 0; next_id = 0 } }
 
 let dkey =
   Domain.DLS.new_key (fun () ->
@@ -45,11 +47,17 @@ let state () = Domain.DLS.get dkey
 let global_sink : sink option Atomic.t = Atomic.make None
 let set_global_sink s = Atomic.set global_sink s
 
+(* Per-domain sinks installed right now, across all domains.  While it
+   is zero and no global sink is set, the disabled check is two plain
+   loads and never reads the domain-local state. *)
+let local_sinks = Atomic.make 0
+
 (* No structural equality on [sink option]: sinks are closures. *)
 let no_sink = function None -> true | Some _ -> false
 
+let all_off () = Atomic.get local_sinks = 0 && no_sink (Atomic.get global_sink)
 let disabled st = no_sink st.local_sink && no_sink (Atomic.get global_sink)
-let enabled () = not (disabled (state ()))
+let enabled () = not (all_off () || disabled (state ()))
 
 let live sp = sp.s_live
 
@@ -71,23 +79,28 @@ let open_at st attrs name start_ns =
     { s_name = name; s_id = id; s_parent = st.cur_id; s_depth = st.cur_depth;
       s_start = start_ns;
       s_attrs = List.rev attrs;
-      s_live = true }
+      s_live = true;
+      s_st = st }
   in
   st.cur_id <- id;
   st.cur_depth <- st.cur_depth + 1;
   sp
 
 let enter ?(attrs = []) name =
-  let st = state () in
-  if disabled st then null else open_at st attrs name (Clock.now_ns ())
+  if all_off () then null
+  else
+    let st = state () in
+    if disabled st then null else open_at st attrs name (Clock.now_ns ())
 
 let enter_at name start_ns =
-  let st = state () in
-  if disabled st then null else open_at st [] name start_ns
+  if all_off () then null
+  else
+    let st = state () in
+    if disabled st then null else open_at st [] name start_ns
 
 let exit_at sp end_ns =
   if sp.s_live then begin
-    let st = state () in
+    let st = sp.s_st in
     st.cur_id <- sp.s_parent;
     st.cur_depth <- sp.s_depth;
     emit st
@@ -116,7 +129,11 @@ let collect f =
   let buf = ref [] in
   let saved = st.local_sink in
   st.local_sink <- Some (fun r -> buf := r :: !buf);
-  let restore () = st.local_sink <- saved in
+  Atomic.incr local_sinks;
+  let restore () =
+    st.local_sink <- saved;
+    Atomic.decr local_sinks
+  in
   match f () with
   | x -> restore (); (x, List.rev !buf)
   | exception e -> restore (); raise e

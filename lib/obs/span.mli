@@ -14,14 +14,16 @@
       be thread-safe; span records are pushed from whichever domain
       closed the span.
 
-    When neither sink is installed — the default — {!enter} costs one
-    domain-local read and two branches and returns the shared {!null}
-    span: no clock read, no allocation, and {!add} and {!exit} on the
-    null span are no-ops.  This is the "global no-op sink" fast path;
-    the serving path brackets its stages with {!enter}/{!exit} (no
-    closure to allocate), so a warm request with tracing off allocates
-    nothing, and with tracing on it runs the same code and emits its
-    spans. *)
+    When neither sink is installed — the default — {!enter} costs two
+    plain atomic loads (the global sink and a count of installed
+    per-domain sinks) and returns the shared {!null} span: no
+    domain-local read, no clock read, no allocation, and {!add} and
+    {!exit} on the null span are no-ops.  A live span remembers its
+    domain's state, so {!exit} needs no domain-local read either.  This
+    is the "global no-op sink" fast path; the serving path brackets its
+    stages with {!enter}/{!exit} (no closure to allocate), so a warm
+    request with tracing off allocates nothing, and with tracing on it
+    runs the same code and emits its spans. *)
 
 type record = {
   name : string;

@@ -57,8 +57,46 @@ type contract = {
 
 type step = Gather of gather | Contract of contract
 
+(* Steps specialized against a state's concrete buffers, so the hot loop
+   never indirects through buffer ids. *)
+type sstep =
+  | SGather of {
+      src : float array;
+      dst : float array;
+      n_out : int;
+      slots : int array;
+      slot_strides : int array;
+      out_cards : int array;
+      out_strides : int array;
+      mask_pos : int array;  (* kept-dim positions filtered per request *)
+      gmasks : bool array array;  (* the state's mask per masked dim *)
+    }
+  | SContract of {
+      out : float array;
+      out_size : int;
+      usize : int;
+      ucards : int array;
+      datas : float array array;
+      op_strides : int array array;
+      out_stride : int array;
+    }
+
+type state = {
+  args : int array;  (* one value per arg slot, -1 = unset *)
+  masks : bool array array;  (* per-slot allowed-value mask (mask slots) *)
+  seen : bool array;  (* slot mentioned by the current binding *)
+  ssteps : sstep array;
+  sfinals : float array array;
+  digits : int array;  (* shared odometer digits, max_dims wide *)
+  idxs : int array;  (* shared operand indices, max_ops wide *)
+  result : float array;  (* 1-cell read-out *)
+}
+
 type program = {
-  uid : int;  (* key of the per-domain state table *)
+  states : state option array Atomic.t;
+      (* per-domain execution state, indexed by domain id; grown by
+         copy-and-CAS in [state_for], so a state lives exactly as long
+         as its program *)
   bufs : buf array;
   steps : step array;
   finals : int array;  (* surviving buffer ids, factor-list order *)
@@ -72,8 +110,6 @@ type program = {
   max_dims : int;  (* widest odometer across all steps *)
   max_ops : int;  (* widest operand list across all contractions *)
 }
-
-let next_uid = Atomic.make 0
 
 (* Local replicas of the factor-layout helpers ({!Factor.strides_of}
    semantics on symbolic card arrays). *)
@@ -310,7 +346,7 @@ let compile ~factors ~slots ~masked ~static ~order =
         if Array.length c.c_ops > !max_ops then max_ops := Array.length c.c_ops)
     steps;
   {
-    uid = Atomic.fetch_and_add next_uid 1;
+    states = Atomic.make [||];
     bufs = Array.of_list (List.rev !bufs);
     steps;
     finals = Array.of_list (List.map (fun (_, _, id) -> id) !sym);
@@ -333,41 +369,6 @@ let arena_entries prog =
     0 prog.bufs
 
 (* ---- per-domain execution state ----------------------------------------- *)
-
-(* Steps specialized against a state's concrete buffers, so the hot loop
-   never indirects through buffer ids. *)
-type sstep =
-  | SGather of {
-      src : float array;
-      dst : float array;
-      n_out : int;
-      slots : int array;
-      slot_strides : int array;
-      out_cards : int array;
-      out_strides : int array;
-      mask_pos : int array;  (* kept-dim positions filtered per request *)
-      gmasks : bool array array;  (* the state's mask per masked dim *)
-    }
-  | SContract of {
-      out : float array;
-      out_size : int;
-      usize : int;
-      ucards : int array;
-      datas : float array array;
-      op_strides : int array array;
-      out_stride : int array;
-    }
-
-type state = {
-  args : int array;  (* one value per arg slot, -1 = unset *)
-  masks : bool array array;  (* per-slot allowed-value mask (mask slots) *)
-  seen : bool array;  (* slot mentioned by the current binding *)
-  ssteps : sstep array;
-  sfinals : float array array;
-  digits : int array;  (* shared odometer digits, max_dims wide *)
-  idxs : int array;  (* shared operand indices, max_ops wide *)
-  result : float array;  (* 1-cell read-out *)
-}
 
 let build_state prog =
   let bufs =
@@ -423,17 +424,28 @@ let build_state prog =
 
 (* One state per (domain, program): arenas are written in place, so a
    state must never be shared across domains — mirrored on the existing
-   one-active-inference-per-domain contract of the scratch pool. *)
-let dls_states : (int, state) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+   one-active-inference-per-domain contract of the scratch pool.  The
+   slots hang off the program itself (not a domain-local table keyed by
+   program), so dropping a program — say, with its plan after a model
+   reload — frees its arenas, and the model tables they alias, with it.
+   Each domain writes only its own slot; a slot is published by copying
+   the array and swinging the pointer with a CAS, retried if another
+   domain published first. *)
+let rec publish prog id st =
+  let cur = Atomic.get prog.states in
+  let next = Array.make (max (Array.length cur) (id + 1)) None in
+  Array.blit cur 0 next 0 (Array.length cur);
+  next.(id) <- Some st;
+  if not (Atomic.compare_and_set prog.states cur next) then publish prog id st
 
 let state_for prog =
-  let tbl = Domain.DLS.get dls_states in
-  match Hashtbl.find tbl prog.uid with
-  | st -> st
-  | exception Not_found ->
+  let id = (Domain.self () :> int) in
+  let slots = Atomic.get prog.states in
+  match if id < Array.length slots then slots.(id) else None with
+  | Some st -> st
+  | None ->
     let st = build_state prog in
-    Hashtbl.add tbl prog.uid st;
+    publish prog id st;
     st
 
 (* ---- load ---------------------------------------------------------------- *)

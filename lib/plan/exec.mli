@@ -58,8 +58,13 @@ val compile :
     out of range. *)
 
 val state_for : program -> state
-(** The calling domain's state for this program, created on first use
-    and cached in domain-local storage.  Warm calls allocate nothing. *)
+(** The calling domain's state for this program, created on first use.
+    States hang off the program in a slot array indexed by domain id
+    (grown by copy-and-CAS, never shrunk), so a state — its arenas,
+    and through their aliases the model's factor tables — lives exactly
+    as long as its program: when a plan cache drops a stale model's
+    plan, its programs' states go with it.  O(1); warm calls allocate
+    nothing. *)
 
 val load :
   program ->

@@ -133,6 +133,9 @@ type t = {
   closure : closure;
   factors : Selest_prob.Factor.t list;  (* network construction order *)
   node_of_attr : (string * int, int) Hashtbl.t;  (* (tv, attr idx) -> node *)
+  scratch_slots : int array array;
+      (* query tv position in name order -> attr idx -> node, -1 when
+         unselectable: {!bind_scratch}'s interned-id table *)
   node_names : string array;  (* node id -> "tv.Attr" / "tv.fk=ptv" *)
   join_evidence : binding;  (* every closure join indicator = true *)
   (* Schedules are memoized per restricted-variable set: a binding's [Eq]
@@ -195,6 +198,23 @@ let bind t q =
           (Printf.sprintf "Plan.bind: no slot for %s.%s (different skeleton)"
              s.Query.sel_tv s.Query.sel_attr))
     q.Query.selects
+
+(* The scratch names the same selects by (tv position in name order,
+   attr idx) — ids [compile] already resolved — so binding is two array
+   reads per select, in [to_query]'s select order. *)
+let bind_scratch t s =
+  let slot k =
+    let pos = Squery.select_tv s k and attr = Squery.select_attr s k in
+    let node =
+      if pos < Array.length t.scratch_slots
+         && attr < Array.length t.scratch_slots.(pos)
+      then t.scratch_slots.(pos).(attr)
+      else -1
+    in
+    if node < 0 then invalid_arg "Plan.bind_scratch: no slot (different skeleton)";
+    (node, Squery.select_pred s k)
+  in
+  List.init (Squery.n_selects s) slot
 
 (* ---- schedule memo --------------------------------------------------------- *)
 
@@ -463,6 +483,15 @@ let compile prm q =
           node_names.(node) <-
             ctv ^ "." ^ tables.(ti).Schema.fks.(fk).Schema.fkname ^ "=" ^ ptv)
         c.c_joins;
+      let scratch_slots =
+        List.sort compare (List.map fst q.Query.tvars)
+        |> List.map (fun tv ->
+               let ti = List.assoc tv c.c_tvars in
+               Array.init (Array.length tables.(ti).Schema.attrs) (fun attr ->
+                   Option.value ~default:(-1)
+                     (Hashtbl.find_opt node_of_attr (tv, attr))))
+        |> Array.of_list
+      in
       let join_evidence =
         List.map
           (fun (ctv, fk, _) ->
@@ -477,6 +506,7 @@ let compile prm q =
           closure = c;
           factors = !factors;
           node_of_attr;
+          scratch_slots;
           node_names;
           join_evidence;
           schedules = Hashtbl.create 4;

@@ -36,15 +36,25 @@ type binding = (int * Selest_db.Query.pred) list
 val compile : Selest_prm.Model.t -> Selest_db.Query.t -> t
 (** Build the plan for the query's skeleton: compute the upward closure,
     instantiate the query-evaluation network's factors, lay out binding
-    slots for every selected attribute, template the join-indicator
-    evidence, and seed the schedule memo with the compile query's own
-    binding shape.  Any query with the same {!skeleton_key} can be bound
+    slots for every selected attribute (also indexed by tuple-variable
+    position in name order and attribute id, for {!bind_scratch}),
+    template the join-indicator evidence, and seed the schedule memo
+    with the compile query's own binding shape.  Any query with the same {!skeleton_key} can be bound
     against the result.  Wrapped in a ["plan.compile"] span. *)
 
 val bind : t -> Selest_db.Query.t -> binding
 (** Map the query's selects onto the plan's binding slots.  Raises
     [Invalid_argument] if the query selects an attribute the plan has no
     slot for (i.e. a different skeleton). *)
+
+val bind_scratch : t -> Selest_db.Squery.t -> binding
+(** {!bind} for a canonicalized scratch whose skeleton is the plan's —
+    equal to [bind t (Squery.to_query s)], list order included, but
+    built from the scratch's interned ids through a (tuple-variable
+    position in name order, attribute index) -> node table that
+    {!compile} lays out: no string compares, no [Hashtbl] lookups, no
+    [Query.t].  Raises [Invalid_argument] when a selected attribute has
+    no slot (a different skeleton). *)
 
 val execute : t -> binding -> float
 (** P(selects ∧ all closure joins) under the model, on the plan's

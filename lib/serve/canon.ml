@@ -74,12 +74,21 @@ module Skel = struct
     done;
     !h
 
-  let make ~name ~version (q : Query.t) =
-    let buf = Buffer.create 96 in
+  (* [name#version|] — the model half of every plan-cache key *)
+  let start ~name ~version =
+    let buf = Buffer.create 256 in
     Buffer.add_string buf name;
     Buffer.add_char buf '#';
     Buffer.add_string buf (string_of_int version);
     Buffer.add_char buf '|';
+    buf
+
+  let finish buf =
+    let key = Buffer.contents buf in
+    { hash = fnv_string fnv_basis key land max_int; key }
+
+  let make ~name ~version (q : Query.t) =
+    let buf = start ~name ~version in
     List.iteri
       (fun i (tv, tbl) ->
         if i > 0 then Buffer.add_char buf ';';
@@ -115,6 +124,10 @@ module Skel = struct
           Buffer.add_string buf s.Query.sel_attr
         end)
       q.Query.selects;
-    let key = Buffer.contents buf in
-    { hash = fnv_string fnv_basis key land max_int; key }
+    finish buf
+
+  let of_scratch ~name ~version s =
+    let buf = start ~name ~version in
+    Squery.add_skeleton buf s;
+    finish buf
 end

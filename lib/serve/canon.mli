@@ -43,4 +43,12 @@ module Skel : sig
   val make : name:string -> version:int -> Selest_db.Query.t -> t
   (** [q] must already be canonical ({!normalize}): its select order is
       what collapses duplicate attributes in one pass. *)
+
+  val of_scratch : name:string -> version:int -> Selest_db.Squery.t -> t
+  (** The same key rendered straight from a canonicalized scratch
+      ({!Selest_db.Squery.add_skeleton}) — what the server's estimate
+      path uses on a cache miss.  [key] and [hash] are byte-identical to
+      [make ~name ~version (Squery.to_query s)], so EST, EXPLAINPLAN
+      (which keys sub-queries with {!make}) and any caller of {!make}
+      share one plan-cache key space. *)
 end

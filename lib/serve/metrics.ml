@@ -23,7 +23,16 @@ type t = {
   c_frontend_canon : Obs.Telemetry.counter_handle;
   c_frontend_key : Obs.Telemetry.counter_handle;
   c_frontend_collisions : Obs.Telemetry.counter_handle;
+  c_kernel : Obs.Telemetry.counter_handle array;  (* [kernel_names] order *)
 }
+
+(* The kernel counters a request's {!Obs.Hotpath} delta rolls into
+   ([max_factor_entries] is a high-water mark, not additive: EXPLAIN
+   reports it instead). *)
+let kernel_names =
+  [| "ve.factor_ops"; "ve.entries_touched"; "ve.scratch_hits";
+     "ve.scratch_misses"; "ve.order_hits"; "ve.order_misses";
+     "plan.program_hits"; "plan.program_misses" |]
 
 let create () =
   let tel = Obs.Telemetry.create () in
@@ -38,6 +47,7 @@ let create () =
     c_frontend_key = Obs.Telemetry.counter_handle tel "frontend.key_ns";
     c_frontend_collisions =
       Obs.Telemetry.counter_handle tel "frontend.collisions";
+    c_kernel = Array.map (Obs.Telemetry.counter_handle tel) kernel_names;
   }
 
 let telemetry t = t.tel
@@ -63,6 +73,20 @@ let frontend_parse_ns t ns = Obs.Telemetry.hincr_by t.tel t.c_frontend_parse ns
 let frontend_canon_ns t ns = Obs.Telemetry.hincr_by t.tel t.c_frontend_canon ns
 let frontend_key_ns t ns = Obs.Telemetry.hincr_by t.tel t.c_frontend_key ns
 let frontend_collision t = Obs.Telemetry.hincr t.tel t.c_frontend_collisions
+
+(* Bumps only the counters that moved, so one that never does stays out
+   of the merged snapshot exactly as before. *)
+let bump_kernel t i v = if v > 0 then Obs.Telemetry.hincr_by t.tel t.c_kernel.(i) v
+
+let kernel_delta t (d : Obs.Hotpath.t) =
+  bump_kernel t 0 d.Obs.Hotpath.factor_ops;
+  bump_kernel t 1 d.Obs.Hotpath.entries_touched;
+  bump_kernel t 2 d.Obs.Hotpath.scratch_hits;
+  bump_kernel t 3 d.Obs.Hotpath.scratch_misses;
+  bump_kernel t 4 d.Obs.Hotpath.order_hits;
+  bump_kernel t 5 d.Obs.Hotpath.order_misses;
+  bump_kernel t 6 d.Obs.Hotpath.program_hits;
+  bump_kernel t 7 d.Obs.Hotpath.program_misses
 
 let counters t = (Obs.Telemetry.snapshot t.tel).Obs.Telemetry.counters
 

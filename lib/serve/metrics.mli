@@ -83,6 +83,12 @@ val frontend_collision : t -> unit
 (** Count one estimate-cache hash hit whose full-key verification
     failed ([frontend.collisions]). *)
 
+val kernel_delta : t -> Selest_obs.Hotpath.t -> unit
+(** Roll one request's {!Selest_obs.Hotpath} delta into the [ve.*] and
+    [plan.program_*] counters through pre-registered handles, bumping
+    only the counters that moved ([max_factor_entries] is a high-water
+    mark, not additive, and is skipped).  Allocation-free. *)
+
 val observe : t -> float -> unit
 (** Record one request latency, in seconds, into the aggregate
     histogram. *)

@@ -21,6 +21,9 @@ type sstate = {
   slice : Protocol.Slice.t;  (* reusable request-slice scratch *)
   c_req : Selest_obs.Telemetry.counter_handle;
       (* handle for "shard.<sid>.requests" — the fast path bumps by id *)
+  mutable c_infer : (string * Selest_obs.Telemetry.counter_handle) list;
+      (* "infer.<model>" handles, registered on a model's first miss *)
+  hot : Obs.Hotpath.t;  (* the current miss's kernel-counter delta *)
   inflight : int Atomic.t;  (* live connections owned by this shard *)
   accepted : int Atomic.t;  (* connections ever handed to this shard *)
   req_counter : string;  (* precomputed "shard.<sid>.requests" *)
@@ -89,6 +92,8 @@ let create ?(cache_bytes = 1 lsl 20) ?(slowlog_capacity = 128)
           scratch = Squery.create symtab;
           slice = Protocol.Slice.create ();
           c_req = Metrics.counter_handle metrics req_counter;
+          c_infer = [];
+          hot = Obs.Hotpath.create ();
           inflight = Atomic.make 0;
           accepted = Atomic.make 0;
           req_counter;
@@ -269,7 +274,7 @@ let probe t st ~name ~version hash =
 let make_entry ~name ~version ~vec est =
   {
     Lru.est;
-    text = Protocol.ok (Printf.sprintf "%.17g" est) ^ "\n";
+    text = Printf.sprintf "OK %.17g\n" est;
     bin = Protocol.Bin.encode_response (Protocol.Bin.Bvalue est);
     vec;
     model = name;
@@ -281,54 +286,72 @@ let make_entry ~name ~version ~vec est =
    and hashed in one buffer pass ({!Canon.Skel}).  Hot-reloading bumps
    the version, so a stale model's plans can never be fetched again —
    on every shard, since every shard's keys carry the version. *)
-let plan_for st ~name ~(entry : Registry.entry) q =
+let fetch_plan st ~skel ~compile =
   Obs.Span.with_ "plan.fetch" (fun sp ->
-      let skel = Canon.Skel.make ~name ~version:entry.Registry.version q in
+      let skel = skel () in
       let plan, status =
         Plan_cache.find_or_compile st.splans ~hash:skel.Canon.Skel.hash
-          ~key:skel.Canon.Skel.key
-          ~compile:(fun () -> Plan.compile entry.Registry.model q)
+          ~key:skel.Canon.Skel.key ~compile
       in
       Obs.Span.add sp "cached" (match status with `Hit -> "hit" | `Miss -> "miss");
       plan)
 
-(* Fold one request's kernel-counter deltas into the service metrics.
-   [max_factor_entries] is a per-query high-water mark, not additive, so
-   it stays in EXPLAIN rather than here. *)
-let roll_hotpath t (d : Obs.Hotpath.t) =
-  let bump name v = if v > 0 then Metrics.incr ~by:v t.metrics name in
-  bump "ve.factor_ops" d.Obs.Hotpath.factor_ops;
-  bump "ve.entries_touched" d.Obs.Hotpath.entries_touched;
-  bump "ve.scratch_hits" d.Obs.Hotpath.scratch_hits;
-  bump "ve.scratch_misses" d.Obs.Hotpath.scratch_misses;
-  bump "ve.order_hits" d.Obs.Hotpath.order_hits;
-  bump "ve.order_misses" d.Obs.Hotpath.order_misses;
-  bump "plan.program_hits" d.Obs.Hotpath.program_hits;
-  bump "plan.program_misses" d.Obs.Hotpath.program_misses
+(* A materialized query's plan (EXPLAINPLAN's sub-queries). *)
+let plan_for st ~name ~(entry : Registry.entry) q =
+  fetch_plan st
+    ~skel:(fun () -> Canon.Skel.make ~name ~version:entry.Registry.version q)
+    ~compile:(fun () -> Plan.compile entry.Registry.model q)
 
-(* The miss half: fetch (or compile) the skeleton's plan, execute it,
-   and fill the shard's estimate cache with a fully rendered entry (the
-   scratch still holds the query; it provides the entry's canonical
-   snapshot).  [on_plan] sees the plan that ran (EXPLAIN renders it). *)
+(* The scratch query's plan: keyed straight off the scratch; the query
+   is materialized only when its skeleton is cold. *)
+let scratch_plan st ~name ~(entry : Registry.entry) =
+  fetch_plan st
+    ~skel:(fun () ->
+      Canon.Skel.of_scratch ~name ~version:entry.Registry.version st.scratch)
+    ~compile:(fun () -> Plan.compile entry.Registry.model (Squery.to_query st.scratch))
+
+(* Top-level recursion, so a lookup builds no closure. *)
+let rec find_counter name = function
+  | (n, h) :: rest -> if String.equal n name then h else find_counter name rest
+  | [] -> raise Not_found
+
+(* The shard's "infer.<name>" handle, registered the first time the
+   shard counts an inference for that model name. *)
+let infer_counter t st name =
+  match find_counter name st.c_infer with
+  | h -> h
+  | exception Not_found ->
+    let h = Metrics.counter_handle t.metrics ("infer." ^ name) in
+    st.c_infer <- (name, h) :: st.c_infer;
+    h
+
+(* The miss half: fetch (or compile) the skeleton's plan, bind it from
+   the scratch's interned ids, execute it, and fill the shard's estimate
+   cache with a fully rendered entry (the scratch also provides the
+   entry's canonical snapshot).  The kernel counters the request moved
+   are read before and after into [st.hot] and rolled up through
+   handles.  [on_plan] sees the plan that ran (EXPLAIN renders it). *)
 let infer t st ~on_plan ~name ~(entry : Registry.entry) ~hash =
-  let q = Squery.to_query st.scratch in
+  Obs.Hotpath.begin_delta st.hot;
   match
-    Obs.Hotpath.measure (fun () ->
-        let plan = plan_for st ~name ~entry q in
-        on_plan plan;
-        Plan.estimate plan ~sizes:t.sizes q)
+    let plan = scratch_plan st ~name ~entry in
+    on_plan plan;
+    Plan.execute plan (Plan.bind_scratch plan st.scratch) *. Plan.scale plan ~sizes:t.sizes
   with
-  | estimate, d ->
+  | estimate ->
+    Obs.Hotpath.end_delta st.hot;
     let le =
       make_entry ~name ~version:entry.Registry.version
         ~vec:(Squery.Vec.of_scratch st.scratch)
         estimate
     in
     Lru.add st.scache hash le;
-    Metrics.incr t.metrics (Printf.sprintf "infer.%s" name);
-    roll_hotpath t d;
+    Metrics.bump t.metrics (infer_counter t st name);
+    Metrics.kernel_delta t.metrics st.hot;
     le
-  | exception exn -> raise (Rejected (Printexc.to_string exn))
+  | exception exn ->
+    Obs.Hotpath.end_delta st.hot;
+    raise (Rejected (Printexc.to_string exn))
 
 let parse_error sp msg =
   Obs.Span.exit sp;
@@ -507,18 +530,17 @@ let handle_explain t st ~model ~body =
   let plan = ref None in
   match
     Obs.Span.collect (fun () ->
-        Obs.Hotpath.measure (fun () ->
-            est_span (fun () ->
-                respond
-                  (fun le -> Printf.sprintf "%.17g" le.Lru.est)
-                  (est_body ~force:true
-                     ~on_plan:(fun p -> plan := Some p)
-                     t st (resolve_model t model) body))))
+        est_span (fun () ->
+            respond
+              (fun le -> Printf.sprintf "%.17g" le.Lru.est)
+              (est_body ~force:true
+                 ~on_plan:(fun p -> plan := Some p)
+                 t st (resolve_model t model) body)))
   with
   | exception Rejected msg ->
     Metrics.incr t.metrics "est_errors";
     Protocol.err msg
-  | (estimate, d), records ->
+  | estimate, records ->
     let selfs = stage_self_times records in
     let stages =
       List.map (fun (k, sp) -> (k, stage_us selfs sp)) explain_stages
@@ -560,7 +582,8 @@ let handle_explain t st ~model ~body =
         (Printf.sprintf " factors=%d" (List.length (Plan.factors plan))));
     List.iter
       (fun (k, v) -> Buffer.add_string buf (Printf.sprintf " %s=%d" k v))
-      (Obs.Hotpath.to_pairs d);
+      (* the forced inference's kernel counters ([infer]'s delta) *)
+      (Obs.Hotpath.to_pairs st.hot);
     Protocol.ok (Buffer.contents buf)
 
 (* ---- EXPLAINPLAN -----------------------------------------------------------
@@ -624,7 +647,7 @@ let handle_explainplan t st ~model ~body =
       ^ Selest_opt.Explain.summary_line ~cost_est result
     with
     | rendered ->
-      Metrics.incr t.metrics (Printf.sprintf "infer.%s" name);
+      Metrics.bump t.metrics (infer_counter t st name);
       Protocol.ok_multiline rendered
     | exception exn ->
       Metrics.incr t.metrics "est_errors";

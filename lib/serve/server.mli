@@ -45,11 +45,13 @@
     estimate-cache hash (scratch hash mixed with model name and
     version) and probe the shard's estimate cache, verifying a hash hit
     against the entry's canonical snapshot; on a miss fetch the
-    skeleton's compiled plan from the shard's {!Plan_cache} (compiling
-    it with {!Selest_plan.Plan.compile} on a cold skeleton), bind the
-    query and execute it on the bytecode engine
-    ({!Selest_plan.Plan.execute}), then fill the estimate cache with
-    pre-rendered text and binary responses.  On the wire ({!run}) an
+    skeleton's compiled plan from the shard's {!Plan_cache} under a key
+    rendered straight from the scratch ({!Canon.Skel.of_scratch}; the
+    query is materialized only to compile a cold skeleton with
+    {!Selest_plan.Plan.compile}), bind it from the scratch's interned
+    ids ({!Selest_plan.Plan.bind_scratch}) and execute it on the
+    bytecode engine ({!Selest_plan.Plan.execute}), then fill the
+    estimate cache with pre-rendered text and binary responses.  On the wire ({!run}) an
     [EST] line or frame is recognized and served entirely from buffer
     slices ({!fast_handlers}): the whole warm round trip from socket
     read to answer write allocates nothing, and misses and errors are
@@ -70,8 +72,10 @@
     [est.parse], [est.canon], [est.cache], [plan.fetch],
     [plan.compile], [exec.load], [exec.run], [est.respond]), opened
     through the closure-free {!Selest_obs.Span.enter}/[exit], and every
-    inference's {!Selest_obs.Hotpath} kernel counters are rolled into
-    the service metrics ([ve.factor_ops], [ve.entries_touched],
+    inference's {!Selest_obs.Hotpath} kernel counters (read before and
+    after, per shard) are rolled into the service metrics through
+    pre-registered handles, as is the per-model [infer.<name>] count
+    ([ve.factor_ops], [ve.entries_touched],
     [ve.scratch_hits]/[misses], [ve.order_hits]/[misses] and
     [plan.program_hits]/[misses] — the memo pairs of the compiled
     plans).

@@ -329,6 +329,58 @@ let test_contradiction_through_server () =
   Alcotest.(check bool) "EXPLAIN ok" true
     (Selest_serve.Protocol.is_ok explained)
 
+(* ---- executor state lifetime ------------------------------------------------ *)
+
+(* Regression: per-domain executor state used to sit in a domain-local
+   table keyed by program id that nothing pruned, so every model reload
+   left the old plans' arenas — and the model tables they alias — live
+   for the life of the domain.  The state now hangs off its program.
+   Each cycle publishes a new model version and serves one estimate
+   through a shard-style plan cache; once the first version's plan has
+   been evicted, its program and that program's state must be
+   collectable. *)
+let test_program_state_freed_after_reloads () =
+  let m = Lazy.force model in
+  let q =
+    Query.create
+      ~tvars:[ ("d", "dept"); ("e", "emp") ]
+      ~joins:[ Query.join ~child:"e" ~fk:"dept" ~parent:"d" ]
+      ~selects:[ Query.eq "d" "Floor" 2; Query.eq "e" "Rank" 1 ]
+      ()
+  in
+  let reg = Selest_serve.Registry.create ~schema:fixture_schema in
+  let plans = Selest_serve.Plan_cache.create ~capacity:4 () in
+  let serve () =
+    let e = Selest_serve.Registry.register reg ~name:"m" m in
+    let skel =
+      Selest_serve.Canon.Skel.make ~name:"m" ~version:e.Selest_serve.Registry.version q
+    in
+    let plan, _ =
+      Selest_serve.Plan_cache.find_or_compile plans ~hash:skel.Selest_serve.Canon.Skel.hash
+        ~key:skel.Selest_serve.Canon.Skel.key ~compile:(fun () -> Plan.compile m q)
+    in
+    ignore (Plan.execute plan (Plan.bind plan q));
+    plan
+  in
+  let progs = Weak.create 1 and states = Weak.create 1 in
+  let[@inline never] first () =
+    let plan = serve () in
+    match Plan.program_for plan (Plan.bind plan q) with
+    | None -> Alcotest.fail "no compiled program for the served binding"
+    | Some prog ->
+      Weak.set progs 0 (Some prog);
+      Weak.set states 0 (Some (Exec.state_for prog))
+  in
+  first ();
+  for _ = 1 to 20 do
+    ignore (Sys.opaque_identity (serve ()))
+  done;
+  let _, _, evictions = Selest_serve.Plan_cache.stats plans in
+  Alcotest.(check bool) "the first version's plan was evicted" true (evictions >= 17);
+  Gc.full_major ();
+  Alcotest.(check bool) "program collected" false (Weak.check progs 0);
+  Alcotest.(check bool) "its per-domain state collected" false (Weak.check states 0)
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "plan"
@@ -352,5 +404,10 @@ let () =
             test_contradiction_is_zero;
           Alcotest.test_case "zero through server" `Quick
             test_contradiction_through_server;
+        ] );
+      ( "lifetime",
+        [
+          Alcotest.test_case "program state freed after reloads" `Quick
+            test_program_state_freed_after_reloads;
         ] );
     ]

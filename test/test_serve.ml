@@ -1276,6 +1276,157 @@ let prop_squery_matches_reference =
       | Error _, Error _ -> true
       | Ok _, Error _ | Error _, Ok _ -> false)
 
+(* ---- the miss path, keyed and bound from the scratch ------------------------ *)
+
+(* A schema whose [visit] table declares two foreign keys in the reverse
+   of their name order ([to_host] before [by_guest]) and attributes out of
+   name order, so any id-ordered rendering of joins or selects shows up
+   as a key that differs from the name-ordered reference. *)
+let fk2_db =
+  lazy
+    (let schema =
+       Schema.create
+         [ Schema.table_schema ~name:"person"
+             ~attrs:
+               [ ("Zone", Value.labeled [| "north"; "south"; "east" |]);
+                 ("Age", Value.labeled ~ordinal:true [| "young"; "mid"; "old" |]) ]
+             ();
+           Schema.table_schema ~name:"visit"
+             ~attrs:[ ("Kind", Value.labeled [| "social"; "work"; "care" |]); ("Length", Value.ints 4) ]
+             ~fks:[ ("to_host", "person"); ("by_guest", "person") ] () ]
+     in
+     let rng = Selest_util.Rng.create 5 in
+     let persons = 60 and visits = 400 in
+     let zone = Array.init persons (fun _ -> Selest_util.Rng.int rng 3) in
+     let age = Array.map (fun z -> (z + Selest_util.Rng.int rng 2) mod 3) zone in
+     let host = Array.init visits (fun _ -> Selest_util.Rng.int rng persons) in
+     let guest = Array.init visits (fun _ -> Selest_util.Rng.int rng persons) in
+     let kind = Array.map (fun h -> (zone.(h) + Selest_util.Rng.int rng 2) mod 3) host in
+     let length = Array.map (fun g -> (age.(g) + Selest_util.Rng.int rng 2) mod 4) guest in
+     Database.create schema
+       [ Table.create (Schema.find_table schema "person") ~cols:[| zone; age |] ~fk_cols:[||];
+         Table.create (Schema.find_table schema "visit") ~cols:[| kind; length |]
+           ~fk_cols:[| host; guest |] ])
+
+(* One schema under test: its database, a learned model, and the
+   tuple-variable sets (each connected by the listed joins) that bodies
+   are drawn from. *)
+type miss_case = {
+  mdb : Database.t Lazy.t;
+  mmodel : Selest_prm.Model.t Lazy.t;
+  mtvars : (string * string) list;
+  mjoins : (string * string * string) list;  (* child, fk, parent *)
+  msubsets : string list list;
+}
+
+let miss_cases =
+  let learned d = lazy (Selest_prm.Learn.learn_prm ~budget_bytes:2_048 ~seed:7 (Lazy.force d)) in
+  let fin = lazy (Selest_synth.Financial.generate ~districts:20 ~accounts:300 ~transactions:2_000 ~seed:3 ()) in
+  [ { mdb = db; mmodel = model;
+      mtvars = [ ("c", "contact"); ("p", "patient"); ("s", "strain") ];
+      mjoins = [ ("c", "patient", "p"); ("p", "strain", "s") ];
+      msubsets = [ [ "c" ]; [ "p"; "s" ]; [ "c"; "p" ]; [ "c"; "p"; "s" ] ] };
+    { mdb = fin; mmodel = learned fin;
+      mtvars = [ ("d", "district"); ("a", "account"); ("t", "transaction") ];
+      mjoins = [ ("a", "district", "d"); ("t", "account", "a") ];
+      msubsets = [ [ "t" ]; [ "a"; "d" ]; [ "t"; "a" ]; [ "t"; "a"; "d" ] ] };
+    { mdb = fk2_db; mmodel = learned fk2_db;
+      mtvars = [ ("v", "visit"); ("h", "person"); ("g", "person") ];
+      mjoins = [ ("v", "to_host", "h"); ("v", "by_guest", "g") ];
+      msubsets = [ [ "v"; "h" ]; [ "v"; "g" ]; [ "v"; "h"; "g" ] ] } ]
+
+(* A random valid body over one case: shuffled tuple variables and
+   joins, 1-18 selects in any order — Eq, ordinal ranges and sets, with
+   repeated attributes (enough, at the top end, to grow the scratch's
+   select and set-value arrays). *)
+let gen_miss_body (mc : miss_case) =
+  let open QCheck2.Gen in
+  let schema = Database.schema (Lazy.force mc.mdb) in
+  let* tvs = oneofl mc.msubsets in
+  let* tvs = shuffle_l tvs in
+  let joins =
+    List.filter (fun (c, _, p) -> List.mem c tvs && List.mem p tvs) mc.mjoins
+  in
+  let* joins = shuffle_l joins in
+  let attrs =
+    List.concat_map
+      (fun tv ->
+        let ts = Schema.find_table schema (List.assoc tv mc.mtvars) in
+        Array.to_list
+          (Array.map (fun (a : Schema.attr) -> (tv, a.Schema.aname, a.Schema.domain)) ts.Schema.attrs))
+      tvs
+  in
+  let gen_sel =
+    let* tv, a, dom = oneofl attrs in
+    let card = Value.card dom in
+    let* v = int_range 0 (card - 1) in
+    let* w = int_range 0 (card - 1) in
+    let* set = list_size (int_range 1 3) (int_range 0 (card - 1)) in
+    let* form = int_range 0 2 in
+    let rhs =
+      match form with
+      | 1 when Value.is_ordinal dom -> Printf.sprintf "%d..%d" (min v w) (max v w)
+      | 2 -> Printf.sprintf "{%s}" (String.concat "," (List.map string_of_int set))
+      | _ -> string_of_int v
+    in
+    return (Printf.sprintf "%s.%s=%s" tv a rhs)
+  in
+  let* sels = list_size (int_range 1 18) gen_sel in
+  return
+    (Printf.sprintf "%s ; %s ; %s"
+       (String.concat ", " (List.map (fun tv -> tv ^ "=" ^ List.assoc tv mc.mtvars) tvs))
+       (String.concat ", " (List.map (fun (c, f, p) -> Printf.sprintf "%s.%s=%s" c f p) joins))
+       (String.concat ", " sels))
+
+let prop_scratch_miss_path (mc : miss_case) name =
+  let server =
+    lazy
+      (let s = Server.create ~db:(Lazy.force mc.mdb) ~socket:"(test: unused)" () in
+       ignore (Registry.register (Server.registry s) ~name:"default" (Lazy.force mc.mmodel));
+       s)
+  in
+  let scratch =
+    lazy (Squery.create (Squery.Symtab.of_schema (Database.schema (Lazy.force mc.mdb))))
+  in
+  QCheck2.Test.make ~name:("miss path from the scratch ≡ to_query path: " ^ name) ~count:300
+    ~print:Fun.id (gen_miss_body mc) (fun body ->
+      let s = Lazy.force scratch and m = Lazy.force mc.mmodel in
+      Squery.parse s (Bytes.of_string body) ~off:0 ~len:(String.length body);
+      Squery.canon s;
+      let q = Squery.to_query s in
+      let from_scratch = Canon.Skel.of_scratch ~name:"default" ~version:3 s in
+      let reference = Canon.Skel.make ~name:"default" ~version:3 q in
+      let plan = Selest_plan.Plan.compile m q in
+      let direct =
+        Selest_plan.Plan.estimate plan ~sizes:(Selest_plan.Estimate.sizes_of_db (Lazy.force mc.mdb)) q
+      in
+      let served =
+        float_of_string
+          (Protocol.payload (fst (Server.handle_line (Lazy.force server) ("EST " ^ body))))
+      in
+      String.equal from_scratch.Canon.Skel.key reference.Canon.Skel.key
+      && from_scratch.Canon.Skel.hash = reference.Canon.Skel.hash
+      && Selest_plan.Plan.bind_scratch plan s = Selest_plan.Plan.bind plan q
+      && Int64.equal (Int64.bits_of_float served) (Int64.bits_of_float direct))
+
+(* EST keys its plan from the scratch, EXPLAINPLAN from the materialized
+   query: one key space, so the EXPLAINPLAN after an EST of the same
+   query compiles one plan fewer than on a cold server. *)
+let test_est_then_explainplan_shares_plan () =
+  let body = "p=patient, c=contact ; c.patient=p ; p.USBorn=1, c.Contype={2,0}" in
+  let explainplan_compiles ~after_est =
+    let server = fresh_server () in
+    let ask line = fst (Server.handle_line server line) in
+    if after_est then Alcotest.(check bool) "EST ok" true (Protocol.is_ok (ask ("EST " ^ body)));
+    let _, before, _ = Plan_cache.stats (Server.plan_cache server) in
+    Alcotest.(check bool) "EXPLAINPLAN ok" true (Protocol.is_ok (ask ("EXPLAINPLAN " ^ body)));
+    let _, after, _ = Plan_cache.stats (Server.plan_cache server) in
+    after - before
+  in
+  let cold = explainplan_compiles ~after_est:false in
+  let warm = explainplan_compiles ~after_est:true in
+  Alcotest.(check int) "the EST's plan serves EXPLAINPLAN's full query" (cold - 1) warm
+
 let frontend_slice = Protocol.Slice.create ()
 
 let slice_model_body buf =
@@ -1699,5 +1850,12 @@ let () =
             Alcotest.test_case "slice warm forms" `Quick
               test_slice_recognizes_warm_forms;
             Alcotest.test_case "fast path loopback" `Quick test_fast_path_loopback;
+          ] );
+      ( "miss-path",
+        List.map QCheck_alcotest.to_alcotest
+          (List.map2 prop_scratch_miss_path miss_cases [ "TB"; "FIN"; "two-fk" ])
+        @ [
+            Alcotest.test_case "EST then EXPLAINPLAN shares a plan" `Quick
+              test_est_then_explainplan_shares_plan;
           ] );
     ]
