@@ -93,62 +93,36 @@ let create () =
 
 let shard t = Domain.DLS.get t.key
 
-(* Find-or-create a counter slot in the caller's shard.  The unlocked
-   probe is safe: only the owner adds to its tables, so the probe cannot
-   race a resize; the locked add serializes against readers listing the
-   shard. *)
-let counter_ref sh name =
-  match Hashtbl.find_opt sh.counters name with
-  | Some r -> r
-  | None ->
+(* Find-or-create a slot in one of the caller's shard tables.  The
+   unlocked probe is safe: only the owner adds to its tables, so the
+   probe cannot race a resize; the locked add serializes against readers
+   listing the shard.  The probe is [Hashtbl.find], not [find_opt]: a
+   warm bump must not allocate an option, or every writer domain stops
+   for the minor collections it causes. *)
+let slot sh tbl name create =
+  match Hashtbl.find tbl name with
+  | v -> v
+  | exception Not_found ->
     Mutex.lock sh.lock;
-    let r =
-      match Hashtbl.find_opt sh.counters name with
-      | Some r -> r
-      | None ->
-        let r = ref 0 in
-        Hashtbl.add sh.counters name r;
-        r
+    let v =
+      match Hashtbl.find tbl name with
+      | v -> v
+      | exception Not_found ->
+        let v = create () in
+        Hashtbl.add tbl name v;
+        v
     in
     Mutex.unlock sh.lock;
-    r
+    v
 
-let hist sh name =
-  match Hashtbl.find_opt sh.hists name with
-  | Some h -> h
-  | None ->
-    Mutex.lock sh.lock;
-    let h =
-      match Hashtbl.find_opt sh.hists name with
-      | Some h -> h
-      | None ->
-        let h = Histogram.create () in
-        Hashtbl.add sh.hists name h;
-        h
-    in
-    Mutex.unlock sh.lock;
-    h
+let counter_ref sh name = slot sh sh.counters name (fun () -> ref 0)
+let hist sh name = slot sh sh.hists name Histogram.create
 
-(* Per-shard q-error tables follow the same find-or-create discipline as
-   counters and histograms.  Tables are created [~sync:false]: only the
-   owner domain records into them, and cross-domain readers go through
+(* Per-shard q-error tables are created [~sync:false]: only the owner
+   domain records into them, and cross-domain readers go through
    [qerrors_merged], whose racy reads are never torn (ints + unboxed
    floats). *)
-let qerror_slot sh name =
-  match Hashtbl.find_opt sh.qerrors name with
-  | Some q -> q
-  | None ->
-    Mutex.lock sh.lock;
-    let q =
-      match Hashtbl.find_opt sh.qerrors name with
-      | Some q -> q
-      | None ->
-        let q = Qerror.create ~sync:false () in
-        Hashtbl.add sh.qerrors name q;
-        q
-    in
-    Mutex.unlock sh.lock;
-    q
+let qerror_slot sh name = slot sh sh.qerrors name (fun () -> Qerror.create ~sync:false ())
 
 let incr ?(by = 1) t name =
   let r = counter_ref (shard t) name in

@@ -52,7 +52,7 @@ let create () =
 
 let telemetry t = t.tel
 
-let incr ?(by = 1) t name = Obs.Telemetry.incr ~by t.tel name
+let incr ?by t name = Obs.Telemetry.incr ?by t.tel name
 let get t name = Obs.Telemetry.get t.tel name
 
 (* ---- allocation-free fast-path bumps --------------------------------------- *)

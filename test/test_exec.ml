@@ -315,9 +315,9 @@ let test_out_of_range_matches_ve_error () =
     (Invalid_argument "Ve: evidence value out of range") (fun () ->
       ignore (Exec.load prog st [ (0, Query.Eq 7) ]))
 
-(* Warm-path allocation: the zero-allocation contract is gated hard in the
-   bench (BENCH_exec.json), but a cheap smoke assertion here catches a
-   boxing regression at test time without bechamel noise. *)
+(* Warm-path allocation: the zero-allocation contract is gated hard by
+   the bench's exec figure over 10k warm requests, but a cheap smoke
+   assertion here catches a boxing regression at test time. *)
 let test_warm_load_run_allocates_nothing () =
   let prog = program_of single_var_factors [ (0, Query.Eq 1) ] [] in
   let st = Exec.state_for prog in

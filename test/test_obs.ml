@@ -466,6 +466,20 @@ let prop_telemetry_concurrent_merge =
              (fun p -> Histogram.quantile_ns h p = Histogram.quantile_ns oracle p)
              [ 0.5; 0.95; 0.99; 0.999 ])
 
+(* A warm string-keyed bump runs on every writer domain's request path:
+   an allocation there makes each minor collection stop them all. *)
+let test_telemetry_warm_string_keys_allocate_nothing () =
+  let tel = Telemetry.create () in
+  Telemetry.incr tel "ops";
+  Telemetry.record_ns tel "lat" 1;
+  let w0 = Gc.minor_words () in
+  for i = 1 to 1_000 do
+    Telemetry.incr tel "ops";
+    Telemetry.record_ns tel "lat" i
+  done;
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (Gc.minor_words () -. w0);
+  Alcotest.(check int) "counted" 1_001 (Telemetry.get tel "ops")
+
 let test_telemetry_delta () =
   let tel = Telemetry.create () in
   Telemetry.incr ~by:5 tel "x";
@@ -558,6 +572,8 @@ let () =
           [ prop_histogram_buckets; prop_histogram_quantile_oracle ] );
       ( "telemetry",
         Alcotest.test_case "snapshot delta" `Quick test_telemetry_delta
+        :: Alcotest.test_case "warm string keys allocate nothing" `Quick
+             test_telemetry_warm_string_keys_allocate_nothing
         :: List.map QCheck_alcotest.to_alcotest [ prop_telemetry_concurrent_merge ]
       );
       ("slowlog", [ Alcotest.test_case "ring" `Quick test_slowlog_ring ]);

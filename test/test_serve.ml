@@ -838,6 +838,50 @@ let test_socket_multidomain_round_trip () =
           Alcotest.(check string) "shutdown" "OK bye" (Client.request c "SHUTDOWN")));
   Alcotest.(check bool) "socket removed after join" false (Sys.file_exists socket)
 
+(* Concurrency over the socket: 8 clients at once against 4 executor
+   domains, each asking every body several times; every answer must be
+   the transport-free single-domain reference, bit for bit. *)
+let test_concurrent_clients_bit_identity () =
+  let db0 = Lazy.force db in
+  let bodies =
+    Array.of_list
+      (List.concat
+         (List.init 3 (fun c ->
+              List.init 4 (fun a ->
+                  Printf.sprintf
+                    "c=contact, p=patient ; c.patient=p ; c.Contype=%d, p.Age=%d" c a))))
+  in
+  let reference = Server.create ~db:db0 ~socket:"(test: unused)" () in
+  ignore (Registry.register (Server.registry reference) ~name:"default" (Lazy.force model));
+  let expected =
+    Array.map (fun b -> Protocol.payload (fst (Server.handle_line reference ("EST " ^ b)))) bodies
+  in
+  let socket = Filename.temp_file "selest" ".sock" in
+  Sys.remove socket;
+  let server = Server.create ~domains:4 ~db:db0 ~socket () in
+  ignore (Registry.register (Server.registry server) ~name:"default" (Lazy.force model));
+  let thread = Thread.create Server.run server in
+  let mismatches = Atomic.make 0 and answers = Atomic.make 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.shutdown server;
+      Thread.join thread)
+    (fun () ->
+      let client () =
+        Client.with_connection ~retries:100 ~socket (fun c ->
+            for _ = 1 to 3 do
+              Array.iteri
+                (fun i b ->
+                  Atomic.incr answers;
+                  if Protocol.payload (Client.request c ("EST " ^ b)) <> expected.(i) then
+                    Atomic.incr mismatches)
+                bodies
+            done)
+      in
+      List.iter Thread.join (List.init 8 (fun _ -> Thread.create client ())));
+  Alcotest.(check int) "answers" (8 * 3 * Array.length bodies) (Atomic.get answers);
+  Alcotest.(check int) "mismatches" 0 (Atomic.get mismatches)
+
 (* TCP listener: same protocol, same answers, over --tcp. *)
 let test_tcp_round_trip () =
   let db0 = Lazy.force db in
@@ -1822,6 +1866,8 @@ let () =
             test_sharded_bit_identity;
           Alcotest.test_case "multi-domain socket round trip" `Quick
             test_socket_multidomain_round_trip;
+          Alcotest.test_case "concurrent clients bit-identical" `Quick
+            test_concurrent_clients_bit_identity;
           Alcotest.test_case "tcp round trip" `Quick test_tcp_round_trip;
           Alcotest.test_case "admission BUSY" `Quick test_admission_busy;
           Alcotest.test_case "hot reload under fire" `Quick test_hot_reload_under_fire;
