@@ -82,9 +82,12 @@ type sstep =
     }
 
 type state = {
-  args : int array;  (* one value per arg slot, -1 = unset *)
-  masks : bool array array;  (* per-slot allowed-value mask (mask slots) *)
-  seen : bool array;  (* slot mentioned by the current binding *)
+  args : int array;  (* one value per arg slot *)
+  masks : bool array array;  (* per-slot allowed-value mask *)
+  kind : int array;  (* per-slot evidence state while loading, see [begin_load] *)
+  set_vals : bool array;  (* the set being written, as a mask *)
+  mutable set_slot : int;  (* its slot, -1 when it fits none *)
+  mutable fits : bool;  (* every predicate so far named a request slot *)
   ssteps : sstep array;
   sfinals : float array array;
   digits : int array;  (* shared odometer digits, max_dims wide *)
@@ -414,7 +417,10 @@ let build_state prog =
   {
     args;
     masks;
-    seen = Array.make prog.n_slots false;
+    kind = Array.make prog.n_slots 0;
+    set_vals = Array.make (Array.fold_left max 0 prog.slot_card) false;
+    set_slot = -1;
+    fits = true;
     ssteps;
     sfinals = Array.map (fun id -> bufs.(id)) prog.finals;
     digits = Array.make prog.max_dims 0;
@@ -448,134 +454,178 @@ let state_for prog =
     publish prog id st;
     st
 
+(* ---- the evidence writer ----------------------------------------------
+
+   The one place evidence enters a state: {!begin_load}, one write per
+   predicate ({!write_eq}, {!write_range}, a set as {!begin_set} /
+   {!add_set} / {!end_set}), then {!finish_load}.  The served path
+   writes a canonical scratch's selects straight through it; {!load}
+   feeds it a binding list.  Predicates on one slot intersect as they
+   arrive, and each slot's state is one of: *)
+
+let unbound = 0 (* no predicate yet *)
+let single = 1 (* exactly one allowed value, in [args] *)
+let masked = 2 (* the allowed values, in [masks] *)
+let empty = 3 (* no allowed value: a contradiction *)
+
+let begin_load prog st =
+  st.fits <- true;
+  for s = 0 to prog.n_slots - 1 do
+    st.kind.(s) <- unbound
+  done
+
+(* The request slot a predicate on [node] writes, or -1 when the program
+   has none for it (the binding does not fit this program's shape). *)
+let slot_for prog st node =
+  let s =
+    if node < 0 || node >= Array.length prog.slot_of_node then -1
+    else prog.slot_of_node.(node)
+  in
+  if s < 0 || prog.static_slot.(s) then begin
+    st.fits <- false;
+    -1
+  end
+  else s
+
+(* Values are range-checked as they arrive, with [Ve.prepare]'s
+   message. *)
+let check_value prog s x =
+  if x < 0 || x >= prog.slot_card.(s) then invalid_arg "Ve: evidence value out of range"
+
+let write_eq prog st node x =
+  let s = slot_for prog st node in
+  if s >= 0 then begin
+    check_value prog s x;
+    let k = st.kind.(s) in
+    if k = unbound then begin
+      st.args.(s) <- x;
+      st.kind.(s) <- single
+    end
+    else if k = single then (if st.args.(s) <> x then st.kind.(s) <- empty)
+    else if k = masked then
+      if st.masks.(s).(x) then begin
+        st.args.(s) <- x;
+        st.kind.(s) <- single
+      end
+      else st.kind.(s) <- empty
+  end
+
+let write_range prog st node lo hi =
+  let s = slot_for prog st node in
+  if s >= 0 then begin
+    check_value prog s lo;
+    check_value prog s hi;
+    let k = st.kind.(s) and m = st.masks.(s) in
+    if k = unbound then begin
+      for x = 0 to prog.slot_card.(s) - 1 do
+        m.(x) <- lo <= x && x <= hi
+      done;
+      st.kind.(s) <- masked
+    end
+    else if k = single then
+      (let x = st.args.(s) in
+       if x < lo || x > hi then st.kind.(s) <- empty)
+    else if k = masked then
+      for x = 0 to prog.slot_card.(s) - 1 do
+        if x < lo || x > hi then m.(x) <- false
+      done
+  end
+
+let begin_set prog st node =
+  let s = slot_for prog st node in
+  st.set_slot <- s;
+  if s >= 0 then
+    for x = 0 to prog.slot_card.(s) - 1 do
+      st.set_vals.(x) <- false
+    done
+
+let add_set prog st x =
+  let s = st.set_slot in
+  if s >= 0 then begin
+    check_value prog s x;
+    st.set_vals.(x) <- true
+  end
+
+let end_set prog st =
+  let s = st.set_slot in
+  if s >= 0 then begin
+    let k = st.kind.(s) and m = st.masks.(s) and vals = st.set_vals in
+    if k = unbound then begin
+      for x = 0 to prog.slot_card.(s) - 1 do
+        m.(x) <- vals.(x)
+      done;
+      st.kind.(s) <- masked
+    end
+    else if k = single then (if not vals.(st.args.(s)) then st.kind.(s) <- empty)
+    else if k = masked then
+      for x = 0 to prog.slot_card.(s) - 1 do
+        if not vals.(x) then m.(x) <- false
+      done
+  end
+
+(* Classify every request slot by its allowed values — one binds a value
+   slot, two or more a mask slot — against the program's own slot kinds.
+   A misfit anywhere is [`No_match] (the caller tries another program);
+   otherwise an empty slot is [`Contradiction] (the event is empty, the
+   estimate 0.0, and no buffer is touched). *)
+let rec classify prog st s contradicted =
+  if s >= prog.n_slots then if contradicted then `Contradiction else `Ok
+  else if prog.static_slot.(s) then classify prog st (s + 1) contradicted
+  else
+    let k = st.kind.(s) in
+    if k = unbound then `No_match
+    else if k = empty then classify prog st (s + 1) true
+    else if k = single then
+      if prog.mask_slot.(s) then `No_match else classify prog st (s + 1) contradicted
+    else begin
+      let m = st.masks.(s) in
+      let count = ref 0 and first = ref (-1) in
+      for x = 0 to prog.slot_card.(s) - 1 do
+        if m.(x) then begin
+          incr count;
+          if !first < 0 then first := x
+        end
+      done;
+      if !count = 0 then classify prog st (s + 1) true
+      else if !count = 1 then
+        if prog.mask_slot.(s) then `No_match
+        else begin
+          st.args.(s) <- !first;
+          classify prog st (s + 1) contradicted
+        end
+      else if prog.mask_slot.(s) then classify prog st (s + 1) contradicted
+      else `No_match
+    end
+
+let finish_load prog st = if st.fits then classify prog st 0 false else `No_match
+
 (* ---- load ---------------------------------------------------------------- *)
 
-(* Top-level recursion (not a local closure) so a warm load allocates
-   nothing.  Validation mirrors [Ve.merged_masks]: every value is
-   range-checked in binding order (even past a contradiction), and the
-   contradiction verdict is only delivered after the whole binding has
-   been walked. *)
-let rec load_binding prog args contradicted binding =
-  match binding with
-  | [] -> if contradicted then `Contradiction else check_filled prog args 0
-  | (node, Query.Eq x) :: rest ->
-    if node < 0 || node >= Array.length prog.slot_of_node then `No_match
-    else begin
-      let s = prog.slot_of_node.(node) in
-      if s < 0 then `No_match
-      else if x < 0 || x >= prog.slot_card.(s) then
-        invalid_arg "Ve: evidence value out of range"
-      else begin
-        let cur = args.(s) in
-        if cur < 0 then begin
-          args.(s) <- x;
-          load_binding prog args contradicted rest
-        end
-        else if cur = x then load_binding prog args contradicted rest
-        else load_binding prog args true rest
-      end
-    end
-  | _ :: _ -> `No_match
-
-and check_filled prog args s =
-  if s >= prog.n_slots then `Ok
-  else if args.(s) < 0 then `No_match
-  else check_filled prog args (s + 1)
-
-(* General path: bindings with range/set predicates (or programs with
-   mask slots).  Predicates merge into per-slot allowed-value masks —
-   the executor's twin of [Ve.merged_masks] — and the final sweep
-   classifies each slot by its allowed count: 1 = value slot, >=2 =
-   mask slot.  Any disagreement with the program's own slot kinds is a
-   shape mismatch ([`No_match]); the caller falls back to compiling the
-   binding's exact shape. *)
-
-let rec binding_all_eq = function
-  | [] -> true
-  | (_, Query.Eq _) :: rest -> binding_all_eq rest
-  | _ :: _ -> false
-
-let rec check_values card = function
+(* A binding list fed through the writer.  Top-level recursion (not a
+   local closure) so a warm load allocates nothing; it stops at the
+   first predicate the program has no slot for. *)
+let rec add_values prog st = function
   | [] -> ()
   | x :: rest ->
-    if x < 0 || x >= card then invalid_arg "Ve: evidence value out of range"
-    else check_values card rest
+    add_set prog st x;
+    add_values prog st rest
 
-let check_pred card pred =
-  match pred with
-  | Query.Eq x ->
-    if x < 0 || x >= card then invalid_arg "Ve: evidence value out of range"
-  | Query.In_set xs -> check_values card xs
-  | Query.Range (lo, hi) ->
-    if lo < 0 || lo >= card || hi < 0 || hi >= card then
-      invalid_arg "Ve: evidence value out of range"
-
-let rec load_masked prog st binding =
-  match binding with
-  | [] -> sweep_slots prog st false 0
+let rec feed prog st = function
+  | [] -> ()
   | (node, pred) :: rest ->
-    if node < 0 || node >= Array.length prog.slot_of_node then `No_match
-    else begin
-      let s = prog.slot_of_node.(node) in
-      if s < 0 || prog.static_slot.(s) then `No_match
-      else begin
-        let card = prog.slot_card.(s) in
-        check_pred card pred;
-        let m = st.masks.(s) in
-        if st.seen.(s) then
-          for x = 0 to card - 1 do
-            if m.(x) && not (Query.pred_holds pred x) then m.(x) <- false
-          done
-        else begin
-          st.seen.(s) <- true;
-          for x = 0 to card - 1 do
-            m.(x) <- Query.pred_holds pred x
-          done
-        end;
-        load_masked prog st rest
-      end
-    end
-
-(* Classify every slot once the whole binding is merged.  Contradiction
-   is only delivered after all slots check out shape-wise; either
-   verdict ends at 0.0, so the precedence is immaterial — this order
-   keeps the fallback path exercised consistently. *)
-and sweep_slots prog st contradicted s =
-  if s >= prog.n_slots then
-    if contradicted then `Contradiction else `Ok
-  else if prog.static_slot.(s) then sweep_slots prog st contradicted (s + 1)
-  else if not st.seen.(s) then `No_match
-  else begin
-    let m = st.masks.(s) in
-    let count = ref 0 and first = ref (-1) in
-    for x = 0 to Array.length m - 1 do
-      if m.(x) then begin
-        incr count;
-        if !first < 0 then first := x
-      end
-    done;
-    if !count = 0 then sweep_slots prog st true (s + 1)
-    else if !count = 1 then
-      if prog.mask_slot.(s) then `No_match
-      else begin
-        st.args.(s) <- !first;
-        sweep_slots prog st contradicted (s + 1)
-      end
-    else if prog.mask_slot.(s) then sweep_slots prog st contradicted (s + 1)
-    else `No_match
-  end
+    (match pred with
+    | Query.Eq x -> write_eq prog st node x
+    | Query.Range (lo, hi) -> write_range prog st node lo hi
+    | Query.In_set xs ->
+      begin_set prog st node;
+      add_values prog st xs;
+      end_set prog st);
+    if st.fits then feed prog st rest
 
 let load prog st binding =
-  let args = st.args in
-  for s = 0 to prog.n_slots - 1 do
-    if not prog.static_slot.(s) then args.(s) <- -1
-  done;
-  if (not prog.has_masks) && binding_all_eq binding then
-    load_binding prog args false binding
-  else begin
-    Array.fill st.seen 0 prog.n_slots false;
-    load_masked prog st binding
-  end
+  begin_load prog st;
+  feed prog st binding;
+  finish_load prog st
 
 (* ---- run ----------------------------------------------------------------- *)
 

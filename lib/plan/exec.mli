@@ -66,26 +66,49 @@ val state_for : program -> state
     plan, its programs' states go with it.  O(1); warm calls allocate
     nothing. *)
 
+(** {2 The evidence writer}
+
+    The only way evidence enters a state: {!begin_load}, one write per
+    predicate, then {!finish_load}.  Predicates on the same variable
+    intersect as they arrive ([Ve.merged_masks] semantics): an [Eq]
+    keeps one value, a range or set narrows an allowed-value mask, and
+    an empty intersection is a contradiction.  [node] is a network
+    variable; a predicate on a variable this program has no request
+    slot for makes the load a misfit.  Values are range-checked as they
+    arrive, raising [Invalid_argument "Ve: evidence value out of
+    range"] like [Ve.prepare].  Warm writes allocate nothing. *)
+
+val begin_load : program -> state -> unit
+val write_eq : program -> state -> int -> int -> unit
+val write_range : program -> state -> int -> int -> int -> unit
+(** [write_range prog st node lo hi]: the values [lo..hi]. *)
+
+val begin_set : program -> state -> int -> unit
+(** A set predicate on [node]: {!add_set} each member, then
+    {!end_set}. *)
+
+val add_set : program -> state -> int -> unit
+val end_set : program -> state -> unit
+
+val finish_load : program -> state -> [ `Ok | `No_match | `Contradiction ]
+(** Classify every request slot by its allowed count — one value binds
+    a value slot, two or more a mask slot.  [`Ok]: every slot bound,
+    ready to {!run}.  [`No_match]: the evidence does not fit this
+    program's shape (a misfit predicate, an unbound slot, or a
+    value/mask kind disagreement) — the caller should try another
+    program or compile this shape.  [`Contradiction]: a slot with no
+    allowed value; the event is empty and the estimate is [0.0]
+    {e without} touching any buffer. *)
+
 val load :
   program ->
   state ->
   (int * Selest_db.Query.pred) list ->
   [ `Ok | `No_match | `Contradiction ]
-(** Write the binding's evidence into the state's slots.  All-[Eq]
-    bindings against mask-free programs take an O(1)-per-predicate fast
-    path; anything else merges the predicates into per-slot
-    allowed-value masks ([Ve.merged_masks] semantics) and classifies
-    each slot by its allowed count (1 = value, >=2 = mask).  [`Ok]:
-    every slot bound, ready to {!run}.  [`No_match]: the binding does
-    not fit this program's shape (an unknown node, an unbound slot, or
-    a value/mask kind disagreement) — the caller should fall back to
-    another program or compile this shape.  [`Contradiction]: a slot
-    with no allowed value; the event is empty and the estimate is [0.0]
-    {e without} touching any buffer.  Values are range-checked in
-    binding order with the same [Invalid_argument] as [Ve.prepare], and
-    — like the generic engine — the contradiction verdict is only
-    delivered after the whole binding has been validated.  Warm calls
-    allocate nothing. *)
+(** Feed a binding list through the evidence writer, in binding order:
+    {!begin_load}, one write per predicate, {!finish_load}.  Stops
+    feeding at the first predicate the program has no slot for.  Warm
+    calls allocate nothing. *)
 
 val run : state -> unit
 (** Execute the loaded program: gathers, contractions, read-out.  The

@@ -135,7 +135,7 @@ type t = {
   node_of_attr : (string * int, int) Hashtbl.t;  (* (tv, attr idx) -> node *)
   scratch_slots : int array array;
       (* query tv position in name order -> attr idx -> node, -1 when
-         unselectable: {!bind_scratch}'s interned-id table *)
+         unselectable: {!execute_scratch}'s interned-id table *)
   node_names : string array;  (* node id -> "tv.Attr" / "tv.fk=ptv" *)
   join_evidence : binding;  (* every closure join indicator = true *)
   (* Schedules are memoized per restricted-variable set: a binding's [Eq]
@@ -148,7 +148,10 @@ type t = {
      and replaced under [mutex] on a miss. *)
   mutable programs : (string * Bytecode.program) list;
   mutex : Mutex.t;
+  mutable scale_memo : scale_memo;  (* [scale] for the last [sizes] it saw *)
 }
+
+and scale_memo = { for_sizes : int array; value : float }
 
 let skeleton t = t.skeleton
 let fingerprint t = t.fingerprint
@@ -174,10 +177,20 @@ let upward_closure t q =
   in
   Query.create ~tvars ~joins ~selects:q.Query.selects ()
 
+(* Computed once per plan: the memo is one immutable record swung in a
+   single store, so a concurrent reader sees a consistent pair. *)
 let scale t ~sizes =
-  List.fold_left
-    (fun acc (_, ti) -> acc *. float_of_int sizes.(ti))
-    1.0 t.closure.c_tvars
+  let m = t.scale_memo in
+  if m.for_sizes == sizes then m.value
+  else begin
+    let value =
+      List.fold_left
+        (fun acc (_, ti) -> acc *. float_of_int sizes.(ti))
+        1.0 t.closure.c_tvars
+    in
+    t.scale_memo <- { for_sizes = sizes; value };
+    value
+  end
 
 let bind t q =
   List.map
@@ -199,22 +212,18 @@ let bind t q =
              s.Query.sel_tv s.Query.sel_attr))
     q.Query.selects
 
-(* The scratch names the same selects by (tv position in name order,
-   attr idx) — ids [compile] already resolved — so binding is two array
-   reads per select, in [to_query]'s select order. *)
-let bind_scratch t s =
-  let slot k =
-    let pos = Squery.select_tv s k and attr = Squery.select_attr s k in
-    let node =
-      if pos < Array.length t.scratch_slots
-         && attr < Array.length t.scratch_slots.(pos)
-      then t.scratch_slots.(pos).(attr)
-      else -1
-    in
-    if node < 0 then invalid_arg "Plan.bind_scratch: no slot (different skeleton)";
-    (node, Squery.select_pred s k)
+(* The scratch's [k]-th select names its attribute by (tv position in
+   name order, attr idx) — ids [compile] already resolved — so its node
+   is two array reads. *)
+let scratch_node t s k =
+  let pos = Squery.sel_tv s k and attr = Squery.sel_attr s k in
+  let node =
+    if pos < Array.length t.scratch_slots && attr < Array.length t.scratch_slots.(pos)
+    then t.scratch_slots.(pos).(attr)
+    else -1
   in
-  List.init (Squery.n_selects s) slot
+  if node < 0 then invalid_arg "Plan.execute_scratch: no slot (different skeleton)";
+  node
 
 (* ---- schedule memo --------------------------------------------------------- *)
 
@@ -331,10 +340,10 @@ let count_miss () =
   Selest_obs.Hotpath.order_miss ();
   Selest_obs.Hotpath.program_miss ()
 
-(* The two traced stages: [exec.load] (find the binding's program —
-   compiling it on a memo miss — and write its evidence slots) and
-   [exec.run] (contractions and read-out).  [load] is the span still
-   open when the binding has loaded. *)
+(* The two traced stages: [exec.load] (find the program whose shape the
+   evidence fits — compiling it on a memo miss — and write the evidence
+   into its slots) and [exec.run] (contractions and read-out).  [load]
+   is the span still open when the evidence has loaded. *)
 let run_loaded load st =
   let sp = Selest_obs.Span.next load "exec.run" in
   Bytecode.run st;
@@ -342,7 +351,7 @@ let run_loaded load st =
   Selest_obs.Span.exit sp;
   r
 
-(* No program matched the binding: compile one for its restricted set
+(* No program fits: compile one for the binding's restricted set
    (counted as a memo miss, like a fresh schedule), then run it. *)
 let execute_slow t load binding =
   match program_for t binding with
@@ -356,28 +365,62 @@ let execute_slow t load binding =
     | `No_match ->
       invalid_arg "Plan.execute: binding does not fit its own compiled program")
 
-let rec execute_scan t load binding progs =
+(* The evidence sources: a binding list, or a canonical scratch written
+   select by select into the same evidence writer. *)
+let load_binding _ prog st binding = Bytecode.load prog st binding
+
+let load_scratch t prog st s =
+  Bytecode.begin_load prog st;
+  for k = 0 to Squery.n_selects s - 1 do
+    let node = scratch_node t s k in
+    match Squery.sel_kind s k with
+    | 0 -> Bytecode.write_eq prog st node (Squery.sel_lo s k)
+    | 1 -> Bytecode.write_range prog st node (Squery.sel_lo s k) (Squery.sel_hi s k)
+    | _ ->
+      Bytecode.begin_set prog st node;
+      let o = Squery.sel_lo s k in
+      for i = o to o + Squery.sel_hi s k - 1 do
+        Bytecode.add_set prog st (Squery.pool s i)
+      done;
+      Bytecode.end_set prog st
+  done;
+  Bytecode.finish_load prog st
+
+(* The scratch's binding list, only to compile a shape no program fits. *)
+let binding_of_scratch t s =
+  List.init (Squery.n_selects s) (fun k -> (scratch_node t s k, Squery.sel_pred s k))
+
+let same_binding _ binding = binding
+
+(* Try each compiled program in turn.  The loader and the fallback are
+   top-level functions, so a warm execute builds no closure. *)
+let rec execute_scan t load loader to_binding src progs =
   match progs with
-  | [] -> execute_slow t load binding
+  | [] -> execute_slow t load (to_binding t src)
   | (_, prog) :: rest -> (
     let st = Bytecode.state_for prog in
-    match Bytecode.load prog st binding with
+    match loader t prog st src with
     | `Ok ->
       count_hit ();
       run_loaded load st
     | `Contradiction -> Selest_obs.Span.exit load; 0.0 (* no buffer touched *)
-    | `No_match -> execute_scan t load binding rest)
+    | `No_match -> execute_scan t load loader to_binding src rest)
 
-let execute t binding =
-  if not (no_join_nodes t.join_evidence binding) then
-    invalid_arg "Plan.execute: binding names a join indicator";
+let execute_from t loader to_binding src =
   let load = Selest_obs.Span.enter "exec.load" in
   (* [Bytecode.run] never raises, so an exception here left [load] open *)
-  match execute_scan t load binding t.programs with
+  match execute_scan t load loader to_binding src t.programs with
   | r -> r
   | exception e ->
     Selest_obs.Span.exit load;
     raise e
+
+let execute t binding =
+  if not (no_join_nodes t.join_evidence binding) then
+    invalid_arg "Plan.execute: binding names a join indicator";
+  execute_from t load_binding same_binding binding
+
+let execute_scratch t s = execute_from t load_scratch binding_of_scratch s
 
 let estimate t ~sizes q = execute t (bind t q) *. scale t ~sizes
 
@@ -512,6 +555,7 @@ let compile prm q =
           schedules = Hashtbl.create 4;
           programs = [];
           mutex = Mutex.create ();
+          scale_memo = { for_sizes = [||]; value = 1.0 };
         }
       in
       (* Seed the schedule memo — and the compiled bytecode program —

@@ -37,7 +37,7 @@ val compile : Selest_prm.Model.t -> Selest_db.Query.t -> t
 (** Build the plan for the query's skeleton: compute the upward closure,
     instantiate the query-evaluation network's factors, lay out binding
     slots for every selected attribute (also indexed by tuple-variable
-    position in name order and attribute id, for {!bind_scratch}),
+    position in name order and attribute id, for {!execute_scratch}),
     template the join-indicator evidence, and seed the schedule memo
     with the compile query's own binding shape.  Any query with the same {!skeleton_key} can be bound
     against the result.  Wrapped in a ["plan.compile"] span. *)
@@ -46,15 +46,6 @@ val bind : t -> Selest_db.Query.t -> binding
 (** Map the query's selects onto the plan's binding slots.  Raises
     [Invalid_argument] if the query selects an attribute the plan has no
     slot for (i.e. a different skeleton). *)
-
-val bind_scratch : t -> Selest_db.Squery.t -> binding
-(** {!bind} for a canonicalized scratch whose skeleton is the plan's —
-    equal to [bind t (Squery.to_query s)], list order included, but
-    built from the scratch's interned ids through a (tuple-variable
-    position in name order, attribute index) -> node table that
-    {!compile} lays out: no string compares, no [Hashtbl] lookups, no
-    [Query.t].  Raises [Invalid_argument] when a selected attribute has
-    no slot (a different skeleton). *)
 
 val execute : t -> binding -> float
 (** P(selects ∧ all closure joins) under the model, on the plan's
@@ -75,6 +66,16 @@ val execute : t -> binding -> float
     {e before} any buffer is touched.  Raises [Invalid_argument] when
     the binding names a join indicator (the program fixes those as
     static evidence); {!bind} never produces one. *)
+
+val execute_scratch : t -> Selest_db.Squery.t -> float
+(** {!execute} for a canonicalized scratch whose skeleton is the plan's
+    — the served estimate path.  No binding list is built: each select
+    is written from the scratch's interned ids straight into the
+    program's evidence slots and masks ({!Exec.write_eq} and friends),
+    through a (tuple-variable position in name order, attribute index)
+    -> node table {!compile} lays out.  Bit-identical to [execute t
+    (bind t (Squery.to_query s))].  Raises [Invalid_argument] when a
+    selected attribute has no slot (a different skeleton). *)
 
 val execute_generic : t -> binding -> float
 (** The pre-bytecode engine: slice/mask fresh [Factor.t] values by the
@@ -124,7 +125,8 @@ val join_evidence : t -> binding
 (** The [(join indicator, Eq 1)] template appended to every binding. *)
 
 val scale : t -> sizes:int array -> float
-(** Π |T_i| over the closure tables. *)
+(** Π |T_i| over the closure tables.  Memoized per plan for the last
+    [sizes] array seen (compared physically). *)
 
 val steps : t -> Selest_db.Query.t -> Selest_bn.Ve.Schedule.step list
 (** The elimination steps {!execute} uses for this query's binding, with

@@ -126,8 +126,37 @@ module Skel = struct
       q.Query.selects;
     finish buf
 
-  let of_scratch ~name ~version s =
-    let buf = start ~name ~version in
-    Squery.add_skeleton buf s;
-    finish buf
+  (* The served key, folded from a canonicalized scratch's interned ids
+     ({!Squery.skeleton_hash}): no name order, no string.  The stored
+     key — [name#version|] as [make] renders it, then the skeleton's
+     snapshot — is built once per compiled plan, and a hash hit is
+     verified against it without allocating. *)
+  let scratch_hash ~name ~version s =
+    let h = fnv_string fnv_basis name in
+    Squery.skeleton_hash s ((h lxor version) * fnv_prime land max_int)
+
+  let scratch_key ~name ~version s =
+    Buffer.contents (start ~name ~version) ^ Squery.skeleton_snapshot s
+
+  (* Top-level recursion: the verification builds no closure. *)
+  let rec prefix_eq key name i =
+    i < 0 || (String.unsafe_get key i = String.unsafe_get name i && prefix_eq key name (i - 1))
+
+  let rec n_digits v = if v < 10 then 1 else 1 + n_digits (v / 10)
+
+  (* do the digits ending at [i] spell [v]? *)
+  let rec digits_eq key i v =
+    String.unsafe_get key i = Char.unsafe_chr (48 + (v mod 10))
+    && (v < 10 || digits_eq key (i - 1) (v / 10))
+
+  let scratch_matches key ~name ~version s =
+    let n = String.length name in
+    let bar = n + 1 + n_digits version in
+    version >= 0
+    && String.length key > bar
+    && prefix_eq key name (n - 1)
+    && String.unsafe_get key n = '#'
+    && digits_eq key (bar - 1) version
+    && String.unsafe_get key bar = '|'
+    && Squery.skeleton_matches s key (bar + 1)
 end

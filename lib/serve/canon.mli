@@ -32,10 +32,12 @@ val skeleton_key : Selest_db.Query.t -> string
     predicate values share this key (and hence one cached plan), while
     {!key} still distinguishes them for the estimate cache. *)
 
-(** The plan-cache key, built in a single buffer pass with its FNV-1a
-    hash: [name#version|tvars|joins|select-attrs].  {!Plan_cache}
-    indexes on the hash; the rendered key is stored beside the entry
-    and compared only to disambiguate a hash collision. *)
+(** Plan-cache keys.  {!Plan_cache} indexes on the hash; the key is
+    stored beside the entry and compared only to verify a hash hit.
+    {!make} renders a materialized query's key by name in one buffer
+    pass, [name#version|tvars|joins|select-attrs] — the layered path
+    replayed by the served benchmark.  The server keys a canonicalized
+    scratch by its interned ids instead ({!scratch_hash}). *)
 module Skel : sig
   type t = { hash : int;  (** 63-bit non-negative FNV-1a of [key] *)
              key : string }
@@ -44,11 +46,22 @@ module Skel : sig
   (** [q] must already be canonical ({!normalize}): its select order is
       what collapses duplicate attributes in one pass. *)
 
-  val of_scratch : name:string -> version:int -> Selest_db.Squery.t -> t
-  (** The same key rendered straight from a canonicalized scratch
-      ({!Selest_db.Squery.add_skeleton}) — what the server's estimate
-      path uses on a cache miss.  [key] and [hash] are byte-identical to
-      [make ~name ~version (Squery.to_query s)], so EST, EXPLAINPLAN
-      (which keys sub-queries with {!make}) and any caller of {!make}
-      share one plan-cache key space. *)
+  val scratch_hash : name:string -> version:int -> Selest_db.Squery.t -> int
+  (** The served plan-cache hash of a canonicalized scratch, folded from
+      its interned ids ({!Selest_db.Squery.skeleton_hash}) and the model
+      name and version.  Allocation-free once the scratch has warmed
+      up.  EST bodies and EXPLAINPLAN's
+      sub-queries ({!Selest_db.Squery.load_query}) both key through it,
+      so they share one key space; it is a different key space from
+      {!make}'s. *)
+
+  val scratch_key : name:string -> version:int -> Selest_db.Squery.t -> string
+  (** The key stored beside a plan compiled for the scratch's skeleton:
+      model name and version plus the skeleton's snapshot.  Allocates;
+      built only when a plan is compiled. *)
+
+  val scratch_matches : string -> name:string -> version:int -> Selest_db.Squery.t -> bool
+  (** Does a stored key belong to this model version and the scratch's
+      skeleton?  What verifies a {!scratch_hash} hit.  Allocation-free
+      once the scratch has warmed up. *)
 end

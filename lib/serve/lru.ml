@@ -1,10 +1,13 @@
 open Selest_util
 open Selest_db
 
-(* Hashtable + sentinel-ring recency list, indexed on the 63-bit
-   canonical query hash the zero-copy front-end computes.  Every warm
-   operation is allocation-free: the ring uses direct node pointers (no
-   [option] boxing on promote), a hit returns the resident [entry]
+(* An int-keyed chained table + sentinel-ring recency list, indexed on
+   the 63-bit canonical query hash the zero-copy front-end computes.
+   The hash is already well mixed, so its low bits pick the bucket: no
+   polymorphic hashing, and the chains thread through the nodes
+   themselves, so an insertion allocates nothing beyond its node.  Every
+   warm operation is allocation-free: the ring uses direct node pointers
+   (no [option] boxing on promote), a hit returns the resident [entry]
    record, and a miss raises the preallocated [Not_found].  Entries
    carry pre-rendered text and binary responses plus the canonical
    snapshot ({!Selest_db.Squery.Vec}) the server verifies hash hits
@@ -25,11 +28,13 @@ type node = {
   mutable entry : entry;
   mutable prev : node;  (* towards the hot (most recent) end *)
   mutable next : node;  (* towards the cold end *)
+  mutable chain : node;  (* next node in the same bucket; [head] ends it *)
 }
 
 type t = {
   capacity : int;
-  tbl : (int, node) Hashtbl.t;
+  mutable buckets : node array;  (* power-of-two length; chains end at [head] *)
+  mutable count : int;
   head : node;  (* sentinel: [head.next] hottest, [head.prev] coldest *)
   mutable bytes : int;
   mutable hits : int;
@@ -46,11 +51,12 @@ let create ~capacity_bytes =
   if capacity_bytes <= 0 then
     invalid_arg "Lru.create: capacity_bytes must be positive";
   let rec head =
-    { hash = min_int; entry = dummy_entry; prev = head; next = head }
+    { hash = min_int; entry = dummy_entry; prev = head; next = head; chain = head }
   in
   {
     capacity = capacity_bytes;
-    tbl = Hashtbl.create 256;
+    buckets = Array.make 256 head;
+    count = 0;
     head;
     bytes = 0;
     hits = 0;
@@ -58,6 +64,50 @@ let create ~capacity_bytes =
     evictions = 0;
     collisions = 0;
   }
+
+let bucket t hash = hash land (Array.length t.buckets - 1)
+
+(* The node holding [hash], or [head].  Top-level recursion: no
+   closure. *)
+let rec chain_find head n hash =
+  if n == head || n.hash = hash then n else chain_find head n.chain hash
+
+let lookup t hash = chain_find t.head t.buckets.(bucket t hash) hash
+
+let chain_remove t n =
+  let b = bucket t n.hash in
+  if t.buckets.(b) == n then t.buckets.(b) <- n.chain
+  else begin
+    let p = ref t.buckets.(b) in
+    while !p.chain != n do
+      p := !p.chain
+    done;
+    !p.chain <- n.chain
+  end;
+  t.count <- t.count - 1
+
+let chain_push t n =
+  let b = bucket t n.hash in
+  n.chain <- t.buckets.(b);
+  t.buckets.(b) <- n
+
+(* Double the bucket array once the chains average two nodes. *)
+let chain_add t n =
+  if t.count >= 2 * Array.length t.buckets then begin
+    let old = t.buckets in
+    t.buckets <- Array.make (2 * Array.length old) t.head;
+    Array.iter
+      (fun first ->
+        let n = ref first in
+        while !n != t.head do
+          let next = !n.chain in
+          chain_push t !n;
+          n := next
+        done)
+      old
+  end;
+  chain_push t n;
+  t.count <- t.count + 1
 
 (* Byte accounting: the hash key is one word; the payload is the vec
    snapshot, the two rendered responses, the model name, and one stored
@@ -80,21 +130,23 @@ let evict_cold t =
   let n = t.head.prev in
   if n != t.head then begin
     unlink n;
-    Hashtbl.remove t.tbl n.hash;
+    chain_remove t n;
     t.bytes <- t.bytes - entry_bytes n.entry;
     t.evictions <- t.evictions + 1
   end
 
 let find t hash =
-  match Hashtbl.find t.tbl hash with
-  | n ->
+  let n = lookup t hash in
+  if n != t.head then begin
     t.hits <- t.hits + 1;
     unlink n;
     push_hot t n;
     n.entry
-  | exception Not_found ->
+  end
+  else begin
     t.misses <- t.misses + 1;
     raise Not_found
+  end
 
 let collision t =
   t.hits <- t.hits - 1;
@@ -102,23 +154,36 @@ let collision t =
   t.collisions <- t.collisions + 1
 
 let add t hash entry =
-  (match Hashtbl.find_opt t.tbl hash with
-  | Some n ->
+  let n = lookup t hash in
+  if n != t.head then begin
     t.bytes <- t.bytes - entry_bytes n.entry + entry_bytes entry;
     n.entry <- entry;
     unlink n;
     push_hot t n
-  | None ->
-    let n = { hash; entry; prev = t.head; next = t.head } in
-    Hashtbl.replace t.tbl hash n;
+  end
+  else begin
+    (* A full cache evicts its coldest entry for this one: reuse that
+       node rather than allocate another. *)
+    let n =
+      if t.bytes + entry_bytes entry > t.capacity && t.head.prev != t.head then begin
+        let c = t.head.prev in
+        evict_cold t;
+        c.hash <- hash;
+        c.entry <- entry;
+        c
+      end
+      else { hash; entry; prev = t.head; next = t.head; chain = t.head }
+    in
+    chain_add t n;
     push_hot t n;
-    t.bytes <- t.bytes + entry_bytes entry);
+    t.bytes <- t.bytes + entry_bytes entry
+  end;
   while t.bytes > t.capacity && t.head.prev != t.head do
     evict_cold t
   done
 
-let mem t hash = Hashtbl.mem t.tbl hash
-let length t = Hashtbl.length t.tbl
+let mem t hash = lookup t hash != t.head
+let length t = t.count
 let bytes t = t.bytes
 let capacity_bytes t = t.capacity
 let hits t = t.hits
@@ -131,7 +196,8 @@ let hashes_hot_first t =
   go [] t.head.next
 
 let clear t =
-  Hashtbl.reset t.tbl;
+  Array.fill t.buckets 0 (Array.length t.buckets) t.head;
+  t.count <- 0;
   t.head.next <- t.head;
   t.head.prev <- t.head;
   t.bytes <- 0

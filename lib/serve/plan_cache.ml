@@ -1,30 +1,39 @@
-(* Entry-count LRU of compiled plans, same hashtable + recency-list
-   structure as {!Lru} but generic in the payload.  Since the
-   allocation-free front-end, the table indexes on the caller's
-   precomputed 64-bit key hash ({!Canon.Skel}); the rendered key string
-   is stored beside each entry and compared only when a probe's hash
-   matches — i.e. full-key verification happens exactly once per lookup
-   that could be a collision, never as part of key construction.  A true
-   collision (equal hashes, different keys) evicts the resident entry:
-   with 63-bit FNV over short keys this is a theoretical case, and
-   keeping one chain per hash keeps the probe branch-free.
+(* Entry-count LRU of compiled plans, indexed on the caller's
+   precomputed 63-bit key hash.  The key is stored beside each entry and
+   checked — by the caller's [verify] — only when a probe's hash
+   matches, so verification happens once per lookup and never as part
+   of building a key.  A true collision (equal hashes, different keys)
+   evicts the resident entry: with 63-bit FNV this is a theoretical
+   case, and one entry per hash keeps the probe branch-free.
+
+   Recency is a per-entry stamp rather than a linked list: a hit writes
+   one int, and the least recently used entry is found by a scan only
+   when an insertion overflows the capacity — i.e. beside a compile,
+   which costs far more.
 
    No lock: each executor shard owns a private instance, so the request
    path probes and compiles without one. *)
 
 type node = {
   hash : int;
-  key : string;  (* full rendered key, for collision verification *)
+  key : string;  (* full key, for hit verification *)
   plan : Selest_plan.Plan.t;
-  mutable prev : node option;  (* towards the hot (most recent) end *)
-  mutable next : node option;  (* towards the cold end *)
+  mutable used : int;  (* [clock] at the last probe that returned it *)
 }
+
+(* The hashes are already mixed: index on them as they are, without
+   the polymorphic hash. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash h = h
+end)
 
 type t = {
   capacity : int;
-  tbl : (int, node) Hashtbl.t;
-  mutable hot : node option;
-  mutable cold : node option;
+  tbl : node Tbl.t;
+  mutable clock : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -35,67 +44,53 @@ let create ?(capacity = 256) () =
   if capacity <= 0 then invalid_arg "Plan_cache.create: capacity must be positive";
   {
     capacity;
-    tbl = Hashtbl.create 64;
-    hot = None;
-    cold = None;
+    tbl = Tbl.create 64;
+    clock = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
     collisions = 0;
   }
 
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.hot <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.cold <- n.prev);
-  n.prev <- None;
-  n.next <- None
+let remove t n =
+  Tbl.remove t.tbl n.hash;
+  t.evictions <- t.evictions + 1
 
-let push_hot t n =
-  n.next <- t.hot;
-  n.prev <- None;
-  (match t.hot with Some h -> h.prev <- Some n | None -> t.cold <- Some n);
-  t.hot <- Some n
+let evict_lru t =
+  let oldest =
+    Tbl.fold
+      (fun _ n acc -> match acc with Some o when o.used <= n.used -> acc | _ -> Some n)
+      t.tbl None
+  in
+  Option.iter (remove t) oldest
 
-let evict_cold t =
-  match t.cold with
-  | None -> ()
-  | Some n ->
-    unlink t n;
-    Hashtbl.remove t.tbl n.hash;
-    t.evictions <- t.evictions + 1
-
-let insert t ~hash ~key ~compile =
+let insert t ~hash ~key ~compile x =
   t.misses <- t.misses + 1;
-  let plan = compile () in
-  let n = { hash; key; plan; prev = None; next = None } in
-  Hashtbl.replace t.tbl hash n;
-  push_hot t n;
-  while Hashtbl.length t.tbl > t.capacity do
-    evict_cold t
+  let plan = compile x in
+  Tbl.replace t.tbl hash { hash; key = key x; plan; used = t.clock };
+  while Tbl.length t.tbl > t.capacity do
+    evict_lru t
   done;
   (plan, `Miss)
 
-let find_or_compile t ~hash ~key ~compile =
-  match Hashtbl.find_opt t.tbl hash with
-  | Some n when String.equal n.key key ->
+let probe t ~hash ~verify ~key ~compile x =
+  t.clock <- t.clock + 1;
+  match Tbl.find t.tbl hash with
+  | n when verify n.key x ->
     t.hits <- t.hits + 1;
-    unlink t n;
-    push_hot t n;
+    n.used <- t.clock;
     (n.plan, `Hit)
-  | Some n ->
+  | n ->
     (* hash collision: evict the resident entry, compile ours *)
     t.collisions <- t.collisions + 1;
-    unlink t n;
-    Hashtbl.remove t.tbl n.hash;
-    t.evictions <- t.evictions + 1;
-    insert t ~hash ~key ~compile
-  | None -> insert t ~hash ~key ~compile
+    remove t n;
+    insert t ~hash ~key ~compile x
+  | exception Not_found -> insert t ~hash ~key ~compile x
+
+let find_or_compile t ~hash ~key ~compile =
+  probe t ~hash ~verify:String.equal ~key:Fun.id ~compile:(fun _ -> compile ()) key
 
 let stats t = (t.hits, t.misses, t.evictions)
 let collisions t = t.collisions
-let length t = Hashtbl.length t.tbl
-
-let clear t =
-  Hashtbl.reset t.tbl;
-  t.hot <- None;
-  t.cold <- None
+let length t = Tbl.length t.tbl
+let clear t = Tbl.reset t.tbl

@@ -19,17 +19,29 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] is an entry count (plans are small — factors are shared
     with the model's CPDs); default 256. *)
 
+val probe :
+  t ->
+  hash:int ->
+  verify:(string -> 'a -> bool) ->
+  key:('a -> string) ->
+  compile:('a -> Selest_plan.Plan.t) ->
+  'a ->
+  Selest_plan.Plan.t * [ `Hit | `Miss ]
+(** [probe t ~hash ~verify ~key ~compile x]: the one lookup.  The table
+    indexes on [hash]; a resident entry with that hash is returned when
+    [verify stored_key x] holds.  Otherwise [compile x] runs and its
+    plan is cached under [hash] with [key x] stored beside it (evicting
+    the least-recently-used entry when full).  A resident whose stored
+    key fails verification — a true collision — counts a miss, is
+    evicted, and the new plan takes its place.  The server probes with
+    {!Canon.Skel.scratch_hash} and verifies with
+    {!Canon.Skel.scratch_matches}, so a hit builds no key. *)
+
 val find_or_compile :
   t -> hash:int -> key:string -> compile:(unit -> Selest_plan.Plan.t) ->
   Selest_plan.Plan.t * [ `Hit | `Miss ]
-(** Return the cached plan for the key, or run [compile], cache and
-    return it (evicting the least-recently-used entry when full).  The
-    table indexes on [hash] (precompute it with {!Canon.Skel} — one
-    buffer pass, one FNV fold); [key] is the full rendered key, stored
-    beside the entry and string-compared only when a probe's hash
-    matches.  A probe whose hash matches a {e different} resident key —
-    a true collision — counts a miss, evicts the resident and caches
-    the new plan. *)
+(** {!probe} for a rendered key ({!Canon.Skel.make}): verification is
+    string equality. *)
 
 val stats : t -> int * int * int
 (** (hits, misses, evictions) since creation. *)

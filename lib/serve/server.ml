@@ -270,11 +270,24 @@ let probe t st ~name ~version hash =
   end
 
 (* Pre-render both wire responses when an entry is filled, so warm hits
-   write stored bytes straight to the socket. *)
+   write stored bytes straight to the socket.  The text is
+   ["OK " ^ Printf.sprintf "%.17g" est ^ "\n"] built in one exact-size
+   string: Printf's [%g] is this very [caml_format_float] call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let render_ok est =
+  let s = format_float "%.17g" est in
+  let n = String.length s in
+  let b = Bytes.create (n + 4) in
+  Bytes.blit_string "OK " 0 b 0 3;
+  Bytes.blit_string s 0 b 3 n;
+  Bytes.set b (n + 3) '\n';
+  Bytes.unsafe_to_string b
+
 let make_entry ~name ~version ~vec est =
   {
     Lru.est;
-    text = Printf.sprintf "OK %.17g\n" est;
+    text = render_ok est;
     bin = Protocol.Bin.encode_response (Protocol.Bin.Bvalue est);
     vec;
     model = name;
@@ -282,33 +295,39 @@ let make_entry ~name ~version ~vec est =
   }
 
 (* The plan cache keys on the binding-independent half of the same
-   split: model name and version plus the query's skeleton, rendered
-   and hashed in one buffer pass ({!Canon.Skel}).  Hot-reloading bumps
-   the version, so a stale model's plans can never be fetched again —
-   on every shard, since every shard's keys carry the version. *)
-let fetch_plan st ~skel ~compile =
-  Obs.Span.with_ "plan.fetch" (fun sp ->
-      let skel = skel () in
-      let plan, status =
-        Plan_cache.find_or_compile st.splans ~hash:skel.Canon.Skel.hash
-          ~key:skel.Canon.Skel.key ~compile
-      in
-      Obs.Span.add sp "cached" (match status with `Hit -> "hit" | `Miss -> "miss");
-      plan)
-
-(* A materialized query's plan (EXPLAINPLAN's sub-queries). *)
-let plan_for st ~name ~(entry : Registry.entry) q =
-  fetch_plan st
-    ~skel:(fun () -> Canon.Skel.make ~name ~version:entry.Registry.version q)
-    ~compile:(fun () -> Plan.compile entry.Registry.model q)
-
-(* The scratch query's plan: keyed straight off the scratch; the query
-   is materialized only when its skeleton is cold. *)
+   split: model name and version plus the query's skeleton, folded from
+   the canonical scratch's interned ids ({!Canon.Skel.scratch_hash}).
+   A hit is verified against the key stored with the plan; that key is
+   built, and the canonical query materialized, only when a plan is
+   compiled.  Hot-reloading bumps the version, so a stale model's plans
+   can never be fetched again — on every shard, since every shard's
+   keys carry the version.  EST bodies and EXPLAINPLAN's sub-queries
+   (loaded into the scratch) share this one key space. *)
 let scratch_plan st ~name ~(entry : Registry.entry) =
-  fetch_plan st
-    ~skel:(fun () ->
-      Canon.Skel.of_scratch ~name ~version:entry.Registry.version st.scratch)
-    ~compile:(fun () -> Plan.compile entry.Registry.model (Squery.to_query st.scratch))
+  let version = entry.Registry.version and s = st.scratch in
+  let sp = Obs.Span.enter "plan.fetch" in
+  match
+    Plan_cache.probe st.splans
+      ~hash:(Canon.Skel.scratch_hash ~name ~version s)
+      ~verify:(fun key s -> Canon.Skel.scratch_matches key ~name ~version s)
+      ~key:(fun s -> Canon.Skel.scratch_key ~name ~version s)
+      ~compile:(fun s -> Plan.compile entry.Registry.model (Squery.to_query s))
+      s
+  with
+  | plan, status ->
+    Obs.Span.add sp "cached" (match status with `Hit -> "hit" | `Miss -> "miss");
+    Obs.Span.exit sp;
+    plan
+  | exception e ->
+    Obs.Span.exit sp;
+    raise e
+
+(* A materialized query's plan (EXPLAINPLAN's sub-queries), keyed like
+   an EST body: loaded into the shard scratch and canonicalized. *)
+let plan_for st ~name ~entry q =
+  Squery.load_query st.scratch q;
+  Squery.canon st.scratch;
+  scratch_plan st ~name ~entry
 
 (* Top-level recursion, so a lookup builds no closure. *)
 let rec find_counter name = function
@@ -325,10 +344,11 @@ let infer_counter t st name =
     st.c_infer <- (name, h) :: st.c_infer;
     h
 
-(* The miss half: fetch (or compile) the skeleton's plan, bind it from
-   the scratch's interned ids, execute it, and fill the shard's estimate
-   cache with a fully rendered entry (the scratch also provides the
-   entry's canonical snapshot).  The kernel counters the request moved
+(* The miss half: fetch (or compile) the skeleton's plan, execute it
+   with the scratch's selects written straight into the program's
+   evidence slots, and fill the shard's estimate cache with a fully
+   rendered entry (the scratch also provides the entry's canonical
+   snapshot).  The kernel counters the request moved
    are read before and after into [st.hot] and rolled up through
    handles.  [on_plan] sees the plan that ran (EXPLAIN renders it). *)
 let infer t st ~on_plan ~name ~(entry : Registry.entry) ~hash =
@@ -336,7 +356,7 @@ let infer t st ~on_plan ~name ~(entry : Registry.entry) ~hash =
   match
     let plan = scratch_plan st ~name ~entry in
     on_plan plan;
-    Plan.execute plan (Plan.bind_scratch plan st.scratch) *. Plan.scale plan ~sizes:t.sizes
+    Plan.execute_scratch plan st.scratch *. Plan.scale plan ~sizes:t.sizes
   with
   | estimate ->
     Obs.Hotpath.end_delta st.hot;

@@ -46,12 +46,14 @@
     version) and probe the shard's estimate cache, verifying a hash hit
     against the entry's canonical snapshot; on a miss fetch the
     skeleton's compiled plan from the shard's {!Plan_cache} under a key
-    rendered straight from the scratch ({!Canon.Skel.of_scratch}; the
-    query is materialized only to compile a cold skeleton with
-    {!Selest_plan.Plan.compile}), bind it from the scratch's interned
-    ids ({!Selest_plan.Plan.bind_scratch}) and execute it on the
-    bytecode engine ({!Selest_plan.Plan.execute}), then fill the
-    estimate cache with pre-rendered text and binary responses.  On the wire ({!run}) an
+    folded from the scratch's interned ids ({!Canon.Skel.scratch_hash},
+    verified against the key stored with the plan; the query is
+    materialized only to compile a cold skeleton with
+    {!Selest_plan.Plan.compile}), execute it on the bytecode engine
+    with the scratch's selects written straight into the program's
+    evidence slots ({!Selest_plan.Plan.execute_scratch}), then fill the
+    estimate cache with pre-rendered text and binary responses
+    ({!make_entry}).  On the wire ({!run}) an
     [EST] line or frame is recognized and served entirely from buffer
     slices ({!fast_handlers}): the whole warm round trip from socket
     read to answer write allocates nothing, and misses and errors are
@@ -142,6 +144,13 @@
     query and a replayed span tree. *)
 
 type t
+
+val make_entry : name:string -> version:int -> vec:Selest_db.Squery.Vec.t -> float -> Lru.entry
+(** The estimate-cache entry a miss fills for an estimate under model
+    [name] at [version]: the text response (["OK " ^ Printf.sprintf
+    "%.17g" est ^ "\n"], byte for byte, in one exact-size string) and
+    the binary value frame, pre-rendered, beside the canonical snapshot
+    [vec]. *)
 
 val create :
   ?cache_bytes:int ->

@@ -151,6 +151,64 @@ let test_lru_oversized_entry () =
   Alcotest.(check int) "immediately evicted" 0 (Lru.length c);
   Alcotest.(check int) "bytes zero" 0 (Lru.bytes c)
 
+(* The cache against a reference model — an assoc list in recency order
+   with the same byte budget — over random finds and adds.  Hashes come
+   from a few hundred values sharing their low bits, so table buckets
+   hold long chains, nodes leave them from every position, and the
+   table grows past its initial size. *)
+let prop_lru_matches_model =
+  let open QCheck2.Gen in
+  let gen_op =
+    let* h = int_range 0 700 >|= fun k -> (k land 7) + (k lsr 3 lsl 10) in
+    let* add = bool in
+    let* len = int_range 0 40 in
+    return (add, h, len)
+  in
+  QCheck2.Test.make ~name:"LRU = reference model" ~count:100
+    ~print:(fun ops -> String.concat " " (List.map (fun (a, h, l) -> Printf.sprintf "%s%d:%d" (if a then "+" else "?") h l) ops))
+    (list_size (int_range 1 2_000) gen_op)
+    (fun ops ->
+      let cap = 3_000 in
+      let c = Lru.create ~capacity_bytes:cap in
+      let size e = String.length e.Lru.text + Selest_util.Bytesize.per_param in
+      let model = ref [] and bytes = ref 0 in
+      let rec evict () =
+        if !bytes > cap then
+          match List.rev !model with
+          | (_, e) :: rest ->
+            bytes := !bytes - size e;
+            model := List.rev rest;
+            evict ()
+          | [] -> ()
+      in
+      List.for_all
+        (fun (add, h, len) ->
+          let ok =
+            if add then begin
+              let e = ent ~text:(String.make len 'x') (float_of_int h) in
+              Lru.add c h e;
+              (match List.assoc_opt h !model with
+              | Some old -> bytes := !bytes - size old
+              | None -> ());
+              model := (h, e) :: List.remove_assoc h !model;
+              bytes := !bytes + size e;
+              evict ();
+              true
+            end
+            else
+              match (Lru.find c h, List.assoc_opt h !model) with
+              | got, Some e ->
+                model := (h, e) :: List.remove_assoc h !model;
+                got == e
+              | exception Not_found -> List.assoc_opt h !model = None
+              | _, None -> false
+          in
+          ok
+          && Lru.bytes c = !bytes
+          && Lru.length c = List.length !model
+          && Lru.hashes_hot_first c = List.map fst !model)
+        ops)
+
 let test_lru_collision_recount () =
   let c = Lru.create ~capacity_bytes:1_000 in
   Lru.add c 5 (ent 1.0);
@@ -1241,8 +1299,7 @@ let reference_parse db0 body =
   | exception Invalid_argument msg -> Error msg
   | exception Not_found -> Error "Not_found"
 
-let scratch_parse body =
-  let scratch = Lazy.force frontend_scratch in
+let scratch_parse ?(scratch = Lazy.force frontend_scratch) body =
   match
     Squery.parse scratch (Bytes.of_string body) ~off:0 ~len:(String.length body)
   with
@@ -1261,20 +1318,38 @@ let gen_frontend_body =
   let open QCheck2.Gen in
   let gen_attr =
     oneofl
-      [ "c.Contype"; "c.Age"; "p.Age"; "p.USBorn"; "s.DrugResist"; "p.Zz"; "x.Age" ]
+      [ "c.Contype"; "c.Age"; "p.Age"; "p.USBorn"; "s.DrugResist"; "p.Zz"; "x.Age";
+        "z.Age"; " p . Site "; "p.Age.x"; "pAge" ]
+  in
+  (* value spellings the fused lexer must read like [int_of_string] and
+     [Value.code]: signs, '_' separators, base prefixes, inner spaces,
+     overflow, labels *)
+  let gen_value =
+    oneof
+      [ (int_range 0 3 >|= string_of_int);
+        oneofl
+          [ "+1"; "-0"; "-1"; "0_1"; "1_"; "_1"; "0x1"; "0b1"; "0o2"; "0u1"; "0x"; "1 2";
+            " 2 "; "99999999999999999999"; "4611686018427387904"; "yes"; "no"; "young";
+            "household"; "roommate"; ""; "-"; "1e0" ] ]
   in
   let gen_sel =
     let* a = gen_attr in
     oneof
       [
-        (int_range 0 3 >|= fun v -> Printf.sprintf "%s=%d" a v);
+        (gen_value >|= fun v -> Printf.sprintf "%s=%s" a v);
         (pair (int_range 0 3) (int_range 0 4) >|= fun (lo, hi) ->
           Printf.sprintf "%s=%d..%d" a lo hi);
+        (pair gen_value gen_value >|= fun (lo, hi) -> Printf.sprintf "%s=%s..%s" a lo hi);
         (list_size (int_range 1 3) (int_range 0 3) >|= fun vs ->
           Printf.sprintf "%s={%s}" a
             (String.concat "," (List.map string_of_int vs)));
+        (list_size (int_range 0 3) gen_value >|= fun vs ->
+          Printf.sprintf "%s={%s}" a (String.concat "," vs));
         pure (a ^ "={household,roommate}");
         pure (a ^ "=99");
+        oneofl
+          [ a ^ "=1...2"; a ^ "={1}}"; a ^ "={1}x"; a ^ "= { 1 , 2 } "; a ^ "=..";
+            a ^ "1"; a ^ "={" ];
       ]
   in
   let gen_tvars =
@@ -1287,12 +1362,20 @@ let gen_frontend_body =
         "patient";
         "z=zebra, p=patient";
         "c=contact, c=patient";
+        "c=contact, p=patient, c=strain";
+        "c=contact, p=patient, z=zebra";
+        "c=contact, p=patient, s=strain, s=zebra";
+        "c=contact=x, p=patient";
+        "";
+        " , ";
       ]
   in
   let gen_joins =
     oneofl
       [ "c.patient=p, p.strain=s"; "c.patient=p"; ""; "p.strain=s"; "c.nope=p";
-        "c.patient=x" ]
+        "c.patient=x"; "c.patient=p, c.patient=p"; "c.patient=c"; "x.patient=p";
+        "c.patient.x=p"; "c=p"; "c.patient"; "s.patient=p"; "c.patient=s";
+        "p.strain=s, c.patient=p, p.strain=s"; "c . patient = p" ]
   in
   let* tv = gen_tvars in
   let* j = gen_joins in
@@ -1313,12 +1396,39 @@ let gen_frontend_body =
 
 let prop_squery_matches_reference =
   QCheck2.Test.make ~name:"zero-copy parser ≡ Qparse+validate+normalize"
-    ~count:1500 ~print:String.escaped gen_frontend_body (fun body ->
+    ~count:20_000 ~long_factor:20 ~print:String.escaped gen_frontend_body (fun body ->
       let db0 = Lazy.force db in
       match (reference_parse db0 body, scratch_parse body) with
       | Ok qr, Ok qs -> qr = qs && Canon.key qr = Canon.key qs
-      | Error _, Error _ -> true
+      | Error er, Error es -> String.equal er es
       | Ok _, Error _ | Error _, Ok _ -> false)
+
+(* A label wins over an integer, also where labels read as integers:
+   [Value.range 3 7] labels its codes 0..4 as "3".."7", so "4" is code
+   1, "2" is out of domain; on a domain of word labels, "1" is code 1. *)
+let test_label_wins_over_integer () =
+  let schema =
+    Schema.create
+      [ Schema.table_schema ~name:"t"
+          ~attrs:[ ("A", Value.range 3 7); ("B", Value.labeled [| "1"; "0"; "x" |]);
+                   ("C", Value.labeled [| "lo"; "hi" |]) ]
+          () ]
+  in
+  let db0 =
+    Database.create schema
+      [ Table.create (Schema.find_table schema "t") ~cols:[| [| 0; 1 |]; [| 0; 1 |]; [| 0; 1 |] |]
+          ~fk_cols:[||] ]
+  in
+  let scratch = Squery.create (Squery.Symtab.of_schema schema) in
+  List.iter
+    (fun sel ->
+      let body = "t ; ; " ^ sel in
+      let show = function Ok q -> Canon.key q | Error msg -> "ERR " ^ msg in
+      Alcotest.(check string) body
+        (show (reference_parse db0 body))
+        (show (scratch_parse ~scratch body)))
+    [ "t.A=4"; "t.A=7"; "t.A=2"; "t.A=0x1"; "t.A=+4"; "t.A=3..5"; "t.A={4,2}"; "t.B=0";
+      "t.B=1"; "t.B=2"; "t.B=x"; "t.B=0_1"; "t.C=1"; "t.C=hi"; "t.C=-0"; "t.C=2" ]
 
 (* ---- the miss path, keyed and bound from the scratch ------------------------ *)
 
@@ -1379,10 +1489,14 @@ let miss_cases =
       mjoins = [ ("v", "to_host", "h"); ("v", "by_guest", "g") ];
       msubsets = [ [ "v"; "h" ]; [ "v"; "g" ]; [ "v"; "h"; "g" ] ] } ]
 
-(* A random valid body over one case: shuffled tuple variables and
-   joins, 1-18 selects in any order — Eq, ordinal ranges and sets, with
-   repeated attributes (enough, at the top end, to grow the scratch's
-   select and set-value arrays). *)
+(* A random valid body over one case, with whether it is contradictory:
+   shuffled tuple variables and joins, 1-18 selects in any order — Eq,
+   ordinal ranges and sets, with repeated attributes (enough, at the top
+   end, to grow the scratch's select and set-value arrays), so one
+   attribute often carries several predicates whose intersection is one
+   value (a value slot), several (a mask slot) or none.  A quarter of
+   the bodies add a sure contradiction: two different Eq values on one
+   attribute, or a range and a set that do not overlap. *)
 let gen_miss_body (mc : miss_case) =
   let open QCheck2.Gen in
   let schema = Database.schema (Lazy.force mc.mdb) in
@@ -1415,13 +1529,63 @@ let gen_miss_body (mc : miss_case) =
     in
     return (Printf.sprintf "%s.%s=%s" tv a rhs)
   in
+  let contradiction =
+    let eqs =
+      List.filter_map
+        (fun (tv, a, dom) ->
+          let card = Value.card dom in
+          if card < 2 then None
+          else
+            Some
+              (let* v = int_range 0 (card - 1) in
+               let* d = int_range 1 (card - 1) in
+               return
+                 [ Printf.sprintf "%s.%s=%d" tv a v;
+                   Printf.sprintf "%s.%s=%d" tv a ((v + d) mod card) ]))
+        attrs
+    in
+    let disjoint =
+      List.filter_map
+        (fun (tv, a, dom) ->
+          let card = Value.card dom in
+          if card < 3 || not (Value.is_ordinal dom) then None
+          else
+            Some
+              (let* lo = int_range 0 (card - 2) in
+               let* hi = int_range lo (card - 2) in
+               let outside = List.init (card - 1 - hi) (fun k -> hi + 1 + k) in
+               let* set = list_size (int_range 1 3) (oneofl outside) in
+               return
+                 [ Printf.sprintf "%s.%s=%d..%d" tv a lo hi;
+                   Printf.sprintf "%s.%s={%s}" tv a
+                     (String.concat "," (List.map string_of_int set)) ]))
+        attrs
+    in
+    oneof (eqs @ disjoint)
+  in
   let* sels = list_size (int_range 1 18) gen_sel in
+  let* contradict = int_range 0 3 in
+  let* extra = if contradict = 0 then contradiction else return [] in
+  let* sels = shuffle_l (extra @ sels) in
   return
-    (Printf.sprintf "%s ; %s ; %s"
-       (String.concat ", " (List.map (fun tv -> tv ^ "=" ^ List.assoc tv mc.mtvars) tvs))
-       (String.concat ", " (List.map (fun (c, f, p) -> Printf.sprintf "%s.%s=%s" c f p) joins))
-       (String.concat ", " sels))
+    ( Printf.sprintf "%s ; %s ; %s"
+        (String.concat ", " (List.map (fun tv -> tv ^ "=" ^ List.assoc tv mc.mtvars) tvs))
+        (String.concat ", " (List.map (fun (c, f, p) -> Printf.sprintf "%s.%s=%s" c f p) joins))
+        (String.concat ", " sels),
+      extra <> [] )
 
+(* The served miss path against the layered one, per body:
+   - one key space: the plan key the server folds from the scratch
+     equals the key EXPLAINPLAN computes for the materialized query
+     (loaded back into a scratch), hash and stored key alike;
+   - the key is the skeleton's: the same query with every predicate
+     replaced by an Eq keys the same, and another model version does
+     not;
+   - the scratch loads the same evidence: the served estimate, and
+     [Plan.execute_scratch] on the scratch, are bit-identical to
+     [Plan.execute] on [Plan.bind] of the materialized query, and to the
+     generic engine's answer;
+   - contradictions answer exactly 0.0. *)
 let prop_scratch_miss_path (mc : miss_case) name =
   let server =
     lazy
@@ -1429,29 +1593,48 @@ let prop_scratch_miss_path (mc : miss_case) name =
        ignore (Registry.register (Server.registry s) ~name:"default" (Lazy.force mc.mmodel));
        s)
   in
-  let scratch =
-    lazy (Squery.create (Squery.Symtab.of_schema (Database.schema (Lazy.force mc.mdb))))
-  in
+  let symtab = lazy (Squery.Symtab.of_schema (Database.schema (Lazy.force mc.mdb))) in
+  let scratch = lazy (Squery.create (Lazy.force symtab)) in
+  let reloaded = lazy (Squery.create (Lazy.force symtab)) in
   QCheck2.Test.make ~name:("miss path from the scratch ≡ to_query path: " ^ name) ~count:300
-    ~print:Fun.id (gen_miss_body mc) (fun body ->
+    ~long_factor:20
+    ~print:(fun (body, _) -> body)
+    (gen_miss_body mc)
+    (fun (body, contradictory) ->
       let s = Lazy.force scratch and m = Lazy.force mc.mmodel in
       Squery.parse s (Bytes.of_string body) ~off:0 ~len:(String.length body);
       Squery.canon s;
       let q = Squery.to_query s in
-      let from_scratch = Canon.Skel.of_scratch ~name:"default" ~version:3 s in
-      let reference = Canon.Skel.make ~name:"default" ~version:3 q in
-      let plan = Selest_plan.Plan.compile m q in
-      let direct =
-        Selest_plan.Plan.estimate plan ~sizes:(Selest_plan.Estimate.sizes_of_db (Lazy.force mc.mdb)) q
+      let key ?(version = 3) sc =
+        ( Canon.Skel.scratch_hash ~name:"default" ~version sc,
+          Canon.Skel.scratch_key ~name:"default" ~version sc )
       in
+      let s2 = Lazy.force reloaded in
+      let eqs = Query.with_selects q (List.map (fun sel -> { sel with Query.pred = Query.Eq 0 }) q.Query.selects) in
+      Squery.load_query s2 eqs;
+      Squery.canon s2;
+      let skeleton_key = key s2 in
+      Squery.load_query s2 q;
+      Squery.canon s2;
+      let plan = Selest_plan.Plan.compile m q in
+      let bits = Int64.bits_of_float in
+      let direct = Selest_plan.Plan.execute plan (Selest_plan.Plan.bind plan q) in
+      let generic = Selest_plan.Plan.execute_generic plan (Selest_plan.Plan.bind plan q) in
+      let from_scratch = Selest_plan.Plan.execute_scratch plan s in
       let served =
         float_of_string
           (Protocol.payload (fst (Server.handle_line (Lazy.force server) ("EST " ^ body))))
       in
-      String.equal from_scratch.Canon.Skel.key reference.Canon.Skel.key
-      && from_scratch.Canon.Skel.hash = reference.Canon.Skel.hash
-      && Selest_plan.Plan.bind_scratch plan s = Selest_plan.Plan.bind plan q
-      && Int64.equal (Int64.bits_of_float served) (Int64.bits_of_float direct))
+      let scale = Selest_plan.Plan.scale plan ~sizes:(Selest_plan.Estimate.sizes_of_db (Lazy.force mc.mdb)) in
+      key s = key s2
+      && key s = skeleton_key
+      && Canon.Skel.scratch_matches (snd (key s)) ~name:"default" ~version:3 s2
+      && fst (key ~version:4 s) <> fst (key s)
+      && not (Canon.Skel.scratch_matches (snd (key s)) ~name:"default" ~version:4 s2)
+      && Int64.equal (bits from_scratch) (bits direct)
+      && Int64.equal (bits generic) (bits direct)
+      && Int64.equal (bits served) (bits (direct *. scale))
+      && ((not contradictory) || served = 0.0))
 
 (* EST keys its plan from the scratch, EXPLAINPLAN from the materialized
    query: one key space, so the EXPLAINPLAN after an EST of the same
@@ -1822,6 +2005,7 @@ let () =
           Alcotest.test_case "byte budget" `Quick test_lru_byte_budget;
           Alcotest.test_case "oversized entry" `Quick test_lru_oversized_entry;
           Alcotest.test_case "collision recount" `Quick test_lru_collision_recount;
+          QCheck_alcotest.to_alcotest prop_lru_matches_model;
         ] );
       ( "metrics",
         [
@@ -1893,6 +2077,7 @@ let () =
             prop_slice_bin_est_agrees;
           ]
         @ [
+            Alcotest.test_case "label wins over integer" `Quick test_label_wins_over_integer;
             Alcotest.test_case "slice warm forms" `Quick
               test_slice_recognizes_warm_forms;
             Alcotest.test_case "fast path loopback" `Quick test_fast_path_loopback;
