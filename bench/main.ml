@@ -820,6 +820,45 @@ let fig_plan () =
   H.stat_row "execute_warm_us" "us" warm_us;
   H.stat_row "compile_once_speedup" "ratio" speedup;
 
+  (* --- cold compiles: the 64 distinct 2-4-attribute Eq skeletons of a
+     tb_reload run, each pass on a fresh copy of the model (what a LOAD
+     publishes), so the pass also builds the model's tables --- *)
+  let skeletons =
+    let scratch = Db.Squery.create (Db.Squery.Symtab.of_schema (Db.Database.schema fx.H.db)) in
+    Array.map
+      (fun body ->
+        let b = Bytes.of_string body in
+        Db.Squery.parse scratch b ~off:0 ~len:(Bytes.length b);
+        Db.Squery.canon scratch;
+        Db.Squery.to_query scratch)
+      (fst (Perfbench.Workloads.stream Perfbench.Workloads.tb_reload ~seed:cfg.seed ~n:0))
+  in
+  let n_sk = Array.length skeletons in
+  let fresh () = Prm.Model.create model.Prm.Model.schema model.Prm.Model.tables in
+  let compile_all m =
+    Array.iter (fun q -> ignore (Sys.opaque_identity (Plan.compile m q))) skeletons
+  in
+  compile_all (fresh ());
+  let cold =
+    Array.init 15 (fun _ ->
+        let m = fresh () in
+        let calib = H.calibrate () in
+        H.scaled ~calib (fun () -> compile_all m))
+  in
+  let compile_us = H.per_op ~us:true ~ops:n_sk cold in
+  let words =
+    let m = fresh () in
+    let w0 = Gc.minor_words () in
+    compile_all m;
+    (Gc.minor_words () -. w0) /. float_of_int n_sk
+  in
+  Printf.printf "cold compile %.1fus, %.0f minor words (%d skeletons, fresh model)\n"
+    compile_us.H.median words n_sk;
+  H.stat_row "compile_us" "us" compile_us;
+  H.row "compile_minor_words" "words" words;
+  (* a deterministic count, so the gate sits at the measured level *)
+  H.check "compile_minor_words <= 5000" (words <= 5000.0) (Printf.sprintf "%.0f" words);
+
   (* --- served: the second pass over a cleared estimate cache runs full
      inference on the plan the first pass compiled --- *)
   let server = H.fresh_server fx in

@@ -7,7 +7,7 @@ let var_card factors v =
   let rec scan = function
     | [] -> raise Not_found
     | f :: rest ->
-      let vars = Factor.vars f and cards = Factor.cards f in
+      let vars = Factor.unsafe_vars f and cards = Factor.unsafe_cards f in
       let rec look i =
         if i >= Array.length vars then scan rest
         else if vars.(i) = v then cards.(i)
@@ -93,6 +93,15 @@ let actions_of_masks merged =
       else Some (v, Mask mask))
     merged
 
+(* The variables the actions restrict, sorted.  They leave every scope,
+   so together with the keep set they fix the restricted factor
+   shapes. *)
+let restricted_of_masks merged =
+  List.sort compare
+    (List.filter_map
+       (function v, Restrict _ -> Some v | _, Mask _ -> None)
+       (actions_of_masks merged))
+
 let normalize_evidence factors ev =
   match merged_masks factors ev with
   | None -> None
@@ -120,91 +129,119 @@ let apply_actions f actions =
 
 (* ---- elimination planning -----------------------------------------------
 
-   Greedy minimum-intermediate-size ordering, computed on the interaction
-   graph instead of by rescanning the factor list: eliminating v touches
-   only the costs of v's neighbors, so each step recomputes O(deg) costs
-   rather than O(V·F) (the induced-graph neighborhoods coincide with the
-   scope unions the factor-scan version computes, so the resulting order —
-   including tie-breaks — is identical). *)
+   Greedy minimum-intermediate-size ordering on the interaction graph:
+   eliminating v touches only the costs of v's neighbors, so each step
+   recomputes O(deg) costs rather than rescanning every factor (the
+   induced-graph neighborhoods coincide with the scope unions a factor
+   scan computes, so the order — including tie-breaks — is the same).
+   Variable ids are small and dense, so the graph is a byte matrix and
+   the costs an array indexed by id.  The planner reads scopes only:
+   evidence that restricts a variable to one value drops it from every
+   scope, which is all the planner needs to know of the evidence. *)
 
 type sched_step = { var : int; predicted_entries : int }
 type schedule = { order : int list; steps : sched_step list }
 
-let plan_schedule ~keep factors =
-  let card : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let adj : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
+(* [costs.(v)] <- v's elimination cost: its cardinality times its
+   neighbors'.  A byte per (v, u) pair; top level, so the planner's
+   loops call no closure and box no float. *)
+let set_cost costs adj n card v =
+  let c = ref (float_of_int card.(v)) in
+  let row = v * n in
+  for u = 0 to n - 1 do
+    if Bytes.unsafe_get adj (row + u) <> '\000' then c := !c *. float_of_int card.(u)
+  done;
+  costs.(v) <- !c
+
+let plan_shapes ~keep ~restricted shapes =
+  let n =
+    List.fold_left
+      (fun n (vs, _) ->
+        Array.fold_left
+          (fun n v ->
+            if v < 0 then invalid_arg "Ve.Schedule: negative variable id";
+            max n (v + 1))
+          n vs)
+      0 shapes
+  in
+  let live = Bytes.make n '\001' in
+  Array.iter (fun v -> if v >= 0 && v < n then Bytes.set live v '\000') restricted;
+  (* card 0: the variable is in no (restricted) scope *)
+  let card = Array.make n 0 in
+  let adj = Bytes.make (n * n) '\000' in
   List.iter
-    (fun f ->
-      let vs = Factor.vars f and cs = Factor.cards f in
-      Array.iteri
-        (fun i v ->
-          if not (Hashtbl.mem card v) then begin
-            Hashtbl.add card v cs.(i);
-            Hashtbl.add adj v (Hashtbl.create 4)
-          end)
-        vs;
-      Array.iter
-        (fun v ->
-          let nbrs = Hashtbl.find adj v in
-          Array.iter (fun u -> if u <> v then Hashtbl.replace nbrs u ()) vs)
-        vs)
-    factors;
-  let cost v =
-    let c = ref (float_of_int (Hashtbl.find card v)) in
-    Hashtbl.iter
-      (fun u () -> c := !c *. float_of_int (Hashtbl.find card u))
-      (Hashtbl.find adj v);
-    !c
-  in
-  let candidates =
-    List.filter (fun v -> not (Factor.mem_sorted keep v))
-      (List.sort_uniq compare (Hashtbl.fold (fun v _ acc -> v :: acc) card []))
-  in
-  let costs : (int, float) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace costs v (cost v)) candidates;
-  let remaining = ref candidates in
-  let order = ref [] in
-  let steps = ref [] in
-  while !remaining <> [] do
-    let v, cost_v =
-      List.fold_left
-        (fun best v ->
-          match best with
-          | None -> Some (v, Hashtbl.find costs v)
-          | Some (_, c0) ->
-            let c = Hashtbl.find costs v in
-            if c < c0 then Some (v, c) else best)
-        None !remaining
-      |> Option.get
-    in
-    order := v :: !order;
-    (* the intermediate factor's scope is v's induced neighborhood, so
-       its size is the selection cost divided by v's own cardinality *)
-    let predicted =
-      int_of_float (cost_v /. float_of_int (Hashtbl.find card v))
-    in
-    steps := { var = v; predicted_entries = predicted } :: !steps;
-    remaining := List.filter (fun u -> u <> v) !remaining;
-    let nbrs = Hashtbl.find adj v in
-    let nlist = Hashtbl.fold (fun u () acc -> u :: acc) nbrs [] in
-    List.iter (fun u -> Hashtbl.remove (Hashtbl.find adj u) v) nlist;
-    List.iter
-      (fun u ->
-        let u_nbrs = Hashtbl.find adj u in
-        List.iter (fun w -> if u <> w then Hashtbl.replace u_nbrs w ()) nlist)
-      nlist;
-    Hashtbl.remove adj v;
-    List.iter
-      (fun u -> if Hashtbl.mem costs u then Hashtbl.replace costs u (cost u))
-      nlist
+    (fun (vs, cs) ->
+      for i = 0 to Array.length vs - 1 do
+        let v = vs.(i) in
+        if Bytes.get live v <> '\000' then begin
+          if card.(v) = 0 then card.(v) <- cs.(i);
+          for j = 0 to Array.length vs - 1 do
+            let u = vs.(j) in
+            if u <> v && Bytes.get live u <> '\000' then
+              Bytes.unsafe_set adj ((v * n) + u) '\001'
+          done
+        end
+      done)
+    shapes;
+  (* candidates: every scope variable outside [keep], by ascending id *)
+  let candidate = Bytes.make n '\000' in
+  let costs = Array.make n 0.0 in
+  for v = 0 to n - 1 do
+    if card.(v) > 0 && not (Factor.mem_sorted keep v) then begin
+      Bytes.set candidate v '\001';
+      set_cost costs adj n card v
+    end
+  done;
+  let nbrs = Array.make n 0 in
+  let order = ref [] and steps = ref [] in
+  let continue = ref true in
+  while !continue do
+    let best = ref (-1) in
+    for v = 0 to n - 1 do
+      if Bytes.get candidate v <> '\000' && (!best < 0 || costs.(v) < costs.(!best)) then
+        best := v
+    done;
+    let v = !best in
+    if v < 0 then continue := false
+    else begin
+      Bytes.set candidate v '\000';
+      order := v :: !order;
+      (* the intermediate factor's scope is v's induced neighborhood, so
+         its size is the selection cost divided by v's own cardinality *)
+      steps :=
+        { var = v; predicted_entries = int_of_float (costs.(v) /. float_of_int card.(v)) }
+        :: !steps;
+      let k = ref 0 in
+      for u = 0 to n - 1 do
+        if Bytes.unsafe_get adj ((v * n) + u) <> '\000' then begin
+          nbrs.(!k) <- u;
+          incr k;
+          Bytes.unsafe_set adj ((v * n) + u) '\000';
+          Bytes.unsafe_set adj ((u * n) + v) '\000'
+        end
+      done;
+      for i = 0 to !k - 1 do
+        for j = 0 to !k - 1 do
+          if i <> j then Bytes.unsafe_set adj ((nbrs.(i) * n) + nbrs.(j)) '\001'
+        done
+      done;
+      for i = 0 to !k - 1 do
+        let u = nbrs.(i) in
+        if Bytes.get candidate u <> '\000' then set_cost costs adj n card u
+      done
+    end
   done;
   { order = List.rev !order; steps = List.rev !steps }
+
+let shapes_of factors =
+  List.map (fun f -> (Factor.unsafe_vars f, Factor.unsafe_cards f)) factors
 
 module Schedule = struct
   type step = sched_step = { var : int; predicted_entries : int }
   type t = schedule = { order : int list; steps : step list }
 
-  let plan = plan_schedule
+  let of_shapes = plan_shapes
+  let plan ~keep factors = plan_shapes ~keep ~restricted:[||] (shapes_of factors)
 
   let pp fmt t =
     let pp_step i { var; predicted_entries } =
@@ -215,7 +252,7 @@ module Schedule = struct
     else List.iteri pp_step t.steps
 end
 
-let plan_order ~keep factors = (plan_schedule ~keep factors).order
+let plan_order ~keep factors = (Schedule.plan ~keep factors).order
 
 (* The old process-global elimination-order LRU (keyed by caller-supplied
    [plan_key] strings) lived here.  Schedules are now first-class values:
@@ -226,7 +263,7 @@ let attr_of_order order = String.concat "," (List.map string_of_int order)
 
 let schedule_for ~keep factors =
   Selest_obs.Span.with_ "ve.plan" (fun sp ->
-      let s = plan_schedule ~keep factors in
+      let s = Schedule.plan ~keep factors in
       if Selest_obs.Span.live sp then begin
         Selest_obs.Span.add sp "cached" "none";
         Selest_obs.Span.add sp "order" (attr_of_order s.order)
@@ -287,17 +324,10 @@ let prepare factors ev =
       | None -> None (* contradictory evidence: empty event *)
       | Some merged ->
         let actions = actions_of_masks merged in
-        let restricted =
-          List.sort compare
-            (List.filter_map
-               (fun (v, act) ->
-                 match act with Restrict _ -> Some v | Mask _ -> None)
-               actions)
-        in
         Some
           {
             p_factors = restricted_factors factors actions;
-            p_restricted = restricted;
+            p_restricted = restricted_of_masks merged;
           })
 
 let restricted_vars p = p.p_restricted

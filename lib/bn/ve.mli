@@ -42,9 +42,19 @@ module Schedule : sig
   (** [order = List.map (fun s -> s.var) steps]; kept separately so
       execution never rebuilds it. *)
 
+  val of_shapes :
+    keep:int array -> restricted:int array -> (int array * int array) list -> t
+  (** [of_shapes ~keep ~restricted scopes]: the greedy
+      min-intermediate-size schedule over every variable not in [keep]
+      of the factor scopes [(vars, cards)] once the [restricted]
+      variables are dropped from each — exactly the schedule {!plan}
+      gives on the factors evidence restricting those variables
+      leaves, without slicing any table.  Ties go to the smallest
+      variable id.  [keep] and [restricted] must be sorted; variable
+      ids must be non-negative (the planner indexes arrays by id). *)
+
   val plan : keep:int array -> Selest_prob.Factor.t list -> t
-  (** Greedy min-intermediate-size schedule over every variable not in
-      [keep] ([keep] must be sorted). *)
+  (** [of_shapes ~keep ~restricted:[||]] on the factors' scopes. *)
 
   val pp : Format.formatter -> t -> unit
   (** Compact [var:entries > var:entries > …] rendering, shared by the
@@ -68,6 +78,12 @@ val merged_masks :
     [Invalid_argument] on unknown variables or out-of-range values.
     Callers classifying evidence shapes (e.g. the plan compiler's
     value-slot vs mask-slot split) key off the allowed counts. *)
+
+val restricted_of_masks : (int * bool array) list -> int list
+(** The variables merged masks restrict to a single value (one allowed
+    value out of two or more), sorted: the set {!prepare} slices away
+    and {!restricted_vars} reports, and the [restricted] argument of
+    {!Schedule.of_shapes}. *)
 
 val prepare : Selest_prob.Factor.t list -> evidence -> prepared option
 (** Merge the evidence ({!normalize_evidence} semantics) and apply it to

@@ -114,8 +114,7 @@ type program = {
   max_ops : int;  (* widest operand list across all contractions *)
 }
 
-(* Local replicas of the factor-layout helpers ({!Factor.strides_of}
-   semantics on symbolic card arrays). *)
+(* Local replica of {!Factor.strides_of} on a symbolic card array. *)
 let strides cards =
   let n = Array.length cards in
   let s = Array.make n 1 in
@@ -129,61 +128,51 @@ let remove_at arr i =
 
 let mem_sorted = Factor.mem_sorted
 
-(* Sorted merge of two (vars, cards) scopes — the symbolic twin of the
-   union the fused kernel computes, same cardinality check. *)
-let union_pair (avars, acards) (bvars, bcards) =
-  let out = ref [] in
-  let i = ref 0 and j = ref 0 in
-  let na = Array.length avars and nb = Array.length bvars in
-  while !i < na || !j < nb do
-    if !i >= na then begin
-      out := (bvars.(!j), bcards.(!j)) :: !out;
-      incr j
-    end
-    else if !j >= nb then begin
-      out := (avars.(!i), acards.(!i)) :: !out;
-      incr i
-    end
-    else if avars.(!i) < bvars.(!j) then begin
-      out := (avars.(!i), acards.(!i)) :: !out;
-      incr i
-    end
-    else if avars.(!i) > bvars.(!j) then begin
-      out := (bvars.(!j), bcards.(!j)) :: !out;
-      incr j
-    end
-    else begin
-      if acards.(!i) <> bcards.(!j) then
-        invalid_arg "Exec: cardinality disagreement";
-      out := (avars.(!i), acards.(!i)) :: !out;
-      incr i;
-      incr j
-    end
-  done;
-  let pairs = Array.of_list (List.rev !out) in
-  (Array.map fst pairs, Array.map snd pairs)
-
 let position vars v =
   let n = Array.length vars in
   let rec find i = if i >= n then -1 else if vars.(i) = v then i else find (i + 1) in
   find 0
 
+(* A table over [sub] (row-major strides [sub_strides]) walked along
+   [sup]'s digits: the stride per [sup] variable, 0 where [sub] lacks
+   it.  Both sorted, [sub] within [sup]. *)
+let strides_along sub sub_strides sup =
+  let out = Array.make (Array.length sup) 0 in
+  let j = ref 0 in
+  for i = 0 to Array.length sup - 1 do
+    if !j < Array.length sub && sub.(!j) = sup.(i) then begin
+      out.(i) <- sub_strides.(!j);
+      incr j
+    end
+  done;
+  out
+
 let compile ~factors ~slots ~masked ~static ~order =
-  (* Cardinality of every node the factors mention (first mention wins;
-     network construction guarantees agreement). *)
-  let card_tbl = Hashtbl.create 32 in
+  (* Cardinality of every variable the factors mention, read from their
+     live scopes (0: in no factor). *)
+  let n_vars =
+    List.fold_left
+      (fun n f ->
+        Array.fold_left
+          (fun n v ->
+            if v < 0 then invalid_arg "Exec: negative factor variable";
+            max n (v + 1))
+          n (Factor.unsafe_vars f))
+      0 factors
+  in
+  let card = Array.make n_vars 0 in
   List.iter
     (fun f ->
-      let fvars = Factor.vars f and fcards = Factor.cards f in
-      Array.iteri
-        (fun i v ->
-          if not (Hashtbl.mem card_tbl v) then Hashtbl.add card_tbl v fcards.(i))
-        fvars)
+      let fvars = Factor.unsafe_vars f and fcards = Factor.unsafe_cards f in
+      for i = 0 to Array.length fvars - 1 do
+        let v = fvars.(i) in
+        if card.(v) = 0 then card.(v) <- fcards.(i)
+        else if card.(v) <> fcards.(i) then invalid_arg "Exec: cardinality disagreement"
+      done)
     factors;
   let card_of v =
-    match Hashtbl.find_opt card_tbl v with
-    | Some c -> c
-    | None -> invalid_arg "Exec: evidence variable not in any factor"
+    if v >= 0 && v < n_vars && card.(v) > 0 then card.(v)
+    else invalid_arg "Exec: evidence variable not in any factor"
   in
   List.iter
     (fun (v, x) ->
@@ -212,13 +201,9 @@ let compile ~factors ~slots ~masked ~static ~order =
   List.iteri (fun i (_, x) -> static_val.(n_request + i) <- x) static;
   let mask_slot = Array.init n_slots (fun s -> s >= n_request + n_static) in
   let is_restricted v =
-    v <= max_node && v >= 0 && slot_of_node.(v) >= 0
-    && not mask_slot.(slot_of_node.(v))
+    v <= max_node && slot_of_node.(v) >= 0 && not mask_slot.(slot_of_node.(v))
   in
-  let is_masked v =
-    v <= max_node && v >= 0 && slot_of_node.(v) >= 0
-    && mask_slot.(slot_of_node.(v))
-  in
+  let is_masked v = v <= max_node && slot_of_node.(v) >= 0 && mask_slot.(slot_of_node.(v)) in
   (* Evidence application: one Gather per factor that mentions a
      restricted or masked variable (composed multi-dimensional slice
      with per-request zeroing of masked-out entries), a plain alias of
@@ -231,94 +216,105 @@ let compile ~factors ~slots ~masked ~static ~order =
     id
   in
   let steps = ref [] in
-  let sym =
-    ref
-      (List.rev
-         (List.fold_left
-            (fun acc f ->
-              let fvars = Factor.vars f and fcards = Factor.cards f in
-              let fstrides = Factor.strides_of f in
-              let fdata = Factor.unsafe_data f in
-              let restricted = ref [] and kept = ref [] in
-              Array.iteri
-                (fun i v ->
-                  if is_restricted v then restricted := i :: !restricted
-                  else kept := i :: !kept)
-                fvars;
-              let restricted = Array.of_list (List.rev !restricted) in
-              let kept = Array.of_list (List.rev !kept) in
-              let has_mask_dim = Array.exists (fun i -> is_masked fvars.(i)) kept in
-              if Array.length restricted = 0 && not has_mask_dim then
-                (fvars, fcards, new_buf (Alias fdata)) :: acc
-              else begin
-                let out_vars = Array.map (fun i -> fvars.(i)) kept in
-                let out_cards = Array.map (fun i -> fcards.(i)) kept in
-                let n_out = Array.fold_left ( * ) 1 out_cards in
-                let id = new_buf (Arena n_out) in
-                let mask_pos = ref [] in
-                Array.iteri
-                  (fun k i -> if is_masked fvars.(i) then mask_pos := k :: !mask_pos)
-                  kept;
-                let mask_pos = Array.of_list (List.rev !mask_pos) in
-                steps :=
-                  Gather
-                    {
-                      g_src = fdata;
-                      g_dst = id;
-                      g_n_out = n_out;
-                      g_slots = Array.map (fun i -> slot_of_node.(fvars.(i))) restricted;
-                      g_slot_strides = Array.map (fun i -> fstrides.(i)) restricted;
-                      g_out_cards = out_cards;
-                      g_out_strides = Array.map (fun i -> fstrides.(i)) kept;
-                      g_mask_pos = mask_pos;
-                      g_mask_slots =
-                        Array.map (fun k -> slot_of_node.(out_vars.(k))) mask_pos;
-                    }
-                  :: !steps;
-                (out_vars, out_cards, id) :: acc
-              end)
-            [] factors))
-  in
-  (* Symbolic replay of [Ve.eliminate_step] over the memoized order,
-     emitting one Contract per eliminated variable. *)
+  let count p a = Array.fold_left (fun n v -> if p v then n + 1 else n) 0 a in
+  let sym = ref [] in
   List.iter
-    (fun v ->
+    (fun f ->
+      let fvars = Factor.unsafe_vars f and fcards = Factor.unsafe_cards f in
+      let fdata = Factor.unsafe_data f in
+      let n_restricted = count is_restricted fvars and n_mask = count is_masked fvars in
+      if n_restricted = 0 && n_mask = 0 then
+        sym := (fvars, fcards, new_buf (Alias fdata)) :: !sym
+      else begin
+        let fstrides = strides fcards in
+        let n_kept = Array.length fvars - n_restricted in
+        let g_slots = Array.make n_restricted 0 and g_slot_strides = Array.make n_restricted 0 in
+        let out_vars = Array.make n_kept 0 and out_cards = Array.make n_kept 0 in
+        let out_strides = Array.make n_kept 0 in
+        let mask_pos = Array.make n_mask 0 and mask_slots = Array.make n_mask 0 in
+        let r = ref 0 and k = ref 0 and m = ref 0 in
+        Array.iteri
+          (fun i v ->
+            if is_restricted v then begin
+              g_slots.(!r) <- slot_of_node.(v);
+              g_slot_strides.(!r) <- fstrides.(i);
+              incr r
+            end
+            else begin
+              if is_masked v then begin
+                mask_pos.(!m) <- !k;
+                mask_slots.(!m) <- slot_of_node.(v);
+                incr m
+              end;
+              out_vars.(!k) <- v;
+              out_cards.(!k) <- fcards.(i);
+              out_strides.(!k) <- fstrides.(i);
+              incr k
+            end)
+          fvars;
+        let n_out = Array.fold_left ( * ) 1 out_cards in
+        let id = new_buf (Arena n_out) in
+        steps :=
+          Gather
+            {
+              g_src = fdata;
+              g_dst = id;
+              g_n_out = n_out;
+              g_slots;
+              g_slot_strides;
+              g_out_cards = out_cards;
+              g_out_strides = out_strides;
+              g_mask_pos = mask_pos;
+              g_mask_slots = mask_slots;
+            }
+          :: !steps;
+        sym := (out_vars, out_cards, id) :: !sym
+      end)
+    factors;
+  let sym = ref (List.rev !sym) in
+  (* Symbolic replay of [Ve.eliminate_step] over the memoized order,
+     emitting one Contract per eliminated variable.  The union scope is
+     collected on an id-indexed mark array, ascending like the fused
+     kernel's. *)
+  let mark = Array.make n_vars (-1) in
+  List.iteri
+    (fun si v ->
       let touching, rest =
         List.partition (fun (fvars, _, _) -> mem_sorted fvars v) !sym
       in
-      match touching with
-      | [] -> ()
-      | (v0, c0, _) :: tl ->
-        let uvars, ucards =
-          List.fold_left
-            (fun acc (fvars, fcards, _) -> union_pair acc (fvars, fcards))
-            (v0, c0) tl
-        in
-        let n = Array.length uvars in
+      if touching <> [] then begin
+        let n = ref 0 in
+        List.iter
+          (fun (fvars, _, _) ->
+            Array.iter
+              (fun u ->
+                if mark.(u) <> si then begin
+                  mark.(u) <- si;
+                  incr n
+                end)
+              fvars)
+          touching;
+        let n = !n in
+        let uvars = Array.make n 0 in
+        let j = ref 0 in
+        for u = 0 to n_vars - 1 do
+          if mark.(u) = si then begin
+            uvars.(!j) <- u;
+            incr j
+          end
+        done;
+        let ucards = Array.map (fun u -> card.(u)) uvars in
         let usize = Array.fold_left ( * ) 1 ucards in
         let p = position uvars v in
-        if p < 0 then invalid_arg "Exec: eliminated variable lost (internal error)";
         let out_cards = remove_at ucards p in
         let out_vars = remove_at uvars p in
         let out_size = Array.fold_left ( * ) 1 out_cards in
-        let out_strides_reduced = strides out_cards in
-        let out_stride =
-          Array.init n (fun i ->
-              if i = p then 0
-              else if i < p then out_strides_reduced.(i)
-              else out_strides_reduced.(i - 1))
-        in
+        let out_stride = strides_along out_vars (strides out_cards) uvars in
         let ops = Array.of_list (List.map (fun (_, _, id) -> id) touching) in
         let op_strides =
           Array.of_list
             (List.map
-               (fun (fvars, fcards, _) ->
-                 let s = strides fcards in
-                 Array.map
-                   (fun uv ->
-                     let q = position fvars uv in
-                     if q < 0 then 0 else s.(q))
-                   uvars)
+               (fun (fvars, fcards, _) -> strides_along fvars (strides fcards) uvars)
                touching)
         in
         let dst = new_buf (Arena out_size) in
@@ -334,7 +330,8 @@ let compile ~factors ~slots ~masked ~static ~order =
               c_out_stride = out_stride;
             }
           :: !steps;
-        sym := (out_vars, out_cards, dst) :: rest)
+        sym := (out_vars, out_cards, dst) :: rest
+      end)
     order;
   let steps = Array.of_list (List.rev !steps) in
   let max_dims = ref 0 and max_ops = ref 0 in

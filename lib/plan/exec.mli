@@ -53,9 +53,10 @@ val compile :
     entries); [static] fixes variables to compile-time values (the
     plan's join indicators).  Buffers alias the factors' live tables
     where possible ({!Selest_prob.Factor.unsafe_data}), so the factors
-    must outlive the program.  Raises [Invalid_argument] if a slot
-    variable appears in no factor, is duplicated, or a static value is
-    out of range. *)
+    must outlive the program; scopes are read in place, never copied.
+    Raises [Invalid_argument] if a slot variable appears in no factor,
+    is duplicated, or a static value is out of range, or if two factors
+    disagree on a variable's cardinality. *)
 
 val state_for : program -> state
 (** The calling domain's state for this program, created on first use.

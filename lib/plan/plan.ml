@@ -8,103 +8,140 @@ module Model = Selest_prm.Model
 
 (* ---- upward closure (Def. 3.3) ------------------------------------------
 
-   Tuple variables with their tables, joins as (child_tv, fk index,
-   parent_tv), and the needed (tv, attr) set — the skeleton-shaped part
-   of the online phase, computed once per compiled plan. *)
+   The skeleton-shaped part of the online phase, computed once per
+   compiled plan: the closure's tuple variables with their tables, its
+   joins, and the network's nodes.  Tuple variables are indices — the
+   query's own first, then each parent the closure adds, in insertion
+   order.  Node ids: needed attributes in the order the closure first
+   needs them, then join indicators in join order. *)
 
-type closure = {
-  c_tvars : (string * int) list;  (* tv -> table index, in insertion order *)
-  c_joins : (string * int * string) list;
-  c_needed : (string * int) list;  (* needed attribute nodes *)
+type network = {
+  tv_names : string array;
+  tv_tables : int array;  (* table index per tuple variable *)
+  needed : (int * int) array;  (* attribute node -> (tv, attr) *)
+  joins : (int * int * int) array;
+      (* (child tv, fk index, parent tv); join j is node
+         [Array.length needed + j] *)
+  attr_nodes : int array array;  (* tv -> attr idx -> node, -1 when not needed *)
 }
 
-let compute_closure (prm : Model.t) q =
+(* One closure tuple variable while the closure grows. *)
+type tv_state = {
+  name : string;
+  table : int;
+  nodes : int array;  (* attr idx -> node, -1 until needed *)
+  joined : bool array;  (* fk idx -> its join's parents required *)
+}
+
+let tv_index names tv =
+  let rec find i =
+    if i >= Array.length names then -1
+    else if String.equal names.(i) tv then i
+    else find (i + 1)
+  in
+  find 0
+
+let compute_network (prm : Model.t) q =
   let schema = prm.Model.schema in
   let tables = Schema.tables schema in
-  let tvars =
-    ref
-      (List.map
-         (fun (tv, tbl) -> (tv, Schema.table_index schema tbl))
-         q.Query.tvars)
+  let placeholder = { name = ""; table = 0; nodes = [||]; joined = [||] } in
+  let tvs = ref (Array.make 4 placeholder) and n_tv = ref 0 in
+  let add_tv name table =
+    if !n_tv = Array.length !tvs then
+      tvs := Array.append !tvs (Array.make !n_tv placeholder);
+    let ts = tables.(table) in
+    !tvs.(!n_tv) <-
+      {
+        name;
+        table;
+        nodes = Array.make (Array.length ts.Schema.attrs) (-1);
+        joined = Array.make (Array.length ts.Schema.fks) false;
+      };
+    incr n_tv;
+    !n_tv - 1
   in
+  List.iter (fun (tv, tbl) -> ignore (add_tv tv (Schema.table_index schema tbl))) q.Query.tvars;
+  let tv_of name =
+    let rec find i =
+      if i >= !n_tv then raise Not_found
+      else if String.equal !tvs.(i).name name then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  (* joins in insertion order (a short list) *)
   let joins =
     ref
       (List.map
          (fun j ->
-           let ti = List.assoc j.Query.child_tv !tvars in
-           let fk = Schema.fk_index tables.(ti) j.Query.fk in
-           (j.Query.child_tv, fk, j.Query.parent_tv))
+           let c = tv_of j.Query.child_tv in
+           (c, Schema.fk_index tables.(!tvs.(c).table) j.Query.fk, tv_of j.Query.parent_tv))
          q.Query.joins)
   in
-  let needed = Hashtbl.create 32 in
-  let needed_order = ref [] in
+  let needed = ref [] and n_needed = ref 0 in
   let worklist = Queue.create () in
   let need tv attr =
-    if not (Hashtbl.mem needed (tv, attr)) then begin
-      Hashtbl.add needed (tv, attr) ();
-      needed_order := (tv, attr) :: !needed_order;
+    let st = !tvs.(tv) in
+    if st.nodes.(attr) < 0 then begin
+      st.nodes.(attr) <- !n_needed;
+      incr n_needed;
+      needed := (tv, attr) :: !needed;
       Queue.add (tv, attr) worklist
     end
   in
-  let processed_joins = Hashtbl.create 8 in
-  (* Ensure a join (tv, fk) exists, creating a fresh parent tuple variable
-     when the query does not already contain one; returns the parent tv and
-     registers the join indicator's own parent requirements. *)
-  let rec ensure_join tv fk =
-    let ti = List.assoc tv !tvars in
-    match List.find_opt (fun (ctv, f, _) -> ctv = tv && f = fk) !joins with
+  let require_join_parents ctv fk ptv =
+    let st = !tvs.(ctv) in
+    if not st.joined.(fk) then begin
+      st.joined.(fk) <- true;
+      Array.iter
+        (function Model.Own a -> need ctv a | Model.Foreign (_, b) -> need ptv b)
+        prm.Model.tables.(st.table).Model.join_families.(fk).Model.parents
+    end
+  in
+  (* The parent tuple variable of [tv]'s foreign key [fk], creating a
+     fresh one when the closure has no such join yet. *)
+  let ensure_join tv fk =
+    match List.find_opt (fun (c, f, _) -> c = tv && f = fk) !joins with
     | Some (_, _, ptv) ->
-      require_join_parents tv ti fk ptv;
+      require_join_parents tv fk ptv;
       ptv
     | None ->
-      let fk_schema = tables.(ti).Schema.fks.(fk) in
-      let target_ti = Schema.table_index schema fk_schema.Schema.target in
-      let fresh = tv ^ "__" ^ fk_schema.Schema.fkname in
-      tvars := !tvars @ [ (fresh, target_ti) ];
+      let st = !tvs.(tv) in
+      let fk_schema = tables.(st.table).Schema.fks.(fk) in
+      let fresh =
+        add_tv (st.name ^ "__" ^ fk_schema.Schema.fkname)
+          (Schema.table_index schema fk_schema.Schema.target)
+      in
       joins := !joins @ [ (tv, fk, fresh) ];
-      require_join_parents tv ti fk fresh;
+      require_join_parents tv fk fresh;
       fresh
-
-  and require_join_parents ctv ti fk ptv =
-    if not (Hashtbl.mem processed_joins (ctv, fk)) then begin
-      Hashtbl.add processed_joins (ctv, fk) ();
-      let jfam = prm.Model.tables.(ti).Model.join_families.(fk) in
-      Array.iter
-        (fun p ->
-          match p with
-          | Model.Own a -> need ctv a
-          | Model.Foreign (_, b) -> need ptv b)
-        jfam.Model.parents
-    end
   in
   (* Seeds: selected attributes, plus the indicators of the query's own
      joins (a join with no selects still constrains the result size). *)
   List.iter
     (fun s ->
-      let ti = List.assoc s.Query.sel_tv !tvars in
-      need s.Query.sel_tv (Schema.attr_index tables.(ti) s.Query.sel_attr))
+      let tv = tv_of s.Query.sel_tv in
+      need tv (Schema.attr_index tables.(!tvs.(tv).table) s.Query.sel_attr))
     q.Query.selects;
-  List.iter
-    (fun (ctv, fk, ptv) ->
-      let ti = List.assoc ctv !tvars in
-      require_join_parents ctv ti fk ptv)
-    !joins;
+  List.iter (fun (c, fk, p) -> require_join_parents c fk p) !joins;
   (* Fixpoint: pull in ancestors, materializing joins for cross-table
      parents. *)
   while not (Queue.is_empty worklist) do
     let tv, attr = Queue.pop worklist in
-    let ti = List.assoc tv !tvars in
-    let fam = prm.Model.tables.(ti).Model.attr_families.(attr) in
     Array.iter
-      (fun p ->
-        match p with
+      (function
         | Model.Own b -> need tv b
-        | Model.Foreign (f, b) ->
-          let ptv = ensure_join tv f in
-          need ptv b)
-      fam.Model.parents
+        | Model.Foreign (f, b) -> need (ensure_join tv f) b)
+      prm.Model.tables.(!tvs.(tv).table).Model.attr_families.(attr).Model.parents
   done;
-  { c_tvars = !tvars; c_joins = !joins; c_needed = List.rev !needed_order }
+  let tvs = Array.sub !tvs 0 !n_tv in
+  {
+    tv_names = Array.map (fun st -> st.name) tvs;
+    tv_tables = Array.map (fun st -> st.table) tvs;
+    needed = Array.of_list (List.rev !needed);
+    joins = Array.of_list !joins;
+    attr_nodes = Array.map (fun st -> st.nodes) tvs;
+  }
 
 (* ---- skeleton keys -------------------------------------------------------- *)
 
@@ -128,19 +165,18 @@ type binding = (int * Query.pred) list
 
 type t = {
   fingerprint : string;
-  skeleton : string;
+  query : Query.t;  (* the compile query: {!skeleton} renders its key on demand *)
   schema : Schema.t;
-  closure : closure;
+  net : network;
   factors : Selest_prob.Factor.t list;  (* network construction order *)
-  node_of_attr : (string * int, int) Hashtbl.t;  (* (tv, attr idx) -> node *)
+  shapes : (int array * int array) list;  (* each factor's (vars, cards) *)
   scratch_slots : int array array;
       (* query tv position in name order -> attr idx -> node, -1 when
          unselectable: {!execute_scratch}'s interned-id table *)
-  node_names : string array;  (* node id -> "tv.Attr" / "tv.fk=ptv" *)
   join_evidence : binding;  (* every closure join indicator = true *)
   (* Schedules are memoized per restricted-variable set: a binding's [Eq]
-     (or singleton-mask) predicates slice those variables out of the
-     factors, and the restricted shapes are all the planner sees. *)
+     (or singleton-mask) predicates drop those variables from the factor
+     scopes, and the restricted shapes are all the planner sees. *)
   schedules : (string, Ve.Schedule.t) Hashtbl.t;
   (* Compiled bytecode programs, one per restricted-variable set (same
      key space as [schedules]).  The immutable assoc list is scanned
@@ -153,29 +189,50 @@ type t = {
 
 and scale_memo = { for_sizes : int array; value : float }
 
-let skeleton t = t.skeleton
+let skeleton t = skeleton_key t.query
 let fingerprint t = t.fingerprint
 let factors t = t.factors
 let join_evidence t = t.join_evidence
 
+(* "tv.Attr" for an attribute node, "tv.fk=ptv" for a join indicator:
+   rendered only for {!pp}. *)
+let node_name t node =
+  let tables = Schema.tables t.schema in
+  let net = t.net in
+  let n_attr = Array.length net.needed in
+  if node < n_attr then
+    let tv, attr = net.needed.(node) in
+    net.tv_names.(tv) ^ "." ^ tables.(net.tv_tables.(tv)).Schema.attrs.(attr).Schema.aname
+  else
+    let ctv, fk, ptv = net.joins.(node - n_attr) in
+    net.tv_names.(ctv) ^ "."
+    ^ tables.(net.tv_tables.(ctv)).Schema.fks.(fk).Schema.fkname
+    ^ "=" ^ net.tv_names.(ptv)
+
+(* The closure's tuple variables with their table names, and its joins
+   by name, in closure order. *)
 let closure_tables t =
   let tables = Schema.tables t.schema in
-  List.map (fun (tv, ti) -> (tv, tables.(ti).Schema.tname)) t.closure.c_tvars
+  Array.to_list
+    (Array.mapi (fun i tv -> (tv, tables.(t.net.tv_tables.(i)).Schema.tname)) t.net.tv_names)
+
+let closure_joins t =
+  let tables = Schema.tables t.schema and net = t.net in
+  Array.to_list
+    (Array.map
+       (fun (c, fk, p) ->
+         ( net.tv_names.(c),
+           tables.(net.tv_tables.(c)).Schema.fks.(fk).Schema.fkname,
+           net.tv_names.(p) ))
+       net.joins)
 
 let upward_closure t q =
-  let tables = Schema.tables t.schema in
-  let tvars =
-    List.map (fun (tv, ti) -> (tv, tables.(ti).Schema.tname)) t.closure.c_tvars
-  in
   let joins =
     List.map
-      (fun (ctv, fk, ptv) ->
-        let ti = List.assoc ctv t.closure.c_tvars in
-        Query.join ~child:ctv ~fk:tables.(ti).Schema.fks.(fk).Schema.fkname
-          ~parent:ptv)
-      t.closure.c_joins
+      (fun (child, fk, parent) -> Query.join ~child ~fk ~parent)
+      (closure_joins t)
   in
-  Query.create ~tvars ~joins ~selects:q.Query.selects ()
+  Query.create ~tvars:(closure_tables t) ~joins ~selects:q.Query.selects ()
 
 (* Computed once per plan: the memo is one immutable record swung in a
    single store, so a concurrent reader sees a consistent pair. *)
@@ -184,32 +241,29 @@ let scale t ~sizes =
   if m.for_sizes == sizes then m.value
   else begin
     let value =
-      List.fold_left
-        (fun acc (_, ti) -> acc *. float_of_int sizes.(ti))
-        1.0 t.closure.c_tvars
+      Array.fold_left (fun acc ti -> acc *. float_of_int sizes.(ti)) 1.0 t.net.tv_tables
     in
     t.scale_memo <- { for_sizes = sizes; value };
     value
   end
 
 let bind t q =
+  let net = t.net in
   List.map
     (fun s ->
-      let ti =
-        match List.assoc_opt s.Query.sel_tv t.closure.c_tvars with
-        | Some ti -> ti
-        | None ->
-          invalid_arg
-            (Printf.sprintf "Plan.bind: no slot for tuple variable %S"
-               s.Query.sel_tv)
+      let tv = tv_index net.tv_names s.Query.sel_tv in
+      if tv < 0 then
+        invalid_arg
+          (Printf.sprintf "Plan.bind: no slot for tuple variable %S" s.Query.sel_tv);
+      let attr =
+        Schema.attr_index (Schema.tables t.schema).(net.tv_tables.(tv)) s.Query.sel_attr
       in
-      let attr = Schema.attr_index (Schema.tables t.schema).(ti) s.Query.sel_attr in
-      match Hashtbl.find_opt t.node_of_attr (s.Query.sel_tv, attr) with
-      | Some node -> (node, s.Query.pred)
-      | None ->
+      let node = net.attr_nodes.(tv).(attr) in
+      if node < 0 then
         invalid_arg
           (Printf.sprintf "Plan.bind: no slot for %s.%s (different skeleton)"
-             s.Query.sel_tv s.Query.sel_attr))
+             s.Query.sel_tv s.Query.sel_attr);
+      (node, s.Query.pred))
     q.Query.selects
 
 (* The scratch's [k]-th select names its attribute by (tv position in
@@ -229,24 +283,22 @@ let scratch_node t s k =
 
 let sched_key restricted = String.concat "," (List.map string_of_int restricted)
 
-let sched_find t key =
+(* The schedule for a restricted-variable set, planned on the factor
+   shapes that set leaves (nothing is sliced) and memoized. *)
+let schedule_for t restricted =
+  let key = sched_key restricted in
   Mutex.lock t.mutex;
   let r = Hashtbl.find_opt t.schedules key in
   Mutex.unlock t.mutex;
-  r
-
-let sched_add t key entry =
-  Mutex.lock t.mutex;
-  if not (Hashtbl.mem t.schedules key) then Hashtbl.add t.schedules key entry;
-  Mutex.unlock t.mutex
-
-let schedule_of t prep =
-  let key = sched_key (Ve.restricted_vars prep) in
-  match sched_find t key with
+  match r with
   | Some sched -> sched
   | None ->
-    let sched = Ve.Schedule.plan ~keep:[||] (Ve.prepared_factors prep) in
-    sched_add t key sched;
+    let sched =
+      Ve.Schedule.of_shapes ~keep:[||] ~restricted:(Array.of_list restricted) t.shapes
+    in
+    Mutex.lock t.mutex;
+    if not (Hashtbl.mem t.schedules key) then Hashtbl.add t.schedules key sched;
+    Mutex.unlock t.mutex;
     sched
 
 (* ---- compiled bytecode programs --------------------------------------------- *)
@@ -284,7 +336,7 @@ let program_for t binding =
        shape of a skeleton compiles exactly once. *)
     match Ve.merged_masks t.factors (binding @ t.join_evidence) with
     | None -> None (* contradictory binding: execute answers 0 without one *)
-    | Some merged ->
+    | Some merged -> (
       let eq = ref [] and mask = ref [] in
       List.iter
         (fun (v, m) ->
@@ -301,34 +353,32 @@ let program_for t binding =
       Mutex.lock t.mutex;
       let existing = List.assoc_opt key t.programs in
       Mutex.unlock t.mutex;
-      (match existing with
+      match existing with
       | Some prog -> Some prog
-      | None -> (
+      | None ->
         (* Compile the program for this binding's shape against the
            memoized schedule (keyed by the restricted set alone: masked
            dimensions keep their factor shapes). *)
-        match Ve.prepare t.factors (binding @ t.join_evidence) with
-        | None -> None
-        | Some prep ->
-          let sched = schedule_of t prep in
-          let static =
-            List.map
-              (fun (node, pred) ->
-                match pred with Query.Eq x -> (node, x) | _ -> assert false)
-              t.join_evidence
-          in
-          let prog =
-            Bytecode.compile ~factors:t.factors ~slots ~masked ~static
-              ~order:sched.Ve.Schedule.order
-          in
-          Some (program_add t key prog)))
+        let sched = schedule_for t (Ve.restricted_of_masks merged) in
+        let static =
+          List.map
+            (fun (node, pred) ->
+              match pred with Query.Eq x -> (node, x) | _ -> assert false)
+            t.join_evidence
+        in
+        let prog =
+          Bytecode.compile ~factors:t.factors ~slots ~masked ~static
+            ~order:sched.Ve.Schedule.order
+        in
+        Some (program_add t key prog))
 
-(* ---- compile / bind / execute ---------------------------------------------- *)
+(* ---- bind / execute ---------------------------------------------------------- *)
 
 let execute_generic t binding =
   match Ve.prepare t.factors (binding @ t.join_evidence) with
   | None -> 0.0 (* contradictory binding: the event is empty *)
-  | Some prep -> Ve.run prep ~order:(schedule_of t prep).Ve.Schedule.order
+  | Some prep ->
+    Ve.run prep ~order:(schedule_for t (Ve.restricted_vars prep)).Ve.Schedule.order
 
 (* Memo accounting lands on the domain-local {!Selest_obs.Hotpath}
    counters only: a request takes no lock to count itself. *)
@@ -425,171 +475,176 @@ let execute_scratch t s = execute_from t load_scratch binding_of_scratch s
 let estimate t ~sizes q = execute t (bind t q) *. scale t ~sizes
 
 let steps t q =
-  match Ve.prepare t.factors (bind t q @ t.join_evidence) with
+  match Ve.merged_masks t.factors (bind t q @ t.join_evidence) with
   | None -> []
-  | Some prep -> (schedule_of t prep).Ve.Schedule.steps
+  | Some merged -> (schedule_for t (Ve.restricted_of_masks merged)).Ve.Schedule.steps
+
+(* ---- compile ------------------------------------------------------------------ *)
+
+(* [f] with its [i]-th variable renamed [nodes.(i)]: the scope re-sorted
+   by the new ids and the table re-laid out to match with one strided
+   odometer pass.  Every cell is copied, none recomputed. *)
+let relabel f nodes =
+  let vars = Selest_prob.Factor.unsafe_vars f in
+  let cards = Selest_prob.Factor.unsafe_cards f in
+  let src = Selest_prob.Factor.unsafe_data f in
+  let k = Array.length vars in
+  if Array.length nodes <> k then invalid_arg "Plan.relabel: one node per variable";
+  (* source dims in ascending new-id order (insertion sort: k is tiny) *)
+  let perm = Array.init k Fun.id in
+  for i = 1 to k - 1 do
+    let d = perm.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && nodes.(perm.(!j)) > nodes.(d) do
+      perm.(!j + 1) <- perm.(!j);
+      decr j
+    done;
+    perm.(!j + 1) <- d
+  done;
+  let src_strides = Array.make k 1 in
+  for i = k - 2 downto 0 do
+    src_strides.(i) <- src_strides.(i + 1) * cards.(i + 1)
+  done;
+  let out_vars = Array.make k 0 and out_cards = Array.make k 0 in
+  let strides = Array.make k 0 in
+  for i = 0 to k - 1 do
+    out_vars.(i) <- nodes.(perm.(i));
+    out_cards.(i) <- cards.(perm.(i));
+    strides.(i) <- src_strides.(perm.(i))
+  done;
+  let n = Array.length src in
+  let dst = Array.create_float n in
+  let digits = Array.make k 0 in
+  let isrc = ref 0 in
+  for j = 0 to n - 1 do
+    dst.(j) <- src.(!isrc);
+    if j < n - 1 then begin
+      let c = ref (k - 1) in
+      while digits.(!c) + 1 = out_cards.(!c) do
+        digits.(!c) <- 0;
+        isrc := !isrc - ((out_cards.(!c) - 1) * strides.(!c));
+        decr c
+      done;
+      digits.(!c) <- digits.(!c) + 1;
+      isrc := !isrc + strides.(!c)
+    end
+  done;
+  (* [Factor.create] rejects a non-injective renaming (equal new ids) *)
+  Selest_prob.Factor.create ~vars:out_vars ~cards:out_cards dst
 
 let compile prm q =
   Selest_obs.Span.with_ "plan.compile" (fun _ ->
       let schema = prm.Model.schema in
-      let tables = Schema.tables schema in
-      let c = compute_closure prm q in
-      (* Node ids: needed attributes first, then join indicators. *)
-      let node_ids = Hashtbl.create 32 in
-      let next = ref 0 in
-      List.iter
-        (fun (tv, attr) ->
-          Hashtbl.add node_ids (`Attr (tv, attr)) !next;
-          incr next)
-        c.c_needed;
-      List.iter
-        (fun (ctv, fk, _) ->
-          Hashtbl.add node_ids (`Join (ctv, fk)) !next;
-          incr next)
-        c.c_joins;
+      let net = compute_network prm q in
+      let n_attr = Array.length net.needed in
       let attr_node tv attr =
-        match Hashtbl.find_opt node_ids (`Attr (tv, attr)) with
-        | Some id -> id
-        | None ->
-          invalid_arg "Plan: closure missed a parent node (internal error)"
+        let node = net.attr_nodes.(tv).(attr) in
+        if node < 0 then invalid_arg "Plan: closure missed a parent node (internal error)";
+        node
+      in
+      let join_parent tv f =
+        let rec find j =
+          let ctv, fk, ptv = net.joins.(j) in
+          if ctv = tv && fk = f then ptv else find (j + 1)
+        in
+        find 0
+      in
+      (* Each family's table, tabulated once per model over local ids,
+         relabelled into node ids.  Its local ids sort as the family's
+         parents (in local-id order) with the child inserted: an
+         attribute child after the own attributes below it, a join
+         indicator (the largest local id) last. *)
+      let family_factor table ~child_pos ~child_node parents parent_node =
+        let np = Array.length parents in
+        let nodes = Array.make (np + 1) child_node in
+        Array.iteri
+          (fun i p -> nodes.(if i < child_pos then i else i + 1) <- parent_node p)
+          parents;
+        relabel table nodes
       in
       (* Factors, in the order the network construction has always used
          (each family's factor is consed on, so the list ends up
          reversed) — preserved exactly for bit-identity with the
          pre-plan pipeline. *)
       let factors = ref [] in
-      List.iter
-        (fun (tv, attr) ->
-          let ti = List.assoc tv c.c_tvars in
-          let scope = Model.Scope.of_table schema ti in
-          let fam = prm.Model.tables.(ti).Model.attr_families.(attr) in
-          let parent_of_local = Hashtbl.create 8 in
-          Array.iter
-            (fun p ->
-              let local = Model.Scope.local_id scope p in
-              let node =
-                match p with
-                | Model.Own b -> attr_node tv b
-                | Model.Foreign (f, b) ->
-                  let _, _, ptv =
-                    List.find (fun (ctv, f', _) -> ctv = tv && f' = f) c.c_joins
-                  in
-                  attr_node ptv b
-              in
-              Hashtbl.add parent_of_local local node)
-            fam.Model.parents;
-          let var_of local =
-            if local = attr then attr_node tv attr
-            else Hashtbl.find parent_of_local local
+      Array.iteri
+        (fun node (tv, attr) ->
+          let ti = net.tv_tables.(tv) in
+          let parents = prm.Model.tables.(ti).Model.attr_families.(attr).Model.parents in
+          let child_pos =
+            Array.fold_left
+              (fun n p -> match p with Model.Own b when b < attr -> n + 1 | _ -> n)
+              0 parents
           in
-          factors := Cpd.to_factor ~var_of ~child:attr fam.Model.cpd :: !factors)
-        c.c_needed;
-      List.iter
-        (fun (ctv, fk, ptv) ->
-          let ti = List.assoc ctv c.c_tvars in
-          let scope = Model.Scope.of_table schema ti in
-          let jfam = prm.Model.tables.(ti).Model.join_families.(fk) in
-          let jid = Model.Scope.join_id scope fk in
-          let parent_of_local = Hashtbl.create 8 in
-          Array.iter
-            (fun p ->
-              let local = Model.Scope.local_id scope p in
-              let node =
-                match p with
-                | Model.Own a -> attr_node ctv a
-                | Model.Foreign (_, b) -> attr_node ptv b
-              in
-              Hashtbl.add parent_of_local local node)
-            jfam.Model.parents;
-          let var_of local =
-            if local = jid then Hashtbl.find node_ids (`Join (ctv, fk))
-            else Hashtbl.find parent_of_local local
+          let parent_node = function
+            | Model.Own b -> attr_node tv b
+            | Model.Foreign (f, b) -> attr_node (join_parent tv f) b
           in
-          factors := Cpd.to_factor ~var_of ~child:jid jfam.Model.cpd :: !factors)
-        c.c_joins;
-      (* Binding slots and human names for every node. *)
-      let n_nodes = !next in
-      let node_of_attr = Hashtbl.create 32 in
-      let node_names = Array.make n_nodes "?" in
-      List.iter
-        (fun (tv, attr) ->
-          let node = attr_node tv attr in
-          let ti = List.assoc tv c.c_tvars in
-          Hashtbl.replace node_of_attr (tv, attr) node;
-          node_names.(node) <-
-            tv ^ "." ^ tables.(ti).Schema.attrs.(attr).Schema.aname)
-        c.c_needed;
-      List.iter
-        (fun (ctv, fk, ptv) ->
-          let node = Hashtbl.find node_ids (`Join (ctv, fk)) in
-          let ti = List.assoc ctv c.c_tvars in
-          node_names.(node) <-
-            ctv ^ "." ^ tables.(ti).Schema.fks.(fk).Schema.fkname ^ "=" ^ ptv)
-        c.c_joins;
+          factors :=
+            family_factor (Model.attr_table prm ti attr) ~child_pos ~child_node:node parents
+              parent_node
+            :: !factors)
+        net.needed;
+      Array.iteri
+        (fun j (ctv, fk, ptv) ->
+          let ti = net.tv_tables.(ctv) in
+          let parents = prm.Model.tables.(ti).Model.join_families.(fk).Model.parents in
+          let parent_node = function
+            | Model.Own a -> attr_node ctv a
+            | Model.Foreign (_, b) -> attr_node ptv b
+          in
+          factors :=
+            family_factor (Model.join_table prm ti fk) ~child_pos:(Array.length parents)
+              ~child_node:(n_attr + j) parents parent_node
+            :: !factors)
+        net.joins;
+      let factors = !factors in
       let scratch_slots =
         List.sort compare (List.map fst q.Query.tvars)
-        |> List.map (fun tv ->
-               let ti = List.assoc tv c.c_tvars in
-               Array.init (Array.length tables.(ti).Schema.attrs) (fun attr ->
-                   Option.value ~default:(-1)
-                     (Hashtbl.find_opt node_of_attr (tv, attr))))
+        |> List.map (fun name -> net.attr_nodes.(tv_index net.tv_names name))
         |> Array.of_list
-      in
-      let join_evidence =
-        List.map
-          (fun (ctv, fk, _) ->
-            (Hashtbl.find node_ids (`Join (ctv, fk)), Query.Eq 1))
-          c.c_joins
       in
       let t =
         {
           fingerprint = Model.fingerprint prm;
-          skeleton = skeleton_key q;
+          query = q;
           schema;
-          closure = c;
-          factors = !factors;
-          node_of_attr;
+          net;
+          factors;
+          shapes =
+            List.map
+              (fun f ->
+                (Selest_prob.Factor.unsafe_vars f, Selest_prob.Factor.unsafe_cards f))
+              factors;
           scratch_slots;
-          node_names;
-          join_evidence;
+          join_evidence = List.init (Array.length net.joins) (fun j -> (n_attr + j, Query.Eq 1));
           schedules = Hashtbl.create 4;
           programs = [];
           mutex = Mutex.create ();
           scale_memo = { for_sizes = [||]; value = 1.0 };
         }
       in
-      (* Seed the schedule memo — and the compiled bytecode program —
-         with the compile query's own binding shape, so the first
-         execute of the skeleton's common form is already a memo hit on
-         the zero-allocation fast path.  A contradictory compile query
-         has nothing to schedule (execute answers 0 without
-         eliminating). *)
-      let b0 = bind t q in
-      (match Ve.prepare t.factors (b0 @ t.join_evidence) with
-      | Some prep -> ignore (schedule_of t prep)
-      | None -> ());
-      ignore (program_for t b0);
+      (* Seed the schedule memo and the compiled bytecode program with
+         the compile query's own binding shape, so the first execute of
+         the skeleton's common form is already a memo hit on the
+         zero-allocation fast path.  A contradictory compile query has
+         nothing to schedule (execute answers 0 without eliminating). *)
+      ignore (program_for t (bind t q));
       t)
 
 (* ---- pretty-printing -------------------------------------------------------- *)
 
 let pp fmt t =
-  let tables = Schema.tables t.schema in
-  Format.fprintf fmt "plan %s@." t.skeleton;
+  Format.fprintf fmt "plan %s@." (skeleton t);
   Format.fprintf fmt "  model fingerprint: %s@." t.fingerprint;
   Format.fprintf fmt "  closure tables:";
-  List.iter
-    (fun (tv, ti) -> Format.fprintf fmt " %s:%s" tv tables.(ti).Schema.tname)
-    t.closure.c_tvars;
+  List.iter (fun (tv, tbl) -> Format.fprintf fmt " %s:%s" tv tbl) (closure_tables t);
   Format.pp_print_newline fmt ();
-  if t.closure.c_joins <> [] then begin
+  if t.net.joins <> [||] then begin
     Format.fprintf fmt "  joins:";
     List.iter
-      (fun (ctv, fk, ptv) ->
-        let ti = List.assoc ctv t.closure.c_tvars in
-        Format.fprintf fmt " %s.%s=%s" ctv
-          tables.(ti).Schema.fks.(fk).Schema.fkname ptv)
-      t.closure.c_joins;
+      (fun (ctv, fk, ptv) -> Format.fprintf fmt " %s.%s=%s" ctv fk ptv)
+      (closure_joins t);
     Format.pp_print_newline fmt ()
   end;
   Format.fprintf fmt "  factors (%d):" (List.length t.factors);
@@ -602,15 +657,13 @@ let pp fmt t =
     t.factors;
   Format.pp_print_newline fmt ();
   Format.fprintf fmt "  binding slots:";
-  List.iter
-    (fun (tv, attr) ->
-      let node = Hashtbl.find t.node_of_attr (tv, attr) in
-      Format.fprintf fmt " %s->%d" t.node_names.(node) node)
-    t.closure.c_needed;
+  Array.iteri
+    (fun node _ -> Format.fprintf fmt " %s->%d" (node_name t node) node)
+    t.net.needed;
   Format.pp_print_newline fmt ();
   Format.fprintf fmt "  join evidence:";
   List.iter
-    (fun (node, _) -> Format.fprintf fmt " %s" t.node_names.(node))
+    (fun (node, _) -> Format.fprintf fmt " %s" (node_name t node))
     t.join_evidence;
   Format.pp_print_newline fmt ();
   Mutex.lock t.mutex;

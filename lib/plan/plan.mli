@@ -4,12 +4,19 @@
     Bayesian network from the upward-closed query (Defs. 3.3/3.5), then
     run inference — and everything that depends only on the {e query
     skeleton} (tuple variables, joins, the set of selected attributes) is
-    identical across all bindings of that skeleton.  {!compile} performs
-    that skeleton-shaped work once: upward closure, factor construction,
-    binding-slot layout, join-evidence templating and elimination-order
-    scheduling.  {!execute} then does only the per-request part: slice /
-    mask the factors by the bound predicates and run the fused
-    elimination kernels.
+    identical across all bindings of that skeleton.  The work splits in
+    three:
+    {ul
+    {- {b per model}: each family's CPD tabulated over its table's local
+       ids, built once on first use ({!Selest_prm.Model.attr_table});}
+    {- {b per skeleton}, {!compile}: upward closure, one strided
+       relabelling of each family's table into the network's node ids
+       ({!relabel}), binding-slot layout, join-evidence templating,
+       elimination scheduling on factor {e shapes} (the variables a
+       binding restricts are dropped from the scopes; no table is
+       sliced) and the bytecode program for the compile query's shape;}
+    {- {b per binding}, {!execute}: write the bound predicates into the
+       program's evidence slots and run its contractions.}}
 
     A plan is an introspectable value — closure tables, factor shapes,
     binding slots, the elimination steps with their predicted
@@ -35,12 +42,24 @@ type binding = (int * Selest_db.Query.pred) list
 
 val compile : Selest_prm.Model.t -> Selest_db.Query.t -> t
 (** Build the plan for the query's skeleton: compute the upward closure,
-    instantiate the query-evaluation network's factors, lay out binding
-    slots for every selected attribute (also indexed by tuple-variable
-    position in name order and attribute id, for {!execute_scratch}),
-    template the join-indicator evidence, and seed the schedule memo
-    with the compile query's own binding shape.  Any query with the same {!skeleton_key} can be bound
-    against the result.  Wrapped in a ["plan.compile"] span. *)
+    relabel the model's per-family tables into the query-evaluation
+    network's factors, lay out binding slots for every selected
+    attribute (also indexed by tuple-variable position in name order
+    and attribute id, for {!execute_scratch}), template the
+    join-indicator evidence, and seed the schedule and program memos
+    with the compile query's own binding shape.  The skeleton key and
+    node names are rendered only when {!skeleton} or {!pp} ask.  Any
+    query with the same {!skeleton_key} can be bound against the
+    result.  Wrapped in a ["plan.compile"] span. *)
+
+val relabel : Selest_prob.Factor.t -> int array -> Selest_prob.Factor.t
+(** [relabel f nodes]: [f] with its [i]-th variable ([vars f].(i))
+    renamed [nodes.(i)] — the scope re-sorted by the new ids and the
+    table re-laid out with one strided gather.  Cells are copied, never
+    recomputed, so relabelling a model's {!Selest_prm.Model.attr_table}
+    is bit-identical to tabulating the CPD under the renaming
+    ([Cpd.to_factor ~var_of]).  Raises [Invalid_argument] unless
+    [nodes] is injective and one per variable. *)
 
 val bind : t -> Selest_db.Query.t -> binding
 (** Map the query's selects onto the plan's binding slots.  Raises

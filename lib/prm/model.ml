@@ -1,11 +1,11 @@
 open Selest_util
 open Selest_db
 open Selest_bn
+module Factor = Selest_prob.Factor
 
 type parent = Own of int | Foreign of int * int
 type family = { parents : parent array; cpd : Cpd.t }
 type table_model = { attr_families : family array; join_families : family array }
-type t = { schema : Schema.t; tables : table_model array }
 
 module Scope = struct
   type s = {
@@ -106,41 +106,22 @@ module Scope = struct
     else invalid_arg "Scope.name: id out of range"
 end
 
-let create schema tables =
-  let schema_tables = Schema.tables schema in
-  if Array.length tables <> Array.length schema_tables then
-    invalid_arg "Model.create: table count mismatch";
-  Array.iteri
-    (fun ti tm ->
-      let s = Scope.of_table schema ti in
-      let ts = schema_tables.(ti) in
-      if Array.length tm.attr_families <> Array.length ts.Schema.attrs then
-        invalid_arg "Model.create: attr family count mismatch";
-      if Array.length tm.join_families <> Array.length ts.Schema.fks then
-        invalid_arg "Model.create: join family count mismatch";
-      let check_family ~child_card fam =
-        let ids = Array.map (Scope.local_id s) fam.parents in
-        if ids <> Cpd.parents fam.cpd then
-          invalid_arg "Model.create: CPD parent ids disagree with family parents";
-        Array.iteri
-          (fun i id ->
-            if i > 0 && ids.(i - 1) >= id then
-              invalid_arg "Model.create: family parents not in local-id order";
-            ignore (Scope.card s id))
-          ids;
-        if Cpd.child_card fam.cpd <> child_card then
-          invalid_arg "Model.create: CPD child arity mismatch"
-      in
-      Array.iteri
-        (fun a fam -> check_family ~child_card:(Scope.card s a) fam)
-        tm.attr_families;
-      Array.iter (fun fam -> check_family ~child_card:2 fam) tm.join_families)
-    tables;
-  { schema; tables }
+(* What the model derives from its families once, for every query: each
+   table's scope, the structure fingerprint, and each family's CPD
+   tabulated over local ids.  A table is built on first use and published
+   into its own atomic slot; two domains racing on one slot build two
+   identical tables and one wins, which is harmless.  Everything here
+   lives and dies with its model. *)
+type derived = {
+  scopes : Scope.s array;
+  fingerprint : string;
+  tabulated : Factor.t option Atomic.t array array;
+      (* per table: the attribute families, then the join families *)
+}
 
-let scope t ti = Scope.of_table t.schema ti
+type t = { schema : Schema.t; tables : table_model array; derived : derived }
 
-let fingerprint t =
+let structure_fingerprint schema tables =
   let buf = Buffer.create 256 in
   let add = Buffer.add_string buf in
   let addi i =
@@ -165,7 +146,7 @@ let fingerprint t =
           add " ")
         ts.Schema.fks;
       add ")")
-    (Schema.tables t.schema);
+    (Schema.tables schema);
   Array.iter
     (fun tm ->
       let add_family fam =
@@ -188,8 +169,81 @@ let fingerprint t =
       add "|";
       Array.iter add_family tm.join_families;
       add "}")
-    t.tables;
+    tables;
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let create schema tables =
+  let schema_tables = Schema.tables schema in
+  if Array.length tables <> Array.length schema_tables then
+    invalid_arg "Model.create: table count mismatch";
+  let scopes = Array.init (Array.length tables) (Scope.of_table schema) in
+  Array.iteri
+    (fun ti tm ->
+      let s = scopes.(ti) in
+      let ts = schema_tables.(ti) in
+      if Array.length tm.attr_families <> Array.length ts.Schema.attrs then
+        invalid_arg "Model.create: attr family count mismatch";
+      if Array.length tm.join_families <> Array.length ts.Schema.fks then
+        invalid_arg "Model.create: join family count mismatch";
+      let check_family ~child_card fam =
+        let ids = Array.map (Scope.local_id s) fam.parents in
+        if ids <> Cpd.parents fam.cpd then
+          invalid_arg "Model.create: CPD parent ids disagree with family parents";
+        Array.iteri
+          (fun i id ->
+            if i > 0 && ids.(i - 1) >= id then
+              invalid_arg "Model.create: family parents not in local-id order";
+            ignore (Scope.card s id))
+          ids;
+        if Cpd.child_card fam.cpd <> child_card then
+          invalid_arg "Model.create: CPD child arity mismatch"
+      in
+      Array.iteri
+        (fun a fam -> check_family ~child_card:(Scope.card s a) fam)
+        tm.attr_families;
+      Array.iter (fun fam -> check_family ~child_card:2 fam) tm.join_families)
+    tables;
+  let tabulated =
+    Array.map
+      (fun tm ->
+        Array.init
+          (Array.length tm.attr_families + Array.length tm.join_families)
+          (fun _ -> Atomic.make None))
+      tables
+  in
+  {
+    schema;
+    tables;
+    derived =
+      { scopes; fingerprint = structure_fingerprint schema tables; tabulated };
+  }
+
+let scope t ti = t.derived.scopes.(ti)
+let fingerprint t = t.derived.fingerprint
+
+(* The table in [slot], tabulated from [cpd] on first use.  A domain that
+   loses the race to publish adopts the winner's (identical) table. *)
+let tabulated slot cpd ~child =
+  match Atomic.get slot with
+  | Some f -> f
+  | None ->
+    let f = Cpd.to_factor ~var_of:Fun.id ~child cpd in
+    if Atomic.compare_and_set slot None (Some f) then f else Option.get (Atomic.get slot)
+
+let attr_table t ti a =
+  let tm = t.tables.(ti) in
+  if a < 0 || a >= Array.length tm.attr_families then
+    invalid_arg "Model.attr_table: attribute out of range";
+  tabulated t.derived.tabulated.(ti).(a) tm.attr_families.(a).cpd ~child:a
+
+let join_table t ti f =
+  let tm = t.tables.(ti) in
+  if f < 0 || f >= Array.length tm.join_families then
+    invalid_arg "Model.join_table: foreign key out of range";
+  tabulated
+    t.derived.tabulated.(ti).(Array.length tm.attr_families + f)
+    tm.join_families.(f).cpd
+    ~child:(Scope.join_id t.derived.scopes.(ti) f)
 
 let size_bytes t =
   let acc = ref 0 in
@@ -227,7 +281,7 @@ let pp ppf t =
   Format.fprintf ppf "PRM (%d bytes)@." (size_bytes t);
   Array.iteri
     (fun ti tm ->
-      let s = Scope.of_table t.schema ti in
+      let s = scope t ti in
       let ts = schema_tables.(ti) in
       Format.fprintf ppf "table %s:@." ts.Schema.tname;
       Array.iteri

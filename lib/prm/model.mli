@@ -39,10 +39,18 @@ type table_model = {
   join_families : family array;  (** one per foreign key; child card 2 *)
 }
 
-type t = {
+type derived
+(** What a model derives once from its families — each table's {!Scope},
+    the {!fingerprint} and the tabulated CPDs ({!attr_table},
+    {!join_table}) — so that compiling a query plan does only the work
+    that depends on the query's skeleton. *)
+
+type t = private {
   schema : Selest_db.Schema.t;
   tables : table_model array;  (** in schema order *)
+  derived : derived;
 }
+(** Build one with {!create}. *)
 
 (** Local-id arithmetic for one table's scope. *)
 module Scope : sig
@@ -71,17 +79,34 @@ module Scope : sig
 end
 
 val create : Selest_db.Schema.t -> table_model array -> t
-(** Validates family shapes against the schema (arity, parent ranges). *)
+(** Validates family shapes against the schema (arity, parent ranges)
+    and computes the {!fingerprint}. *)
 
 val scope : t -> int -> Scope.s
+(** Table [ti]'s scope, built once by {!create}. *)
 
 val fingerprint : t -> string
 (** Hex digest of the model's {e dependency structure}: the schema plus
-    every family's parents and arities (CPD parameters excluded).  Two
-    models with equal fingerprints build identically-shaped
-    query-evaluation networks for any query, which is exactly what the
-    elimination-order cache ({!Selest_bn.Ve}) needs its key to
-    guarantee. *)
+    every family's parents and arities (CPD parameters excluded),
+    computed once by {!create}.  Two models with equal fingerprints
+    build identically-shaped query-evaluation networks for any query.
+    Compiled plans carry it ([Plan.fingerprint]) and the plan explain
+    output ([Plan.pp], [selest estimate --explain]) prints it as
+    ["model fingerprint"].  It is not the schema fingerprint
+    ([Serialize.schema_fingerprint]) a registry entry records and checks
+    on [LOAD]. *)
+
+val attr_table : t -> int -> int -> Selest_prob.Factor.t
+(** [attr_table t ti a]: the CPD of table [ti]'s attribute family [a]
+    tabulated over the table's local ids — [Cpd.to_factor ~var_of:Fun.id
+    ~child:a].  Built on first use and kept for the model's lifetime (no
+    process-wide memo: a replaced model's tables go with it).  Safe to
+    call from several domains at once; a race builds two identical
+    tables.  The result is shared: never write to it. *)
+
+val join_table : t -> int -> int -> Selest_prob.Factor.t
+(** [join_table t ti f]: {!attr_table} for the join family of table
+    [ti]'s foreign key [f] (child id [Scope.join_id]). *)
 
 val size_bytes : t -> int
 (** Total model storage under the library-wide accounting. *)

@@ -67,6 +67,8 @@ let cards t = Array.copy t.cards
 let size t = Array.length t.data
 let data t = Array.copy t.data
 let unsafe_data t = t.data
+let unsafe_vars t = t.vars
+let unsafe_cards t = t.cards
 let strides_of t = strides t.cards
 
 let index_of t asg =

@@ -54,6 +54,12 @@ val unsafe_data : t -> float array
     compiled executors ({!Selest_plan.Exec}) that read factor tables in
     place to avoid per-request allocation. *)
 
+val unsafe_vars : t -> int array
+val unsafe_cards : t -> int array
+(** The live scope arrays behind {!vars} and {!cards} — no copy, never
+    to be written.  For code that reads many scopes per call (the
+    elimination planner, plan and bytecode compilation). *)
+
 val strides_of : t -> int array
 (** Row-major strides of the factor's table, last variable fastest:
     [strides_of f].(i) is the index step when [vars f].(i) advances by

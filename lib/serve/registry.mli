@@ -31,7 +31,14 @@ type entry = {
   model : Selest_prm.Model.t;
   source : string;  (** file path, or ["<memory>"] for registered models *)
   version : int;  (** 1 on first load of a name, +1 on each replacement *)
-  fingerprint : string;  (** schema fingerprint shared by all entries *)
+  fingerprint : string;
+      (** The {e schema} fingerprint
+          ({!Selest_prm.Serialize.schema_fingerprint}), the same for every
+          entry: it names the database layout the model was learned on.
+          It is not the model's structure fingerprint
+          ({!Selest_prm.Model.fingerprint}), which compiled plans carry
+          and the plan explain output ([Plan.pp],
+          [selest estimate --explain]) prints as ["model fingerprint"]. *)
 }
 
 type t

@@ -490,8 +490,7 @@ let handle_estbatch t st ~model ~bodies =
    Stage times are *self* times: each span's duration minus its direct
    children's.  Self times partition the root's wall time exactly, so the
    stages sum to total_us and nothing is double-counted; a span that is
-   not a stage (the evidence pass inside a cold compile) counts toward
-   its nearest stage ancestor.  Plan-cache lookup glue reports as
+   not a stage counts toward its nearest stage ancestor.  Plan-cache lookup glue reports as
    fetch_us, a cold skeleton's compilation as compile_us (zero on a
    plan-cache hit), the bytecode program's lookup and evidence writes as
    load_us, its contractions as run_us, and the glue inside "est" itself
