@@ -692,10 +692,9 @@ let check_bits name bad n what =
 
 (* The fast inference core against its pre-optimization baselines:
    single-query VE against the naive Reference engine (bit-identity
-   first), ESTBATCH against sequential EST on cold estimate caches, and
-   parallel against sequential candidate-move scoring in PRM search. *)
+   first) and ESTBATCH against sequential EST on cold estimate caches. *)
 let fig_inference () =
-  section "I1: fast inference core — stride kernels, ESTBATCH, parallel learning";
+  section "I1: fast inference core — stride kernels, ESTBATCH";
   let data = Bn.Data.of_table (Db.Database.table (Lazy.force census) "person") in
   let learn_tables budget =
     (Bn.Learn.learn
@@ -753,30 +752,7 @@ let fig_inference () =
   Printf.printf "\n%d distinct TB join queries, cold cache, PRM %dB\n" (List.length bodies)
     (Prm.Model.size_bytes fx.H.model);
   H.check "estbatch throughput vs sequential >= 0.6" (batch.H.median >= 0.6) (pp_stat batch);
-  H.stat_row "estbatch_over_est_throughput" "ratio" batch;
-
-  (* --- parallel candidate-move scoring in PRM search --- *)
-  let learn_workers = 4 in
-  let learn workers =
-    Prm.Learn.learn
-      ~config:
-        { (Prm.Learn.default_config ~budget_bytes:2_048) with Prm.Learn.seed = cfg.seed; workers }
-      fx.H.db
-  in
-  if (learn 1).Prm.Learn.loglik <> (learn learn_workers).Prm.Learn.loglik then
-    failwith "inference bench: parallel search diverged from sequential";
-  let par =
-    H.ab (fun () -> ignore (learn 1)) (fun () -> ignore (learn learn_workers)) ~pairs:7
-  in
-  Printf.printf "\nPRM structure search (TB, 2KB budget), %d workers: same trajectory\n"
-    learn_workers;
-  H.stat_row "learn_parallel_speedup" "ratio" par;
-  (* Domain fan-out cannot beat sequential work on a single-core host;
-     there the ratio is recorded but not gated.  The floor is lenient: a
-     2-core runner has one spare core. *)
-  if Domain.recommended_domain_count () <= 1 then
-    Printf.printf "parallel learn gate: skipped (single-core host)\n"
-  else H.check "parallel learn vs sequential >= 0.6" (par.H.median >= 0.6) (pp_stat par)
+  H.stat_row "estbatch_over_est_throughput" "ratio" batch
 
 (* ---- plan IR: compile once, bind many -------------------------------------------------------- *)
 
@@ -1397,8 +1373,8 @@ let fig_obs () =
   H.row "qerror_max" "ratio" qsum.Obs.Qerror.max_q;
 
   (* --- loopback EST round trips through the zero-copy front-end, so the
-     selest_frontend_* counters (elided from snapshots while zero) carry
-     values into the METRICS exposition below --- *)
+     selest_frontend_* counters carry nonzero values into the METRICS
+     exposition below --- *)
   let on_line_fast, on_frame_fast = Serve.Server.fast_handlers server ~shard:0 in
   let client, srv = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let conn = Serve.Shard.Loopback.connect srv in

@@ -356,11 +356,13 @@ let plan_cmd =
     List.iter
       (fun plan ->
         Printf.printf "%-34s| %11.0f | %11.0f\n" (String.concat " > " plan)
-          (Workload.Planner.plan_cost prm_oracle q plan)
-          (Workload.Planner.plan_cost truth q plan))
-      (Workload.Planner.plans q);
-    let best, cost = Workload.Planner.best_plan prm_oracle q in
-    Printf.printf "\nchosen: %s (estimated cost %.0f)\n" (String.concat " > " best) cost
+          (Opt.Optimizer.order_cost ~cost:prm_oracle q plan)
+          (Opt.Optimizer.order_cost ~cost:truth q plan))
+      (Opt.Jointree.orders q);
+    let best = Opt.Optimizer.best ~cost:prm_oracle q in
+    Printf.printf "\nchosen: %s (estimated cost %.0f)\n"
+      (String.concat " > " (Option.get (Opt.Jointree.order_of best.Opt.Optimizer.tree)))
+      best.Opt.Optimizer.cost
   in
   Cmd.v
     (Cmd.info "plan"

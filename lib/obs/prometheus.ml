@@ -81,6 +81,10 @@ let render_sample b name labels value =
   Buffer.add_string b (fmt_value value);
   Buffer.add_char b '\n'
 
+let header ~name ~help ~kind =
+  (if help = "" then "" else Printf.sprintf "# HELP %s %s\n" name help)
+  ^ Printf.sprintf "# TYPE %s %s\n" name kind
+
 let render metrics =
   let b = Buffer.create 1024 in
   let last : (string * string) option ref = ref None in
@@ -94,10 +98,7 @@ let render metrics =
             (Printf.sprintf "Prometheus.render: %s declared as %s and %s" name
                k kind)
       | _ ->
-        if help_of m <> "" then
-          Buffer.add_string b
-            (Printf.sprintf "# HELP %s %s\n" name (help_of m));
-        Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" name kind);
+        Buffer.add_string b (header ~name ~help:(help_of m) ~kind);
         last := Some (name, kind));
       match m with
       | Counter { labels; value; _ } | Gauge { labels; value; _ } ->

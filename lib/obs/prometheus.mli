@@ -36,6 +36,10 @@ val sanitize : string -> string
 (** Map an internal metric name (e.g. ["ve.factor_ops"]) onto the legal
     charset [[a-zA-Z0-9_:]]; leading digits get a ['_'] prefix. *)
 
+val header : name:string -> help:string -> kind:string -> string
+(** The [# HELP] (omitted when [help] is empty) and [# TYPE] lines that
+    open a family — all a declared family with no samples renders. *)
+
 val render : metric list -> string
 (** Exposition text.  Metrics sharing a name must be adjacent and of the
     same kind; the [# HELP] / [# TYPE] header is emitted once per name.

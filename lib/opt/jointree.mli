@@ -4,9 +4,8 @@
     joins its two children on the (unique, by the forest invariant of
     {!Selest_db.Exec.validate}) query join edge connecting them — or by a
     Cartesian product when the query leaves them unconnected.  Left-deep
-    trees correspond one-to-one with join {e orders} (the representation
-    the old [Workload.Planner] used); {!Optimizer} can also produce bushy
-    trees. *)
+    trees correspond one-to-one with join {e orders}; {!Optimizer} can
+    also produce bushy trees. *)
 
 type t =
   | Leaf of string  (** a tuple variable *)
@@ -24,8 +23,7 @@ val order_of : t -> string list option
 
 val subquery : Selest_db.Query.t -> string list -> Selest_db.Query.t
 (** The sub-query over a subset of tuple variables: those variables, the
-    joins among them, and the selects on them (the old
-    [Planner.prefix_query], generalized to any subset). *)
+    joins among them, and the selects on them. *)
 
 val orders : Selest_db.Query.t -> string list list
 (** All connected left-deep join orders: every prefix is connected

@@ -16,7 +16,6 @@ type config = {
   random_restarts : int;
   random_walk_length : int;
   seed : int;
-  workers : int;
 }
 
 let default_config ~budget_bytes =
@@ -30,7 +29,6 @@ let default_config ~budget_bytes =
     random_restarts = 1;
     random_walk_length = 3;
     seed = 0;
-    workers = 1;
   }
 
 let bn_uj_config ~budget_bytes =
@@ -63,11 +61,9 @@ type state = {
   ext_data : Data.t array;  (* per table *)
   caches : Score.cache array;  (* per table, over extended data *)
   join_cache : (int * int * Model.parent list, Suffstats.join_stats) Hashtbl.t;
-  join_mutex : Mutex.t;  (* guards join_cache (and its counters) under parallel scoring *)
   join_hits : int ref;  (* suffstat reuses served from join_cache *)
   join_misses : int ref;  (* join suffstat fits computed from the data *)
   counts : Selest_prob.Counts.t option;  (* shared count kernel for join fits *)
-  pool : Pool.t option;  (* scoring pool; None = sequential *)
   (* current structure: chosen family per attribute and per join indicator *)
   attr_fams : fam array array;
   join_fams : fam array array;
@@ -109,33 +105,18 @@ let attr_family_capped st ti attr parents ~cap =
 let join_family st ti fk parents =
   let sorted = sort_parents st ti parents in
   let key = (ti, fk, Array.to_list sorted) in
-  let find () =
-    Mutex.lock st.join_mutex;
-    let r = Hashtbl.find_opt st.join_cache key in
-    (match r with
-    | Some _ -> incr st.join_hits
-    | None -> incr st.join_misses);
-    Mutex.unlock st.join_mutex;
-    r
-  in
   let js =
-    match find () with
-    | Some js -> js
-    | None -> (
-      (* fit outside the lock; adopt a racing domain's entry if it won *)
+    match Hashtbl.find_opt st.join_cache key with
+    | Some js ->
+      incr st.join_hits;
+      js
+    | None ->
+      incr st.join_misses;
       let js =
         Suffstats.fit_join ?counts:st.counts st.db ~table:ti ~fk ~parents:sorted
       in
-      Mutex.lock st.join_mutex;
-      let r =
-        match Hashtbl.find_opt st.join_cache key with
-        | Some existing -> existing
-        | None ->
-          Hashtbl.add st.join_cache key js;
-          js
-      in
-      Mutex.unlock st.join_mutex;
-      r)
+      Hashtbl.add st.join_cache key js;
+      js
   in
   {
     f_parents = sorted;
@@ -343,14 +324,8 @@ let accept st move new_f dbytes =
   | Join_add (ti, fk, _) | Join_remove (ti, fk, _) -> st.join_fams.(ti).(fk) <- new_f);
   st.size <- st.size + dbytes
 
-(* Score every candidate move; with a pool the (pure, cache-backed)
-   evaluations fan out across domains.  Results come back in move order
-   either way, so the subsequent best-move fold — and hence the whole
-   search trajectory — is independent of the worker count. *)
-let score_moves st moves =
-  match st.pool with
-  | Some pool -> Pool.map pool (fun move -> (move, evaluate st move)) moves
-  | None -> List.map (fun move -> (move, evaluate st move)) moves
+(* Score every candidate move, in move order. *)
+let score_moves st moves = List.map (fun move -> (move, evaluate st move)) moves
 
 let describe_parent = function
   | Model.Own a -> Printf.sprintf "own%d" a
@@ -398,12 +373,10 @@ let make_incr st =
       Array.map (fun per -> Array.map (fun _ -> Hashtbl.create 16) per) st.join_fams;
   }
 
-(* Scoring splits in three: a sequential staging pass that answers every
-   move from its cache entry or emits a fit thunk; the thunks (the only
-   expensive part, all hitting mutex-guarded caches) run through the pool
-   when one exists; a sequential merge fills fresh base fits into the
-   cache and applies the budget check.  Results stay in move order, so
-   the trajectory matches the naive scorer for any worker count. *)
+(* A move is answered from its cache entry when the entry already holds
+   a fit that fits the budget; otherwise it needs a fit, whose fresh base
+   fit the scorer stores in the entry.  Moves are scored in move order,
+   so the trajectory matches the naive scorer. *)
 type staged =
   | Ready of (fam * float * int * int) option
   | Fit of centry * fam * (unit -> fam option * fam)
@@ -511,29 +484,17 @@ let incr_score incr st =
       ~join_add_legal:(fun ~ti ~fk ~current:_ p ->
         Depgraph.join_add_legal incr.dep ~ti ~fk p)
   in
-  let staged = List.map (fun move -> (move, stage_move incr st move)) moves in
-  let thunks =
-    List.filter_map (function _, Fit (_, _, th) -> Some th | _ -> None) staged
-  in
-  let fitted =
-    match st.pool with
-    | Some pool when thunks <> [] -> Pool.run pool thunks
-    | _ -> List.map (fun th -> th ()) thunks
-  in
-  let rec merge staged fitted acc =
-    match staged with
-    | [] -> List.rev acc
-    | (move, Ready ev) :: rest -> merge rest fitted ((move, ev) :: acc)
-    | (move, Fit (e, old_f, _)) :: rest -> (
-      match fitted with
-      | (base_opt, new_f) :: more ->
+  List.map
+    (fun move ->
+      match stage_move incr st move with
+      | Ready ev -> (move, ev)
+      | Fit (e, old_f, fit) ->
+        let base_opt, new_f = fit () in
         (match base_opt with
         | Some base when e.ce_base = None -> e.ce_base <- Some base
         | _ -> ());
-        merge rest more ((move, finish st ~old_f ~new_f) :: acc)
-      | [] -> assert false)
-  in
-  merge staged fitted []
+        (move, finish st ~old_f ~new_f))
+    moves
 
 let incr_accept incr st move new_f dbytes =
   accept st move new_f dbytes;
@@ -682,10 +643,6 @@ let learn_with ~make_scorer ~counts ~config:cfg db =
         Score.create_cache ~kind:cfg.kind ?counts d)
       ext_data
   in
-  (* Workers beyond the host's spare cores only add scheduling overhead;
-     the trajectory is worker-count-independent, so clamping is safe. *)
-  let workers = min cfg.workers (Pool.default_size ()) in
-  let pool = if workers > 1 then Some (Pool.create ~size:workers ()) else None in
   let st =
     {
       cfg;
@@ -695,85 +652,80 @@ let learn_with ~make_scorer ~counts ~config:cfg db =
       ext_data;
       caches;
       join_cache = Hashtbl.create 64;
-      join_mutex = Mutex.create ();
       join_hits = ref 0;
       join_misses = ref 0;
       counts;
-      pool;
       attr_fams = [||];
       join_fams = [||];
       size = 0;
     }
   in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Pool.shutdown pool)
-    (fun () ->
-      let st =
-        {
-          st with
-          attr_fams =
-            Array.mapi
-              (fun ti ts ->
-                Array.init (Array.length ts.Schema.attrs) (fun a ->
-                    attr_family st ti a [||]))
-              (Schema.tables schema);
-          join_fams =
-            Array.mapi
-              (fun ti ts ->
-                Array.init (Array.length ts.Schema.fks) (fun fk ->
-                    join_family st ti fk [||]))
-              (Schema.tables schema);
-        }
-      in
-      st.size <- total_bytes st;
-      if st.size > cfg.budget_bytes then
-        invalid_arg
-          (Printf.sprintf
-             "Prm.Learn: budget %dB cannot hold the empty model (%dB of marginals)"
-             cfg.budget_bytes st.size);
-      (* MDL penalty: dominated by the largest sample space in the model. *)
-      let max_weight =
-        Array.fold_left (fun acc d -> Float.max acc (Data.total_weight d)) 2.0 ext_data
-      in
-      let mdl_penalty = Arrayx.log2 max_weight /. 2.0 in
-      let sc = make_scorer st in
-      let rng = Rng.create cfg.seed in
-      let iterations = ref 0 in
-      let trail = ref [] in
-      let best =
-        Selest_obs.Span.with_
-          ~attrs:[ ("budget_bytes", string_of_int cfg.budget_bytes) ]
-          "prm.learn"
-          (fun sp ->
-            iterations := climb st sc ~mdl_penalty trail;
-            let best = ref (snapshot st, total_loglik st) in
-            for _ = 1 to cfg.random_restarts do
-              random_walk st sc rng trail;
-              iterations := !iterations + climb st sc ~mdl_penalty trail;
-              let ll = total_loglik st in
-              if ll > snd !best then best := (snapshot st, ll)
-            done;
-            if Selest_obs.Span.enabled () then begin
-              Selest_obs.Span.add sp "iterations" (string_of_int !iterations);
-              Selest_obs.Span.add sp "bytes" (string_of_int st.size)
-            end;
-            !best)
-      in
-      let best = ref best in
-      restore st (fst !best);
-      sc.sc_restore ();
-      let model = to_model st in
-      Log.info (fun m ->
-          m "learned PRM: %dB of %dB budget, %d cross edges, %d join parents, %d moves"
-            st.size cfg.budget_bytes (Model.n_cross_edges model)
-            (Model.n_join_parents model) !iterations);
-      {
-        model;
-        loglik = snd !best;
-        bytes = st.size;
-        iterations = !iterations;
-        trajectory = List.rev !trail;
-      })
+  let st =
+    {
+      st with
+      attr_fams =
+        Array.mapi
+          (fun ti ts ->
+            Array.init (Array.length ts.Schema.attrs) (fun a ->
+                attr_family st ti a [||]))
+          (Schema.tables schema);
+      join_fams =
+        Array.mapi
+          (fun ti ts ->
+            Array.init (Array.length ts.Schema.fks) (fun fk ->
+                join_family st ti fk [||]))
+          (Schema.tables schema);
+    }
+  in
+  st.size <- total_bytes st;
+  if st.size > cfg.budget_bytes then
+    invalid_arg
+      (Printf.sprintf
+         "Prm.Learn: budget %dB cannot hold the empty model (%dB of marginals)"
+         cfg.budget_bytes st.size);
+  (* MDL penalty: dominated by the largest sample space in the model. *)
+  let max_weight =
+    Array.fold_left (fun acc d -> Float.max acc (Data.total_weight d)) 2.0 ext_data
+  in
+  let mdl_penalty = Arrayx.log2 max_weight /. 2.0 in
+  let sc = make_scorer st in
+  let rng = Rng.create cfg.seed in
+  let iterations = ref 0 in
+  let trail = ref [] in
+  let best =
+    Selest_obs.Span.with_
+      ~attrs:[ ("budget_bytes", string_of_int cfg.budget_bytes) ]
+      "prm.learn"
+      (fun sp ->
+        iterations := climb st sc ~mdl_penalty trail;
+        let best = ref (snapshot st, total_loglik st) in
+        for _ = 1 to cfg.random_restarts do
+          random_walk st sc rng trail;
+          iterations := !iterations + climb st sc ~mdl_penalty trail;
+          let ll = total_loglik st in
+          if ll > snd !best then best := (snapshot st, ll)
+        done;
+        if Selest_obs.Span.enabled () then begin
+          Selest_obs.Span.add sp "iterations" (string_of_int !iterations);
+          Selest_obs.Span.add sp "bytes" (string_of_int st.size)
+        end;
+        !best)
+  in
+  let best = ref best in
+  restore st (fst !best);
+  sc.sc_restore ();
+  let model = to_model st in
+  Log.info (fun m ->
+      m "learned PRM: %dB of %dB budget, %d cross edges, %d join parents, %d moves"
+        st.size cfg.budget_bytes (Model.n_cross_edges model)
+        (Model.n_join_parents model) !iterations);
+  {
+    model;
+    loglik = snd !best;
+    bytes = st.size;
+    iterations = !iterations;
+    trajectory = List.rev !trail;
+  }
 
 let learn ~config db =
   learn_with ~make_scorer:incr_scorer

@@ -28,18 +28,11 @@ type config = {
   random_restarts : int;
   random_walk_length : int;
   seed : int;
-  workers : int;
-      (** Domains used to score candidate moves in parallel; [<= 1] is
-          fully sequential.  Clamped to the host's spare cores
-          ({!Selest_util.Pool.default_size}), so a single-core host always
-          scores sequentially.  The search trajectory (and hence the
-          learned model) is identical for every worker count: scored moves
-          are folded in move order regardless of completion order. *)
 }
 
 val default_config : budget_bytes:int -> config
 (** Trees, SSN, full relational move set, [max_parents = 3], 1 restart,
-    sequential scoring. *)
+    [seed = 0]. *)
 
 val bn_uj_config : budget_bytes:int -> config
 (** {!default_config} with cross-table and join parents disabled: the

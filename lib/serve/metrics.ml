@@ -10,9 +10,8 @@ let verb_prefix = "lat."
 (* Pre-registered telemetry handles for the allocation-free request
    front-end: the warm EST fast path bumps these by integer id — no
    string hashing, no [find_opt] boxing — while everything else keeps
-   the string-keyed API.  The four [frontend.*] counters accumulate
-   nanoseconds (parse / canonicalize / key-hash) and the count of
-   estimate-cache hash hits whose full-key verification failed. *)
+   the string-keyed API.  The three [frontend.*] counters accumulate
+   nanoseconds (parse / canonicalize / key-hash). *)
 type t = {
   tel : Obs.Telemetry.t;
   h_lat : Obs.Telemetry.hist_handle;  (* the aggregate "lat" histogram *)
@@ -22,17 +21,16 @@ type t = {
   c_frontend_parse : Obs.Telemetry.counter_handle;
   c_frontend_canon : Obs.Telemetry.counter_handle;
   c_frontend_key : Obs.Telemetry.counter_handle;
-  c_frontend_collisions : Obs.Telemetry.counter_handle;
   c_kernel : Obs.Telemetry.counter_handle array;  (* [kernel_names] order *)
 }
 
-(* The kernel counters a request's {!Obs.Hotpath} delta rolls into
-   ([max_factor_entries] is a high-water mark, not additive: EXPLAIN
-   reports it instead). *)
+(* The kernel counters a request's {!Obs.Hotpath} delta rolls into.
+   [max_factor_entries] is a high-water mark, not additive, and EXPLAIN
+   reports it instead; the schedule-memo pair moves with the
+   program-memo pair, and the scratch pair only in the generic kernels
+   serving does not run, so EXPLAIN alone reports those. *)
 let kernel_names =
-  [| "ve.factor_ops"; "ve.entries_touched"; "ve.scratch_hits";
-     "ve.scratch_misses"; "ve.order_hits"; "ve.order_misses";
-     "plan.program_hits"; "plan.program_misses" |]
+  [| "ve.factor_ops"; "ve.entries_touched"; "plan.program_hits"; "plan.program_misses" |]
 
 let create () =
   let tel = Obs.Telemetry.create () in
@@ -45,8 +43,6 @@ let create () =
     c_frontend_parse = Obs.Telemetry.counter_handle tel "frontend.parse_ns";
     c_frontend_canon = Obs.Telemetry.counter_handle tel "frontend.canon_ns";
     c_frontend_key = Obs.Telemetry.counter_handle tel "frontend.key_ns";
-    c_frontend_collisions =
-      Obs.Telemetry.counter_handle tel "frontend.collisions";
     c_kernel = Array.map (Obs.Telemetry.counter_handle tel) kernel_names;
   }
 
@@ -59,7 +55,6 @@ let get t name = Obs.Telemetry.get t.tel name
 
 let counter_handle t name = Obs.Telemetry.counter_handle t.tel name
 let bump t h = Obs.Telemetry.hincr t.tel h
-let bump_by t h n = Obs.Telemetry.hincr_by t.tel h n
 
 let fast_est_request t =
   Obs.Telemetry.hincr t.tel t.c_requests;
@@ -72,7 +67,6 @@ let fast_est_latency_ns t ns =
 let frontend_parse_ns t ns = Obs.Telemetry.hincr_by t.tel t.c_frontend_parse ns
 let frontend_canon_ns t ns = Obs.Telemetry.hincr_by t.tel t.c_frontend_canon ns
 let frontend_key_ns t ns = Obs.Telemetry.hincr_by t.tel t.c_frontend_key ns
-let frontend_collision t = Obs.Telemetry.hincr t.tel t.c_frontend_collisions
 
 (* Bumps only the counters that moved, so one that never does stays out
    of the merged snapshot exactly as before. *)
@@ -81,12 +75,8 @@ let bump_kernel t i v = if v > 0 then Obs.Telemetry.hincr_by t.tel t.c_kernel.(i
 let kernel_delta t (d : Obs.Hotpath.t) =
   bump_kernel t 0 d.Obs.Hotpath.factor_ops;
   bump_kernel t 1 d.Obs.Hotpath.entries_touched;
-  bump_kernel t 2 d.Obs.Hotpath.scratch_hits;
-  bump_kernel t 3 d.Obs.Hotpath.scratch_misses;
-  bump_kernel t 4 d.Obs.Hotpath.order_hits;
-  bump_kernel t 5 d.Obs.Hotpath.order_misses;
-  bump_kernel t 6 d.Obs.Hotpath.program_hits;
-  bump_kernel t 7 d.Obs.Hotpath.program_misses
+  bump_kernel t 2 d.Obs.Hotpath.program_hits;
+  bump_kernel t 3 d.Obs.Hotpath.program_misses
 
 let counters t = (Obs.Telemetry.snapshot t.tel).Obs.Telemetry.counters
 
@@ -125,40 +115,17 @@ let mean_latency_us t = Obs.Histogram.mean_ns (agg t) /. 1e3
 
 let percentile_us t p = float_of_int (Obs.Histogram.quantile_ns (agg t) p) /. 1e3
 
-let histogram t = Obs.Histogram.buckets_us (agg t)
-let latency_sum_us t = float_of_int (Obs.Histogram.sum_ns (agg t)) /. 1e3
-
-(* Every verb that has recorded a latency, with its merged histogram. *)
-let verb_histograms t =
-  let snap = Obs.Telemetry.snapshot t.tel in
-  List.filter_map
-    (fun (name, h) ->
-      let plen = String.length verb_prefix in
-      if String.length name > plen && String.sub name 0 plen = verb_prefix then
-        Some (String.sub name plen (String.length name - plen), h)
-      else None)
-    snap.Obs.Telemetry.hists
-
-let report t =
-  let snap = Obs.Telemetry.snapshot t.tel in
-  let h =
-    match Obs.Telemetry.Snapshot.find_hist snap lat_all with
-    | Some h -> h
-    | None -> Obs.Histogram.create ()
-  in
-  let q p = float_of_int (Obs.Histogram.quantile_ns h p) /. 1e3 in
-  List.map (fun (k, v) -> (k, string_of_int v)) snap.Obs.Telemetry.counters
-  @ [
-      ("lat_count", string_of_int (Obs.Histogram.count h));
-      (* exact, from the running sum — unquantized *)
-      ("lat_mean_us", Printf.sprintf "%.1f" (Obs.Histogram.mean_ns h /. 1e3));
-      (* upper bucket edge of the HDR layout: overstates by < 0.8% *)
-      ("lat_p50_us", Printf.sprintf "%.1f" (q 0.50));
-      ("lat_p95_us", Printf.sprintf "%.1f" (q 0.95));
-      ("lat_p99_us", Printf.sprintf "%.1f" (q 0.99));
-      ("lat_p999_us", Printf.sprintf "%.1f" (q 0.999));
-      ("lat_quantization", "percentiles=bucket-upper-edge(<0.8%) mean=exact");
-    ]
-
-let pp ppf t =
-  List.iter (fun (k, v) -> Format.fprintf ppf "%s=%s@." k v) (report t)
+(* A latency histogram's STATS fields, keyed [key ^ "_count"] etc. *)
+let latency_pairs key h =
+  let q p = Printf.sprintf "%.1f" (float_of_int (Obs.Histogram.quantile_ns h p) /. 1e3) in
+  [
+    (key ^ "_count", string_of_int (Obs.Histogram.count h));
+    (* exact, from the running sum — unquantized *)
+    (key ^ "_mean_us", Printf.sprintf "%.1f" (Obs.Histogram.mean_ns h /. 1e3));
+    (* upper bucket edge of the HDR layout: overstates by < 0.8% *)
+    (key ^ "_p50_us", q 0.50);
+    (key ^ "_p95_us", q 0.95);
+    (key ^ "_p99_us", q 0.99);
+    (key ^ "_p999_us", q 0.999);
+    (key ^ "_quantization", "percentiles=bucket-upper-edge(<0.8%) mean=exact");
+  ]

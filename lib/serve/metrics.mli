@@ -24,7 +24,7 @@
     bounded by 1/128 < 0.8% relative error, replacing the old fixed
     1.5×-geometric buckets whose error was ~50%.  {!mean_latency_us}
     divides the exact running sum by the count and carries no
-    quantization at all.  {!report} states this in [lat_quantization];
+    quantization at all.  {!latency_pairs} states this in [lat_quantization];
     the full bucket layout is exported by [METRICS]
     ([selest_request_latency_us]). *)
 
@@ -60,7 +60,6 @@ val counter_handle : t -> string -> Selest_obs.Telemetry.counter_handle
     server's ["shard.<sid>.requests"]).  Startup-time only. *)
 
 val bump : t -> Selest_obs.Telemetry.counter_handle -> unit
-val bump_by : t -> Selest_obs.Telemetry.counter_handle -> int -> unit
 
 val fast_est_request : t -> unit
 (** Count one EST request: bumps [requests] and [est_requests]. *)
@@ -79,15 +78,12 @@ val frontend_canon_ns : t -> int -> unit
 val frontend_key_ns : t -> int -> unit
 (** Accumulate cache-key hashing time into [frontend.key_ns]. *)
 
-val frontend_collision : t -> unit
-(** Count one estimate-cache hash hit whose full-key verification
-    failed ([frontend.collisions]). *)
-
 val kernel_delta : t -> Selest_obs.Hotpath.t -> unit
-(** Roll one request's {!Selest_obs.Hotpath} delta into the [ve.*] and
-    [plan.program_*] counters through pre-registered handles, bumping
-    only the counters that moved ([max_factor_entries] is a high-water
-    mark, not additive, and is skipped).  Allocation-free. *)
+(** Roll one request's {!Selest_obs.Hotpath} delta into
+    [ve.factor_ops], [ve.entries_touched] and [plan.program_hits] /
+    [plan.program_misses] through pre-registered handles, bumping only
+    the counters that moved.  The delta's other fields are EXPLAIN's
+    alone.  Allocation-free. *)
 
 val observe : t -> float -> unit
 (** Record one request latency, in seconds, into the aggregate
@@ -133,17 +129,6 @@ val percentile_us : t -> float -> float
     when nothing was observed.  Raises [Invalid_argument] outside
     [0,1]. *)
 
-val histogram : t -> (float * int) array
-(** [(upper edge in µs, cumulative count)] coarsened to one bucket per
-    octave — Prometheus-ready cumulative form. *)
-
-val latency_sum_us : t -> float
-(** Exact sum of observed latencies in µs (the [_sum] series). *)
-
-val verb_histograms : t -> (string * Selest_obs.Histogram.t) list
-(** Every verb that has recorded a latency, with its merged histogram,
-    sorted by verb name. *)
-
 val lat_key : string
 (** Telemetry slot name of the aggregate latency histogram. *)
 
@@ -153,11 +138,8 @@ val verb_key : string -> string
 val latency_histogram : t -> Selest_obs.Histogram.t
 (** The merged aggregate latency histogram (a fresh copy). *)
 
-val report : t -> (string * string) list
-(** Merged snapshot as [key=value]-ready pairs: the counters (sorted),
-    then [lat_count], [lat_mean_us], [lat_p50_us], [lat_p95_us],
-    [lat_p99_us], [lat_p999_us], and [lat_quantization] documenting the
-    percentile-vs-mean asymmetry. *)
-
-val pp : Format.formatter -> t -> unit
-(** One [key=value] pair per line (the shutdown report). *)
+val latency_pairs : string -> Selest_obs.Histogram.t -> (string * string) list
+(** [latency_pairs "lat" h]: [lat_count], [lat_mean_us] (exact),
+    [lat_p50_us], [lat_p95_us], [lat_p99_us], [lat_p999_us] (HDR bucket
+    upper edges, < 0.8% over) and [lat_quantization] documenting that
+    asymmetry. *)

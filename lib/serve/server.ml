@@ -26,7 +26,6 @@ type sstate = {
   hot : Obs.Hotpath.t;  (* the current miss's kernel-counter delta *)
   inflight : int Atomic.t;  (* live connections owned by this shard *)
   accepted : int Atomic.t;  (* connections ever handed to this shard *)
-  req_counter : string;  (* precomputed "shard.<sid>.requests" *)
 }
 
 type t = {
@@ -40,6 +39,7 @@ type t = {
   registry : Registry.t;
   shards : sstate array;
   metrics : Metrics.t;
+  catalog : Catalog.source;  (* what STATS / METRICS / HEALTH / SHARDS read *)
   avi : Selest_est.Estimator.t option Atomic.t;
       (* lazily-built AVI baseline: EXPLAINPLAN's fallback oracle for
          sub-queries the model cannot price *)
@@ -47,8 +47,6 @@ type t = {
   slowlog : Obs.Slowlog.t;
   slow_quantile : float;  (* latency capture threshold quantile *)
   qerror_gate : float;  (* TRUTH q-error above this is captured *)
-  slo_p99_us : float;  (* declared latency SLO: p99 target *)
-  slo_qerror : float;  (* declared accuracy SLO: q-error p99 target *)
   start_ns : int;
   responses : int Atomic.t;  (* drives threshold refresh + capture rate limit *)
   slow_threshold : int Atomic.t;  (* ns; max_int until warmed up *)
@@ -84,21 +82,21 @@ let create ?(cache_bytes = 1 lsl 20) ?(slowlog_capacity = 128)
   let symtab = Squery.Symtab.of_schema (Database.schema db) in
   let shards =
     Array.init domains (fun sid ->
-        let req_counter = Metrics.shard_key sid "requests" in
         {
           sid;
           scache = Lru.create ~capacity_bytes:cache_bytes;
           splans = Plan_cache.create ();
           scratch = Squery.create symtab;
           slice = Protocol.Slice.create ();
-          c_req = Metrics.counter_handle metrics req_counter;
+          c_req = Metrics.counter_handle metrics (Metrics.shard_key sid "requests");
           c_infer = [];
           hot = Obs.Hotpath.create ();
           inflight = Atomic.make 0;
           accepted = Atomic.make 0;
-          req_counter;
         })
   in
+  let registry = Registry.create ~schema:(Database.schema db) in
+  let slowlog = Obs.Slowlog.create ~capacity:slowlog_capacity () in
   {
     db;
     sizes = Selest_plan.Estimate.sizes_of_db db;
@@ -107,15 +105,32 @@ let create ?(cache_bytes = 1 lsl 20) ?(slowlog_capacity = 128)
     tcp;
     max_inflight;
     backlog;
-    registry = Registry.create ~schema:(Database.schema db);
+    registry;
     shards;
     metrics;
+    catalog =
+      {
+        Catalog.metrics;
+        registry;
+        slowlog;
+        shard_sources =
+          Array.map
+            (fun st ->
+              {
+                Catalog.lru = st.scache;
+                plans = st.splans;
+                inflight = st.inflight;
+                accepted = st.accepted;
+                requests_key = Metrics.shard_key st.sid "requests";
+              })
+            shards;
+        slo_p99_us;
+        slo_qerror;
+      };
     avi = Atomic.make None;
-    slowlog = Obs.Slowlog.create ~capacity:slowlog_capacity ();
+    slowlog;
     slow_quantile;
     qerror_gate;
-    slo_p99_us;
-    slo_qerror;
     start_ns = Obs.Clock.now_ns ();
     responses = Atomic.make 0;
     slow_threshold = Atomic.make max_int;
@@ -148,25 +163,7 @@ let slowlog t = t.slowlog
    (lock-free after the slot exists), reads merge shards on demand. *)
 let qerror_table t name = Metrics.qerror_shard t.metrics name
 let qerror_tables t = Metrics.qerror_tables t.metrics
-
-(* Aggregates across shards — the STATS / METRICS / HEALTH view. *)
-let sum_shards t f = Array.fold_left (fun acc st -> acc + f st) 0 t.shards
-let cache_hits t = sum_shards t (fun st -> Lru.hits st.scache)
-let cache_misses t = sum_shards t (fun st -> Lru.misses st.scache)
-let cache_evictions t = sum_shards t (fun st -> Lru.evictions st.scache)
-let cache_entries t = sum_shards t (fun st -> Lru.length st.scache)
-let cache_bytes t = sum_shards t (fun st -> Lru.bytes st.scache)
-let cache_collisions t = sum_shards t (fun st -> Lru.collisions st.scache)
-let plan_collisions t = sum_shards t (fun st -> Plan_cache.collisions st.splans)
-
-let plan_stats t =
-  Array.fold_left
-    (fun (h, m, e) st ->
-      let h', m', e' = Plan_cache.stats st.splans in
-      (h + h', m + m', e + e'))
-    (0, 0, 0) t.shards
-
-let plan_entries t = sum_shards t (fun st -> Plan_cache.length st.splans)
+let snapshot t = Catalog.snapshot t.catalog
 
 (* ---- request handlers ------------------------------------------------------ *)
 
@@ -253,10 +250,10 @@ let est_hash st ~name ~version =
 (* Probe the shard cache for the scratch's current query.  Returns the
    verified resident entry or raises the preallocated [Not_found]; a
    hash hit whose full-key verification fails — a true collision — is
-   recounted as a miss and surfaced in the telemetry, then treated as a
+   recounted as a miss and counted as a collision, then treated as a
    miss (the subsequent {!Lru.add} overwrites the resident).
    Allocation-free either way. *)
-let probe t st ~name ~version hash =
+let probe st ~name ~version hash =
   let entry = Lru.find st.scache hash in
   if
     entry.Lru.version = version
@@ -265,7 +262,6 @@ let probe t st ~name ~version hash =
   then entry
   else begin
     Lru.collision st.scache;
-    Metrics.frontend_collision t.metrics;
     raise Not_found
   end
 
@@ -413,7 +409,7 @@ let est_core ?(force = false) ?(on_plan = ignore) t st (name, (e : Registry.entr
   Metrics.frontend_canon_ns t.metrics (t2 - t1);
   Metrics.frontend_key_ns t.metrics (t3 - t2);
   let sp = Obs.Span.enter_at "est.cache" t3 in
-  match probe t st ~name ~version hash with
+  match probe st ~name ~version hash with
   | entry when not force ->
     Obs.Span.exit sp;
     entry
@@ -715,7 +711,6 @@ let capture t st ~verb ~reason ?model ?body ?qerror ~lat_ns () =
     | None -> (verb, [])
     | Some b -> replay_spans t st ~model ~body:b
   in
-  Metrics.incr t.metrics "slowlog_captures";
   ignore
     (Obs.Slowlog.add t.slowlog ~verb ~reason ~query ~lat_ns
        ~threshold_ns:(Atomic.get t.slow_threshold) ?qerror ~spans ())
@@ -761,80 +756,24 @@ let handle_truth t st ~model ~truth ~body ~t0 =
       (Printf.sprintf "qerror=%.6g estimate=%.17g n=%d" qv estimate
          (Obs.Qerror.count (Metrics.qerror_merged t.metrics name)))
 
-(* ---- STATS / METRICS ------------------------------------------------------- *)
+(* ---- STATS / METRICS / HEALTH / SHARDS ---------------------------------------
 
-let qerror_stats_fields t =
-  List.concat_map
-    (fun (name, qe) ->
-      let s = Obs.Qerror.summarize qe in
-      let f v = Printf.sprintf "%.3g" v in
-      [ (Printf.sprintf "qerr.%s.n" name, string_of_int s.Obs.Qerror.n);
-        (Printf.sprintf "qerr.%s.mean" name, f s.Obs.Qerror.mean);
-        (Printf.sprintf "qerr.%s.p50" name, f s.Obs.Qerror.p50);
-        (Printf.sprintf "qerr.%s.p90" name, f s.Obs.Qerror.p90);
-        (Printf.sprintf "qerr.%s.max" name, f s.Obs.Qerror.max_q) ])
-    (qerror_tables t)
+   The four views render one {!Catalog.snapshot}, so a fact they share
+   is read once, from the family that owns it. *)
 
-(* The merged snapshot elides counters still at zero, but the
-   program-memo pair is part of STATS' contract (a plan compiled with its
-   program pre-built never counts a miss), so pin both fields. *)
-let with_program_counters t pairs =
-  List.fold_left
-    (fun acc name ->
-      if List.mem_assoc name acc then acc
-      else acc @ [ (name, string_of_int (Metrics.get t.metrics name)) ])
-    pairs
-    [ "plan.program_hits"; "plan.program_misses" ]
+let add_line buf fmt =
+  Printf.ksprintf
+    (fun s ->
+      Buffer.add_string buf s;
+      Buffer.add_char buf '\n')
+    fmt
 
-let handle_stats t =
-  let pairs =
-    with_program_counters t (Metrics.report t.metrics)
-    @ [
-        ("cache_hits", string_of_int (cache_hits t));
-        ("cache_misses", string_of_int (cache_misses t));
-        ("cache_evictions", string_of_int (cache_evictions t));
-        ("cache_entries", string_of_int (cache_entries t));
-        ("cache_bytes", string_of_int (cache_bytes t));
-        ("cache_collisions", string_of_int (cache_collisions t));
-      ]
-    @ (let hits, misses, evictions = plan_stats t in
-       [
-         ("plan_cache_hits", string_of_int hits);
-         ("plan_cache_misses", string_of_int misses);
-         ("plan_cache_evictions", string_of_int evictions);
-         ("plan_cache_entries", string_of_int (plan_entries t));
-         ("plan_cache_collisions", string_of_int (plan_collisions t));
-       ])
-    @ [
-        ("models", string_of_int (Registry.size t.registry));
-        ("registry_epoch", string_of_int (Registry.Epoch.current_epoch t.registry));
-        ("domains", string_of_int (Array.length t.shards));
-      ]
-    @ qerror_stats_fields t
-  in
-  Protocol.ok (String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) pairs))
+let render_stats snap =
+  Protocol.ok
+    (String.concat " "
+       (List.map (fun (k, v) -> k ^ "=" ^ v) (Catalog.stats_pairs snap)))
 
-(* ---- HEALTH ----------------------------------------------------------------- *)
-
-(* Error-budget burn: observed violation fraction over the budget a p99
-   target allows (1%).  1.0 = exactly on budget, above = burning. *)
-let burn_of ~violations ~n =
-  if n = 0 then 0.0 else float_of_int violations /. float_of_int n /. 0.01
-
-let latency_violations ~slo_p99_us h =
-  let n = Obs.Histogram.count h in
-  (n, n - Obs.Histogram.count_le h (int_of_float (slo_p99_us *. 1e3)))
-
-(* Observations at or under [gate], read off the cumulative q-error
-   buckets (bucket-quantized like the quantiles themselves). *)
-let qerror_violations ~gate qe =
-  let le =
-    Array.fold_left
-      (fun acc (edge, cum) -> if edge <= gate then max acc cum else acc)
-      0 (Obs.Qerror.buckets qe)
-  in
-  let n = Obs.Qerror.count qe in
-  (n, n - le)
+let render_metrics snap = Protocol.ok_multiline (Catalog.prometheus snap)
 
 let threshold_us_string ns =
   if ns = max_int then "-" else Printf.sprintf "%.1f" (float_of_int ns /. 1e3)
@@ -845,103 +784,75 @@ let threshold_us_string ns =
    start), so repeated probes see fresh burn rates, not a lifetime
    average that a long good run can never move.  q-error burn is
    lifetime — ground truth is too rare to window. *)
-let handle_health t =
-  let snap = Obs.Telemetry.snapshot (Metrics.telemetry t.metrics) in
+let render_health t (snap : Catalog.snapshot) =
+  let tel = snap.Catalog.tel in
   let window =
-    match Atomic.get t.health_prev with
-    | Some prev -> Obs.Telemetry.Snapshot.delta ~prev snap
-    | None -> snap
+    match Atomic.exchange t.health_prev (Some tel) with
+    | Some prev -> Obs.Telemetry.Snapshot.delta ~prev tel
+    | None -> tel
   in
-  Atomic.set t.health_prev (Some snap);
   let buf = Buffer.create 1024 in
-  let line fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string buf s;
-        Buffer.add_char buf '\n')
-      fmt
-  in
+  let line fmt = add_line buf fmt in
+  let v name = Catalog.int snap name in
   let us ns = float_of_int ns /. 1e3 in
   let hq h p = us (Obs.Histogram.quantile_ns h p) in
   let lat_n, lat_viol, lat_burn, lat_p99 =
     match Obs.Telemetry.Snapshot.find_hist window Metrics.lat_key with
     | None -> (0, 0, 0.0, 0.0)
     | Some h ->
-      let n, viol = latency_violations ~slo_p99_us:t.slo_p99_us h in
-      (n, viol, burn_of ~violations:viol ~n, hq h 0.99)
+      let n, viol = Catalog.latency_violations ~slo_p99_us:snap.Catalog.slo_p99_us h in
+      (n, viol, Catalog.burn ~violations:viol ~n, hq h 0.99)
   in
-  let q_slos =
-    List.map
-      (fun (name, qe) ->
-        let n, viol = qerror_violations ~gate:t.slo_qerror qe in
-        (name, qe, n, viol, burn_of ~violations:viol ~n))
-      (qerror_tables t)
-  in
-  let healthy =
-    lat_burn <= 1.0 && List.for_all (fun (_, _, _, _, b) -> b <= 1.0) q_slos
-  in
+  let q_burns = List.map (fun (_, qe) -> Catalog.qerror_burn snap qe) snap.Catalog.qerrors in
+  let healthy = lat_burn <= 1.0 && List.for_all (fun b -> b <= 1.0) q_burns in
   line "status=%s uptime_s=%.1f epoch=%d shards=%d requests=%d window_requests=%d"
     (if healthy then "ok" else "degraded")
     (float_of_int (Obs.Clock.now_ns () - t.start_ns) /. 1e9)
-    snap.Obs.Telemetry.epoch
-    (Obs.Telemetry.n_shards (Metrics.telemetry t.metrics))
-    (Obs.Telemetry.Snapshot.find_counter snap "requests")
+    tel.Obs.Telemetry.epoch snap.Catalog.tel_shards (v "selest_requests_total")
     (Obs.Telemetry.Snapshot.find_counter window "requests");
   (* per-verb latency quantiles over the window; "all" is the aggregate *)
-  let verb_prefix = Metrics.verb_key "" in
-  let plen = String.length verb_prefix in
   List.iter
-    (fun (name, h) ->
-      let verb =
-        if name = Metrics.lat_key then Some "all"
-        else if String.length name > plen && String.sub name 0 plen = verb_prefix
-        then Some (String.sub name plen (String.length name - plen))
-        else None
-      in
-      match verb with
-      | Some v when Obs.Histogram.count h > 0 ->
+    (fun (v, h) ->
+      if Obs.Histogram.count h > 0 then
         line
           "verb=%s n=%d mean_us=%.1f p50_us=%.1f p95_us=%.1f p99_us=%.1f p999_us=%.1f max_us=%.1f"
           v (Obs.Histogram.count h)
           (Obs.Histogram.mean_ns h /. 1e3)
           (hq h 0.5) (hq h 0.95) (hq h 0.99) (hq h 0.999)
-          (us (Obs.Histogram.max_ns_seen h))
-      | _ -> ())
-    window.Obs.Telemetry.hists;
+          (us (Obs.Histogram.max_ns_seen h)))
+    (Option.to_list
+       (Option.map (fun h -> ("all", h))
+          (Obs.Telemetry.Snapshot.find_hist window Metrics.lat_key))
+    @ Catalog.with_prefix (Metrics.verb_key "") window.Obs.Telemetry.hists);
   line
     "slo=latency target_p99_us=%.0f observed_p99_us=%.1f n=%d violations=%d burn=%.2f status=%s"
-    t.slo_p99_us lat_p99 lat_n lat_viol lat_burn
+    snap.Catalog.slo_p99_us lat_p99 lat_n lat_viol lat_burn
     (if lat_burn <= 1.0 then "ok" else "breach");
-  List.iter
-    (fun (name, qe, n, viol, b) ->
-      let s = Obs.Qerror.summarize qe in
+  List.iter2
+    (fun (name, qe) b ->
+      let n, viol = Catalog.qerror_violations ~gate:snap.Catalog.slo_qerror qe in
       line
         "slo=qerror model=%s target_p99=%.1f observed_p99=%.3g n=%d violations=%d burn=%.2f status=%s"
-        name t.slo_qerror s.Obs.Qerror.p99 n viol b
+        name snap.Catalog.slo_qerror (Obs.Qerror.summarize qe).Obs.Qerror.p99 n viol b
         (if b <= 1.0 then "ok" else "breach"))
-    q_slos;
-  let rate h m =
-    let tot = h + m in
-    if tot = 0 then 0.0 else float_of_int h /. float_of_int tot
+    snap.Catalog.qerrors q_burns;
+  let cache kind prefix =
+    let hits = v (prefix ^ "_hits_total") and misses = v (prefix ^ "_misses_total") in
+    line "cache=%s hits=%d misses=%d hit_rate=%.3f entries=%d" kind hits misses
+      (if hits + misses = 0 then 0.0
+       else float_of_int hits /. float_of_int (hits + misses))
+      (v (prefix ^ "_entries"))
   in
-  line "cache=estimate hits=%d misses=%d hit_rate=%.3f entries=%d"
-    (cache_hits t) (cache_misses t)
-    (rate (cache_hits t) (cache_misses t))
-    (cache_entries t);
-  let plan_hits, plan_misses, _ = plan_stats t in
-  line "cache=plan hits=%d misses=%d hit_rate=%.3f entries=%d" plan_hits
-    plan_misses
-    (rate plan_hits plan_misses)
-    (plan_entries t);
+  cache "estimate" "selest_cache";
+  cache "plan" "selest_plan_cache";
   (* shard identity: one line per executor shard, so a hot or wedged
      shard is visible from the same probe as everything else *)
-  Array.iter
-    (fun st ->
-      line "shard id=%d inflight=%d accepted=%d requests=%d cache_entries=%d"
-        st.sid (Atomic.get st.inflight) (Atomic.get st.accepted)
-        (Metrics.get t.metrics st.req_counter)
-        (Lru.length st.scache))
-    t.shards;
+  Array.iteri
+    (fun sid (sh : Catalog.shard) ->
+      line "shard id=%d inflight=%d accepted=%d requests=%d cache_entries=%d" sid
+        sh.Catalog.inflight sh.Catalog.accepted sh.Catalog.requests
+        sh.Catalog.cache_entries)
+    snap.Catalog.shards;
   List.iter
     (fun (name, qe) ->
       let s = Obs.Qerror.summarize qe in
@@ -949,46 +860,42 @@ let handle_health t =
       line "qerror model=%s n=%d mean=%s p50=%s p90=%s p99=%s max=%s" name
         s.Obs.Qerror.n (f s.Obs.Qerror.mean) (f s.Obs.Qerror.p50)
         (f s.Obs.Qerror.p90) (f s.Obs.Qerror.p99) (f s.Obs.Qerror.max_q))
-    (qerror_tables t);
+    snap.Catalog.qerrors;
   line "slowlog captured=%d held=%d capacity=%d threshold_us=%s quantile=%.3f qerror_gate=%.1f"
-    (Obs.Slowlog.total t.slowlog)
-    (Obs.Slowlog.length t.slowlog)
+    (v "selest_slowlog_captured_total")
+    (v "selest_slowlog_entries")
     (Obs.Slowlog.capacity t.slowlog)
     (threshold_us_string (Atomic.get t.slow_threshold))
     t.slow_quantile t.qerror_gate;
   Protocol.ok_multiline (Buffer.contents buf)
 
-(* ---- SHARDS ----------------------------------------------------------------- *)
-
 (* The shard-per-domain introspection surface: layout first (domain
    count, admission budget, backlog, endpoints), then one line per shard
    with its live admission state and domain-local cache counters. *)
-let handle_shards t =
+let render_shards t (snap : Catalog.snapshot) =
   let buf = Buffer.create 256 in
-  let line fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string buf s;
-        Buffer.add_char buf '\n')
-      fmt
-  in
+  let line fmt = add_line buf fmt in
   line "domains=%d max_inflight=%d backlog=%d socket=%s tcp=%s epoch=%d"
-    (Array.length t.shards) t.max_inflight t.backlog t.socket
+    (Catalog.int snap "selest_domains") t.max_inflight t.backlog t.socket
     (match t.tcp with
     | None -> "-"
     | Some (host, port) -> Printf.sprintf "%s:%d" host port)
-    (Registry.Epoch.current_epoch t.registry);
-  Array.iter
-    (fun st ->
-      let ph, pm, _ = Plan_cache.stats st.splans in
+    (Catalog.int snap "selest_registry_epoch");
+  Array.iteri
+    (fun sid (sh : Catalog.shard) ->
       line
         "shard id=%d inflight=%d accepted=%d requests=%d cache_entries=%d cache_hits=%d cache_misses=%d plan_entries=%d plan_hits=%d plan_misses=%d"
-        st.sid (Atomic.get st.inflight) (Atomic.get st.accepted)
-        (Metrics.get t.metrics st.req_counter)
-        (Lru.length st.scache) (Lru.hits st.scache) (Lru.misses st.scache)
-        (Plan_cache.length st.splans) ph pm)
-    t.shards;
+        sid sh.Catalog.inflight sh.Catalog.accepted sh.Catalog.requests
+        sh.Catalog.cache_entries sh.Catalog.cache_hits sh.Catalog.cache_misses
+        sh.Catalog.plan_entries sh.Catalog.plan_hits sh.Catalog.plan_misses)
+    snap.Catalog.shards;
   Protocol.ok_multiline (Buffer.contents buf)
+
+let view t snap = function
+  | `Stats -> render_stats snap
+  | `Metrics -> render_metrics snap
+  | `Health -> render_health t snap
+  | `Shards -> render_shards t snap
 
 (* ---- SLOWLOG ---------------------------------------------------------------- *)
 
@@ -996,13 +903,7 @@ let handle_slowlog t n =
   let n = Option.value ~default:10 n in
   let entries = Obs.Slowlog.recent ~n t.slowlog in
   let buf = Buffer.create 512 in
-  let line fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string buf s;
-        Buffer.add_char buf '\n')
-      fmt
-  in
+  let line fmt = add_line buf fmt in
   line "entries=%d captured=%d capacity=%d threshold_us=%s"
     (List.length entries)
     (Obs.Slowlog.total t.slowlog)
@@ -1038,176 +939,9 @@ let handle_slowlog t n =
     entries;
   Protocol.ok_multiline (Buffer.contents buf)
 
-let prometheus_metrics t =
-  let open Obs.Prometheus in
-  let counter ?(help = "") ?(labels = []) name v =
-    Counter { name; help; labels; value = float_of_int v }
-  in
-  let gauge ?(help = "") name v =
-    Gauge { name; help; labels = []; value = float_of_int v }
-  in
-  let fgauge ?(help = "") ?(labels = []) name v =
-    Gauge { name; help; labels; value = v }
-  in
-  (* service counters; infer.<model> folds into one labelled family and
-     the program-memo pair keeps its own stable names *)
-  let infers, plain =
-    List.partition
-      (fun (k, _) -> String.length k > 6 && String.sub k 0 6 = "infer.")
-      (List.filter
-         (fun (k, _) -> k <> "plan.program_hits" && k <> "plan.program_misses")
-         (Metrics.counters t.metrics))
-  in
-  let plain_metrics =
-    List.map
-      (fun (k, v) -> counter ("selest_" ^ sanitize k ^ "_total") v)
-      plain
-  in
-  let infer_metrics =
-    List.map
-      (fun (k, v) ->
-        let model_name = String.sub k 6 (String.length k - 6) in
-        counter ~help:"inference runs per model"
-          ~labels:[ ("model", model_name) ] "selest_infer_total" v)
-      infers
-  in
-  let program_metrics =
-    [ counter ~help:"bytecode program-memo hits inside compiled plans"
-        "selest_program_memo_hits"
-        (Metrics.get t.metrics "plan.program_hits");
-      counter ~help:"bytecode program-memo misses (slow-path recomputes)"
-        "selest_program_memo_misses"
-        (Metrics.get t.metrics "plan.program_misses") ]
-  in
-  let latency =
-    Histogram
-      {
-        name = "selest_request_latency_us";
-        help = "request latency in microseconds";
-        labels = [];
-        buckets = Metrics.histogram t.metrics;
-        sum = Metrics.latency_sum_us t.metrics;
-        count = Metrics.observations t.metrics;
-      }
-  in
-  let verb_latency =
-    List.map
-      (fun (verb, h) ->
-        Histogram
-          {
-            name = "selest_verb_latency_us";
-            help = "per-verb request latency in microseconds";
-            labels = [ ("verb", verb) ];
-            buckets = Obs.Histogram.buckets_us h;
-            sum = float_of_int (Obs.Histogram.sum_ns h) /. 1e3;
-            count = Obs.Histogram.count h;
-          })
-      (Metrics.verb_histograms t.metrics)
-  in
-  let lat_n, lat_viol =
-    latency_violations ~slo_p99_us:t.slo_p99_us
-      (Metrics.latency_histogram t.metrics)
-  in
-  let slo_metrics =
-    [ counter ~help:"tail-sampled slow-log captures"
-        "selest_slowlog_captured_total"
-        (Obs.Slowlog.total t.slowlog);
-      gauge ~help:"slow-log entries held" "selest_slowlog_entries"
-        (Obs.Slowlog.length t.slowlog);
-      fgauge ~help:"latency SLO error-budget burn (lifetime)"
-        "selest_slo_latency_burn"
-        (burn_of ~violations:lat_viol ~n:lat_n) ]
-    @ List.map
-        (fun (name, qe) ->
-          let n, viol = qerror_violations ~gate:t.slo_qerror qe in
-          fgauge ~help:"q-error SLO error-budget burn"
-            ~labels:[ ("model", name) ] "selest_slo_qerror_burn"
-            (burn_of ~violations:viol ~n))
-        (qerror_tables t)
-  in
-  let shard_metrics =
-    [ gauge ~help:"executor shards (domains)" "selest_domains"
-        (Array.length t.shards) ]
-    @ (Array.to_list t.shards
-      |> List.concat_map (fun st ->
-             let sid = string_of_int st.sid in
-             [ Gauge
-                 {
-                   name = "selest_shard_inflight";
-                   help = "live connections per shard";
-                   labels = [ ("shard", sid) ];
-                   value = float_of_int (Atomic.get st.inflight);
-                 };
-               Counter
-                 {
-                   name = "selest_shard_accepted_total";
-                   help = "connections handed to each shard";
-                   labels = [ ("shard", sid) ];
-                   value = float_of_int (Atomic.get st.accepted);
-                 } ]))
-  in
-  let cache_metrics =
-    [ counter ~help:"estimate cache hits" "selest_cache_hits_total"
-        (cache_hits t);
-      counter ~help:"estimate cache misses" "selest_cache_misses_total"
-        (cache_misses t);
-      counter ~help:"estimate cache evictions" "selest_cache_evictions_total"
-        (cache_evictions t);
-      counter
-        ~help:"estimate cache hash hits whose full-key verification failed"
-        "selest_cache_collisions_total" (cache_collisions t);
-      gauge ~help:"estimate cache entries" "selest_cache_entries"
-        (cache_entries t);
-      gauge ~help:"estimate cache bytes" "selest_cache_bytes"
-        (cache_bytes t);
-      gauge ~help:"loaded models" "selest_models" (Registry.size t.registry);
-      gauge ~help:"registry snapshot epoch (bumps on LOAD)"
-        "selest_registry_epoch"
-        (Registry.Epoch.current_epoch t.registry)
-    ]
-  in
-  let plan_hits, plan_misses, plan_evictions = plan_stats t in
-  let plan_metrics =
-    [ counter ~help:"compiled-plan cache hits" "selest_plan_cache_hits_total"
-        plan_hits;
-      counter ~help:"compiled-plan cache misses"
-        "selest_plan_cache_misses_total" plan_misses;
-      counter ~help:"compiled-plan cache evictions"
-        "selest_plan_cache_evictions_total" plan_evictions;
-      counter
-        ~help:"plan cache hash hits whose full-key verification failed"
-        "selest_plan_cache_collisions_total" (plan_collisions t);
-      gauge ~help:"compiled-plan cache entries" "selest_plan_cache_entries"
-        (plan_entries t) ]
-  in
-  let qerror_metrics =
-    List.map
-      (fun (name, qe) ->
-        let s = Obs.Qerror.summarize qe in
-        Histogram
-          {
-            name = "selest_qerror";
-            help = "q-error of estimates vs supplied ground truth";
-            labels = [ ("model", name) ];
-            buckets = Obs.Qerror.buckets qe;
-            sum =
-              (if s.Obs.Qerror.n = 0 then 0.0
-               else s.Obs.Qerror.mean *. float_of_int s.Obs.Qerror.n);
-            count = s.Obs.Qerror.n;
-          })
-      (qerror_tables t)
-  in
-  plain_metrics @ infer_metrics @ program_metrics
-  @ (latency :: verb_latency)
-  @ cache_metrics @ plan_metrics @ shard_metrics @ qerror_metrics
-  @ slo_metrics
-
-let handle_metrics t =
-  Protocol.ok_multiline (Obs.Prometheus.render (prometheus_metrics t))
-
 let handle_line_st t st line =
   Metrics.incr t.metrics "requests";
-  Metrics.incr t.metrics st.req_counter;
+  Metrics.bump t.metrics st.c_req;
   let t0 = Obs.Clock.now_ns () in
   (* The handler has already run when [finish] fires (argument order):
      it records the verb's latency and feeds the tail sampler.  Only
@@ -1244,10 +978,10 @@ let handle_line_st t st line =
     Metrics.incr t.metrics "truth_requests";
     finish ~verb:"truth" ?model ~body
       (handle_truth t st ~model ~truth ~body ~t0, `Continue)
-  | Ok Protocol.Stats -> finish ~verb:"stats" (handle_stats t, `Continue)
-  | Ok Protocol.Metrics -> finish ~verb:"metrics" (handle_metrics t, `Continue)
-  | Ok Protocol.Health -> finish ~verb:"health" (handle_health t, `Continue)
-  | Ok Protocol.Shards -> finish ~verb:"shards" (handle_shards t, `Continue)
+  | Ok Protocol.Stats -> finish ~verb:"stats" (view t (snapshot t) `Stats, `Continue)
+  | Ok Protocol.Metrics -> finish ~verb:"metrics" (view t (snapshot t) `Metrics, `Continue)
+  | Ok Protocol.Health -> finish ~verb:"health" (view t (snapshot t) `Health, `Continue)
+  | Ok Protocol.Shards -> finish ~verb:"shards" (view t (snapshot t) `Shards, `Continue)
   | Ok (Protocol.Slowlog { n }) ->
     finish ~verb:"slowlog" (handle_slowlog t n, `Continue)
   | Ok Protocol.Shutdown -> finish ~verb:"shutdown" (Protocol.ok "bye", `Stop)
@@ -1257,7 +991,7 @@ let handle_line_st t st line =
    [handle_line_st], minus the text formatting. *)
 let handle_frame_st t st payload =
   Metrics.incr t.metrics "requests";
-  Metrics.incr t.metrics st.req_counter;
+  Metrics.bump t.metrics st.c_req;
   let t0 = Obs.Clock.now_ns () in
   let finish ~verb ?model ?body r =
     observe_response t st ~verb ?model ?body
@@ -1501,8 +1235,9 @@ let run t =
      not strand buffered span records in a dying process. *)
   Obs.Trace_log.close ();
   Log.info (fun m ->
-      m "shut down after %d requests@.%a" (Metrics.get t.metrics "requests") Metrics.pp
-        t.metrics)
+      m "shut down after %d requests@.%s" (Metrics.get t.metrics "requests")
+        (String.concat "\n"
+           (List.map (fun (k, v) -> k ^ "=" ^ v) (Catalog.stats_pairs (snapshot t)))))
 
 let shutdown t =
   (* Latch first so a [run] that has not yet installed its waker still

@@ -77,9 +77,8 @@
     inference's {!Selest_obs.Hotpath} kernel counters (read before and
     after, per shard) are rolled into the service metrics through
     pre-registered handles, as is the per-model [infer.<name>] count
-    ([ve.factor_ops], [ve.entries_touched],
-    [ve.scratch_hits]/[misses], [ve.order_hits]/[misses] and
-    [plan.program_hits]/[misses] — the memo pairs of the compiled
+    ([ve.factor_ops], [ve.entries_touched] and
+    [plan.program_hits]/[misses], the program-memo pair of the compiled
     plans).
 
     [EXPLAIN <query>] runs the EST core with span collection on and
@@ -115,23 +114,16 @@
     line per shard with its live admission state ([inflight],
     [accepted]), request count and domain-local cache counters.
 
-    [METRICS] answers the whole picture as Prometheus text exposition
-    ({!Selest_obs.Prometheus}): counters ([selest_*_total], with
-    per-model [selest_infer_total{model="..."}] and the compiled plans'
-    program-memo pair [selest_program_memo_hits]/[_misses]), the
-    request-latency histogram ([selest_request_latency_us]) plus
-    per-verb [selest_verb_latency_us{verb="..."}], estimate-cache and
-    registry gauges (including [selest_registry_epoch]), plan-cache
-    counters and gauge ([selest_plan_cache_*]), shard gauges
-    ([selest_domains], [selest_shard_inflight{shard="..."}],
-    [selest_shard_accepted_total{shard="..."}]), per-model
-    [selest_qerror] histograms, slow-log counters and the SLO burn
-    gauges ([selest_slo_latency_burn],
-    [selest_slo_qerror_burn{model="..."}]).
+    [STATS], [METRICS], [HEALTH] and [SHARDS] render one
+    {!Catalog.snapshot}: every family {!Catalog.families} declares is
+    present in each view that shows it, at zero until it moves.
+    [METRICS] is the Prometheus text exposition
+    ({!Selest_obs.Prometheus}) of the whole catalog, [STATS] one line of
+    its STATS keys.
 
     All counters and latency histograms live in a sharded, lock-free
     {!Selest_obs.Telemetry} core (one shard per domain, merged on read),
-    so STATS / METRICS / HEALTH never block the request path.
+    so the views never block the request path.
 
     [HEALTH] answers a multi-line SLO report: per-verb latency quantiles
     (p50/p95/p99/p999, computed over the window since the previous
@@ -233,6 +225,14 @@ val qerror_table : t -> string -> Selest_obs.Qerror.t
 val qerror_tables : t -> (string * Selest_obs.Qerror.t) list
 (** Every model with q-error observations — fresh merged copies, sorted
     by model name. *)
+
+val snapshot : t -> Catalog.snapshot
+(** One read of every metrics store ({!Catalog.snapshot}). *)
+
+val view : t -> Catalog.snapshot -> [ `Stats | `Metrics | `Health | `Shards ] -> string
+(** The response [STATS], [METRICS], [HEALTH] or [SHARDS] renders from
+    one snapshot — exposed so a caller can render all four from the same
+    one.  [`Health] also advances HEALTH's burn window to [snap]. *)
 
 val handle_line : t -> string -> string * [ `Continue | `Stop ]
 (** Dispatch one request line to one response, on shard 0.  Never

@@ -20,6 +20,7 @@ type conn = {
   mutable inbuf : Bytes.t;
   mutable start : int;  (* first unconsumed byte *)
   mutable len : int;  (* end of valid data *)
+  mutable scanned : int;  (* text mode: no '\n' in [start, scanned) *)
   mutable mode : [ `Text | `Bin ];
   mutable alive : bool;
 }
@@ -75,8 +76,8 @@ let drain_wake_pipe t =
   go ()
 
 let new_conn fd =
-  { fd; inbuf = Bytes.create 4096; start = 0; len = 0; mode = `Text;
-    alive = true }
+  { fd; inbuf = Bytes.create 4096; start = 0; len = 0; scanned = 0;
+    mode = `Text; alive = true }
 
 let write_all fd s =
   let b = Bytes.unsafe_of_string s in
@@ -97,6 +98,7 @@ let ensure_room c =
   if c.start > 0 then begin
     Bytes.blit c.inbuf c.start c.inbuf 0 (c.len - c.start);
     c.len <- c.len - c.start;
+    c.scanned <- max 0 (c.scanned - c.start);
     c.start <- 0
   end;
   if Bytes.length c.inbuf - c.len < chunk then begin
@@ -109,15 +111,19 @@ let close_conn c =
   c.alive <- false;
   (try Unix.close c.fd with Unix.Unix_error _ -> ())
 
-(* Index of the next '\n' in the buffered data, or -1.  Top-level
-   recursion: an inner [let rec] would close over [c] and allocate on
-   every scan. *)
+(* Index of the next '\n' in the buffered data, or -1.  The scan
+   resumes where the last one stopped, so a line arriving in many reads
+   is scanned once, not once per read.  Top-level recursion: an inner
+   [let rec] would close over [c] and allocate on every scan. *)
 let rec find_nl_from c i =
   if i >= c.len then -1
   else if Bytes.unsafe_get c.inbuf i = '\n' then i
   else find_nl_from c (i + 1)
 
-let find_nl c = find_nl_from c c.start
+let find_nl c =
+  let nl = find_nl_from c (max c.start c.scanned) in
+  c.scanned <- (if nl < 0 then c.len else nl);
+  nl
 
 (* Frame-length read without the [Int32] box [Bytes.get_int32_be]
    would allocate — the warm binary path must not touch the heap. *)
@@ -148,7 +154,18 @@ let rec process_go c on_line_fast on_frame_fast on_line on_frame
     match c.mode with
     | `Text ->
       let nl = find_nl c in
-      if nl < 0 then `Continue
+      if (if nl < 0 then c.len else nl) - c.start > Protocol.Bin.max_frame
+      then begin
+        (* A text line is capped like a frame: the stream cannot be
+           resynchronized cheaply, so answer and drop the connection. *)
+        on_protocol_error ();
+        write_line c.fd
+          (Protocol.err
+             (Printf.sprintf "line length exceeds %d" Protocol.Bin.max_frame));
+        close_conn c;
+        `Continue
+      end
+      else if nl < 0 then `Continue
       else begin
         let stop =
           if nl > c.start && Bytes.unsafe_get c.inbuf (nl - 1) = '\r' then

@@ -12,9 +12,11 @@
     The loop understands both wire formats of {!Protocol}: newline-
     terminated text lines, and, after a connection sends the [BIN]
     hello, length-prefixed binary frames.  Partial reads are buffered
-    per connection; a frame announcing more than
-    {!Protocol.Bin.max_frame} bytes is answered with a binary error and
-    the connection dropped (the stream cannot be resynchronized). *)
+    per connection, and the newline scan resumes where the previous read's
+    scan stopped.  A frame announcing more than {!Protocol.Bin.max_frame}
+    bytes is answered with a binary error, and a text line longer than
+    that cap with an [ERR] line; either way the connection is dropped
+    (the stream cannot be resynchronized). *)
 
 type t
 

@@ -259,9 +259,10 @@ let test_metrics_report () =
   let m = Metrics.create () in
   Metrics.incr m "requests";
   Metrics.observe m 100e-6;
-  let report = Metrics.report m in
+  let report = Metrics.latency_pairs "lat" (Metrics.latency_histogram m) in
   let f k = List.assoc_opt k report in
-  Alcotest.(check (option string)) "counter listed" (Some "1") (f "requests");
+  Alcotest.(check (option int)) "counter listed" (Some 1)
+    (List.assoc_opt "requests" (Metrics.counters m));
   Alcotest.(check (option string)) "lat_count" (Some "1") (f "lat_count");
   Alcotest.(check bool) "quantization asymmetry documented" true
     (f "lat_quantization" <> None)
@@ -1921,7 +1922,7 @@ let test_fast_path_loopback () =
         (Metrics.get m "frontend.canon_ns" > 0);
       Alcotest.(check bool) "frontend key ns counted" true
         (Metrics.get m "frontend.key_ns" > 0);
-      Alcotest.(check int) "no collisions" 0 (Metrics.get m "frontend.collisions"));
+      Alcotest.(check int) "no collisions" 0 (Lru.collisions (Server.cache server)));
   (* an empty registry: the fast path answers the reference error, over
      text and BIN *)
   let empty = Server.create ~db:(Lazy.force db) ~socket:"(test: unused)" () in
@@ -1946,6 +1947,286 @@ let test_fast_path_loopback () =
       Alcotest.(check string) "empty registry: bin bytes" want got;
       Alcotest.(check (list int)) "empty registry: bin counters" d_ref d_fast;
       Alcotest.(check int) "empty registry: no fallback" 0 !fallbacks)
+
+(* ---- one catalog, four views ------------------------------------------------------ *)
+
+let catalog_model_file =
+  lazy
+    (let path = Filename.temp_file "selest_catalog" ".prm" in
+     Selest_prm.Serialize.save path (Lazy.force model);
+     at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+     path)
+
+(* The lines of a multi-line [OK lines=N] response. *)
+let body_lines resp = List.tl (String.split_on_char '\n' resp)
+
+let parse_metrics resp = Selest_obs.Prometheus.parse (String.concat "\n" (body_lines resp))
+
+let catalog_types =
+  List.map (fun (f : Catalog.family) -> (f.Catalog.name, Catalog.kind_string f.Catalog.kind))
+    Catalog.families
+
+(* Where HEALTH and SHARDS show a family: (family, view, the line's
+   prefix for a label value, field). *)
+let view_fields =
+  let fixed p _ = p in
+  let shard_line l = Printf.sprintf "shard id=%s " l in
+  [ ("selest_requests_total", `Health, fixed "status=", "requests");
+    ("selest_cache_hits_total", `Health, fixed "cache=estimate ", "hits");
+    ("selest_cache_misses_total", `Health, fixed "cache=estimate ", "misses");
+    ("selest_cache_entries", `Health, fixed "cache=estimate ", "entries");
+    ("selest_plan_cache_hits_total", `Health, fixed "cache=plan ", "hits");
+    ("selest_plan_cache_misses_total", `Health, fixed "cache=plan ", "misses");
+    ("selest_plan_cache_entries", `Health, fixed "cache=plan ", "entries");
+    ("selest_shard_requests_total", `Health, shard_line, "requests");
+    ("selest_shard_inflight", `Health, shard_line, "inflight");
+    ("selest_shard_accepted_total", `Health, shard_line, "accepted");
+    ("selest_shard_requests_total", `Shards, shard_line, "requests");
+    ("selest_shard_inflight", `Shards, shard_line, "inflight");
+    ("selest_shard_accepted_total", `Shards, shard_line, "accepted");
+    ("selest_slowlog_captured_total", `Health, fixed "slowlog ", "captured");
+    ("selest_slowlog_entries", `Health, fixed "slowlog ", "held");
+    ("selest_qerror", `Health, Printf.sprintf "qerror model=%s ", "n");
+    ("selest_qerror", `Health, Printf.sprintf "slo=qerror model=%s ", "n");
+    ("selest_slo_qerror_burn", `Health, Printf.sprintf "slo=qerror model=%s ", "burn");
+    ("selest_domains", `Shards, fixed "domains=", "domains");
+    ("selest_registry_epoch", `Shards, fixed "domains=", "epoch") ]
+
+(* Per-shard SHARDS fields whose sum is an aggregate family. *)
+let shard_sums =
+  [ ("cache_hits", "selest_cache_hits_total"); ("cache_misses", "selest_cache_misses_total");
+    ("cache_entries", "selest_cache_entries"); ("plan_hits", "selest_plan_cache_hits_total");
+    ("plan_misses", "selest_plan_cache_misses_total");
+    ("plan_entries", "selest_plan_cache_entries") ]
+
+(* Render all four views from one snapshot and check that every family's
+   sample reads the same in each view that shows it; fails with the
+   first disagreement. *)
+let check_views_agree server =
+  let snap = Server.snapshot server in
+  let stats = Server.view server snap `Stats in
+  let types, samples = parse_metrics (Server.view server snap `Metrics) in
+  let health = body_lines (Server.view server snap `Health) in
+  let shards = body_lines (Server.view server snap `Shards) in
+  let fail fmt = Printf.ksprintf failwith fmt in
+  if types <> catalog_types then fail "METRICS families differ from the catalog";
+  let close a b = Float.abs (a -. b) <= 1e-5 *. Float.max 1.0 (Float.abs a) in
+  List.iter
+    (fun (f : Catalog.family) ->
+      let name = f.Catalog.name in
+      List.iter
+        (fun (label, v) ->
+          let labels = match f.Catalog.label with None -> [] | Some k -> [ (k, label) ] in
+          let metric suffix =
+            match Selest_obs.Prometheus.find_sample samples ~name:(name ^ suffix) ~labels () with
+            | Some x -> x
+            | None -> fail "METRICS has no %s%s{%s}" name suffix label
+          in
+          let stat suffix =
+            Option.map
+              (fun k ->
+                let key = Catalog.stats_key k label ^ suffix in
+                match Protocol.stats_field stats key with
+                | Some x -> x
+                | None -> fail "STATS has no %s" key)
+              f.Catalog.stats
+          in
+          let agree what ok = if not ok then fail "%s{%s}: %s disagrees" name label what in
+          let expect_int suffix n =
+            agree "METRICS" (metric suffix = float_of_int n);
+            Option.iter (fun x -> agree "STATS" (x = string_of_int n)) (stat suffix)
+          in
+          (match v with
+          | Catalog.Int n -> expect_int "" n
+          | Catalog.Float x ->
+            agree "METRICS" (close x (metric ""));
+            Option.iter (fun s -> agree "STATS" (close x (float_of_string s))) (stat "")
+          | Catalog.Latency h ->
+            agree "METRICS" (metric "_count" = float_of_int (Selest_obs.Histogram.count h));
+            Option.iter
+              (fun s -> agree "STATS" (s = string_of_int (Selest_obs.Histogram.count h)))
+              (stat "_count")
+          | Catalog.Qerror qe ->
+            agree "METRICS" (metric "_count" = float_of_int (Selest_obs.Qerror.count qe));
+            Option.iter
+              (fun s -> agree "STATS" (s = string_of_int (Selest_obs.Qerror.count qe)))
+              (stat ".n"));
+          List.iter
+            (fun (fam, view, prefix, key) ->
+              if fam = name then begin
+                let lines = if view = `Health then health else shards in
+                let p = prefix label in
+                let line =
+                  match List.find_opt (String.starts_with ~prefix:p) lines with
+                  | Some l -> l
+                  | None -> fail "no line %S for %s" p name
+                in
+                let want =
+                  match v with
+                  | Catalog.Int n -> string_of_int n
+                  | Catalog.Float x -> Printf.sprintf "%.2f" x
+                  | Catalog.Qerror qe -> string_of_int (Selest_obs.Qerror.count qe)
+                  | Catalog.Latency h -> string_of_int (Selest_obs.Histogram.count h)
+                in
+                agree (p ^ key) (Protocol.stats_field line key = Some want)
+              end)
+            view_fields)
+        (f.Catalog.read snap))
+    Catalog.families;
+  (* nothing is counted outside the catalog: every telemetry counter is
+     a STATS key with its own value *)
+  List.iter
+    (fun (k, v) ->
+      if Protocol.stats_field stats k <> Some (string_of_int v) then
+        fail "telemetry counter %s is not in STATS" k)
+    snap.Catalog.tel.Selest_obs.Telemetry.counters;
+  List.iter
+    (fun (field, fam) ->
+      let total =
+        List.fold_left
+          (fun acc l ->
+            if String.starts_with ~prefix:"shard id=" l then
+              acc + int_of_string (Option.get (Protocol.stats_field l field))
+            else acc)
+          0 shards
+      in
+      if total <> Catalog.int snap fam then fail "SHARDS %s does not sum to %s" field fam)
+    shard_sums;
+  true
+
+let test_view_fields_declared () =
+  List.iter
+    (fun (fam, _, _, _) ->
+      Alcotest.(check bool) (fam ^ " declared") true
+        (List.exists (fun (f : Catalog.family) -> f.Catalog.name = fam) Catalog.families))
+    view_fields
+
+(* A fresh server's METRICS is exactly the catalog: every family is
+   declared, at zero, before anything moves it. *)
+let test_fresh_metrics_is_catalog () =
+  let server = Server.create ~domains:2 ~db:(Lazy.force db) ~socket:"(test: unused)" () in
+  let types, _ = parse_metrics (fst (Server.handle_line server "METRICS")) in
+  Alcotest.(check (list (pair string string))) "name/type list" catalog_types types;
+  Alcotest.(check bool) "views agree" true (check_views_agree server)
+
+let gen_view_mix =
+  let open QCheck2.Gen in
+  let body =
+    oneofl
+      [ "c=contact, p=patient ; c.patient=p ; p.USBorn=1";
+        "c=contact, p=patient ; c.patient=p ; p.USBorn=0, c.Contype=2";
+        "p=patient ; ; p.USBorn=1"; "c=contact ; ; c.Contype=1" ]
+  in
+  let model = oneofl [ ""; "@other " ] in
+  let line =
+    frequency
+      [ (6, map2 (fun m b -> "EST " ^ m ^ b) model body);
+        (2, map (fun bs -> "ESTBATCH " ^ String.concat " || " bs) (list_size (int_range 1 3) body));
+        (2, map2 (fun t b -> Printf.sprintf "TRUTH %g %s" t b) (oneofl [ 10.0; 500.0; 1e9 ]) body);
+        (1, oneofl [ "LOAD default"; "LOAD other"; "LOAD bad /nonexistent.prm" ]);
+        (2, oneofl [ "EST p=patient ; ; p.Nope=1"; "FROB"; "TRUTH x p=patient"; "ESTBATCH"; "EST" ]);
+        (1, oneofl [ "PING"; "EXPLAIN p=patient ; ; p.USBorn=1"; "HEALTH"; "STATS" ]) ]
+  in
+  list_size (int_range 1 25) (pair (int_range 0 1) line)
+
+let prop_views_agree =
+  QCheck2.Test.make ~name:"STATS, METRICS, HEALTH and SHARDS agree" ~count:40
+    ~long_factor:20
+    ~print:QCheck2.Print.(list (pair int string))
+    gen_view_mix
+    (fun reqs ->
+      let path = Lazy.force catalog_model_file in
+      let server = Server.create ~domains:2 ~db:(Lazy.force db) ~socket:"(test: unused)" () in
+      ignore (Registry.register (Server.registry server) ~name:"default" (Lazy.force model));
+      List.iter
+        (fun (shard, line) ->
+          let line =
+            if String.starts_with ~prefix:"LOAD " line && String.length line < 14 then
+              line ^ " " ^ path
+            else line
+          in
+          ignore (Server.handle_line_shard server ~shard line))
+        reqs;
+      check_views_agree server)
+
+(* ---- shard I/O ------------------------------------------------------------------- *)
+
+(* A raw socketpair loopback onto [server]'s shard 0: [feed n] writes [n]
+   bytes of an unterminated line and runs one shard step per 4 KiB. *)
+let raw_loopback server =
+  let client, srv = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let conn = Shard.Loopback.connect srv in
+  let on_line_fast, on_frame_fast = Server.fast_handlers server ~shard:0 in
+  let step () =
+    Shard.Loopback.step conn ~on_line_fast ~on_frame_fast
+      ~on_line:(Server.handle_line server) ~on_frame:(Server.handle_frame server)
+  in
+  let piece = Bytes.make 4096 'x' in
+  let feed n =
+    let sent = ref 0 in
+    while !sent < n && Shard.Loopback.alive conn do
+      let k = min 4096 (n - !sent) in
+      ignore (Unix.write client piece 0 k);
+      step ();
+      sent := !sent + k
+    done
+  in
+  let close () =
+    (try Unix.close client with Unix.Unix_error _ -> ());
+    if Shard.Loopback.alive conn then Unix.close srv
+  in
+  (client, conn, step, feed, close)
+
+(* Everything the peer has written until it closes. *)
+let read_to_eof fd =
+  let buf = Buffer.create 256 and b = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd b 0 4096 with
+    | 0 -> Buffer.contents buf
+    | n -> Buffer.add_subbytes buf b 0 n; go ()
+  in
+  go ()
+
+(* An unterminated line arriving 4 KiB at a time is scanned once, not
+   once per read: 8 MiB took 18.6 s when every read rescanned the line. *)
+let test_long_line_ingest_linear () =
+  let server = fresh_server () in
+  let client, conn, step, feed, close = raw_loopback server in
+  Fun.protect ~finally:close (fun () ->
+      (* a verb whose error does not echo the line back *)
+      ignore (Unix.write_substring client "SLOWLOG " 0 8);
+      let t0 = Unix.gettimeofday () in
+      feed (8 lsl 20);
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) (Printf.sprintf "8 MiB ingested in %.2fs < 2s" dt) true
+        (dt < 2.0);
+      Alcotest.(check bool) "under the cap: still open" true (Shard.Loopback.alive conn);
+      (* terminating it answers the line, then the connection serves on *)
+      ignore (Unix.write_substring client "\nPING\n" 0 6);
+      step ();
+      let b = Bytes.create 4096 in
+      let n = Unix.read client b 0 4096 in
+      match String.split_on_char '\n' (Bytes.sub_string b 0 n) with
+      | err :: pong :: _ ->
+        Alcotest.(check string) "long line answered ERR"
+          "ERR SLOWLOG expects: SLOWLOG [<count>]" err;
+        Alcotest.(check string) "then PONG" "PONG" pong
+      | _ -> Alcotest.fail "expected two response lines")
+
+(* A text line longer than the frame cap is answered ERR and the
+   connection closed; another connection on the shard still answers. *)
+let test_over_cap_line_closes () =
+  let server = fresh_server () in
+  let client, conn, _, feed, close = raw_loopback server in
+  Fun.protect ~finally:close (fun () ->
+      feed (Protocol.Bin.max_frame + 8192);
+      Alcotest.(check bool) "connection closed" false (Shard.Loopback.alive conn);
+      Alcotest.(check string) "ERR then EOF"
+        (Printf.sprintf "ERR line length exceeds %d\n" Protocol.Bin.max_frame)
+        (read_to_eof client));
+  let send, close, _ = loopback server in
+  Fun.protect ~finally:close (fun () ->
+      Alcotest.(check string) "second connection" "PONG\n" (send "PING\n"))
 
 (* EXPLAIN runs the EST core on the bytecode engine: cold and warm, its
    estimate is EST's, bit for bit, and its stages partition total_us. *)
@@ -2082,6 +2363,19 @@ let () =
               test_slice_recognizes_warm_forms;
             Alcotest.test_case "fast path loopback" `Quick test_fast_path_loopback;
           ] );
+      ( "catalog",
+        [
+          Alcotest.test_case "view fields are declared" `Quick test_view_fields_declared;
+          Alcotest.test_case "fresh METRICS is the catalog" `Quick
+            test_fresh_metrics_is_catalog;
+          QCheck_alcotest.to_alcotest prop_views_agree;
+        ] );
+      ( "shard-io",
+        [
+          Alcotest.test_case "long line ingest is linear" `Quick
+            test_long_line_ingest_linear;
+          Alcotest.test_case "over-cap line closes" `Quick test_over_cap_line_closes;
+        ] );
       ( "miss-path",
         List.map QCheck_alcotest.to_alcotest
           (List.map2 prop_scratch_miss_path miss_cases [ "TB"; "FIN"; "two-fk" ])

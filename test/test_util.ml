@@ -257,75 +257,6 @@ let prop_float_atoms_roundtrip =
     QCheck2.Gen.(float_range (-1e9) 1e9)
     (fun x -> Sexp.as_float (Sexp.of_string (Sexp.to_string (Sexp.float x))) = x)
 
-(* ---- Pool ------------------------------------------------------------------ *)
-
-let test_pool_map_order () =
-  let pool = Pool.create ~size:3 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let xs = List.init 100 (fun i -> i) in
-      Alcotest.(check (list int)) "results in submission order"
-        (List.map (fun i -> i * i)
-           xs)
-        (Pool.map pool (fun i -> i * i) xs);
-      Alcotest.(check (list int)) "empty batch" [] (Pool.map pool (fun i -> i) []);
-      (* a second batch reuses the same workers *)
-      Alcotest.(check (list int)) "second batch" [ 1; 2; 3 ]
-        (Pool.map pool (fun i -> i + 1) [ 0; 1; 2 ]))
-
-let test_pool_inline () =
-  let pool = Pool.create ~size:0 () in
-  Alcotest.(check int) "zero workers" 0 (Pool.size pool);
-  Alcotest.(check (list int)) "inline run" [ 0; 2; 4 ]
-    (Pool.map pool (fun i -> 2 * i) [ 0; 1; 2 ]);
-  Pool.shutdown pool
-
-let test_pool_exception () =
-  let pool = Pool.create ~size:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      Alcotest.check_raises "first exception by submission order"
-        (Failure "job 1") (fun () ->
-          ignore
-            (Pool.map pool
-               (fun i -> if i >= 1 then failwith (Printf.sprintf "job %d" i) else i)
-               [ 0; 1; 2; 3 ]));
-      (* the pool survives a failed batch *)
-      Alcotest.(check (list int)) "still serving" [ 10 ] (Pool.map pool (fun i -> i) [ 10 ]))
-
-let test_pool_shutdown () =
-  let pool = Pool.create ~size:2 () in
-  Alcotest.(check bool) "positive size" true (Pool.size pool > 0);
-  Pool.shutdown pool;
-  Pool.shutdown pool;
-  (* idempotent *)
-  Alcotest.(check bool) "run after shutdown rejected" true
-    (try
-       ignore (Pool.run pool [ (fun () -> 1) ]);
-       false
-     with Invalid_argument _ -> true)
-
-let test_pool_parallelism () =
-  (* With >1 workers, two blocking jobs must be in flight at once: each
-     waits for the other to start, so inline execution would deadlock
-     (guarded by the timeout of the barrier loop). *)
-  let pool = Pool.create ~size:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let started = Atomic.make 0 in
-      let job () =
-        Atomic.incr started;
-        let deadline = Unix.gettimeofday () +. 5.0 in
-        while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
-          Domain.cpu_relax ()
-        done;
-        Atomic.get started
-      in
-      Alcotest.(check (list int)) "both jobs overlapped" [ 2; 2 ] (Pool.run pool [ job; job ]))
-
 let () =
   Alcotest.run "util"
     [
@@ -376,12 +307,4 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_normalize_sums_to_one; prop_sample_wor_distinct; prop_median_between_bounds ]
       );
-      ( "pool",
-        [
-          Alcotest.test_case "map preserves order" `Quick test_pool_map_order;
-          Alcotest.test_case "inline (size 0)" `Quick test_pool_inline;
-          Alcotest.test_case "exception propagation" `Quick test_pool_exception;
-          Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
-          Alcotest.test_case "true parallelism" `Quick test_pool_parallelism;
-        ] );
     ]

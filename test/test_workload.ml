@@ -1,5 +1,7 @@
 open Selest_db
 open Selest_workload
+module Jointree = Selest_opt.Jointree
+module Optimizer = Selest_opt.Optimizer
 
 let check_float = Alcotest.(check (float 1e-6))
 
@@ -183,7 +185,7 @@ let tb_plan_query db =
 let test_planner_enumerates_connected_orders () =
   let db = Lazy.force tb in
   let q = tb_plan_query db in
-  let all = Planner.plans q in
+  let all = Jointree.orders q in
   (* chain of 3: 4 connected left-deep orders *)
   Alcotest.(check int) "4 plans" 4 (List.length all);
   List.iter
@@ -202,7 +204,7 @@ let test_planner_enumerates_connected_orders () =
 let test_planner_prefix_query () =
   let db = Lazy.force tb in
   let q = tb_plan_query db in
-  let sub = Planner.prefix_query q [ "c"; "p" ] in
+  let sub = Jointree.subquery q [ "c"; "p" ] in
   Alcotest.(check int) "tvars" 2 (List.length sub.Query.tvars);
   Alcotest.(check int) "joins" 1 (List.length sub.Query.joins);
   Alcotest.(check int) "selects kept" 1 (List.length sub.Query.selects);
@@ -215,23 +217,25 @@ let test_planner_cost_with_oracle () =
   let truth qq = Exec.query_size db qq in
   let plan = [ "c"; "p"; "s" ] in
   let expected =
-    truth (Planner.prefix_query q [ "c"; "p" ]) +. truth q
+    truth (Jointree.subquery q [ "c"; "p" ]) +. truth q
   in
   Alcotest.(check (float 1e-6)) "cost = prefix + final" expected
-    (Planner.plan_cost truth q plan);
-  let best, cost = Planner.best_plan truth q in
-  Alcotest.(check int) "best is a full plan" 3 (List.length best);
+    (Optimizer.order_cost ~cost:truth q plan);
+  let best = Optimizer.best ~cost:truth q in
+  let cost = best.Optimizer.cost in
+  Alcotest.(check int) "best is a full plan" 3
+    (List.length (Option.get (Jointree.order_of best.Optimizer.tree)));
   List.iter
     (fun p ->
-      Alcotest.(check bool) "best is minimal" true (Planner.plan_cost truth q p >= cost -. 1e-9))
-    (Planner.plans q)
+      Alcotest.(check bool) "best is minimal" true (Optimizer.order_cost ~cost:truth q p >= cost -. 1e-9))
+    (Jointree.orders q)
 
 let test_rank_correlation () =
   Alcotest.(check (float 1e-9)) "identical" 1.0
-    (Planner.rank_correlation [ 1.0; 2.0; 3.0 ] [ 10.0; 20.0; 30.0 ]);
+    (Optimizer.rank_correlation [ 1.0; 2.0; 3.0 ] [ 10.0; 20.0; 30.0 ]);
   Alcotest.(check (float 1e-9)) "reversed" (-1.0)
-    (Planner.rank_correlation [ 1.0; 2.0; 3.0 ] [ 3.0; 2.0; 1.0 ]);
-  let r = Planner.rank_correlation [ 1.0; 2.0; 3.0; 4.0 ] [ 1.0; 3.0; 2.0; 4.0 ] in
+    (Optimizer.rank_correlation [ 1.0; 2.0; 3.0 ] [ 3.0; 2.0; 1.0 ]);
+  let r = Optimizer.rank_correlation [ 1.0; 2.0; 3.0; 4.0 ] [ 1.0; 3.0; 2.0; 4.0 ] in
   Alcotest.(check bool) "partial between" true (r > 0.0 && r < 1.0)
 
 let () =
