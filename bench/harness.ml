@@ -92,11 +92,23 @@ let read_ledger () =
       Printf.printf "%s unreadable; starting a fresh ledger\n" ledger_file;
       []
 
-let commit () =
-  let ic = Unix.open_process_in "git describe --always --dirty --abbrev=12 2>/dev/null" in
-  let c = try input_line ic with End_of_file -> "unknown" in
+(* The first line git prints for [args], or "" when it prints none. *)
+let git args =
+  let ic = Unix.open_process_in ("git " ^ args ^ " 2>/dev/null") in
+  let line = try input_line ic with End_of_file -> "" in
   ignore (Unix.close_process_in ic);
-  c
+  line
+
+(* The checked-out commit; on a dirty tree, also the commit [git stash
+   create] makes of it, which [git checkout] restores ("-dirty" named
+   no tree anyone could check out). *)
+let commit () =
+  match git "rev-parse --short=12 HEAD" with
+  | "" -> "unknown"
+  | base -> (
+    match git "stash create" with
+    | "" -> base
+    | stash -> Printf.sprintf "%s+stash:%s" base (String.sub stash 0 (min 12 (String.length stash))))
 
 (* Write the ledger (one row per line, rows grouped by figure), then exit
    1 if any gate failed. *)

@@ -435,13 +435,19 @@ let fig7b () =
     if cfg.full then [ 16_000; 32_000; 48_000; 64_000; 96_000; 128_000 ]
     else [ 8_000; 16_000; 24_000; 32_000; 40_000 ]
   in
-  let header = [| "rows"; "trees (s)"; "tables (s)" |] in
+  (* the climber's work beside each time: distinct family fits, and the
+     full-column passes the count kernel made for them *)
+  let header = [| "rows"; "trees (s)"; "fits"; "scans"; "tables (s)"; "fits"; "scans" |] in
+  let learn kind n =
+    Prob.Counts.reset_total_scans ();
+    let r, t = H.time (fun () -> learn_census ~kind ~budget:3_584 ~rows:n) in
+    [| Printf.sprintf "%.2f" t; string_of_int r.Bn.Learn.family_evaluations;
+       string_of_int (Prob.Counts.total_scans ()) |]
+  in
   let rows =
     List.map
       (fun n ->
-        let _, tt = H.time (fun () -> learn_census ~kind:Bn.Cpd.Trees ~budget:3_584 ~rows:n) in
-        let _, tb = H.time (fun () -> learn_census ~kind:Bn.Cpd.Tables ~budget:3_584 ~rows:n) in
-        [| string_of_int n; Printf.sprintf "%.2f" tt; Printf.sprintf "%.2f" tb |])
+        Array.concat [ [| string_of_int n |]; learn Bn.Cpd.Trees n; learn Bn.Cpd.Tables n ])
       sizes
   in
   Util.Tablefmt.print ~header (Array.of_list rows)
@@ -848,7 +854,40 @@ let fig_plan () =
     (Printf.sprintf "%d hits / %d misses" hits misses);
   H.check "STATS reports the plan cache"
     (Serve.Protocol.stats_field stats "plan_cache_hits" = Some (string_of_int hits))
-    ""
+    "";
+
+  (* --- reload: LOAD compiles the plans of the 64 tb_reload skeletons
+     fetched under the version it replaces before it publishes, so the
+     requests after it compile nothing --- *)
+  let path = Filename.temp_file "selest_bench" ".prm" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      Prm.Serialize.save path model;
+      let server = H.fresh_server fx in
+      let bodies = fst (Perfbench.Workloads.stream Perfbench.Workloads.tb_reload ~seed:cfg.seed ~n:0) in
+      let misses () =
+        int_of_string
+          (Option.get (Serve.Protocol.stats_field (H.ask server "STATS") "plan_cache_misses"))
+      in
+      let ests () = Array.iter (fun b -> ignore (H.ask server ("EST " ^ b))) bodies in
+      let load () = ignore (H.ask server ("LOAD default " ^ path)) in
+      ests ();
+      let request_compiles = ref 0 in
+      let load_us =
+        Array.init 9 (fun _ ->
+            let calib = H.calibrate () in
+            let t = H.scaled ~calib load in
+            let m0 = misses () in
+            ests ();
+            request_compiles := !request_compiles + (misses () - m0);
+            t)
+      in
+      let load_us = H.per_op ~us:true ~ops:1 load_us in
+      Printf.printf "LOAD carrying %d skeletons %.0fus | %d request-path compiles after it\n"
+        (Array.length bodies) load_us.H.median !request_compiles;
+      H.stat_row "load_carry_us" "us" load_us;
+      H.row "reload_request_compiles" "count" (float_of_int !request_compiles);
+      H.check "reload_request_compiles = 0" (!request_compiles = 0)
+        (string_of_int !request_compiles))
 
 (* ---- bytecode executor + binary wire frames -------------------------------------------------- *)
 
@@ -1147,6 +1186,7 @@ let fig_frontend () =
      the clock reads between stages cost a little on their own. *)
   let scratch = Db.Squery.create (Db.Squery.Symtab.of_schema (Db.Database.schema db)) in
   let plans = Serve.Plan_cache.create () and lru = Serve.Lru.create ~capacity_bytes:(1 lsl 20) in
+  let shared = Serve.Plan_cache.Shared.create () in
   let sizes = Prm.Estimate.sizes_of_db db and name = "default" and version = 1 in
   let stage_ns = Array.make 5 0 in
   let miss_stages i =
@@ -1159,7 +1199,7 @@ let fig_frontend () =
     let phash = Serve.Canon.Skel.scratch_hash ~name ~version scratch in
     let t2 = H.now_ns () in
     let plan, _ =
-      Serve.Plan_cache.probe plans ~hash:phash
+      Serve.Plan_cache.probe plans shared ~hash:phash
         ~verify:(fun key s -> Serve.Canon.Skel.scratch_matches key ~name ~version s)
         ~key:(fun s -> Serve.Canon.Skel.scratch_key ~name ~version s)
         ~compile:(fun s -> Plan.compile fx.H.model (Db.Squery.to_query s))

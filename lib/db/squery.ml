@@ -1422,6 +1422,7 @@ let skeleton_hash t seed =
   !h
 
 let skeleton_snapshot t = Bytes.sub_string t.vbuf 0 (encode_skeleton t)
+let snapshot_hash snap seed = String.fold_left (fun h c -> mix h (Char.code c)) seed snap
 let skeleton_matches t key off = encoded_matches t (encode_skeleton t) key off
 
 (* ------------------------------------------------------------------ *)

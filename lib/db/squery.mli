@@ -100,6 +100,10 @@ val skeleton_snapshot : t -> string
 (** The skeleton as one compact string ({!Vec}'s encoding); allocates
     it. *)
 
+val snapshot_hash : string -> int -> int
+(** [snapshot_hash snap seed]: {!skeleton_hash} of the scratch whose
+    {!skeleton_snapshot} is [snap], without the scratch. *)
+
 val skeleton_matches : t -> string -> int -> bool
 (** [skeleton_matches s key off]: does [key] hold exactly this
     skeleton's snapshot from [off] to its end?  Allocation-free once

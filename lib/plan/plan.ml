@@ -190,6 +190,7 @@ type t = {
 and scale_memo = { for_sizes : int array; value : float }
 
 let skeleton t = skeleton_key t.query
+let query t = t.query
 let fingerprint t = t.fingerprint
 let factors t = t.factors
 let join_evidence t = t.join_evidence

@@ -126,6 +126,10 @@ val skeleton_key : Selest_db.Query.t -> string
 val skeleton : t -> string
 (** The {!skeleton_key} of the compile query. *)
 
+val query : t -> Selest_db.Query.t
+(** The compile query: [compile m (query p)] builds the same skeleton's
+    plan for another model [m]. *)
+
 val fingerprint : t -> string
 (** The structure fingerprint of the model the plan was compiled for. *)
 

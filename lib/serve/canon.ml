@@ -131,12 +131,22 @@ module Skel = struct
      key — [name#version|] as [make] renders it, then the skeleton's
      snapshot — is built once per compiled plan, and a hash hit is
      verified against it without allocating. *)
-  let scratch_hash ~name ~version s =
-    let h = fnv_string fnv_basis name in
-    Squery.skeleton_hash s ((h lxor version) * fnv_prime land max_int)
+  let seed ~name ~version =
+    (fnv_string fnv_basis name lxor version) * fnv_prime land max_int
+
+  let scratch_hash ~name ~version s = Squery.skeleton_hash s (seed ~name ~version)
 
   let scratch_key ~name ~version s =
     Buffer.contents (start ~name ~version) ^ Squery.skeleton_snapshot s
+
+  (* A stored key is [name#<digits>|snapshot]; digits hold no '|'. *)
+  let rekey ~name ~version key =
+    let bar = String.index_from key (String.length name + 1) '|' in
+    let snap = String.sub key (bar + 1) (String.length key - bar - 1) in
+    {
+      hash = Squery.snapshot_hash snap (seed ~name ~version);
+      key = Buffer.contents (start ~name ~version) ^ snap;
+    }
 
   (* Top-level recursion: the verification builds no closure. *)
   let rec prefix_eq key name i =

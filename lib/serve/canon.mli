@@ -64,4 +64,10 @@ module Skel : sig
   (** Does a stored key belong to this model version and the scratch's
       skeleton?  What verifies a {!scratch_hash} hit.  Allocation-free
       once the scratch has warmed up. *)
+
+  val rekey : name:string -> version:int -> string -> t
+  (** [rekey ~name ~version key]: the {!scratch_hash} and {!scratch_key}
+      under [version] of the skeleton that [key], a {!scratch_key} of
+      another version of [name], stores.  What carries a plan across a
+      model publish without a scratch. *)
 end

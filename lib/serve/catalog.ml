@@ -42,6 +42,7 @@ type shard = {
   plan_evictions : int;
   plan_collisions : int;
   plan_entries : int;
+  plan_carried : int;
 }
 
 type snapshot = {
@@ -76,6 +77,7 @@ let snapshot src =
       plan_evictions;
       plan_collisions = Plan_cache.collisions s.plans;
       plan_entries = Plan_cache.length s.plans;
+      plan_carried = Plan_cache.carried s.plans;
     }
   in
   {
@@ -164,6 +166,8 @@ let per_shard kind ~unit name key help f =
 let families =
   [ tel_counter ~unit:"connections" "selest_admission_rejected_total"
       "admission_rejected" "connections answered BUSY at the admission budget";
+    tel_counter ~unit:"connections" "selest_conn_errors_total" "conn_errors"
+      "connections closed because a request handler raised";
     tel_counter "selest_est_errors_total" "est_errors"
       "estimate-shaped requests answered ERR";
     tel_counter "selest_est_requests_total" "est_requests"
@@ -226,6 +230,9 @@ let families =
       "compiled-plan cache hits" (fun s -> Int (sum s (fun sh -> sh.plan_hits)));
     scalar Counter ~unit:"requests" "selest_plan_cache_misses_total" "plan_cache_misses"
       "compiled-plan cache misses" (fun s -> Int (sum s (fun sh -> sh.plan_misses)));
+    scalar Counter ~unit:"plans" "selest_plan_cache_carried_total" "plan_cache_carried"
+      "plans compiled for a reloaded model before its publish (also counted as misses)"
+      (fun s -> Int (sum s (fun sh -> sh.plan_carried)));
     scalar Counter ~unit:"plans" "selest_plan_cache_evictions_total" "plan_cache_evictions"
       "compiled-plan cache evictions" (fun s -> Int (sum s (fun sh -> sh.plan_evictions)));
     scalar Counter ~unit:"requests" "selest_plan_cache_collisions_total"

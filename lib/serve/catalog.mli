@@ -59,6 +59,7 @@ type shard = {
   plan_evictions : int;
   plan_collisions : int;
   plan_entries : int;
+  plan_carried : int;
 }
 (** One shard's reading.  The cache families are the sums of these. *)
 

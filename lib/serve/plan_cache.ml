@@ -12,12 +12,16 @@
    which costs far more.
 
    No lock: each executor shard owns a private instance, so the request
-   path probes and compiles without one. *)
+   path probes and compiles without one.  What shards share is a model
+   version's {!Shared} set, which is immutable but for one atomic
+   record. *)
+
+(* A compiled plan under its key: immutable, so one value can sit in
+   every shard's cache and in a version's shared set at once. *)
+type entry = { hash : int; key : string; plan : Selest_plan.Plan.t }
 
 type node = {
-  hash : int;
-  key : string;  (* full key, for hit verification *)
-  plan : Selest_plan.Plan.t;
+  entry : entry;
   mutable used : int;  (* [clock] at the last probe that returned it *)
 }
 
@@ -30,6 +34,35 @@ module Tbl = Hashtbl.Make (struct
   let hash h = h
 end)
 
+module Shared = struct
+  type record = { count : int; items : entry list (* most recent first *) }
+
+  type t = {
+    carried : entry Tbl.t;  (* filled before publish, only read after *)
+    fetched : record Atomic.t;
+  }
+
+  let create () = { carried = Tbl.create 1; fetched = Atomic.make { count = 0; items = [] } }
+
+  (* Outside any version: nothing carried, and a record that is always
+     full, so nothing is ever appended to it. *)
+  let none = { carried = Tbl.create 1; fetched = Atomic.make { count = max_int; items = [] } }
+
+  let carried t = Tbl.length t.carried
+
+  (* Append [e] unless the record already holds its key or is full.
+     Runs only beside a compile or an adoption, never on a hit. *)
+  let rec note t ~cap e =
+    let cur = Atomic.get t.fetched in
+    if
+      cur.count < cap
+      && not (List.exists (fun x -> x.hash = e.hash && String.equal x.key e.key) cur.items)
+      && not
+           (Atomic.compare_and_set t.fetched cur
+              { count = cur.count + 1; items = e :: cur.items })
+    then note t ~cap e
+end
+
 type t = {
   capacity : int;
   tbl : node Tbl.t;
@@ -38,6 +71,7 @@ type t = {
   mutable misses : int;
   mutable evictions : int;
   mutable collisions : int;
+  mutable carried : int;
 }
 
 let create ?(capacity = 256) () =
@@ -50,10 +84,11 @@ let create ?(capacity = 256) () =
     misses = 0;
     evictions = 0;
     collisions = 0;
+    carried = 0;
   }
 
 let remove t n =
-  Tbl.remove t.tbl n.hash;
+  Tbl.remove t.tbl n.entry.hash;
   t.evictions <- t.evictions + 1
 
 let evict_lru t =
@@ -64,33 +99,63 @@ let evict_lru t =
   in
   Option.iter (remove t) oldest
 
-let insert t ~hash ~key ~compile x =
-  t.misses <- t.misses + 1;
-  let plan = compile x in
-  Tbl.replace t.tbl hash { hash; key = key x; plan; used = t.clock };
+(* A local miss: adopt the version's carried plan for this skeleton
+   when it has one (a hit: nothing compiles), else compile (a miss).
+   Either way the skeleton joins the version's fetched record. *)
+let fetch t (shared : Shared.t) ~hash ~verify ~key ~compile x =
+  let e, status =
+    match Tbl.find shared.Shared.carried hash with
+    | e when verify e.key x ->
+      t.hits <- t.hits + 1;
+      (e, `Hit)
+    | _ | (exception Not_found) ->
+      t.misses <- t.misses + 1;
+      let plan = compile x in
+      ({ hash; key = key x; plan }, `Miss)
+  in
+  Tbl.replace t.tbl hash { entry = e; used = t.clock };
   while Tbl.length t.tbl > t.capacity do
     evict_lru t
   done;
-  (plan, `Miss)
+  Shared.note shared ~cap:t.capacity e;
+  (e.plan, status)
 
-let probe t ~hash ~verify ~key ~compile x =
+let probe t shared ~hash ~verify ~key ~compile x =
   t.clock <- t.clock + 1;
   match Tbl.find t.tbl hash with
-  | n when verify n.key x ->
+  | n when verify n.entry.key x ->
     t.hits <- t.hits + 1;
     n.used <- t.clock;
-    (n.plan, `Hit)
+    (n.entry.plan, `Hit)
   | n ->
-    (* hash collision: evict the resident entry, compile ours *)
+    (* hash collision: evict the resident entry, fetch ours *)
     t.collisions <- t.collisions + 1;
     remove t n;
-    insert t ~hash ~key ~compile x
-  | exception Not_found -> insert t ~hash ~key ~compile x
+    fetch t shared ~hash ~verify ~key ~compile x
+  | exception Not_found -> fetch t shared ~hash ~verify ~key ~compile x
 
 let find_or_compile t ~hash ~key ~compile =
-  probe t ~hash ~verify:String.equal ~key:Fun.id ~compile:(fun _ -> compile ()) key
+  probe t Shared.none ~hash ~verify:String.equal ~key:Fun.id
+    ~compile:(fun _ -> compile ())
+    key
+
+let carry t (prev : Shared.t) ~rekey ~compile =
+  let carried = Tbl.create 64 in
+  List.iter
+    (fun e ->
+      if Tbl.length carried < t.capacity then begin
+        t.misses <- t.misses + 1;
+        match (rekey e.key, compile e.plan) with
+        | (hash, key), plan ->
+          Tbl.replace carried hash { hash; key; plan };
+          t.carried <- t.carried + 1
+        | exception _ -> () (* the skeleton compiles on demand instead *)
+      end)
+    (Atomic.get prev.Shared.fetched).Shared.items;
+  { (Shared.create ()) with Shared.carried }
 
 let stats t = (t.hits, t.misses, t.evictions)
+let carried t = t.carried
 let collisions t = t.collisions
 let length t = Tbl.length t.tbl
 let clear t = Tbl.reset t.tbl

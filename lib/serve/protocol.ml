@@ -83,7 +83,7 @@ let parse_request line =
         | None ->
           Error "TRUTH expects: TRUTH [@model] <true-size> <query body>"
         | Some truth ->
-          if truth < 0.0 || Float.is_nan truth then
+          if truth < 0.0 || not (Float.is_finite truth) then
             Error "TRUTH: true size must be a non-negative number"
           else if body = "" then Error "TRUTH expects a query body"
           else Ok (Truth { model; truth; body }))

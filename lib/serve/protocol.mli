@@ -57,7 +57,8 @@
     [TRUTH] supplies ground truth for a query: the server computes its
     estimate (through the cache like [EST]) and records the q-error into
     the model's rolling accuracy histogram, answering
-    [OK qerror=<q> estimate=<e> n=<count>].  [STATS] and [METRICS]
+    [OK qerror=<q> estimate=<e> n=<count>].  The true size must be a
+    finite non-negative number.  [STATS] and [METRICS]
     expose the per-model q-error summaries.
 
     [HEALTH] answers a multi-line SLO report: per-verb latency quantiles

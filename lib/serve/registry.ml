@@ -3,6 +3,7 @@ type entry = {
   source : string;
   version : int;
   fingerprint : string;
+  plans : Plan_cache.Shared.t;
 }
 
 (* An immutable registry generation: the association list is MRU-first
@@ -57,26 +58,30 @@ end
    once the last pinned reference drops (the grace period is implicit:
    a snapshot lives exactly as long as some request still points at
    it). *)
-let install t ~name ~source model =
+let install ?carry t ~name ~source model =
   Mutex.lock t.write_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.write_lock)
     (fun () ->
       let prev = Atomic.get t.current in
-      let version =
-        match List.assoc_opt name prev.entries with
-        | Some e -> e.version + 1
-        | None -> 1
+      let old = List.assoc_opt name prev.entries in
+      let version = match old with Some e -> e.version + 1 | None -> 1 in
+      (* The new version's plans compile here, before the publish below:
+         readers keep answering on [old] until the [Atomic.set]. *)
+      let plans =
+        match (old, carry) with
+        | Some e, Some carry -> carry e ~version model
+        | _ -> Plan_cache.Shared.create ()
       in
-      let entry = { model; source; version; fingerprint = t.fingerprint } in
+      let entry = { model; source; version; fingerprint = t.fingerprint; plans } in
       let rest = List.filter (fun (n, _) -> n <> name) prev.entries in
       let next = { epoch = prev.epoch + 1; entries = (name, entry) :: rest } in
       Atomic.set t.current next;
       entry)
 
-let load t ~name ~path =
+let load ?carry t ~name ~path =
   let model = Selest_prm.Serialize.load path ~schema:t.schema in
-  install t ~name ~source:path model
+  install ?carry t ~name ~source:path model
 
 let register t ~name model =
   if Selest_prm.Serialize.schema_fingerprint model.Selest_prm.Model.schema <> t.fingerprint

@@ -39,6 +39,10 @@ type entry = {
           ({!Selest_prm.Model.fingerprint}), which compiled plans carry
           and the plan explain output ([Plan.pp],
           [selest estimate --explain]) prints as ["model fingerprint"]. *)
+  plans : Plan_cache.Shared.t;
+      (** This version's shared plans: those carried over from the
+          previous version before publish, and the record of skeletons
+          requests fetch under this one (what the next {!load} carries). *)
 }
 
 type t
@@ -75,11 +79,25 @@ module Epoch : sig
   (** All entries, most recently (re)loaded first. *)
 end
 
-val load : t -> name:string -> path:string -> entry
+val load :
+  ?carry:(entry -> version:int -> Selest_prm.Model.t -> Plan_cache.Shared.t) ->
+  t ->
+  name:string ->
+  path:string ->
+  entry
 (** Load (or hot-reload) a model file under [name].  Raises
     {!Selest_prm.Serialize.Error} on an unreadable, malformed or
     schema-mismatched file; the published snapshot is unchanged in that
-    case. *)
+    case.
+
+    A reload publishes in three steps: deserialize, then [carry prev
+    ~version model] builds the new version's shared plans from the
+    entry it replaces (the server compiles the skeletons requests
+    fetched under [prev], {!Plan_cache.carry}), then one atomic store
+    installs the entry.  [carry] runs under the writer lock; readers
+    keep answering on [prev], with its warm plans, until the store.
+    Without [carry], or on a first load, the entry starts with no
+    carried plans. *)
 
 val register : t -> name:string -> Selest_prm.Model.t -> entry
 (** Install an in-memory model (e.g. learned at server start-up) under

@@ -167,8 +167,19 @@ let snapshot t = Catalog.snapshot t.catalog
 
 (* ---- request handlers ------------------------------------------------------ *)
 
-let handle_load t ~name ~path =
-  match Registry.load t.registry ~name ~path with
+(* A reload compiles, on this shard and before the publish, the plans
+   of every skeleton requests fetched under the version it replaces
+   ({!Plan_cache.carry}); the first estimate per skeleton after it is
+   then a plain estimate-cache miss on a ready plan, on every shard. *)
+let handle_load t st ~name ~path =
+  let carry (prev : Registry.entry) ~version model =
+    Plan_cache.carry st.splans prev.Registry.plans
+      ~rekey:(fun key ->
+        let k = Canon.Skel.rekey ~name ~version key in
+        (k.Canon.Skel.hash, k.Canon.Skel.key))
+      ~compile:(fun p -> Plan.compile model (Plan.query p))
+  in
+  match Registry.load ~carry t.registry ~name ~path with
   | entry ->
     Metrics.incr t.metrics "loads";
     Log.info (fun m -> m "loaded %s version %d from %s" name entry.Registry.version path);
@@ -297,13 +308,16 @@ let make_entry ~name ~version ~vec est =
    built, and the canonical query materialized, only when a plan is
    compiled.  Hot-reloading bumps the version, so a stale model's plans
    can never be fetched again — on every shard, since every shard's
-   keys carry the version.  EST bodies and EXPLAINPLAN's sub-queries
-   (loaded into the scratch) share this one key space. *)
+   keys carry the version.  A skeleton missing here is first looked up
+   in the version's carried plans, which a reload compiled before its
+   publish, and compiled only when it is not there.  EST bodies and
+   EXPLAINPLAN's sub-queries (loaded into the scratch) share this one
+   key space. *)
 let scratch_plan st ~name ~(entry : Registry.entry) =
   let version = entry.Registry.version and s = st.scratch in
   let sp = Obs.Span.enter "plan.fetch" in
   match
-    Plan_cache.probe st.splans
+    Plan_cache.probe st.splans entry.Registry.plans
       ~hash:(Canon.Skel.scratch_hash ~name ~version s)
       ~verify:(fun key s -> Canon.Skel.scratch_matches key ~name ~version s)
       ~key:(fun s -> Canon.Skel.scratch_key ~name ~version s)
@@ -958,7 +972,7 @@ let handle_line_st t st line =
     finish ~verb:"error" (Protocol.err msg, `Continue)
   | Ok Protocol.Ping -> finish ~verb:"ping" (Protocol.pong, `Continue)
   | Ok (Protocol.Load { name; path }) ->
-    finish ~verb:"load" (handle_load t ~name ~path, `Continue)
+    finish ~verb:"load" (handle_load t st ~name ~path, `Continue)
   | Ok (Protocol.Est { model; body }) ->
     Metrics.incr t.metrics "est_requests";
     finish ~verb:"est" ?model ~body (handle_est t st ~model ~body, `Continue)
@@ -1177,6 +1191,11 @@ let run t =
                 ignore (Atomic.fetch_and_add st.inflight (-1)))
               ~on_protocol_error:(fun () ->
                 Metrics.incr t.metrics "protocol_errors")
+              ~on_conn_error:(fun e ->
+                Metrics.incr t.metrics "conn_errors";
+                Log.err (fun m ->
+                    m "shard %d: closed a connection whose request raised %s" st.sid
+                      (Printexc.to_string e)))
               ()))
       rts
   in

@@ -253,8 +253,15 @@ let read_into c =
     -> ()
   | exception Unix.Unix_error _ -> close_conn c
 
+(* One readable connection's turn: read, then answer what is buffered. *)
+let serve_conn c ~on_line_fast ~on_frame_fast ~on_line ~on_frame ~on_protocol_error =
+  read_into c;
+  if c.alive then
+    process_conn c ~on_line_fast ~on_frame_fast ~on_line ~on_frame ~on_protocol_error
+  else `Continue
+
 let run t ~stop ~request_stop ~on_line_fast ~on_frame_fast ~on_line ~on_frame
-    ~on_close ~on_protocol_error () =
+    ~on_close ~on_protocol_error ~on_conn_error () =
   let conns = ref [] in
   let reap () =
     let live, dead = List.partition (fun c -> c.alive) !conns in
@@ -274,16 +281,18 @@ let run t ~stop ~request_stop ~on_line_fast ~on_frame_fast ~on_line ~on_frame
       end;
       List.iter
         (fun c ->
-          if c.alive && List.memq c.fd readable then begin
-            read_into c;
-            if c.alive then
-              match
-                process_conn c ~on_line_fast ~on_frame_fast ~on_line ~on_frame
-                  ~on_protocol_error
-              with
-              | `Continue -> ()
-              | `Stop -> request_stop ()
-          end)
+          if c.alive && List.memq c.fd readable then
+            match
+              serve_conn c ~on_line_fast ~on_frame_fast ~on_line ~on_frame
+                ~on_protocol_error
+            with
+            | `Continue -> ()
+            | `Stop -> request_stop ()
+            | exception e ->
+              (* A handler that raises loses its connection, not the
+                 shard: every other connection keeps being served. *)
+              close_conn c;
+              on_conn_error e)
         !conns;
       reap ()
   done;

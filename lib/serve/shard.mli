@@ -42,6 +42,7 @@ val run :
   on_frame:(bytes -> string) ->
   on_close:(unit -> unit) ->
   on_protocol_error:(unit -> unit) ->
+  on_conn_error:(exn -> unit) ->
   unit ->
   unit
 (** Run the event loop until [stop] is set.
@@ -66,6 +67,9 @@ val run :
     once per connection this shard ever owned — the listener's
     admission accounting decrements on it.  [on_protocol_error] fires
     on unrecoverable framing errors (oversized frame announcements).
+    When a handler raises anything but an I/O error (those just close
+    the connection), the loop closes that connection, passes the
+    exception to [on_conn_error] and goes on serving the others.
     On exit every owned or still-queued connection is closed. *)
 
 val destroy : t -> unit

@@ -379,6 +379,13 @@ let test_protocol_obs_verbs () =
     = Ok (Protocol.Truth { model = Some "tb"; truth = 3.5; body = "p=patient" }));
   Alcotest.(check bool) "truth bad number" true (Result.is_error (p "TRUTH abc p=patient"));
   Alcotest.(check bool) "truth negative" true (Result.is_error (p "TRUTH -1 p=patient"));
+  let non_finite line =
+    Alcotest.(check (result reject string))
+      line (Error "TRUTH: true size must be a non-negative number")
+      (Result.map ignore (p line))
+  in
+  non_finite "TRUTH inf p=patient";
+  non_finite "TRUTH 1e400 p=patient";
   Alcotest.(check bool) "truth missing body" true (Result.is_error (p "TRUTH 12"));
   Alcotest.(check bool) "metrics" true (p "METRICS" = Ok Protocol.Metrics);
   Alcotest.(check bool) "health" true (p "HEALTH" = Ok Protocol.Health);
@@ -1012,37 +1019,73 @@ let test_admission_busy () =
             (Protocol.stats_field stats "admission_rejected");
           Alcotest.(check string) "shutdown" "OK bye" (Client.request c1 "SHUTDOWN")))
 
-(* Hot reload under fire (satellite 4): concurrent EST traffic while the
-   model is repeatedly re-LOADed.  Every answer must be exactly one of
-   the two versions' estimates (a torn snapshot would produce neither),
-   and once the dust settles a fresh EST serves the latest version. *)
+(* Carried-plan fixtures, shared with the hot-reload test below. *)
+
+(* Eight skeletons, two of them with a second binding. *)
+let carry_bodies =
+  [ "p=patient ; ; p.Age=1";
+    "p=patient ; ; p.USBorn=1, p.HIV=0";
+    "c=contact, p=patient ; c.patient=p ; p.USBorn=1, c.Contype=2";
+    "c=contact, p=patient ; c.patient=p ; c.Infected=1, p.Age=2..4";
+    "c=contact, p=patient, s=strain ; c.patient=p, p.strain=s ; c.Contype=0, s.DrugResist=1";
+    "s=strain ; ; s.Lineage={1,3}";
+    "p=patient, s=strain ; p.strain=s ; p.Homeless=1, s.Unique=0";
+    "c=contact ; ; c.Gender=1, c.Age=3";
+    "p=patient ; ; p.Age=4";
+    "c=contact, p=patient ; c.patient=p ; p.USBorn=0, c.Contype=4" ]
+
+let carry_skeletons = 8
+
+(* A second model of the same schema, learned with another seed and budget. *)
+let model2 = lazy (Selest_prm.Learn.learn_prm ~budget_bytes:1_024 ~seed:11 (Lazy.force db))
+
+let carry_files =
+  lazy
+    (let save m =
+       let path = Filename.temp_file "selest_carry" ".prm" in
+       Selest_prm.Serialize.save path m;
+       at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+       path
+     in
+     (save (Lazy.force model), save (Lazy.force model2)))
+
+(* Every body's reply on a fresh server that loaded only [path]. *)
+let fresh_answers path =
+  let s = Server.create ~db:(Lazy.force db) ~socket:"(test: unused)" () in
+  ignore (Server.handle_line s ("LOAD tb " ^ path));
+  List.map (fun b -> fst (Server.handle_line s ("EST " ^ b))) carry_bodies
+
+let stat_int server key =
+  match Protocol.stats_field (fst (Server.handle_line server "STATS")) key with
+  | Some v -> int_of_string v
+  | None -> Alcotest.fail ("STATS has no " ^ key)
+
+(* Hot reload under fire: concurrent EST traffic over several skeletons
+   while the model is repeatedly re-LOADed on 2 shards.  Every answer
+   must be exactly one of the two versions' estimates (a torn snapshot
+   would produce neither).  Once the dust settles, a reload carries the
+   skeletons fetched before it: fresh ESTs serve the latest version on
+   every shard without compiling a plan. *)
 let test_hot_reload_under_fire () =
   let db0 = Lazy.force db in
-  let m1 = Lazy.force model in
-  let m2 = Selest_prm.Learn.learn_prm ~budget_bytes:1_024 ~seed:11 db0 in
-  let body = "c=contact, p=patient ; c.patient=p ; p.USBorn=1, c.Contype=2" in
-  (* reference strings per model, through the same request path *)
-  let answer_of m =
-    let s = Server.create ~db:db0 ~socket:"(test: unused)" () in
-    ignore (Registry.register (Server.registry s) ~name:"tb" m);
-    Protocol.payload (fst (Server.handle_line s ("EST " ^ body)))
-  in
-  let a1 = answer_of m1 and a2 = answer_of m2 in
-  Alcotest.(check bool) "models disagree (test is not vacuous)" false (a1 = a2);
-  let p1 = Filename.temp_file "selest" ".prm"
-  and p2 = Filename.temp_file "selest" ".prm" in
-  Selest_prm.Serialize.save p1 m1;
-  Selest_prm.Serialize.save p2 m2;
+  (* three skeletons on which the two models disagree *)
+  let pick l = List.map (List.nth l) [ 1; 2; 6 ] in
+  let bodies = pick carry_bodies in
+  let p1, p2 = Lazy.force carry_files in
+  let ref_of path = pick (fresh_answers path) in
+  let a1 = List.map Protocol.payload (ref_of p1) and a2 = List.map Protocol.payload (ref_of p2) in
+  List.iter2
+    (fun x y -> Alcotest.(check bool) "models disagree (test is not vacuous)" false (x = y))
+    a1 a2;
   let socket = Filename.temp_file "selest" ".sock" in
   Sys.remove socket;
   let server = Server.create ~domains:2 ~db:db0 ~socket () in
   let thread = Thread.create Server.run server in
+  let each_body f = List.iteri (fun i b -> f (List.nth a1 i) (List.nth a2 i) ("EST " ^ b)) bodies in
   Fun.protect
     ~finally:(fun () ->
       Server.shutdown server;
-      Thread.join thread;
-      Sys.remove p1;
-      Sys.remove p2)
+      Thread.join thread)
     (fun () ->
       Client.with_connection ~retries:100 ~socket (fun c ->
           Alcotest.(check bool) "initial load" true
@@ -1053,14 +1096,15 @@ let test_hot_reload_under_fire () =
             Thread.create
               (fun () ->
                 Client.with_connection ~retries:100 ~socket (fun c ->
-                    for _ = 1 to 40 do
-                      let r = Client.request c ("EST " ^ body) in
-                      if Protocol.is_ok r then begin
-                        Atomic.incr served;
-                        let p = Protocol.payload r in
-                        if p <> a1 && p <> a2 then Atomic.incr torn
-                      end
-                      else Atomic.incr torn
+                    for _ = 1 to 14 do
+                      each_body (fun x1 x2 line ->
+                          let r = Client.request c line in
+                          if Protocol.is_ok r then begin
+                            Atomic.incr served;
+                            let p = Protocol.payload r in
+                            if p <> x1 && p <> x2 then Atomic.incr torn
+                          end
+                          else Atomic.incr torn)
                     done))
               ())
       in
@@ -1075,17 +1119,28 @@ let test_hot_reload_under_fire () =
           done);
       List.iter Thread.join firing;
       Alcotest.(check int) "no torn or failed answers" 0 (Atomic.get torn);
-      Alcotest.(check int) "all requests served" 120 (Atomic.get served);
-      (* quiesced: the final LOAD wins on every shard — version-carrying
-         cache keys make stale per-domain entries unreachable *)
+      Alcotest.(check int) "all requests served" (3 * 14 * 3) (Atomic.get served);
+      (* quiesced: ask every skeleton under the current version, reload,
+         and ask again from connections on both shards — the final LOAD
+         wins everywhere, and its carried plans leave nothing to compile *)
       Client.with_connection ~retries:100 ~socket (fun c ->
+          each_body (fun x1 _ line ->
+              Alcotest.(check string) "pre-reload answers are v1" x1
+                (Protocol.payload (Client.request c line)));
           Alcotest.(check bool) "final load v2" true
             (Protocol.is_ok (Client.request c (Printf.sprintf "LOAD tb %s" p2)));
+          let misses () =
+            Option.map int_of_string
+              (Protocol.stats_field (Client.request c "STATS") "plan_cache_misses")
+          in
+          let before = misses () in
           for _ = 1 to 4 do
             Client.with_connection ~retries:100 ~socket (fun c' ->
-                Alcotest.(check string) "post-reload answers are v2" a2
-                  (Protocol.payload (Client.request c' ("EST " ^ body))))
+                each_body (fun _ x2 line ->
+                    Alcotest.(check string) "post-reload answers are v2" x2
+                      (Protocol.payload (Client.request c' line))))
           done;
+          Alcotest.(check (option int)) "no compile after the reload" before (misses ());
           Alcotest.(check string) "shutdown" "OK bye" (Client.request c "SHUTDOWN")))
 
 (* ---- binary frames (Protocol.Bin) ------------------------------------------------- *)
@@ -2268,6 +2323,190 @@ let test_server_explain () =
 
 (* ---- suite ------------------------------------------------------------------------ *)
 
+(* ---- carried plans across a reload ----------------------------------------------- *)
+
+(* Alternate LOADs of two model files on [domains] shards.  After each
+   reload every answer is the fresh server's, bit for bit, and no
+   request compiles: each skeleton was fetched under the previous
+   version (on either shard), so its plan was carried. *)
+let test_carry_across_reloads domains () =
+  let p1, p2 = Lazy.force carry_files in
+  let ref1 = fresh_answers p1 and ref2 = fresh_answers p2 in
+  Alcotest.(check bool) "models disagree (test is not vacuous)" false (ref1 = ref2);
+  let server = Server.create ~domains ~db:(Lazy.force db) ~socket:"(test: unused)" () in
+  let ask k line = fst (Server.handle_line_shard server ~shard:(k mod domains) line) in
+  (* round [r] sends body [i] to shard (i + r) mod domains, so a
+     skeleton moves shards between rounds *)
+  let round ?(bodies = carry_bodies) r = List.mapi (fun i b -> ask (i + r) ("EST " ^ b)) bodies in
+  let load r path =
+    let reply = ask r ("LOAD tb " ^ path) in
+    Alcotest.(check bool) ("LOAD answers OK: " ^ reply) true
+      (String.starts_with ~prefix:"OK loaded tb version " reply)
+  in
+  load 0 p1;
+  Alcotest.(check (list string)) "first version answers" ref1 (round 0);
+  for r = 1 to 4 do
+    let path, expect = if r mod 2 = 1 then (p2, ref2) else (p1, ref1) in
+    let carried0 = stat_int server "plan_cache_carried" in
+    load r path;
+    Alcotest.(check int) "every fetched skeleton carried" carry_skeletons
+      (stat_int server "plan_cache_carried" - carried0);
+    let misses0 = stat_int server "plan_cache_misses" in
+    Alcotest.(check (list string)) "answers = a fresh server's" expect (round r);
+    Alcotest.(check int) "no compile on the request path" 0
+      (stat_int server "plan_cache_misses" - misses0)
+  done;
+  (* fetch three skeletons only: the next reload carries just those *)
+  load 5 p2;
+  ignore (round ~bodies:(List.filteri (fun i _ -> i < 3) carry_bodies) 5);
+  let carried0 = stat_int server "plan_cache_carried" in
+  load 6 p1;
+  Alcotest.(check int) "skeletons no request fetched are dropped" 3
+    (stat_int server "plan_cache_carried" - carried0);
+  Alcotest.(check (list string)) "dropped skeletons still answer" ref1 (round 6)
+
+(* The carry set is capped at the cache's capacity, a skeleton whose
+   compile fails is left out without failing the carry, and it then
+   compiles on demand. *)
+let test_carry_cap_and_failure () =
+  let m = Lazy.force model in
+  let scratch = Squery.create (Squery.Symtab.of_schema (Database.schema (Lazy.force db))) in
+  let load body =
+    let b = Bytes.of_string body in
+    Squery.parse scratch b ~off:0 ~len:(Bytes.length b);
+    Squery.canon scratch
+  in
+  let fetch pc shared ~version body =
+    load body;
+    Plan_cache.probe pc shared
+      ~hash:(Canon.Skel.scratch_hash ~name:"tb" ~version scratch)
+      ~verify:(fun key s -> Canon.Skel.scratch_matches key ~name:"tb" ~version s)
+      ~key:(fun s -> Canon.Skel.scratch_key ~name:"tb" ~version s)
+      ~compile:(fun s -> Selest_plan.Plan.compile m (Squery.to_query s))
+      scratch
+  in
+  let skeleton body =
+    load body;
+    Selest_plan.Plan.skeleton_key (Squery.to_query scratch)
+  in
+  let carry pc prev ~version ~failing =
+    Plan_cache.carry pc prev
+      ~rekey:(fun key ->
+        let k = Canon.Skel.rekey ~name:"tb" ~version key in
+        (k.Canon.Skel.hash, k.Canon.Skel.key))
+      ~compile:(fun p ->
+        if Selest_plan.Plan.skeleton p = failing then failwith "injected compile failure"
+        else Selest_plan.Plan.compile m (Selest_plan.Plan.query p))
+  in
+  (* rekey lands exactly on the served key of the next version *)
+  load (List.nth carry_bodies 4);
+  let k = Canon.Skel.rekey ~name:"tb" ~version:2 (Canon.Skel.scratch_key ~name:"tb" ~version:1 scratch) in
+  Alcotest.(check int) "rekey hash" (Canon.Skel.scratch_hash ~name:"tb" ~version:2 scratch)
+    k.Canon.Skel.hash;
+  Alcotest.(check string) "rekey key" (Canon.Skel.scratch_key ~name:"tb" ~version:2 scratch)
+    k.Canon.Skel.key;
+  let pc = Plan_cache.create ~capacity:4 () in
+  let v1 = Plan_cache.Shared.create () in
+  let first6 = List.filteri (fun i _ -> i < 6) carry_bodies in
+  List.iter (fun b -> ignore (fetch pc v1 ~version:1 b)) first6;
+  let v2 = carry pc v1 ~version:2 ~failing:"" in
+  Alcotest.(check int) "carry set capped at capacity" 4 (Plan_cache.Shared.carried v2);
+  let _, misses0, _ = Plan_cache.stats pc in
+  let b0 = List.nth carry_bodies 0 and b1 = List.nth carry_bodies 1 in
+  Alcotest.(check bool) "carried plans are adopted" true
+    (snd (fetch pc v2 ~version:2 b0) = `Hit && snd (fetch pc v2 ~version:2 b1) = `Hit);
+  let _, misses1, _ = Plan_cache.stats pc in
+  Alcotest.(check int) "adoption compiles nothing" misses0 misses1;
+  let v3 = carry pc v2 ~version:3 ~failing:(skeleton b1) in
+  Alcotest.(check int) "failed and unfetched skeletons are left out" 1
+    (Plan_cache.Shared.carried v3);
+  let _, misses2, _ = Plan_cache.stats pc in
+  Alcotest.(check int) "each carry attempt counts a compile" (misses1 + 2) misses2;
+  Alcotest.(check bool) "the carried skeleton is adopted" true
+    (snd (fetch pc v3 ~version:3 b0) = `Hit);
+  let plan, status = fetch pc v3 ~version:3 b1 in
+  Alcotest.(check bool) "the failed skeleton compiles on demand" true (status = `Miss);
+  let direct = Selest_plan.Plan.compile m (Squery.to_query scratch) in
+  Alcotest.(check bool) "and answers like a direct compile" true
+    (Int64.bits_of_float (Selest_plan.Plan.execute_scratch plan scratch)
+    = Int64.bits_of_float (Selest_plan.Plan.execute_scratch direct scratch))
+
+(* Property: over random reload sequences of the two model files, with
+   random subsets of the bodies asked in between, on 2 shards, every
+   answer equals the fresh server's for the file last loaded. *)
+let prop_carry_matches_fresh =
+  let answers = lazy (
+    let p1, p2 = Lazy.force carry_files in
+    (fresh_answers p1, fresh_answers p2))
+  in
+  QCheck2.Test.make ~name:"answers after any reload sequence = fresh server" ~count:20
+    ~long_factor:20
+    QCheck2.Gen.(list_size (int_range 1 5) (pair bool (list_size (int_range 1 10) (int_range 0 9))))
+    (fun steps ->
+      let p1, p2 = Lazy.force carry_files in
+      let ref1, ref2 = Lazy.force answers in
+      let server = Server.create ~domains:2 ~db:(Lazy.force db) ~socket:"(test: unused)" () in
+      List.for_all
+        (fun (second, picks) ->
+          ignore (Server.handle_line_shard server ~shard:0 ("LOAD tb " ^ if second then p2 else p1));
+          let expect = if second then ref2 else ref1 in
+          List.for_all
+            (fun i ->
+              fst (Server.handle_line_shard server ~shard:(i land 1)
+                     ("EST " ^ List.nth carry_bodies i))
+              = List.nth expect i)
+            picks)
+        steps)
+
+(* ---- per-connection exceptions ------------------------------------------------------ *)
+
+(* A handler that raises closes its own connection only: the shard
+   domain keeps serving, and the exception reaches [on_conn_error]. *)
+let test_raising_handler_closes_its_connection () =
+  let rt = Shard.create ~sid:0 in
+  let stop = Atomic.make false and errors = Atomic.make 0 and closed = Atomic.make 0 in
+  let no_fast _ _ ~off:_ ~len:_ = false in
+  let loop =
+    Domain.spawn (fun () ->
+        Shard.run rt ~stop
+          ~request_stop:(fun () -> Atomic.set stop true)
+          ~on_line_fast:no_fast ~on_frame_fast:no_fast
+          ~on_line:(fun line -> if line = "BOOM" then failwith "boom" else ("PONG", `Continue))
+          ~on_frame:(fun _ -> "")
+          ~on_close:(fun () -> Atomic.incr closed)
+          ~on_protocol_error:ignore
+          ~on_conn_error:(fun _ -> Atomic.incr errors)
+          ())
+  in
+  let connect () =
+    let client, srv = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    (* a dead shard fails the test instead of hanging it *)
+    Unix.setsockopt_float client Unix.SO_RCVTIMEO 5.0;
+    Shard.submit rt srv;
+    client
+  in
+  let send fd s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Shard.wake rt;
+      Domain.join loop;
+      Shard.destroy rt)
+    (fun () ->
+      let a = connect () in
+      send a "BOOM\n";
+      Alcotest.(check string) "the raising connection is closed" "" (read_to_eof a);
+      let b = connect () in
+      send b "PING\n";
+      let buf = Bytes.create 16 in
+      let n = Unix.read b buf 0 16 in
+      Alcotest.(check string) "a second connection still answers" "PONG\n"
+        (Bytes.sub_string buf 0 n);
+      Alcotest.(check int) "the exception is reported once" 1 (Atomic.get errors);
+      Alcotest.(check int) "its close is accounted" 1 (Atomic.get closed);
+      Unix.close a;
+      Unix.close b)
+
 let () =
   Alcotest.run "serve"
     [
@@ -2375,6 +2614,15 @@ let () =
           Alcotest.test_case "long line ingest is linear" `Quick
             test_long_line_ingest_linear;
           Alcotest.test_case "over-cap line closes" `Quick test_over_cap_line_closes;
+          Alcotest.test_case "raising handler closes one conn" `Quick
+            test_raising_handler_closes_its_connection;
+        ] );
+      ( "carry",
+        [
+          Alcotest.test_case "reloads on 1 domain" `Quick (test_carry_across_reloads 1);
+          Alcotest.test_case "reloads on 2 domains" `Quick (test_carry_across_reloads 2);
+          Alcotest.test_case "cap and compile failure" `Quick test_carry_cap_and_failure;
+          QCheck_alcotest.to_alcotest prop_carry_matches_fresh;
         ] );
       ( "miss-path",
         List.map QCheck_alcotest.to_alcotest
