@@ -857,37 +857,46 @@ let fig_plan () =
     "";
 
   (* --- reload: LOAD compiles the plans of the 64 tb_reload skeletons
-     fetched under the version it replaces before it publishes, so the
-     requests after it compile nothing --- *)
+     fetched under the version it replaces, and re-answers the 64
+     queries its cache holds under that version, before it publishes, so
+     the requests after it compile nothing and infer nothing --- *)
   let path = Filename.temp_file "selest_bench" ".prm" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
       Prm.Serialize.save path model;
       let server = H.fresh_server fx in
       let bodies = fst (Perfbench.Workloads.stream Perfbench.Workloads.tb_reload ~seed:cfg.seed ~n:0) in
-      let misses () =
-        int_of_string
-          (Option.get (Serve.Protocol.stats_field (H.ask server "STATS") "plan_cache_misses"))
+      let counts () =
+        let stats = H.ask server "STATS" in
+        let get k = int_of_string (Option.get (Serve.Protocol.stats_field stats k)) in
+        (* a latency capture replays its query through one inference *)
+        (get "plan_cache_misses", get "infer.default" - get "slowlog_captures")
       in
       let ests () = Array.iter (fun b -> ignore (H.ask server ("EST " ^ b))) bodies in
       let load () = ignore (H.ask server ("LOAD default " ^ path)) in
       ests ();
-      let request_compiles = ref 0 in
+      let request_compiles = ref 0 and request_infers = ref 0 in
       let load_us =
         Array.init 9 (fun _ ->
             let calib = H.calibrate () in
             let t = H.scaled ~calib load in
-            let m0 = misses () in
+            let m0, i0 = counts () in
             ests ();
-            request_compiles := !request_compiles + (misses () - m0);
+            let m1, i1 = counts () in
+            request_compiles := !request_compiles + (m1 - m0);
+            request_infers := !request_infers + (i1 - i0);
             t)
       in
       let load_us = H.per_op ~us:true ~ops:1 load_us in
-      Printf.printf "LOAD carrying %d skeletons %.0fus | %d request-path compiles after it\n"
-        (Array.length bodies) load_us.H.median !request_compiles;
+      Printf.printf
+        "LOAD carrying %d skeletons and answers %.0fus | %d request-path compiles, %d inferences after it\n"
+        (Array.length bodies) load_us.H.median !request_compiles !request_infers;
       H.stat_row "load_carry_us" "us" load_us;
       H.row "reload_request_compiles" "count" (float_of_int !request_compiles);
       H.check "reload_request_compiles = 0" (!request_compiles = 0)
-        (string_of_int !request_compiles))
+        (string_of_int !request_compiles);
+      H.row "reload_request_infers" "count" (float_of_int !request_infers);
+      H.check "reload_request_infers = 0" (!request_infers = 0)
+        (string_of_int !request_infers))
 
 (* ---- bytecode executor + binary wire frames -------------------------------------------------- *)
 

@@ -1380,6 +1380,56 @@ module Vec = struct
   (* allocation-free equality against a canonicalized scratch *)
   let matches (v : t) (s : scratch) = encoded_matches s (encode_canon s) v 0
 
+  (* The inverse of [of_scratch]: read [encode_canon]'s varints back
+     into the scratch's arrays, and point the tuple-variable names at the
+     snapshot's tail (the scratch only ever reads [buf]). *)
+  let load (v : t) (s : scratch) =
+    let p = ref 0 in
+    let rec varint shift acc =
+      let c = Char.code v.[!p] in
+      incr p;
+      let acc = acc lor ((c land 127) lsl shift) in
+      if c < 128 then acc else varint (shift + 7) acc
+    in
+    let get () = varint 0 0 in
+    reset s;
+    let n_tv = get () in
+    for _ = 1 to n_tv do
+      let tbl = get () in
+      let len = get () in
+      push_tvar s 0 len tbl 0 0
+    done;
+    for _ = 1 to get () do
+      let child = get () in
+      let fk = get () in
+      let parent = get () in
+      push_join s child fk parent 0 0
+    done;
+    for _ = 1 to get () do
+      let tv = get () in
+      let attr = get () in
+      match get () with
+      | 0 -> push_sel s tv attr 0 (get ()) 0
+      | 1 ->
+        let lo = get () in
+        let hi = get () in
+        push_sel s tv attr 1 lo hi
+      | _ ->
+        let n = get () and start = s.pool_len in
+        for _ = 1 to n do
+          push_pool s (get ())
+        done;
+        push_sel s tv attr 2 start n
+    done;
+    s.buf <- Bytes.unsafe_of_string v;
+    s.b_off <- !p;
+    s.b_lim <- String.length v;
+    for i = 0 to n_tv - 1 do
+      s.tv_off.(i) <- !p;
+      p := !p + s.tv_len.(i)
+    done;
+    if !p <> String.length v then invalid_arg "Squery.Vec.load: malformed snapshot"
+
   let bytes = String.length
 
   (* Structural equality of two snapshots.  Allocation-free. *)

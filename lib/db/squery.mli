@@ -76,6 +76,15 @@ module Vec : sig
       written into a reusable buffer, compared byte for byte).
       Allocation-free once the scratch has warmed up. *)
 
+  val load : t -> scratch -> unit
+  (** The inverse of {!of_scratch}: decode the snapshot into the
+      scratch, replacing its contents with the canonical query it was
+      taken from — [of_scratch], [hash], [skeleton_hash] and [to_query]
+      then answer as they did for that query, with no [canon] needed.
+      The scratch borrows the snapshot for its tuple-variable names
+      until the next [parse] or [load].  Raises [Invalid_argument] on a
+      string no [of_scratch] returned (e.g. {!empty}). *)
+
   val equal : t -> t -> bool
   (** Structural equality of two snapshots.  Allocation-free. *)
 

@@ -218,6 +218,8 @@ let families =
     scalar Counter ~unit:"requests" "selest_cache_collisions_total" "cache_collisions"
       "estimate cache hash hits whose full-key verification failed"
       (fun s -> Int (sum s (fun sh -> sh.cache_collisions)));
+    tel_counter ~unit:"entries" "selest_cache_carried_total" "cache_carried"
+      "estimates a reload answered on the new version before its publish";
     scalar Gauge ~unit:"entries" "selest_cache_entries" "cache_entries"
       "estimate cache entries" (fun s -> Int (sum s (fun sh -> sh.cache_entries)));
     scalar Gauge ~unit:"bytes" "selest_cache_bytes" "cache_bytes" "estimate cache bytes"

@@ -195,6 +195,45 @@ let hashes_hot_first t =
   let rec go acc n = if n == t.head then List.rev acc else go (n.hash :: acc) n.next in
   go [] t.head.next
 
+(* Adoption: the probe that just missed is served by a carried answer,
+   so it is recounted as the hit it answers like. *)
+let adopt t hash entry =
+  add t hash entry;
+  t.misses <- t.misses - 1;
+  t.hits <- t.hits + 1
+
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash h = h
+end)
+
+module Carried = struct
+  type t = entry Tbl.t
+
+  let create () = Tbl.create 1
+  let find = Tbl.find
+  let length = Tbl.length
+end
+
+(* A hot-first walk of the ring that reads entries without promoting or
+   counting them; [answer] never touches this cache. *)
+let carry t ~cap ~keep ~answer =
+  let out = Tbl.create 64 in
+  let rec go n taken =
+    if n != t.head && taken < cap then
+      if keep n.entry then begin
+        (match answer n.entry with
+         | hash, e -> Tbl.replace out hash e
+         | exception _ -> () (* answered on demand instead *));
+        go n.next (taken + 1)
+      end
+      else go n.next taken
+  in
+  go t.head.next 0;
+  out
+
 let clear t =
   Array.fill t.buckets 0 (Array.length t.buckets) t.head;
   t.count <- 0;

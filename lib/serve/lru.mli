@@ -76,5 +76,38 @@ val hashes_hot_first : t -> int list
 (** Keys in recency order, most recent first (for tests and
     debugging). *)
 
+(** One model version's carried answers: estimates a reload computed
+    on the new version, before publishing it, for the queries a shard's
+    cache held under the version it replaced.  Keyed like the cache (by
+    the new version's hash); filled before the publish, only read
+    after, so every shard reads it without a lock. *)
+module Carried : sig
+  type t
+
+  val create : unit -> t
+  (** Nothing carried: a version published without a predecessor's
+      answers. *)
+
+  val find : t -> int -> entry
+  (** Raises [Not_found] (preallocated) when nothing is carried under
+      the hash; the caller verifies the entry like a {!find} hit. *)
+
+  val length : t -> int
+end
+
+val carry :
+  t -> cap:int -> keep:(entry -> bool) -> answer:(entry -> int * entry) -> Carried.t
+(** [carry t ~cap ~keep ~answer]: walk the cache from its hottest entry
+    to its coldest, without promoting or counting anything, take the
+    first [cap] entries [keep] accepts, and carry [answer e]'s (hash,
+    entry) for each.  An entry whose [answer] raises is left out: it is
+    answered on demand, as an uncarried query is.  [answer] must not
+    touch [t]. *)
+
+val adopt : t -> int -> entry -> unit
+(** {!add} a carried entry after the {!find} that missed it, and
+    recount that miss as a hit: the request is answered without
+    inference, as a hit is. *)
+
 val clear : t -> unit
 (** Drops all entries; counters are preserved. *)

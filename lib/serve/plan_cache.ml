@@ -50,6 +50,11 @@ module Shared = struct
 
   let carried t = Tbl.length t.carried
 
+  let carried_plan t ~hash ~verify x =
+    match Tbl.find t.carried hash with
+    | e when verify e.key x -> e.plan
+    | _ -> raise Not_found
+
   (* Append [e] unless the record already holds its key or is full.
      Runs only beside a compile or an adoption, never on a hit. *)
   let rec note t ~cap e =
@@ -154,6 +159,7 @@ let carry t (prev : Shared.t) ~rekey ~compile =
     (Atomic.get prev.Shared.fetched).Shared.items;
   { (Shared.create ()) with Shared.carried }
 
+let capacity t = t.capacity
 let stats t = (t.hits, t.misses, t.evictions)
 let carried t = t.carried
 let collisions t = t.collisions

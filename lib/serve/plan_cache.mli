@@ -32,6 +32,11 @@ module Shared : sig
 
   val carried : t -> int
   (** Plans compiled for this version before its publish. *)
+
+  val carried_plan : t -> hash:int -> verify:(string -> 'a -> bool) -> 'a -> Selest_plan.Plan.t
+  (** The plan carried under [hash] whose stored key [verify] accepts;
+      raises [Not_found] when there is none.  Reads the carried table
+      only: nothing is compiled, cached, counted or recorded. *)
 end
 
 val create : ?capacity:int -> unit -> t
@@ -83,6 +88,10 @@ val carry :
     as a miss of [t] (a compile), each carried plan in {!carried}.  The
     new set's record starts empty, so a skeleton no request fetches
     under the new version is not carried to the next one. *)
+
+val capacity : t -> int
+(** The entry count the cache holds, which also caps what a reload
+    carries. *)
 
 val stats : t -> int * int * int
 (** (hits, misses, evictions) since creation.  Misses count every

@@ -4,6 +4,7 @@ type entry = {
   version : int;
   fingerprint : string;
   plans : Plan_cache.Shared.t;
+  estimates : Lru.Carried.t;
 }
 
 (* An immutable registry generation: the association list is MRU-first
@@ -66,14 +67,17 @@ let install ?carry t ~name ~source model =
       let prev = Atomic.get t.current in
       let old = List.assoc_opt name prev.entries in
       let version = match old with Some e -> e.version + 1 | None -> 1 in
-      (* The new version's plans compile here, before the publish below:
-         readers keep answering on [old] until the [Atomic.set]. *)
-      let plans =
+      (* The new version's plans compile, and its carried answers are
+         computed, here, before the publish below: readers keep answering
+         on [old] until the [Atomic.set]. *)
+      let plans, estimates =
         match (old, carry) with
         | Some e, Some carry -> carry e ~version model
-        | _ -> Plan_cache.Shared.create ()
+        | _ -> (Plan_cache.Shared.create (), Lru.Carried.create ())
       in
-      let entry = { model; source; version; fingerprint = t.fingerprint; plans } in
+      let entry =
+        { model; source; version; fingerprint = t.fingerprint; plans; estimates }
+      in
       let rest = List.filter (fun (n, _) -> n <> name) prev.entries in
       let next = { epoch = prev.epoch + 1; entries = (name, entry) :: rest } in
       Atomic.set t.current next;

@@ -43,6 +43,11 @@ type entry = {
       (** This version's shared plans: those carried over from the
           previous version before publish, and the record of skeletons
           requests fetch under this one (what the next {!load} carries). *)
+  estimates : Lru.Carried.t;
+      (** This version's carried answers: the estimates the reload that
+          published it computed, on this version, for the queries the
+          reloading shard's cache held under the previous one.  Every
+          shard adopts them on its first miss of each query. *)
 }
 
 type t
@@ -80,7 +85,8 @@ module Epoch : sig
 end
 
 val load :
-  ?carry:(entry -> version:int -> Selest_prm.Model.t -> Plan_cache.Shared.t) ->
+  ?carry:
+    (entry -> version:int -> Selest_prm.Model.t -> Plan_cache.Shared.t * Lru.Carried.t) ->
   t ->
   name:string ->
   path:string ->
@@ -91,13 +97,14 @@ val load :
     case.
 
     A reload publishes in three steps: deserialize, then [carry prev
-    ~version model] builds the new version's shared plans from the
-    entry it replaces (the server compiles the skeletons requests
-    fetched under [prev], {!Plan_cache.carry}), then one atomic store
-    installs the entry.  [carry] runs under the writer lock; readers
-    keep answering on [prev], with its warm plans, until the store.
-    Without [carry], or on a first load, the entry starts with no
-    carried plans. *)
+    ~version model] builds the new version's shared plans and carried
+    answers from the entry it replaces (the server compiles the
+    skeletons requests fetched under [prev], {!Plan_cache.carry}, then
+    re-answers the queries its cache holds under [prev] on those plans,
+    {!Lru.carry}), then one atomic store installs the entry.  [carry]
+    runs under the writer lock; readers keep answering on [prev], with
+    its warm plans and answers, until the store.  Without [carry], or on
+    a first load, the entry starts with nothing carried. *)
 
 val register : t -> name:string -> Selest_prm.Model.t -> entry
 (** Install an in-memory model (e.g. learned at server start-up) under

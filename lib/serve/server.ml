@@ -165,39 +165,15 @@ let qerror_table t name = Metrics.qerror_shard t.metrics name
 let qerror_tables t = Metrics.qerror_tables t.metrics
 let snapshot t = Catalog.snapshot t.catalog
 
-(* ---- request handlers ------------------------------------------------------ *)
-
-(* A reload compiles, on this shard and before the publish, the plans
-   of every skeleton requests fetched under the version it replaces
-   ({!Plan_cache.carry}); the first estimate per skeleton after it is
-   then a plain estimate-cache miss on a ready plan, on every shard. *)
-let handle_load t st ~name ~path =
-  let carry (prev : Registry.entry) ~version model =
-    Plan_cache.carry st.splans prev.Registry.plans
-      ~rekey:(fun key ->
-        let k = Canon.Skel.rekey ~name ~version key in
-        (k.Canon.Skel.hash, k.Canon.Skel.key))
-      ~compile:(fun p -> Plan.compile model (Plan.query p))
-  in
-  match Registry.load ~carry t.registry ~name ~path with
-  | entry ->
-    Metrics.incr t.metrics "loads";
-    Log.info (fun m -> m "loaded %s version %d from %s" name entry.Registry.version path);
-    Protocol.ok
-      (Printf.sprintf "loaded %s version %d bytes %d" name entry.Registry.version
-         (Selest_prm.Model.size_bytes entry.Registry.model))
-  | exception Selest_prm.Serialize.Error msg ->
-    Metrics.incr t.metrics "load_errors";
-    Protocol.err msg
-
 (* ---- the EST core ------------------------------------------------------------
 
    Every estimate the server computes — the wire fast path, text and
    binary EST, ESTBATCH body by body, TRUTH, EXPLAIN and the SLOWLOG
    replay — runs [resolve] then [est_core]: pin the registry, lex the
    body into the shard scratch, canonicalize, hash, probe the shard's
-   estimate cache and, on a miss, fetch the skeleton's plan, execute it
-   on the bytecode engine and fill the cache.  Stages are bracketed with
+   estimate cache and, on a miss, adopt the answer a reload carried for
+   the query or else fetch the skeleton's plan, execute it on the
+   bytecode engine and fill the cache.  Stages are bracketed with
    the closure-free {!Obs.Span.enter}/[exit], so a warm hit allocates
    nothing with tracing off and tracing on traces this very code.  A
    request the core refuses raises [Rejected] with the reference error
@@ -354,27 +330,29 @@ let infer_counter t st name =
     st.c_infer <- (name, h) :: st.c_infer;
     h
 
-(* The miss half: fetch (or compile) the skeleton's plan, execute it
-   with the scratch's selects written straight into the program's
-   evidence slots, and fill the shard's estimate cache with a fully
-   rendered entry (the scratch also provides the entry's canonical
-   snapshot).  The kernel counters the request moved
-   are read before and after into [st.hot] and rolled up through
-   handles.  [on_plan] sees the plan that ran (EXPLAIN renders it). *)
+(* Execute [plan] with the scratch's selects written straight into the
+   program's evidence slots, and render the cache entry (the scratch
+   also provides the entry's canonical snapshot).  The one compute path:
+   a request's miss and a reload's carried answers both run it, so a
+   carried answer is bit for bit the one a request would compute. *)
+let answer t st ~name ~version plan =
+  make_entry ~name ~version ~vec:(Squery.Vec.of_scratch st.scratch)
+    (Plan.execute_scratch plan st.scratch *. Plan.scale plan ~sizes:t.sizes)
+
+(* The miss half: fetch (or compile) the skeleton's plan, [answer] on
+   it and fill the shard's estimate cache with the fully rendered
+   entry.  The kernel counters the request moved are read before and
+   after into [st.hot] and rolled up through handles.  [on_plan] sees
+   the plan that ran (EXPLAIN renders it). *)
 let infer t st ~on_plan ~name ~(entry : Registry.entry) ~hash =
   Obs.Hotpath.begin_delta st.hot;
   match
     let plan = scratch_plan st ~name ~entry in
     on_plan plan;
-    Plan.execute_scratch plan st.scratch *. Plan.scale plan ~sizes:t.sizes
+    answer t st ~name ~version:entry.Registry.version plan
   with
-  | estimate ->
+  | le ->
     Obs.Hotpath.end_delta st.hot;
-    let le =
-      make_entry ~name ~version:entry.Registry.version
-        ~vec:(Squery.Vec.of_scratch st.scratch)
-        estimate
-    in
     Lru.add st.scache hash le;
     Metrics.bump t.metrics (infer_counter t st name);
     Metrics.kernel_delta t.metrics st.hot;
@@ -382,6 +360,72 @@ let infer t st ~on_plan ~name ~(entry : Registry.entry) ~hash =
   | exception exn ->
     Obs.Hotpath.end_delta st.hot;
     raise (Rejected (Printexc.to_string exn))
+
+(* A miss the version's carried answers cover: the entry a reload
+   computed for this query before publishing the version, verified like
+   a hit and adopted into the shard's cache.  Its skeleton's carried
+   plan is fetched too (nothing compiles: the answer was carried only
+   because the plan was), so the skeleton joins the version's fetched
+   record and the next reload carries it again.  Raises [Not_found]
+   when nothing carried matches. *)
+let adopt st ~name (e : Registry.entry) hash =
+  let le = Lru.Carried.find e.Registry.estimates hash in
+  if Squery.Vec.matches le.Lru.vec st.scratch then begin
+    ignore (scratch_plan st ~name ~entry:e : Plan.t);
+    Lru.adopt st.scache hash le;
+    le
+  end
+  else raise Not_found
+
+(* ---- LOAD --------------------------------------------------------------------
+
+   A reload publishes in three steps after deserializing: on this shard
+   and under the registry's writer lock, it compiles the plans of every
+   skeleton requests fetched under the version it replaces
+   ({!Plan_cache.carry}), re-answers on those plans the queries this
+   shard's estimate cache holds under that version ({!Lru.carry}: a
+   query whose skeleton was not carried is skipped, never compiled),
+   and then installs the entry.  After the publish the first estimate
+   of each carried query is a hit on every shard ([adopt]), and of any
+   other query a miss on a ready plan. *)
+let carry_answers t st ~name ~(prev : Registry.entry) ~version plans =
+  let s = st.scratch in
+  Lru.carry st.scache ~cap:(Plan_cache.capacity st.splans)
+    ~keep:(fun (le : Lru.entry) ->
+      le.Lru.version = prev.Registry.version && String.equal le.Lru.model name)
+    ~answer:(fun (le : Lru.entry) ->
+      Squery.Vec.load le.Lru.vec s;
+      let plan =
+        Plan_cache.Shared.carried_plan plans
+          ~hash:(Canon.Skel.scratch_hash ~name ~version s)
+          ~verify:(fun key s -> Canon.Skel.scratch_matches key ~name ~version s)
+          s
+      in
+      (est_hash st ~name ~version, answer t st ~name ~version plan))
+
+let handle_load t st ~name ~path =
+  let carry (prev : Registry.entry) ~version model =
+    let plans =
+      Plan_cache.carry st.splans prev.Registry.plans
+        ~rekey:(fun key ->
+          let k = Canon.Skel.rekey ~name ~version key in
+          (k.Canon.Skel.hash, k.Canon.Skel.key))
+        ~compile:(fun p -> Plan.compile model (Plan.query p))
+    in
+    let estimates = carry_answers t st ~name ~prev ~version plans in
+    Metrics.incr ~by:(Lru.Carried.length estimates) t.metrics "cache_carried";
+    (plans, estimates)
+  in
+  match Registry.load ~carry t.registry ~name ~path with
+  | entry ->
+    Metrics.incr t.metrics "loads";
+    Log.info (fun m -> m "loaded %s version %d from %s" name entry.Registry.version path);
+    Protocol.ok
+      (Printf.sprintf "loaded %s version %d bytes %d" name entry.Registry.version
+         (Selest_prm.Model.size_bytes entry.Registry.model))
+  | exception Selest_prm.Serialize.Error msg ->
+    Metrics.incr t.metrics "load_errors";
+    Protocol.err msg
 
 let parse_error sp msg =
   Obs.Span.exit sp;
@@ -431,10 +475,17 @@ let est_core ?(force = false) ?(on_plan = ignore) t st (name, (e : Registry.entr
     Obs.Span.add sp "cached" "hit";
     Obs.Span.exit sp;
     infer t st ~on_plan ~name ~entry:e ~hash
-  | exception Not_found ->
-    Obs.Span.add sp "cached" "miss";
-    Obs.Span.exit sp;
-    infer t st ~on_plan ~name ~entry:e ~hash
+  | exception Not_found -> (
+    (* [force] prices a real inference, so it adopts nothing *)
+    match if force then raise Not_found else adopt st ~name e hash with
+    | le ->
+      Obs.Span.add sp "cached" "carried";
+      Obs.Span.exit sp;
+      le
+    | exception Not_found ->
+      Obs.Span.add sp "cached" "miss";
+      Obs.Span.exit sp;
+      infer t st ~on_plan ~name ~entry:e ~hash)
 
 (* [est_core] on a string body, for the allocating reference entry
    points. *)
@@ -1202,6 +1253,12 @@ let run t =
   let listeners = unix_sock :: Option.to_list tcp_sock in
   let nshards = Array.length t.shards in
   let next = ref 0 in
+  let reject fd why =
+    Metrics.incr t.metrics "admission_rejected";
+    (try write_all_fd fd (Protocol.busy why ^ "\n")
+     with Unix.Unix_error _ | Sys_error _ -> ());
+    (try Unix.close fd with Unix.Unix_error _ -> ())
+  in
   let dispatch fd =
     (* Round-robin with a linear probe past shards at their budget, so a
        slow shard sheds to its neighbours before anyone is rejected. *)
@@ -1219,15 +1276,26 @@ let run t =
       Atomic.incr t.shards.(i).accepted;
       Shard.submit rts.(i) fd
     | None ->
-      Metrics.incr t.metrics "admission_rejected";
-      (try
-         write_all_fd fd
-           (Protocol.busy
-              (Printf.sprintf "all %d shards at max_inflight=%d — retry later"
-                 nshards t.max_inflight)
-           ^ "\n")
-       with Unix.Unix_error _ | Sys_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ())
+      reject fd
+        (Printf.sprintf "all %d shards at max_inflight=%d — retry later" nshards
+           t.max_inflight)
+  in
+  (* One fd held in reserve.  When the process runs out of descriptors,
+     [accept] fails and leaves the connection in the backlog, so the
+     listener would wake for it again at once, forever: instead the spare
+     is released to accept it, answer BUSY and close it, then taken
+     back. *)
+  let open_spare () =
+    try Some (Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0)
+    with Unix.Unix_error _ -> None
+  in
+  let spare = ref (open_spare ()) in
+  let shed lsock =
+    Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !spare;
+    (match Unix.accept lsock with
+    | fd, _ -> reject fd "out of file descriptors — retry later"
+    | exception Unix.Unix_error _ -> ());
+    spare := open_spare ()
   in
   while not (Atomic.get stop) do
     match Unix.select (stop_r :: listeners) [] [] 0.5 with
@@ -1237,10 +1305,12 @@ let run t =
         (fun lsock ->
           if List.memq lsock readable then
             match Unix.accept lsock with
+            | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> shed lsock
             | exception Unix.Unix_error _ -> ()
             | fd, _ -> dispatch fd)
         listeners
   done;
+  Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !spare;
   Array.iter Shard.wake rts;
   Array.iter Domain.join workers;
   Array.iter Shard.destroy rts;

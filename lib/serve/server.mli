@@ -14,13 +14,17 @@
 
     [create ~domains:n] builds [n] executor shards.  {!run} spawns one
     domain per shard; each domain owns a disjoint set of connections and
-    multiplexes them over a [select] loop ({!Shard}).  The listener
+    multiplexes them over a [poll(2)] loop ({!Shard}).  The listener
     thread only accepts: each accepted fd is handed to a shard mailbox
     round-robin (one mutex touch per {e connection}, never per request)
     with a linear probe past shards at their admission budget.  When
     every shard is at [max_inflight] live connections the listener
     answers [BUSY ...], closes the connection and bumps the
     [admission_rejected] counter ([selest_admission_rejected_total]).
+    So does a connection that arrives when the process is out of file
+    descriptors: the listener keeps one spare descriptor, releases it to
+    accept that connection, and takes it back, rather than leaving the
+    connection in the backlog to wake it again at once, forever.
 
     On the [EST] hot path a shard acquires {e zero} mutexes: the
     registry read is one atomic snapshot pin, the estimate cache and
@@ -34,7 +38,13 @@
     pinned (never a torn version/fingerprint), later requests see the
     new one, and because every cache key carries the model version, each
     shard's cached estimates and plans for the old version simply stop
-    being reachable.  Old snapshots are reclaimed by the GC.
+    being reachable.  Old snapshots are reclaimed by the GC.  Before
+    the flip, a [LOAD] of an existing name compiles on its shard the
+    plans of the skeletons requests fetched under the old version and
+    re-answers, on the new version, the queries that shard's estimate
+    cache holds under the old one (both capped at the plan-cache
+    capacity); every shard adopts those plans and answers on its first
+    miss, so a carried query's first estimate after the flip is a hit.
 
     Every estimate — [EST] over text or binary framing, [ESTBATCH] body
     by body, [TRUTH], [EXPLAIN] and the [SLOWLOG] replay — runs one EST
@@ -44,7 +54,9 @@
     intermediate strings); canonicalize in place; derive the 63-bit
     estimate-cache hash (scratch hash mixed with model name and
     version) and probe the shard's estimate cache, verifying a hash hit
-    against the entry's canonical snapshot; on a miss fetch the
+    against the entry's canonical snapshot; on a miss adopt the answer
+    the reload that published this model version carried for the query,
+    if any (counted as a hit: no inference), else fetch the
     skeleton's compiled plan from the shard's {!Plan_cache} under a key
     folded from the scratch's interned ids ({!Canon.Skel.scratch_hash},
     verified against the key stored with the plan; the query is

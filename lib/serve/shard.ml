@@ -3,17 +3,18 @@
    The listener hands accepted fds to a shard through a small
    mutex-guarded mailbox — the only synchronized structure here, and it
    is touched once per *connection*, never per request.  From then on
-   the shard owns the connection exclusively: its [select] loop reads
+   the shard owns the connection exclusively: its [poll] loop reads
    whatever bytes are available, slices complete protocol messages out
    of a per-connection buffer (text lines or length-prefixed binary
    frames after the BIN upgrade), and calls back into the server's
    dispatch with no locking whatsoever — the shard's caches, telemetry
    shard and arena are all domain-local.
 
-   A self-pipe wakes the loop out of [select] when the listener
-   enqueues a connection or a shutdown is requested; the short select
-   timeout is belt-and-braces so a lost wakeup can only delay, never
-   hang, the loop. *)
+   A self-pipe wakes the loop out of [poll] when the listener enqueues
+   a connection or a shutdown is requested; the short poll timeout is
+   belt-and-braces so a lost wakeup can only delay, never hang, the
+   loop.  [poll(2)] (a C stub), unlike [select], watches fds of any
+   number, so a shard can own more than FD_SETSIZE connections. *)
 
 type conn = {
   fd : Unix.file_descr;
@@ -260,46 +261,91 @@ let serve_conn c ~on_line_fast ~on_frame_fast ~on_line ~on_frame ~on_protocol_er
     process_conn c ~on_line_fast ~on_frame_fast ~on_line ~on_frame ~on_protocol_error
   else `Continue
 
+external poll : Unix.file_descr array -> int array -> int -> int -> int
+  = "selest_shard_poll"
+
+(* The connections a loop owns, in arrays that live across wakeups:
+   [fds.(0)] is the wakeup pipe, [fds.(i + 1)] is [conns.(i)]'s socket,
+   and [poll] writes each fd's readiness into [revents] — a wakeup
+   allocates nothing. *)
+type set = {
+  mutable conns : conn array;
+  mutable fds : Unix.file_descr array;
+  mutable revents : int array;
+  mutable n : int;  (* connections owned *)
+}
+
+let add s c =
+  if s.n + 1 >= Array.length s.fds then begin
+    let cap = 2 * Array.length s.fds in
+    let grow a fill = Array.init cap (fun i -> if i < Array.length a then a.(i) else fill) in
+    s.conns <- grow s.conns c;
+    s.fds <- grow s.fds c.fd;
+    s.revents <- Array.make cap 0
+  end;
+  s.conns.(s.n) <- c;
+  s.fds.(s.n + 1) <- c.fd;
+  s.n <- s.n + 1
+
+(* Drop the closed connections, keeping the others in order; the freed
+   slots are overwritten with [none] so their buffers can be reclaimed. *)
+let reap s none ~on_close =
+  let w = ref 0 in
+  for i = 0 to s.n - 1 do
+    let c = s.conns.(i) in
+    if c.alive then begin
+      if !w < i then begin
+        s.conns.(!w) <- c;
+        s.fds.(!w + 1) <- c.fd
+      end;
+      incr w
+    end
+    else on_close ()
+  done;
+  Array.fill s.conns !w (s.n - !w) none;
+  s.n <- !w
+
+let poll_ms = 250
+
 let run t ~stop ~request_stop ~on_line_fast ~on_frame_fast ~on_line ~on_frame
     ~on_close ~on_protocol_error ~on_conn_error () =
-  let conns = ref [] in
-  let reap () =
-    let live, dead = List.partition (fun c -> c.alive) !conns in
-    List.iter (fun _ -> on_close ()) dead;
-    conns := live
+  let none = { (new_conn t.wake_r) with inbuf = Bytes.empty; alive = false } in
+  let s =
+    { conns = Array.make 16 none; fds = Array.make 16 t.wake_r; revents = Array.make 16 0;
+      n = 0 }
   in
   while not (Atomic.get stop) do
-    let fds = t.wake_r :: List.map (fun c -> c.fd) !conns in
-    match Unix.select fds [] [] 0.25 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | readable, _, _ ->
-      if List.memq t.wake_r readable then begin
+    if poll s.fds s.revents (s.n + 1) poll_ms > 0 then begin
+      let closed = ref false in
+      for i = 0 to s.n - 1 do
+        let c = s.conns.(i) in
+        if s.revents.(i + 1) <> 0 && c.alive then begin
+          (match
+             serve_conn c ~on_line_fast ~on_frame_fast ~on_line ~on_frame
+               ~on_protocol_error
+           with
+          | `Continue -> ()
+          | `Stop -> request_stop ()
+          | exception e ->
+            (* A handler that raises loses its connection, not the
+               shard: every other connection keeps being served. *)
+            close_conn c;
+            on_conn_error e);
+          if not c.alive then closed := true
+        end
+      done;
+      if !closed then reap s none ~on_close;
+      if s.revents.(0) <> 0 then begin
         drain_wake_pipe t;
-        List.iter
-          (fun fd -> conns := new_conn fd :: !conns)
-          (drain_mailbox t)
-      end;
-      List.iter
-        (fun c ->
-          if c.alive && List.memq c.fd readable then
-            match
-              serve_conn c ~on_line_fast ~on_frame_fast ~on_line ~on_frame
-                ~on_protocol_error
-            with
-            | `Continue -> ()
-            | `Stop -> request_stop ()
-            | exception e ->
-              (* A handler that raises loses its connection, not the
-                 shard: every other connection keeps being served. *)
-              close_conn c;
-              on_conn_error e)
-        !conns;
-      reap ()
+        List.iter (fun fd -> add s (new_conn fd)) (drain_mailbox t)
+      end
+    end
   done;
   (* Shutdown: close every owned connection and anything still queued. *)
-  List.iter (fun c -> if c.alive then close_conn c) !conns;
-  List.iter (fun _ -> on_close ()) !conns;
-  conns := [];
+  for i = 0 to s.n - 1 do
+    if s.conns.(i).alive then close_conn s.conns.(i);
+    on_close ()
+  done;
   List.iter
     (fun fd ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -313,7 +359,7 @@ let destroy t =
 (* ---- loopback harness ----------------------------------------------------- *)
 
 (* Drive one connection synchronously over an fd the caller already
-   owns (a socketpair end): no mailbox, no [select], no domain.  The
+   owns (a socketpair end): no mailbox, no [poll], no domain.  The
    front-end benchmark and the tests use this to measure the true
    socket-read → answer-write path — fast handlers included — without
    standing up a listener. *)

@@ -2,7 +2,10 @@
 
     A shard-per-domain server spawns one domain per shard; each domain
     runs {!run}, which multiplexes every connection the listener has
-    handed it over a [select] loop.  The listener→shard handoff is a
+    handed it over a [poll(2)] loop (a C stub that releases the runtime
+    lock while it waits; no fd-number limit, unlike [select]).  The
+    connections live in arrays that persist across wakeups, so a
+    wakeup allocates nothing.  The listener→shard handoff is a
     small mutex-guarded mailbox plus a self-pipe wakeup — synchronized
     once per {e connection}, never per request — and from then on the
     connection is owned exclusively by the shard: message extraction,
@@ -30,7 +33,7 @@ val submit : t -> Unix.file_descr -> unit
     the fd and wake the loop.  The shard now owns closing it. *)
 
 val wake : t -> unit
-(** Wake the loop out of [select] (used to propagate a stop request). *)
+(** Wake the loop out of [poll] (used to propagate a stop request). *)
 
 val run :
   t ->

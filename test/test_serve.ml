@@ -1459,6 +1459,27 @@ let prop_squery_matches_reference =
       | Error er, Error es -> String.equal er es
       | Ok _, Error _ | Error _, Ok _ -> false)
 
+(* Property: a snapshot loaded back into a scratch (one that held
+   another query before) is the query it was taken from — the same
+   snapshot, hash, skeleton hash and materialized query. *)
+let load_scratch = lazy (Squery.create (Squery.symtab (Lazy.force frontend_scratch)))
+
+let prop_vec_load_inverts_snapshot =
+  QCheck2.Test.make ~name:"Vec.load inverts Vec.of_scratch" ~count:5_000 ~long_factor:20
+    ~print:String.escaped gen_frontend_body (fun body ->
+      let s = Lazy.force frontend_scratch and l = Lazy.force load_scratch in
+      match Squery.parse s (Bytes.of_string body) ~off:0 ~len:(String.length body) with
+      | exception (Failure _ | Invalid_argument _ | Not_found) -> true
+      | () ->
+        Squery.canon s;
+        let v = Squery.Vec.of_scratch s in
+        Squery.Vec.load v l;
+        Squery.Vec.equal (Squery.Vec.of_scratch l) v
+        && Squery.Vec.matches v l
+        && Squery.hash l = Squery.hash s
+        && Squery.skeleton_hash l 7 = Squery.skeleton_hash s 7
+        && Squery.to_query l = Squery.to_query s)
+
 (* A label wins over an integer, also where labels read as integers:
    [Value.range 3 7] labels its codes 0..4 as "3".."7", so "4" is code
    1, "2" is out of domain; on a domain of word labels, "1" is code 1. *)
@@ -2458,6 +2479,304 @@ let prop_carry_matches_fresh =
             picks)
         steps)
 
+(* ---- carried answers across a reload -------------------------------------------- *)
+
+(* Inferences requests ran for model "tb": the slow log's latency
+   captures replay their query through one forced inference each, which
+   the [infer.tb] counter also counts. *)
+let request_infers server = stat_int server "infer.tb" - stat_int server "slowlog_captures"
+
+(* Alternate LOADs of two model files on [domains] shards, every body
+   asked on every shard between them.  After each reload every answer is
+   the fresh server's, bit for bit, and none runs an inference or a
+   compile on either shard: the LOAD's shard re-answered its cached
+   queries on the new version before the publish, and every shard adopts
+   those answers. *)
+let test_answers_carried domains () =
+  let p1, p2 = Lazy.force carry_files in
+  let ref1 = fresh_answers p1 and ref2 = fresh_answers p2 in
+  let server = Server.create ~domains ~db:(Lazy.force db) ~socket:"(test: unused)" () in
+  let ask shard line = fst (Server.handle_line_shard server ~shard line) in
+  let everywhere () =
+    List.init domains (fun shard -> List.map (fun b -> ask shard ("EST " ^ b)) carry_bodies)
+  in
+  let n = List.length carry_bodies in
+  ignore (ask 0 ("LOAD tb " ^ p1));
+  List.iter (Alcotest.(check (list string)) "first version answers" ref1) (everywhere ());
+  for r = 1 to 4 do
+    let path, expect = if r mod 2 = 1 then (p2, ref2) else (p1, ref1) in
+    let carried0 = stat_int server "cache_carried" in
+    Alcotest.(check bool) "LOAD answers OK" true
+      (String.starts_with ~prefix:"OK loaded tb version " (ask (r mod domains) ("LOAD tb " ^ path)));
+    Alcotest.(check int) "every cached query carried" n
+      (stat_int server "cache_carried" - carried0);
+    let infers0 = request_infers server and misses0 = stat_int server "plan_cache_misses" in
+    let cmisses0 = stat_int server "cache_misses" in
+    List.iter (Alcotest.(check (list string)) "answers = a fresh server's" expect) (everywhere ());
+    Alcotest.(check int) "no inference after the reload" 0 (request_infers server - infers0);
+    Alcotest.(check int) "no compile after the reload" 0
+      (stat_int server "plan_cache_misses" - misses0);
+    Alcotest.(check int) "every request a hit" 0 (stat_int server "cache_misses" - cmisses0)
+  done
+
+(* The carried answers are capped at the plan-cache capacity (256),
+   taken hottest first; a cached query whose skeleton has no carried
+   plan is skipped; both are answered on demand after the reload. *)
+let test_answer_cap_and_uncarried () =
+  let p1, p2 = Lazy.force carry_files in
+  let server = Server.create ~db:(Lazy.force db) ~socket:"(test: unused)" () in
+  let ask line = fst (Server.handle_line server line) in
+  let ests = List.iter (fun b -> ignore (ask ("EST " ^ b))) in
+  let carried_by_load path =
+    let c0 = stat_int server "cache_carried" in
+    ignore (ask ("LOAD tb " ^ path));
+    stat_int server "cache_carried" - c0
+  in
+  let infers f =
+    let i0 = request_infers server in
+    f ();
+    request_infers server - i0
+  in
+  let split k l = (List.filteri (fun i _ -> i < k) l, List.filteri (fun i _ -> i >= k) l) in
+  (* 300 bindings of one skeleton: one plan, 256 answers carried *)
+  let bindings =
+    List.concat_map
+      (fun (a, s) ->
+        List.init 30 (fun k ->
+            Printf.sprintf
+              "c=contact, p=patient ; c.patient=p ; p.Age=%d, p.Site=%d, c.Contype=%d, c.Age=%d"
+              a s (k mod 5) (k / 5)))
+      [ (0, 0); (0, 1); (1, 0); (1, 1); (2, 0); (2, 1); (3, 0); (3, 1); (4, 0); (4, 1) ]
+  in
+  ignore (ask ("LOAD tb " ^ p1));
+  ests bindings;
+  Alcotest.(check int) "capped at the plan-cache capacity" 256 (carried_by_load p2);
+  let cold, hot = split 44 bindings in
+  Alcotest.(check int) "the 256 hottest are hits" 0 (infers (fun () -> ests hot));
+  Alcotest.(check int) "the 44 coldest infer" 44 (infers (fun () -> ests cold));
+  (* 257 skeletons: the record of fetched skeletons holds 256, so the
+     last one's plan is not carried, and neither is its answer *)
+  let skeletons =
+    let pick attrs mask tv =
+      List.filteri (fun i _ -> mask land (1 lsl i) <> 0) attrs
+      |> List.map (fun a -> Printf.sprintf "%s.%s=1" tv a)
+    in
+    List.concat_map
+      (fun cm ->
+        List.init 63 (fun pm ->
+            "c=contact, p=patient ; c.patient=p ; "
+            ^ String.concat ", "
+                (pick [ "Age"; "Gender"; "HIV"; "USBorn"; "Homeless"; "Site" ] (pm + 1) "p"
+                @ pick [ "Contype"; "Age"; "Infected"; "Gender" ] cm "c")))
+      [ 0; 1; 2; 3; 4 ]
+    |> List.filteri (fun i _ -> i < 257)
+  in
+  ignore (carried_by_load p1);
+  ests skeletons;
+  Alcotest.(check int) "the uncarried skeleton's query is skipped" 255 (carried_by_load p2);
+  let carried, last = split 256 skeletons in
+  let last = List.hd last in
+  Alcotest.(check int) "it infers on demand" 1 (infers (fun () -> ignore (ask ("EST " ^ last))));
+  Alcotest.(check int) "the others do not" 0
+    (infers (fun () -> ests (List.filteri (fun i _ -> i > 0) carried)));
+  let fresh = Server.create ~db:(Lazy.force db) ~socket:"(test: unused)" () in
+  ignore (Server.handle_line fresh ("LOAD tb " ^ p2));
+  Alcotest.(check string) "and it answers like a fresh server"
+    (fst (Server.handle_line fresh ("EST " ^ last)))
+    (ask ("EST " ^ last))
+
+(* A carried answer that fails is left out alone: the walk carries
+   every other entry, promotes and counts nothing, and the failed query
+   is answered on demand.  Injected at the walk ({!Lru.carry}) and, on a
+   server, as a cached entry whose snapshot cannot be decoded. *)
+let test_answer_failure_skips_entry () =
+  let entry ~version est =
+    { Lru.est; text = ""; bin = ""; vec = Squery.Vec.empty; model = "m"; version }
+  in
+  let lru = Lru.create ~capacity_bytes:(1 lsl 20) in
+  List.iter (fun i -> Lru.add lru i (entry ~version:1 (float_of_int i))) [ 0; 1; 2; 3 ];
+  Lru.add lru 4 (entry ~version:2 4.0);
+  let order = Lru.hashes_hot_first lru in
+  let carried =
+    Lru.carry lru ~cap:10
+      ~keep:(fun e -> e.Lru.version = 1)
+      ~answer:(fun e ->
+        if e.Lru.est = 1.0 then failwith "injected execute failure"
+        else (100 + int_of_float e.Lru.est, e))
+  in
+  Alcotest.(check int) "every other kept entry carried" 3 (Lru.Carried.length carried);
+  let carried_est h =
+    match Lru.Carried.find carried h with e -> Some e.Lru.est | exception Not_found -> None
+  in
+  Alcotest.(check (list (option (float 0.0)))) "the failed one is not"
+    [ Some 0.0; None; Some 2.0; Some 3.0; None ]
+    (List.map carried_est [ 100; 101; 102; 103; 104 ]);
+  Alcotest.(check (list int)) "the walk promotes nothing" order (Lru.hashes_hot_first lru);
+  Alcotest.(check (pair int int)) "and counts nothing" (0, 0) (Lru.hits lru, Lru.misses lru);
+  let bodies = List.filteri (fun i _ -> i < 4) carry_bodies in
+  (* on a server: a cached entry of the model that cannot be decoded *)
+  let p1, p2 = Lazy.force carry_files in
+  let server = Server.create ~db:(Lazy.force db) ~socket:"(test: unused)" () in
+  let ask line = fst (Server.handle_line server line) in
+  ignore (ask ("LOAD tb " ^ p1));
+  List.iter (fun b -> ignore (ask ("EST " ^ b))) bodies;
+  Lru.add (Server.cache server) 12345
+    { Lru.est = 0.0; text = "OK 0\n"; bin = ""; vec = Squery.Vec.empty; model = "tb";
+      version = 1 };
+  let c0 = stat_int server "cache_carried" in
+  Alcotest.(check bool) "the LOAD still succeeds" true
+    (String.starts_with ~prefix:"OK loaded tb version 2" (ask ("LOAD tb " ^ p2)));
+  Alcotest.(check int) "every decodable entry carried" (List.length bodies)
+    (stat_int server "cache_carried" - c0);
+  let i0 = request_infers server in
+  Alcotest.(check (list string)) "answers = a fresh server's"
+    (List.filteri (fun i _ -> i < 4) (fresh_answers p2))
+    (List.map (fun b -> ask ("EST " ^ b)) bodies);
+  Alcotest.(check int) "without inference" 0 (request_infers server - i0)
+
+(* ---- many connections, and running out of descriptors ------------------------------ *)
+
+(* A raw client connection to [socket], its reads bounded by a timeout
+   so a wedged server fails the test instead of hanging it; retries
+   while a freshly started server is not yet listening. *)
+let rec raw_connect ?(tries = 100) socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  match Unix.connect fd (Unix.ADDR_UNIX socket) with
+  | () -> fd
+  | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) when tries > 1 ->
+    Unix.close fd;
+    Unix.sleepf 0.05;
+    raw_connect ~tries:(tries - 1) socket
+
+(* Send one line and read its one-line reply. *)
+let raw_ask fd line =
+  let msg = line ^ "\n" in
+  (* a server that rejects the connection may close it first: its
+     reply is still queued for the read below *)
+  (try ignore (Unix.write_substring fd msg 0 (String.length msg))
+   with Unix.Unix_error (Unix.EPIPE, _, _) -> ());
+  let buf = Buffer.create 64 and b = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd b 0 4096 with
+    | 0 -> Buffer.contents buf
+    | n ->
+      Buffer.add_subbytes buf b 0 n;
+      if Bytes.get b (n - 1) = '\n' then Buffer.contents buf else go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> "(no reply in 5 s)"
+    | exception Unix.Unix_error (e, _, _) -> "(" ^ Unix.error_message e ^ ")"
+  in
+  go ()
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* One shard owning 1,100 connections: server-side fds pass 1024, where
+   select(2) fails with EINVAL and took the shard down.  Both an old
+   and a new connection still get PONG.  Needs about 2,300 descriptors
+   (client and server ends live in this process); skipped when the
+   limit is lower. *)
+let test_past_fd_setsize () =
+  let n = 1100 in
+  let probe = ref [] in
+  let room =
+    match
+      for _ = 1 to (2 * n) + 100 do
+        probe := Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 :: !probe
+      done
+    with
+    | () -> true
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> false
+  in
+  List.iter Unix.close !probe;
+  if not room then begin
+    Printf.printf "skipped: fewer than %d file descriptors (raise ulimit -n)\n" ((2 * n) + 100);
+    Alcotest.skip ()
+  end;
+  let socket = Filename.temp_file "selest" ".sock" in
+  Sys.remove socket;
+  let server =
+    Server.create ~max_inflight:(4 * n) ~db:(Lazy.force db) ~socket ()
+  in
+  let thread = Thread.create Server.run server in
+  let conns = ref [] in
+  let connect () =
+    let fd = raw_connect socket in
+    conns := fd :: !conns;
+    fd
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter close_quietly !conns;
+      Server.shutdown server;
+      Thread.join thread)
+    (fun () ->
+      let first = connect () in
+      Alcotest.(check string) "first connection" "PONG\n" (raw_ask first "PING");
+      for _ = 2 to n do
+        ignore (connect ())
+      done;
+      Alcotest.(check string) "the first of 1,100 connections" "PONG\n" (raw_ask first "PING");
+      Alcotest.(check string) "a new connection" "PONG\n" (raw_ask (connect ()) "PING"))
+
+(* A server started under a 64-descriptor limit, connected to 80 times:
+   a connection it has no descriptor for gets BUSY and a close (counted
+   as an admission rejection) instead of sitting in the backlog, where
+   the listener woke for it again at once, forever.  Once clients leave,
+   new connections are served again.  Runs the CLI in one child shell. *)
+let test_accept_sheds_at_fd_limit () =
+  let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/selest_cli.exe" in
+  if not (Sys.file_exists cli) then begin
+    Printf.printf "skipped: %s not built\n" cli;
+    Alcotest.skip ()
+  end;
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let socket = Filename.temp_file "selest" ".sock" in
+  Sys.remove socket;
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process "/bin/sh"
+      [| "/bin/sh"; "-c"; {|ulimit -n 64 && exec "$0" serve -d tb --socket "$1"|}; cli; socket |]
+      Unix.stdin devnull devnull
+  in
+  Unix.close devnull;
+  let conns = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter close_quietly !conns;
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid);
+      try Sys.remove socket with Sys_error _ -> ())
+    (fun () ->
+      let replies =
+        List.init 80 (fun i ->
+            let fd = raw_connect socket in
+            conns := fd :: !conns;
+            match raw_ask fd "PING" with
+            | "PONG\n" as r -> (fd, r)
+            | r when String.starts_with ~prefix:"BUSY " r -> (fd, r)
+            | r -> Alcotest.failf "connection %d got %S" (i + 1) r)
+      in
+      let admitted = List.filter (fun (_, r) -> r = "PONG\n") replies in
+      let busy = List.filter (fun (_, r) -> r <> "PONG\n") replies in
+      Alcotest.(check bool)
+        (Printf.sprintf "some served (%d), the rest BUSY (%d)" (List.length admitted)
+           (List.length busy))
+        true
+        (List.length admitted >= 20 && busy <> []);
+      let fd0 = fst (List.hd admitted) in
+      Alcotest.(check (option string)) "rejections counted"
+        (Some (string_of_int (List.length busy)))
+        (Protocol.stats_field (raw_ask fd0 "STATS") "admission_rejected");
+      (* clients leave: the server has descriptors again *)
+      List.iteri (fun i (fd, _) -> if i > 0 && i <= 20 then close_quietly fd) admitted;
+      let rec served tries =
+        let fd = raw_connect socket in
+        conns := fd :: !conns;
+        raw_ask fd "PING" = "PONG\n" || (tries > 0 && (Unix.sleepf 0.05; served (tries - 1)))
+      in
+      Alcotest.(check bool) "served again after clients leave" true (served 40);
+      Alcotest.(check string) "shutdown" "OK bye\n" (raw_ask fd0 "SHUTDOWN"))
+
 (* ---- per-connection exceptions ------------------------------------------------------ *)
 
 (* A handler that raises closes its own connection only: the shard
@@ -2601,6 +2920,7 @@ let () =
             Alcotest.test_case "slice warm forms" `Quick
               test_slice_recognizes_warm_forms;
             Alcotest.test_case "fast path loopback" `Quick test_fast_path_loopback;
+            QCheck_alcotest.to_alcotest prop_vec_load_inverts_snapshot;
           ] );
       ( "catalog",
         [
@@ -2616,6 +2936,9 @@ let () =
           Alcotest.test_case "over-cap line closes" `Quick test_over_cap_line_closes;
           Alcotest.test_case "raising handler closes one conn" `Quick
             test_raising_handler_closes_its_connection;
+          Alcotest.test_case "1,100 connections on one shard" `Quick test_past_fd_setsize;
+          Alcotest.test_case "accept sheds at the fd limit" `Quick
+            test_accept_sheds_at_fd_limit;
         ] );
       ( "carry",
         [
@@ -2623,6 +2946,12 @@ let () =
           Alcotest.test_case "reloads on 2 domains" `Quick (test_carry_across_reloads 2);
           Alcotest.test_case "cap and compile failure" `Quick test_carry_cap_and_failure;
           QCheck_alcotest.to_alcotest prop_carry_matches_fresh;
+          Alcotest.test_case "answers carried, 1 domain" `Quick (test_answers_carried 1);
+          Alcotest.test_case "answers carried, 2 domains" `Quick (test_answers_carried 2);
+          Alcotest.test_case "answer cap, uncarried skeleton" `Quick
+            test_answer_cap_and_uncarried;
+          Alcotest.test_case "answer failure skips its entry" `Quick
+            test_answer_failure_skips_entry;
         ] );
       ( "miss-path",
         List.map QCheck_alcotest.to_alcotest
