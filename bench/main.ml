@@ -868,8 +868,7 @@ let fig_plan () =
       let counts () =
         let stats = H.ask server "STATS" in
         let get k = int_of_string (Option.get (Serve.Protocol.stats_field stats k)) in
-        (* a latency capture replays its query through one inference *)
-        (get "plan_cache_misses", get "infer.default" - get "slowlog_captures")
+        (get "plan_cache_misses", get "infer.default")
       in
       let ests () = Array.iter (fun b -> ignore (H.ask server ("EST " ^ b))) bodies in
       let load () = ignore (H.ask server ("LOAD default " ^ path)) in
@@ -1008,8 +1007,8 @@ let fig_exec () =
    set predicates lower into the bytecode executor bit-identically to
    the generic engine and Ve.Reference; (3) a warm served EST allocates
    zero minor-heap words end to end — socket read to answer write — in
-   both text and binary framing, driven through the shard's
-   message-extraction loop (Shard.Loopback); (4) an estimate-cache miss
+   both text and binary framing, driven through the shard loop
+   production runs over a simulated network; (4) an estimate-cache miss
    on a cached plan — keyed, fetched and loaded straight from the parse
    scratch — allocates at most 170 minor words, with its in-process
    stages (parse, canon+key, plan fetch, load+run, render+insert)
@@ -1099,48 +1098,48 @@ let fig_frontend () =
   check_bits "range/set bytecode ≡ generic engine" !div_gen n_masked "queries";
   check_bits "range/set bytecode ≡ Ve.Reference" !div_ref n_masked "queries";
 
-  (* --- gate 3: zero allocation end to end over a real socket --- *)
+  (* --- gate 3: zero allocation end to end through the shard loop --- *)
+  (* One request/response client on a simulated network, served by the
+     loop production runs (Serve.Server.run_shard): each request is one
+     poll, one read and one write.  The GC's words are read at every
+     write, so a window of round trips counts the loop's own allocation
+     and nothing else.  Round 1 fills the cache; the next [alloc_reps]
+     rounds are measured, in text and then, after the BIN upgrade, in
+     binary framing. *)
   let server = H.fresh_server fx in
-  let on_line_fast, on_frame_fast = Serve.Server.fast_handlers server ~shard:0 in
-  let on_line l = Serve.Server.handle_line server l in
-  let on_frame p = Serve.Server.handle_frame server p in
-  let client, srv = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let conn = Serve.Shard.Loopback.connect srv in
-  let rbuf = Bytes.create 65536 in
-  (* a loop, not Array.iter: the measured rounds must not allocate a closure *)
-  let round requests =
-    for i = 0 to Array.length requests - 1 do
-      let r = Array.unsafe_get requests i in
-      ignore (Unix.write_substring client r 0 (String.length r));
-      Serve.Shard.Loopback.step conn ~on_line_fast ~on_frame_fast ~on_line ~on_frame;
-      ignore (Unix.read client rbuf 0 (Bytes.length rbuf))
-    done
-  in
-  (* the first round fills the cache through the fast path's miss handling *)
   let alloc_reps = 4 in
-  let warm_words label requests =
-    round requests;
-    let w0 = Gc.minor_words () in
-    for _ = 1 to alloc_reps do
-      round requests
-    done;
-    let delta = Gc.minor_words () -. w0 in
+  let rounds requests = List.concat (List.init (1 + alloc_reps) (fun _ -> Array.to_list requests)) in
+  let per_framing = (1 + alloc_reps) * n in
+  let words = Array.make ((2 * per_framing) + 1) 0.0 and writes = ref 0 in
+  let net =
+    Simio.create
+      ~on_write:(fun () ->
+        words.(!writes) <- Gc.minor_words ();
+        incr writes)
+      ()
+  in
+  ignore
+    (Simio.connect net ~lockstep:true
+       (rounds (Array.map (fun b -> "EST " ^ b ^ "\n") bodies)
+       @ [ "BIN\n" ]
+       @ rounds
+           (Array.map
+              (fun body ->
+                Serve.Protocol.Bin.encode_request (Serve.Protocol.Bin.Best { model = None; body }))
+              bodies)));
+  Simio.serve server [ net ];
+  H.check "every request answered in one write" (!writes = Array.length words)
+    (Printf.sprintf "%d writes for %d requests" !writes (Array.length words));
+  let warm_words label first =
+    let delta = words.(first + per_framing - 1) -. words.(first + n - 1) in
     H.check
       (Printf.sprintf "warm %s EST round trip allocates zero words" label)
       (delta = 0.0)
       (Printf.sprintf "%.0f words / %d round trips" delta (alloc_reps * n));
     H.row (label ^ "_warm_minor_words_delta") "words" delta
   in
-  warm_words "text" (Array.map (fun b -> "EST " ^ b ^ "\n") bodies);
-  (* binary framing over the same connection *)
-  round [| "BIN\n" |];
-  warm_words "binary"
-    (Array.map
-       (fun body ->
-         Serve.Protocol.Bin.encode_request (Serve.Protocol.Bin.Best { model = None; body }))
-       bodies);
-  Unix.close client;
-  (try Unix.close srv with Unix.Unix_error _ -> ());
+  warm_words "text" 0;
+  warm_words "binary" (per_framing + 1);
 
   (* --- gate 4: the estimate-cache miss path, transport-free --- *)
   (* Wide TB queries on the served benchmark's tb_miss skeletons
@@ -1421,24 +1420,12 @@ let fig_obs () =
   H.row "qerror_p50" "ratio" qsum.Obs.Qerror.p50;
   H.row "qerror_max" "ratio" qsum.Obs.Qerror.max_q;
 
-  (* --- loopback EST round trips through the zero-copy front-end, so the
-     selest_frontend_* counters carry nonzero values into the METRICS
+  (* --- EST round trips through the shard loop's zero-copy front-end, so
+     the selest_frontend_* counters carry nonzero values into the METRICS
      exposition below --- *)
-  let on_line_fast, on_frame_fast = Serve.Server.fast_handlers server ~shard:0 in
-  let client, srv = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let conn = Serve.Shard.Loopback.connect srv in
-  let buf = Bytes.create 65536 in
-  List.iter
-    (fun tr ->
-      let r = "EST " ^ H.body tr ^ "\n" in
-      ignore (Unix.write_substring client r 0 (String.length r));
-      Serve.Shard.Loopback.step conn ~on_line_fast ~on_frame_fast
-        ~on_line:(Serve.Server.handle_line server)
-        ~on_frame:(Serve.Server.handle_frame server);
-      ignore (Unix.read client buf 0 (Bytes.length buf)))
-    explain_triples;
-  Unix.close client;
-  (try Unix.close srv with Unix.Unix_error _ -> ());
+  let net = Simio.create () in
+  ignore (Simio.connect net (List.map (fun tr -> "EST " ^ H.body tr ^ "\n") explain_triples));
+  Simio.serve server [ net ];
 
   (* --- METRICS: must parse as Prometheus and agree with the counters --- *)
   ignore (H.ask server "PING");

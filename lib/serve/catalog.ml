@@ -187,6 +187,8 @@ let families =
     tel_counter "selest_protocol_errors_total" "protocol_errors"
       "malformed request lines and frames";
     tel_counter "selest_requests_total" "requests" "requests served";
+    tel_counter ~unit:"shards" "selest_shard_exits_total" "shard_exits"
+      "shard event loops that ended on an exception";
     tel_counter "selest_truth_requests_total" "truth_requests" "TRUTH requests";
     tel_counter ~unit:"entries" "selest_ve_entries_touched_total" "ve.entries_touched"
       "factor entries read or written by inferences";

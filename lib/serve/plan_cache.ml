@@ -139,6 +139,11 @@ let probe t shared ~hash ~verify ~key ~compile x =
     fetch t shared ~hash ~verify ~key ~compile x
   | exception Not_found -> fetch t shared ~hash ~verify ~key ~compile x
 
+let peek t shared ~hash ~verify x =
+  match Tbl.find t.tbl hash with
+  | n when verify n.entry.key x -> n.entry.plan
+  | _ | (exception Not_found) -> Shared.carried_plan shared ~hash ~verify x
+
 let find_or_compile t ~hash ~key ~compile =
   probe t Shared.none ~hash ~verify:String.equal ~key:Fun.id
     ~compile:(fun _ -> compile ())

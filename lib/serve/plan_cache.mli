@@ -65,6 +65,11 @@ val probe :
     server probes with {!Canon.Skel.scratch_hash} and verifies with
     {!Canon.Skel.scratch_matches}, so a hit builds no key. *)
 
+val peek : t -> Shared.t -> hash:int -> verify:(string -> 'a -> bool) -> 'a -> Selest_plan.Plan.t
+(** The plan {!probe} would return without compiling — resident, else
+    carried in [shared] — with nothing promoted, counted, cached or
+    recorded; raises [Not_found] when there is none. *)
+
 val find_or_compile :
   t -> hash:int -> key:string -> compile:(unit -> Selest_plan.Plan.t) ->
   Selest_plan.Plan.t * [ `Hit | `Miss ]

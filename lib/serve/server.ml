@@ -167,9 +167,9 @@ let snapshot t = Catalog.snapshot t.catalog
 
 (* ---- the EST core ------------------------------------------------------------
 
-   Every estimate the server computes — the wire fast path, text and
-   binary EST, ESTBATCH body by body, TRUTH, EXPLAIN and the SLOWLOG
-   replay — runs [resolve] then [est_core]: pin the registry, lex the
+   Every estimate a request asks for — the wire fast path, text and
+   binary EST, ESTBATCH body by body, TRUTH and EXPLAIN — runs
+   [resolve] then [est_core]: pin the registry, lex the
    body into the shard scratch, canonicalize, hash, probe the shard's
    estimate cache and, on a miss, adopt the answer a reload carried for
    the query or else fetch the skeleton's plan, execute it on the
@@ -444,7 +444,7 @@ let parse_into st sp buf ~off ~len =
     parse_error sp "unknown table, tuple variable or attribute in query"
 
 (* Answer one body for a resolved model: the resident or freshly filled
-   cache entry.  [force] (EXPLAIN, SLOWLOG replay) probes the cache but
+   cache entry.  [force] (EXPLAIN) probes the cache but
    never lets a hit short-circuit inference, so the stages price a real
    estimate; the probe outcome is the [est.cache] span's [cached]
    attribute.  Moves the [frontend.*] stage counters for every caller;
@@ -754,19 +754,49 @@ let refresh_slow_threshold t =
 
 (* Re-execute a captured request's query under span collection.  The
    live path does not collect (collection would eat the telemetry budget
-   on every request), so a capture replays the query once through the
-   EST core — forced, so a cache hit cannot hide the stages — to
-   reconstruct the est.parse / est.canon / est.cache / plan.fetch /
-   exec.* tree of the bytecode path that served it.  Returns the
-   canonical query text and the span tree; the raw body when the body
-   no longer resolves or parses. *)
+   on every request), so a capture replays the query once on the
+   bytecode engine to reconstruct the est.parse / est.canon / est.cache
+   / plan.fetch / exec.* tree of the path that served it.  A replay is
+   not a request: it probes the estimate cache with [Lru.mem], takes the
+   plan with [Plan_cache.peek] (compiling a throwaway one only when the
+   skeleton is gone) and runs it, so no counter and no cache moves.
+   Returns the canonical query text and the span tree; the raw body when
+   the body no longer resolves, parses or runs. *)
 let replay_spans t st ~model ~body =
+  let replay () =
+    let name, e = resolve_model t model in
+    let version = e.Registry.version and s = st.scratch in
+    let sp = Obs.Span.enter "est.parse" in
+    parse_into st sp (Bytes.unsafe_of_string body) ~off:0 ~len:(String.length body);
+    Obs.Span.exit sp;
+    let sp = Obs.Span.enter "est.canon" in
+    Squery.canon s;
+    Obs.Span.exit sp;
+    let sp = Obs.Span.enter "est.cache" in
+    Obs.Span.add sp "cached"
+      (if Lru.mem st.scache (est_hash st ~name ~version) then "hit" else "miss");
+    Obs.Span.exit sp;
+    let sp = Obs.Span.enter "plan.fetch" in
+    let plan =
+      match
+        Plan_cache.peek st.splans e.Registry.plans
+          ~hash:(Canon.Skel.scratch_hash ~name ~version s)
+          ~verify:(fun key s -> Canon.Skel.scratch_matches key ~name ~version s)
+          s
+      with
+      | plan -> plan
+      | exception Not_found -> Plan.compile e.Registry.model (Squery.to_query s)
+    in
+    Obs.Span.exit sp;
+    ignore (Plan.execute_scratch plan s : float);
+    Canon.key (Squery.to_query s)
+  in
   let outcome, records =
     Obs.Span.collect (fun () ->
         est_span (fun () ->
-            match est_body ~force:true t st (resolve_model t model) body with
-            | (_ : Lru.entry) -> Some (Canon.key (Squery.to_query st.scratch))
-            | exception Rejected _ -> None))
+            match replay () with
+            | key -> Some key
+            | exception _ -> None))
   in
   (Option.value ~default:body outcome, records)
 
@@ -869,7 +899,11 @@ let render_health t (snap : Catalog.snapshot) =
       (n, viol, Catalog.burn ~violations:viol ~n, hq h 0.99)
   in
   let q_burns = List.map (fun (_, qe) -> Catalog.qerror_burn snap qe) snap.Catalog.qerrors in
-  let healthy = lat_burn <= 1.0 && List.for_all (fun b -> b <= 1.0) q_burns in
+  let healthy =
+    lat_burn <= 1.0
+    && List.for_all (fun b -> b <= 1.0) q_burns
+    && v "selest_shard_exits_total" = 0
+  in
   line "status=%s uptime_s=%.1f epoch=%d shards=%d requests=%d window_requests=%d"
     (if healthy then "ok" else "degraded")
     (float_of_int (Obs.Clock.now_ns () - t.start_ns) /. 1e9)
@@ -1092,26 +1126,19 @@ let handle_frame_st t st payload =
    heap zero times.  A request is recognized as a slice of the
    connection buffer ({!Protocol.Slice}) and handed to the EST core
    straight from the buffer: resolve, lex, canonicalize, hash, probe; a
-   verified hit writes the entry's pre-rendered response bytes straight
-   to the socket.  Misses and errors are answered here too — by the
-   same core, with the reference error messages and accounting — so
-   the reference path only sees lines the slice recognizers reject
-   (other verbs, malformed EST lines).  Tracing does not switch paths:
-   with a sink installed the same code emits its spans.  Tail sampling
-   is skipped: a warm hit is answered far under any realistic capture
-   threshold, and slow-path responses keep the threshold fresh. *)
-
-let write_all_fd fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
-  done
+   verified hit returns the entry's pre-rendered response bytes, which
+   the shard loop writes as they are.  Misses and errors are answered
+   here too — by the same core, with the reference error messages and
+   accounting — so the reference path only sees lines the slice
+   recognizers reject (other verbs, malformed EST lines).  Tracing does
+   not switch paths: with a sink installed the same code emits its
+   spans.  Tail sampling is skipped: a warm hit is answered far under
+   any realistic capture threshold, and slow-path responses keep the
+   threshold fresh. *)
 
 (* Answer one recognized EST slice ([st.slice] already filled); [bin]
-   selects which rendering is written. *)
-let fast_answer t st fd buf ~bin =
+   selects which rendering is returned. *)
+let fast_answer t st buf ~bin =
   let sl = st.slice in
   match
     est_core t st
@@ -1121,44 +1148,72 @@ let fast_answer t st fd buf ~bin =
   with
   | le ->
     let sp = Obs.Span.enter "est.respond" in
-    write_all_fd fd (if bin then le.Lru.bin else le.Lru.text);
-    Obs.Span.exit sp
+    let reply = if bin then le.Lru.bin else le.Lru.text in
+    Obs.Span.exit sp;
+    reply
   | exception Rejected msg ->
     Metrics.incr t.metrics "est_errors";
-    write_all_fd fd
-      (if bin then Protocol.Bin.encode_response (Protocol.Bin.Berr msg)
-       else Protocol.err msg ^ "\n")
+    if bin then Protocol.Bin.encode_response (Protocol.Bin.Berr msg)
+    else Protocol.err msg ^ "\n"
 
-(* The fast path owns every request its slice recognizer accepts.
-   Closing the root span restores the domain's nesting even when a
-   write raises mid-stage. *)
-let fast_est t st fd buf ~bin =
+(* The fast path owns every request its slice recognizer accepts.  Its
+   latency ends when the reply goes back to the loop, as the reference
+   path's does. *)
+let fast_est t st buf ~bin =
   let t0 = Obs.Clock.now_ns () in
   Metrics.fast_est_request t.metrics;
   Metrics.bump t.metrics st.c_req;
   let root = Obs.Span.enter "est" in
-  (match fast_answer t st fd buf ~bin with
-  | () -> Obs.Span.exit root
-  | exception e ->
-    Obs.Span.exit root;
-    raise e);
+  let reply =
+    match fast_answer t st buf ~bin with
+    | r -> Obs.Span.exit root; r
+    | exception e -> Obs.Span.exit root; raise e
+  in
   Metrics.fast_est_latency_ns t.metrics (Obs.Clock.now_ns () - t0);
-  true
+  reply
 
-let fast_line t st fd buf ~off ~len =
-  Protocol.Slice.est_line st.slice buf ~off ~len
-  && fast_est t st fd buf ~bin:false
+let shutdown t =
+  (* Latch first so a [run] that has not yet installed its waker still
+     observes the flag before its first select; then kick the installed
+     waker (no-op pre-[run], stop-pipe write + shard wakes after). *)
+  Atomic.set t.stop_flag true;
+  (Atomic.get t.waker) ()
 
-let fast_frame t st fd buf ~off ~len =
-  Protocol.Slice.bin_est st.slice buf ~off ~len
-  && fast_est t st fd buf ~bin:true
+(* The shard loop's two handlers: one message slice in, its complete
+   reply out.  A recognized EST takes the fast path; anything else is
+   copied out for the reference dispatch.  [SHUTDOWN] latches the stop
+   before its reply goes back, so the loop answers nothing after it. *)
+let line_reply t st buf ~off ~len =
+  if Protocol.Slice.est_line st.slice buf ~off ~len then fast_est t st buf ~bin:false
+  else begin
+    let reply, action = handle_line_st t st (Bytes.sub_string buf off len) in
+    if action = `Stop then shutdown t;
+    reply ^ "\n"
+  end
 
-let fast_handlers t ~shard =
-  if shard < 0 || shard >= Array.length t.shards then
-    invalid_arg "Server.fast_handlers: shard out of range";
-  let st = t.shards.(shard) in
-  ( (fun fd buf ~off ~len -> fast_line t st fd buf ~off ~len),
-    (fun fd buf ~off ~len -> fast_frame t st fd buf ~off ~len) )
+let frame_reply t st buf ~off ~len =
+  if Protocol.Slice.bin_est st.slice buf ~off ~len then fast_est t st buf ~bin:true
+  else handle_frame_st t st (Bytes.sub buf off len)
+
+let run_shard t rt =
+  let sid = Shard.sid rt in
+  if sid < 0 || sid >= Array.length t.shards then
+    invalid_arg "Server.run_shard: shard out of range";
+  let st = t.shards.(sid) in
+  try
+    Shard.run rt ~stop:t.stop_flag
+      ~on_line:(fun buf ~off ~len -> line_reply t st buf ~off ~len)
+      ~on_frame:(fun buf ~off ~len -> frame_reply t st buf ~off ~len)
+      ~on_close:(fun () -> ignore (Atomic.fetch_and_add st.inflight (-1)))
+      ~on_protocol_error:(fun () -> Metrics.incr t.metrics "protocol_errors")
+      ~on_conn_error:(fun e ->
+        Metrics.incr t.metrics "conn_errors";
+        Log.err (fun m ->
+            m "shard %d: closed a connection whose request raised %s" sid
+              (Printexc.to_string e)))
+  with e ->
+    Metrics.incr t.metrics "shard_exits";
+    Log.err (fun m -> m "shard %d: event loop exited on %s" sid (Printexc.to_string e))
 
 (* Transport-free entry points.  [handle_line]/[handle_frame] dispatch
    on shard 0 (embedded single-shard use, tests, benches);
@@ -1213,7 +1268,7 @@ let run t =
         (if Array.length t.shards = 1 then "" else "s")
         t.max_inflight t.backlog);
   let stop = t.stop_flag in
-  let rts = Array.map (fun st -> Shard.create ~sid:st.sid) t.shards in
+  let rts = Array.map (fun st -> Shard.create Shard.unix ~sid:st.sid) t.shards in
   let stop_r, stop_w = Unix.pipe () in
   Unix.set_nonblock stop_w;
   let request_stop () =
@@ -1226,37 +1281,16 @@ let run t =
     Array.iter Shard.wake rts
   in
   Atomic.set t.waker request_stop;
-  let workers =
-    Array.mapi
-      (fun i rt ->
-        let st = t.shards.(i) in
-        Domain.spawn (fun () ->
-            Shard.run rt ~stop ~request_stop
-              ~on_line_fast:(fun fd buf ~off ~len ->
-                fast_line t st fd buf ~off ~len)
-              ~on_frame_fast:(fun fd buf ~off ~len ->
-                fast_frame t st fd buf ~off ~len)
-              ~on_line:(fun line -> handle_line_st t st line)
-              ~on_frame:(fun payload -> handle_frame_st t st payload)
-              ~on_close:(fun () ->
-                ignore (Atomic.fetch_and_add st.inflight (-1)))
-              ~on_protocol_error:(fun () ->
-                Metrics.incr t.metrics "protocol_errors")
-              ~on_conn_error:(fun e ->
-                Metrics.incr t.metrics "conn_errors";
-                Log.err (fun m ->
-                    m "shard %d: closed a connection whose request raised %s" st.sid
-                      (Printexc.to_string e)))
-              ()))
-      rts
-  in
+  let workers = Array.map (fun rt -> Domain.spawn (fun () -> run_shard t rt)) rts in
   let listeners = unix_sock :: Option.to_list tcp_sock in
   let nshards = Array.length t.shards in
   let next = ref 0 in
   let reject fd why =
     Metrics.incr t.metrics "admission_rejected";
-    (try write_all_fd fd (Protocol.busy why ^ "\n")
-     with Unix.Unix_error _ | Sys_error _ -> ());
+    (* one best-effort write: the line is short and the socket new *)
+    let line = Protocol.busy why ^ "\n" in
+    (try ignore (Unix.write_substring fd line 0 (String.length line))
+     with Unix.Unix_error _ -> ());
     (try Unix.close fd with Unix.Unix_error _ -> ())
   in
   let dispatch fd =
@@ -1327,10 +1361,3 @@ let run t =
       m "shut down after %d requests@.%s" (Metrics.get t.metrics "requests")
         (String.concat "\n"
            (List.map (fun (k, v) -> k ^ "=" ^ v) (Catalog.stats_pairs (snapshot t)))))
-
-let shutdown t =
-  (* Latch first so a [run] that has not yet installed its waker still
-     observes the flag before its first select; then kick the installed
-     waker (no-op pre-[run], stop-pipe write + shard wakes after). *)
-  Atomic.set t.stop_flag true;
-  (Atomic.get t.waker) ()

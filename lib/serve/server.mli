@@ -46,9 +46,9 @@
     capacity); every shard adopts those plans and answers on its first
     miss, so a carried query's first estimate after the flip is a hit.
 
-    Every estimate — [EST] over text or binary framing, [ESTBATCH] body
-    by body, [TRUTH], [EXPLAIN] and the [SLOWLOG] replay — runs one EST
-    core, as follows: pin the registry snapshot;
+    Every estimate a request asks for — [EST] over text or binary
+    framing, [ESTBATCH] body by body, [TRUTH] and [EXPLAIN] — runs one
+    EST core, as follows: pin the registry snapshot;
     lex the body straight out of the request buffer into the shard's
     reusable scratch query ({!Selest_db.Squery} — interned symbols, no
     intermediate strings); canonicalize in place; derive the 63-bit
@@ -65,11 +65,11 @@
     with the scratch's selects written straight into the program's
     evidence slots ({!Selest_plan.Plan.execute_scratch}), then fill the
     estimate cache with pre-rendered text and binary responses
-    ({!make_entry}).  On the wire ({!run}) an
+    ({!make_entry}).  On the wire ({!run_shard}) an
     [EST] line or frame is recognized and served entirely from buffer
-    slices ({!fast_handlers}): the whole warm round trip from socket
-    read to answer write allocates nothing, and misses and errors are
-    answered by the same core with the reference messages.  Only
+    slices: the whole warm round trip from socket read to answer write
+    allocates nothing, and misses and errors are answered by the same
+    core with the reference messages.  Only
     requests the slice recognizers reject — other verbs, malformed EST
     lines — take the reference path ({!Protocol.parse_request} +
     [handle_line]).  Tracing does not change the path.
@@ -145,7 +145,9 @@
     accuracy and the slow-log state.  [SLOWLOG \[n\]] dumps the newest
     tail-sampled captures — requests over the quantile-derived latency
     threshold or TRUTHs over the q-error gate — each with its canonical
-    query and a replayed span tree. *)
+    query and a replayed span tree.  A replay is not a request: it moves
+    no counter and no cache.  [HEALTH] reports [status=degraded] while a
+    latency or q-error SLO burns over budget or a shard loop has died. *)
 
 type t
 
@@ -261,22 +263,28 @@ val handle_line_shard : t -> shard:int -> string -> string * [ `Continue | `Stop
     the way the listener's dispatch would.  Raises [Invalid_argument]
     when [shard] is out of range. *)
 
-val fast_handlers :
-  t ->
-  shard:int ->
-  (Unix.file_descr -> Bytes.t -> off:int -> len:int -> bool)
-  * (Unix.file_descr -> Bytes.t -> off:int -> len:int -> bool)
-(** The shard's allocation-free fast-path handlers [(on_line_fast,
-    on_frame_fast)], exactly as {!run} wires them into the connection
-    loop ({!Shard.run}).  Each recognizes a warm [EST] request as a
-    slice of the connection buffer, answers it end to end through the
-    EST core (zero-copy parse into the shard scratch, hash probe,
-    pre-rendered response write — no heap allocation on a verified hit;
-    misses and errors answered with the reference bytes and counters)
-    and returns [true]; anything else returns [false] with no observable
-    effect so the reference handlers take over.  Exposed so the front-end benchmark
-    can drive the true socket path through {!Shard.Loopback}.  Raises
-    [Invalid_argument] when [shard] is out of range. *)
+val run_shard : t -> 'fd Shard.t -> unit
+(** Serve the connections handed to [rt] on shard [Shard.sid rt] until
+    the server stops: {!Shard.run} with this server's handlers, over
+    whatever I/O [rt] was created with.  {!run} calls it in each shard
+    domain with {!Shard.unix}; tests and benchmarks call it with a
+    simulated network.
+
+    The handlers return each request's complete reply and never touch
+    the connection.  A text line or frame the slice recognizers accept
+    as an [EST] is answered from the buffer slice through the EST core
+    — on a verified cache hit the reply is the entry's pre-rendered
+    bytes, so the warm round trip allocates nothing; misses and errors
+    get the reference bytes and counters.  Any other message is copied
+    out and answered as {!handle_line} / {!handle_frame} answer it.
+    [SHUTDOWN] latches {!shutdown} before its [OK bye] goes back.
+
+    A connection whose request raises is closed, logged and counted
+    ([selest_conn_errors_total]).  If the loop itself raises (say,
+    [poll] fails), its connections are closed and the exception is
+    logged at error level and counted in [selest_shard_exits_total]
+    instead of propagating; [HEALTH] then reports [status=degraded].
+    Raises [Invalid_argument] when the shard id is out of range. *)
 
 val handle_frame : t -> bytes -> string
 (** Dispatch one binary request payload ({!Protocol.Bin}, length prefix

@@ -8,9 +8,10 @@
     wakeup allocates nothing.  The listener→shard handoff is a
     small mutex-guarded mailbox plus a self-pipe wakeup — synchronized
     once per {e connection}, never per request — and from then on the
-    connection is owned exclusively by the shard: message extraction,
-    dispatch and the reply write all happen on the shard's domain with
-    no locks.
+    connection is owned exclusively by the shard: reading, message
+    extraction, dispatch and the reply write all happen on the shard's
+    domain with no locks.  {!run} is the only code that reads from or
+    writes to a connection.
 
     The loop understands both wire formats of {!Protocol}: newline-
     terminated text lines, and, after a connection sends the [BIN]
@@ -19,88 +20,80 @@
     scan stopped.  A frame announcing more than {!Protocol.Bin.max_frame}
     bytes is answered with a binary error, and a text line longer than
     that cap with an [ERR] line; either way the connection is dropped
-    (the stream cannot be resynchronized). *)
+    (the stream cannot be resynchronized).
 
-type t
+    Every system call the loop makes goes through an {!io} record over
+    an abstract connection handle: {!unix} in production, a simulated
+    network in tests and benchmarks, the same loop either way. *)
 
-val create : sid:int -> t
-(** A shard runtime with an empty mailbox and a fresh wakeup pipe. *)
+type 'fd io = {
+  poll : 'fd array -> int array -> int -> int -> int;
+      (** [poll fds revents n timeout_ms]: wait until one of the first
+          [n] handles is readable (or hung up), at most [timeout_ms];
+          write each one's readiness (nonzero = ready) into [revents]
+          and return how many are ready, 0 on a timeout. *)
+  read : 'fd -> Bytes.t -> int -> int -> int;
+      (** [Unix.read]'s contract: 0 is end of stream; [EAGAIN] raises. *)
+  write : 'fd -> Bytes.t -> int -> int -> int;
+      (** [Unix.write]'s contract: may write fewer bytes than asked. *)
+  close : 'fd -> unit;
+  pipe : unit -> 'fd * 'fd;
+      (** A fresh wakeup channel (read end, write end); neither end may
+          block. *)
+}
 
-val sid : t -> int
+val unix : Unix.file_descr io
+(** The real I/O: the [poll(2)] stub and [Unix.read]/[write]/[close]. *)
 
-val submit : t -> Unix.file_descr -> unit
-(** Hand an accepted connection to this shard (listener side): enqueue
-    the fd and wake the loop.  The shard now owns closing it. *)
+type 'fd t
 
-val wake : t -> unit
+val create : 'fd io -> sid:int -> 'fd t
+(** A shard runtime over [io] with an empty mailbox and a fresh wakeup
+    pipe. *)
+
+val sid : 'fd t -> int
+
+val submit : 'fd t -> 'fd -> unit
+(** Hand a connection to this shard (listener side): enqueue it and
+    wake the loop.  The shard now owns closing it. *)
+
+val wake : 'fd t -> unit
 (** Wake the loop out of [poll] (used to propagate a stop request). *)
 
 val run :
-  t ->
+  'fd t ->
   stop:bool Atomic.t ->
-  request_stop:(unit -> unit) ->
-  on_line_fast:(Unix.file_descr -> Bytes.t -> off:int -> len:int -> bool) ->
-  on_frame_fast:(Unix.file_descr -> Bytes.t -> off:int -> len:int -> bool) ->
-  on_line:(string -> string * [ `Continue | `Stop ]) ->
-  on_frame:(bytes -> string) ->
+  on_line:(Bytes.t -> off:int -> len:int -> string) ->
+  on_frame:(Bytes.t -> off:int -> len:int -> string) ->
   on_close:(unit -> unit) ->
   on_protocol_error:(unit -> unit) ->
   on_conn_error:(exn -> unit) ->
-  unit ->
   unit
 (** Run the event loop until [stop] is set.
 
-    Every complete message is first offered to the matching fast
-    handler as a {e slice of the connection buffer}: [on_line_fast fd
-    buf ~off ~len] (one text line, newline stripped) and
-    [on_frame_fast fd buf ~off ~len] (one frame payload, length prefix
-    stripped) return [true] when they recognized the request and wrote
-    the complete response to [fd] themselves — the loop then consumes
-    the message without ever copying it.  On [false] the message is
-    copied out and handed to the reference handlers, so a fast handler
-    that only recognizes warm [EST] requests leaves every other verb
-    (including the [BIN] upgrade hello) byte-identical to the slow
-    path.  Pass [fun _ _ ~off:_ ~len:_ -> false] to disable.
+    Every complete message is handed to its framing's handler as a
+    {e slice of the connection buffer}, valid only during the call:
+    [on_line buf ~off ~len] gets one text line (newline and one
+    trailing CR stripped), [on_frame buf ~off ~len] one frame payload
+    (length prefix stripped).  Each returns the complete reply — a text
+    reply ends in its newline, a binary one carries its length prefix —
+    and the loop writes it.  Returning a stored string writes it with
+    no allocation.  A text line that is the [BIN] hello (any case,
+    surrounding blanks ignored) never reaches [on_line]: the loop
+    answers [OK bin] and switches that connection to frames.
 
-    [on_line] handles one text request and returns the response plus
-    whether the server should stop ([`Stop] triggers [request_stop]
-    {e after} the response is written, so a SHUTDOWN client sees its
-    acknowledgement).  [on_frame] handles one binary request payload
-    and returns the encoded response frame.  [on_close] fires exactly
-    once per connection this shard ever owned — the listener's
-    admission accounting decrements on it.  [on_protocol_error] fires
-    on unrecoverable framing errors (oversized frame announcements).
-    When a handler raises anything but an I/O error (those just close
-    the connection), the loop closes that connection, passes the
-    exception to [on_conn_error] and goes on serving the others.
-    On exit every owned or still-queued connection is closed. *)
+    Once [stop] is set — by a handler (the server latches it on
+    [SHUTDOWN], whose reply is still written) or by anyone else — the
+    loop answers nothing more and exits.  [on_close] fires exactly once
+    per connection this shard ever owned — the listener's admission
+    accounting decrements on it.  [on_protocol_error] fires on
+    unrecoverable framing errors (oversized frame announcements, over-
+    cap lines).  When a handler raises anything but an I/O error (those
+    just close the connection), the loop closes that connection, passes
+    the exception to [on_conn_error] and goes on serving the others.
+    On exit every owned or still-queued connection is closed — also
+    when the loop itself raises (say, [poll] fails), after which the
+    exception propagates. *)
 
-val destroy : t -> unit
+val destroy : 'fd t -> unit
 (** Close the wakeup pipe (after {!run} has returned). *)
-
-(** Synchronous single-connection harness: drive the exact
-    message-extraction and dispatch path over an fd the caller owns (a
-    socketpair end), without a listener, mailbox or domain.  The
-    front-end benchmark measures its zero-allocation gate through
-    {!Loopback.step}. *)
-module Loopback : sig
-  type conn
-
-  val connect : Unix.file_descr -> conn
-  (** Adopt [fd] as a text-mode connection with a fresh buffer. *)
-
-  val upgrade_bin : conn -> unit
-  (** Switch to binary framing directly (no hello exchange). *)
-
-  val alive : conn -> bool
-
-  val step :
-    conn ->
-    on_line_fast:(Unix.file_descr -> Bytes.t -> off:int -> len:int -> bool) ->
-    on_frame_fast:(Unix.file_descr -> Bytes.t -> off:int -> len:int -> bool) ->
-    on_line:(string -> string * [ `Continue | `Stop ]) ->
-    on_frame:(bytes -> string) ->
-    unit
-  (** One blocking read followed by processing of every complete
-      buffered message, exactly as the shard event loop would. *)
-end

@@ -1843,29 +1843,30 @@ let test_slice_recognizes_warm_forms () =
   Alcotest.(check (pair (option string) string)) "bin slices"
     (None, "p=patient") (slice_model_body frame)
 
-(* A socketpair loopback onto [server]'s shard 0 with its fast handlers
-   installed: [send] writes raw bytes, runs one shard step and returns
-   the bytes answered; [fallbacks] counts messages the fast handlers
-   declined, i.e. handed to the reference handlers. *)
+(* [server]'s shard 0 loop ({!Server.run_shard}) in its own domain,
+   serving one end of a socketpair: [send] writes raw bytes and returns
+   the bytes answered; [close] stops the loop. *)
 let loopback server =
   let client, srv = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let conn = Shard.Loopback.connect srv in
-  let on_line_fast, on_frame_fast = Server.fast_handlers server ~shard:0 in
-  let fallbacks = ref 0 in
-  let on_line l = incr fallbacks; Server.handle_line server l in
-  let on_frame p = incr fallbacks; Server.handle_frame server p in
+  (* a dead loop fails the test instead of hanging it *)
+  Unix.setsockopt_float client Unix.SO_RCVTIMEO 5.0;
+  let rt = Shard.create Shard.unix ~sid:0 in
+  let loop = Domain.spawn (fun () -> Server.run_shard server rt) in
+  Shard.submit rt srv;
   let buf = Bytes.create 65536 in
   let send msg =
     ignore (Unix.write_substring client msg 0 (String.length msg));
-    Shard.Loopback.step conn ~on_line_fast ~on_frame_fast ~on_line ~on_frame;
     let n = Unix.read client buf 0 (Bytes.length buf) in
     Bytes.sub_string buf 0 n
   in
   let close () =
-    (try Unix.close client with Unix.Unix_error _ -> ());
-    if Shard.Loopback.alive conn then Unix.close srv
+    Server.shutdown server;
+    Shard.wake rt;
+    Domain.join loop;
+    Shard.destroy rt;
+    Unix.close client
   in
-  (send, close, fallbacks)
+  (send, close)
 
 let est_counters = [ "requests"; "est_requests"; "est_errors"; "shard.0.requests" ]
 
@@ -1878,31 +1879,22 @@ let counter_deltas server f =
   let r = f () in
   (r, List.map2 ( - ) (counter_values server) c0)
 
-(* End-to-end fast path over a real socketpair: the loopback harness
-   drives the exact shard message-extraction code with the server's fast
-   handlers installed.  Warm and cold EST (text and binary) answer
+(* End-to-end fast path over a real socketpair, through the shard loop
+   production runs.  Warm and cold EST (text and binary) answer
    bit-identically to the transport-free reference path; errors are
-   answered by the fast path itself with the reference bytes and
-   counters; tracing keeps the fast path; every other verb falls back
-   byte-identically. *)
+   answered with the reference bytes and counters; tracing keeps the
+   fast path; every other verb answers byte-identically. *)
 let test_fast_path_loopback () =
   let server = fresh_server () in
-  let send, close, fallbacks = loopback server in
+  let send, close = loopback server in
   let ask line = send (line ^ "\n") in
-  (* [f] must be answered by the fast handlers alone *)
-  let fast label f =
-    let before = !fallbacks in
-    let r = f () in
-    Alcotest.(check int) (label ^ ": no fallback") before !fallbacks;
-    r
-  in
   let frame_of ?model body =
     Protocol.Bin.encode_request (Protocol.Bin.Best { model; body })
   in
   (* a fast-path answer must equal the reference entry point's bytes and
      move the EST counters by the same amounts *)
   let same_as_reference label f reference =
-    let got, d_fast = counter_deltas server (fun () -> fast label f) in
+    let got, d_fast = counter_deltas server f in
     let want, d_ref = counter_deltas server reference in
     Alcotest.(check string) (label ^ ": bytes") want got;
     Alcotest.(check (list int)) (label ^ ": counters") d_ref d_fast
@@ -1910,15 +1902,14 @@ let test_fast_path_loopback () =
   let m = Server.metrics server in
   Fun.protect ~finally:close (fun () ->
       let body = "c=contact, p=patient ; c.patient=p ; p.USBorn=1, c.Contype=2" in
-      (* non-EST verbs fall back to the reference path *)
+      (* non-EST verbs take the reference path *)
       Alcotest.(check string) "fallback PING" "PONG\n" (ask "PING");
-      Alcotest.(check int) "PING fell back" 1 !fallbacks;
       (* cold EST is owned by the fast path, which serves the miss inline *)
-      let cold = fast "cold est" (fun () -> ask ("EST " ^ body)) in
+      let cold = ask ("EST " ^ body) in
       Alcotest.(check bool) "cold est ok" true (Protocol.is_ok (String.trim cold));
       (* warm repeat: pre-rendered response, identical bytes *)
       Alcotest.(check string) "warm repeat identical" cold
-        (fast "warm est" (fun () -> ask ("EST " ^ body)));
+        (ask ("EST " ^ body));
       (* the transport-free reference path sees the same cache entry *)
       let direct, _ = Server.handle_line server ("EST " ^ body) in
       Alcotest.(check string) "matches handle_line" (direct ^ "\n") cold;
@@ -1931,7 +1922,7 @@ let test_fast_path_loopback () =
           ~finally:(fun () -> Selest_obs.Span.set_global_sink None)
           (fun () ->
             Selest_obs.Span.set_global_sink (Some (fun r -> records := r :: !records));
-            fast "traced est" (fun () -> ask ("EST " ^ body)))
+            ask ("EST " ^ body))
       in
       Alcotest.(check string) "traced est identical" cold traced;
       Alcotest.(check bool) "traced est moves frontend.parse_ns" true
@@ -1957,7 +1948,7 @@ let test_fast_path_loopback () =
       Alcotest.(check bool) "errors counted" true (Metrics.get m "est_errors" >= 8);
       (* binary upgrade, then frames served by the fast path *)
       Alcotest.(check string) "bin hello" (Protocol.Bin.hello_ok ^ "\n") (ask "BIN");
-      let resp = fast "bin est" (fun () -> send (frame_of body)) in
+      let resp = send (frame_of body) in
       (match
          Protocol.Bin.decode_response
            (Bytes.of_string (String.sub resp 4 (String.length resp - 4)))
@@ -2002,7 +1993,7 @@ let test_fast_path_loopback () =
   (* an empty registry: the fast path answers the reference error, over
      text and BIN *)
   let empty = Server.create ~db:(Lazy.force db) ~socket:"(test: unused)" () in
-  let send, close, fallbacks = loopback empty in
+  let send, close = loopback empty in
   Fun.protect ~finally:close (fun () ->
       let line = "EST p=patient ; ; p.USBorn=1" in
       let deltas = counter_deltas empty in
@@ -2021,8 +2012,7 @@ let test_fast_path_loopback () =
               (Bytes.of_string (String.sub frame 4 (String.length frame - 4))))
       in
       Alcotest.(check string) "empty registry: bin bytes" want got;
-      Alcotest.(check (list int)) "empty registry: bin counters" d_ref d_fast;
-      Alcotest.(check int) "empty registry: no fallback" 0 !fallbacks)
+      Alcotest.(check (list int)) "empty registry: bin counters" d_ref d_fast)
 
 (* ---- one catalog, four views ------------------------------------------------------ *)
 
@@ -2227,32 +2217,6 @@ let prop_views_agree =
 
 (* ---- shard I/O ------------------------------------------------------------------- *)
 
-(* A raw socketpair loopback onto [server]'s shard 0: [feed n] writes [n]
-   bytes of an unterminated line and runs one shard step per 4 KiB. *)
-let raw_loopback server =
-  let client, srv = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let conn = Shard.Loopback.connect srv in
-  let on_line_fast, on_frame_fast = Server.fast_handlers server ~shard:0 in
-  let step () =
-    Shard.Loopback.step conn ~on_line_fast ~on_frame_fast
-      ~on_line:(Server.handle_line server) ~on_frame:(Server.handle_frame server)
-  in
-  let piece = Bytes.make 4096 'x' in
-  let feed n =
-    let sent = ref 0 in
-    while !sent < n && Shard.Loopback.alive conn do
-      let k = min 4096 (n - !sent) in
-      ignore (Unix.write client piece 0 k);
-      step ();
-      sent := !sent + k
-    done
-  in
-  let close () =
-    (try Unix.close client with Unix.Unix_error _ -> ());
-    if Shard.Loopback.alive conn then Unix.close srv
-  in
-  (client, conn, step, feed, close)
-
 (* Everything the peer has written until it closes. *)
 let read_to_eof fd =
   let buf = Buffer.create 256 and b = Bytes.create 4096 in
@@ -2264,45 +2228,38 @@ let read_to_eof fd =
   go ()
 
 (* An unterminated line arriving 4 KiB at a time is scanned once, not
-   once per read: 8 MiB took 18.6 s when every read rescanned the line. *)
+   once per read: 8 MiB took 18.6 s when every read rescanned the line.
+   The line stays under the cap, so once terminated it is answered and
+   the connection serves on. *)
 let test_long_line_ingest_linear () =
   let server = fresh_server () in
-  let client, conn, step, feed, close = raw_loopback server in
-  Fun.protect ~finally:close (fun () ->
-      (* a verb whose error does not echo the line back *)
-      ignore (Unix.write_substring client "SLOWLOG " 0 8);
-      let t0 = Unix.gettimeofday () in
-      feed (8 lsl 20);
-      let dt = Unix.gettimeofday () -. t0 in
-      Alcotest.(check bool) (Printf.sprintf "8 MiB ingested in %.2fs < 2s" dt) true
-        (dt < 2.0);
-      Alcotest.(check bool) "under the cap: still open" true (Shard.Loopback.alive conn);
-      (* terminating it answers the line, then the connection serves on *)
-      ignore (Unix.write_substring client "\nPING\n" 0 6);
-      step ();
-      let b = Bytes.create 4096 in
-      let n = Unix.read client b 0 4096 in
-      match String.split_on_char '\n' (Bytes.sub_string b 0 n) with
-      | err :: pong :: _ ->
-        Alcotest.(check string) "long line answered ERR"
-          "ERR SLOWLOG expects: SLOWLOG [<count>]" err;
-        Alcotest.(check string) "then PONG" "PONG" pong
-      | _ -> Alcotest.fail "expected two response lines")
+  let net = Simio.create () in
+  (* a verb whose error does not echo the line back *)
+  let peer =
+    Simio.connect net ~max_chunk:4096 [ "SLOWLOG "; String.make (8 lsl 20) 'x'; "\nPING\n" ]
+  in
+  let t0 = Unix.gettimeofday () in
+  Simio.serve server [ net ];
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "8 MiB ingested in %.2fs < 2s" dt) true (dt < 2.0);
+  Alcotest.(check string) "long line answered ERR, then PONG"
+    "ERR SLOWLOG expects: SLOWLOG [<count>]\nPONG\n" (Simio.received peer);
+  Alcotest.(check bool) "closed at the peer's end of stream" false (Simio.dropped peer)
 
 (* A text line longer than the frame cap is answered ERR and the
-   connection closed; another connection on the shard still answers. *)
+   connection closed; a connection made after that still answers. *)
 let test_over_cap_line_closes () =
   let server = fresh_server () in
-  let client, conn, _, feed, close = raw_loopback server in
-  Fun.protect ~finally:close (fun () ->
-      feed (Protocol.Bin.max_frame + 8192);
-      Alcotest.(check bool) "connection closed" false (Shard.Loopback.alive conn);
-      Alcotest.(check string) "ERR then EOF"
-        (Printf.sprintf "ERR line length exceeds %d\n" Protocol.Bin.max_frame)
-        (read_to_eof client));
-  let send, close, _ = loopback server in
-  Fun.protect ~finally:close (fun () ->
-      Alcotest.(check string) "second connection" "PONG\n" (send "PING\n"))
+  let net = Simio.create () in
+  let long = Simio.connect net ~max_chunk:8192 [ String.make (Protocol.Bin.max_frame + 8192) 'x' ] in
+  let second = ref None in
+  Simio.when_idle net (fun () -> second := Some (Simio.connect net [ "PING\n" ]));
+  Simio.serve server [ net ];
+  Alcotest.(check bool) "connection closed" true (Simio.dropped long);
+  Alcotest.(check string) "ERR then EOF"
+    (Printf.sprintf "ERR line length exceeds %d\n" Protocol.Bin.max_frame)
+    (Simio.received long);
+  Alcotest.(check string) "second connection" "PONG\n" (Simio.received (Option.get !second))
 
 (* EXPLAIN runs the EST core on the bytecode engine: cold and warm, its
    estimate is EST's, bit for bit, and its stages partition total_us. *)
@@ -2481,11 +2438,6 @@ let prop_carry_matches_fresh =
 
 (* ---- carried answers across a reload -------------------------------------------- *)
 
-(* Inferences requests ran for model "tb": the slow log's latency
-   captures replay their query through one forced inference each, which
-   the [infer.tb] counter also counts. *)
-let request_infers server = stat_int server "infer.tb" - stat_int server "slowlog_captures"
-
 (* Alternate LOADs of two model files on [domains] shards, every body
    asked on every shard between them.  After each reload every answer is
    the fresh server's, bit for bit, and none runs an inference or a
@@ -2510,10 +2462,10 @@ let test_answers_carried domains () =
       (String.starts_with ~prefix:"OK loaded tb version " (ask (r mod domains) ("LOAD tb " ^ path)));
     Alcotest.(check int) "every cached query carried" n
       (stat_int server "cache_carried" - carried0);
-    let infers0 = request_infers server and misses0 = stat_int server "plan_cache_misses" in
+    let infers0 = stat_int server "infer.tb" and misses0 = stat_int server "plan_cache_misses" in
     let cmisses0 = stat_int server "cache_misses" in
     List.iter (Alcotest.(check (list string)) "answers = a fresh server's" expect) (everywhere ());
-    Alcotest.(check int) "no inference after the reload" 0 (request_infers server - infers0);
+    Alcotest.(check int) "no inference after the reload" 0 (stat_int server "infer.tb" - infers0);
     Alcotest.(check int) "no compile after the reload" 0
       (stat_int server "plan_cache_misses" - misses0);
     Alcotest.(check int) "every request a hit" 0 (stat_int server "cache_misses" - cmisses0)
@@ -2533,9 +2485,9 @@ let test_answer_cap_and_uncarried () =
     stat_int server "cache_carried" - c0
   in
   let infers f =
-    let i0 = request_infers server in
+    let i0 = stat_int server "infer.tb" in
     f ();
-    request_infers server - i0
+    stat_int server "infer.tb" - i0
   in
   let split k l = (List.filteri (fun i _ -> i < k) l, List.filteri (fun i _ -> i >= k) l) in
   (* 300 bindings of one skeleton: one plan, 256 answers carried *)
@@ -2628,11 +2580,11 @@ let test_answer_failure_skips_entry () =
     (String.starts_with ~prefix:"OK loaded tb version 2" (ask ("LOAD tb " ^ p2)));
   Alcotest.(check int) "every decodable entry carried" (List.length bodies)
     (stat_int server "cache_carried" - c0);
-  let i0 = request_infers server in
+  let i0 = stat_int server "infer.tb" in
   Alcotest.(check (list string)) "answers = a fresh server's"
     (List.filteri (fun i _ -> i < 4) (fresh_answers p2))
     (List.map (fun b -> ask ("EST " ^ b)) bodies);
-  Alcotest.(check int) "without inference" 0 (request_infers server - i0)
+  Alcotest.(check int) "without inference" 0 (stat_int server "infer.tb" - i0)
 
 (* ---- many connections, and running out of descriptors ------------------------------ *)
 
@@ -2782,20 +2734,17 @@ let test_accept_sheds_at_fd_limit () =
 (* A handler that raises closes its own connection only: the shard
    domain keeps serving, and the exception reaches [on_conn_error]. *)
 let test_raising_handler_closes_its_connection () =
-  let rt = Shard.create ~sid:0 in
+  let rt = Shard.create Shard.unix ~sid:0 in
   let stop = Atomic.make false and errors = Atomic.make 0 and closed = Atomic.make 0 in
-  let no_fast _ _ ~off:_ ~len:_ = false in
   let loop =
     Domain.spawn (fun () ->
         Shard.run rt ~stop
-          ~request_stop:(fun () -> Atomic.set stop true)
-          ~on_line_fast:no_fast ~on_frame_fast:no_fast
-          ~on_line:(fun line -> if line = "BOOM" then failwith "boom" else ("PONG", `Continue))
-          ~on_frame:(fun _ -> "")
+          ~on_line:(fun buf ~off ~len ->
+            if Bytes.sub_string buf off len = "BOOM" then failwith "boom" else "PONG\n")
+          ~on_frame:(fun _ ~off:_ ~len:_ -> "")
           ~on_close:(fun () -> Atomic.incr closed)
           ~on_protocol_error:ignore
-          ~on_conn_error:(fun _ -> Atomic.incr errors)
-          ())
+          ~on_conn_error:(fun _ -> Atomic.incr errors))
   in
   let connect () =
     let client, srv = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -2825,6 +2774,218 @@ let test_raising_handler_closes_its_connection () =
       Alcotest.(check int) "its close is accounted" 1 (Atomic.get closed);
       Unix.close a;
       Unix.close b)
+
+(* ---- the slow log's replay is not a request ------------------------------------------- *)
+
+(* A q-error capture bypasses the rate limiter, so the TRUTH below is
+   always replayed to rebuild its span tree.  The replay moves no
+   counter and no cache: the inference and the cache counters move by
+   the two requests' own probes only. *)
+let test_slowlog_replay_counts_nothing () =
+  let server = Server.create ~db:(Lazy.force db) ~socket:"(test: unused)" () in
+  ignore (Registry.register (Server.registry server) ~name:"tb" (Lazy.force model));
+  let keys =
+    [ "infer.tb"; "cache_hits"; "cache_misses"; "plan_cache_hits"; "plan_cache_misses";
+      "ve.factor_ops"; "ve.entries_touched"; "plan.program_hits"; "plan.program_misses" ]
+  in
+  (* [infer.tb] appears with the model's first inference *)
+  let counts () =
+    let stats = fst (Server.handle_line server "STATS") in
+    List.map
+      (fun k -> (k, Option.fold ~none:0 ~some:int_of_string (Protocol.stats_field stats k)))
+      keys
+  in
+  let moved before = List.map2 (fun (k, a) (_, b) -> (k, b - a)) before (counts ()) in
+  let body = "c=contact, p=patient ; c.patient=p ; p.USBorn=1, c.Contype=2" in
+  let c0 = counts () in
+  ignore (Server.handle_line server ("EST " ^ body));
+  let est = moved c0 in
+  Alcotest.(check int) "the cold EST infers once" 1 (List.assoc "infer.tb" est);
+  let c1 = counts () in
+  let truth = fst (Server.handle_line server ("TRUTH 1e12 " ^ body)) in
+  Alcotest.(check bool) "TRUTH answered" true (Protocol.is_ok truth);
+  Alcotest.(check int) "the TRUTH was captured" 1 (Selest_obs.Slowlog.total (Server.slowlog server));
+  Alcotest.(check (list (pair string int))) "the TRUTH's hit is all that moved"
+    (List.map (fun k -> (k, if k = "cache_hits" then 1 else 0)) keys)
+    (moved c1);
+  let spans =
+    List.concat_map
+      (fun (e : Selest_obs.Slowlog.entry) ->
+        List.map (fun (r : Selest_obs.Span.record) -> r.Selest_obs.Span.name) e.Selest_obs.Slowlog.spans)
+      (Selest_obs.Slowlog.recent ~n:1 (Server.slowlog server))
+  in
+  List.iter
+    (fun n -> Alcotest.(check bool) ("replayed span " ^ n) true (List.mem n spans))
+    [ "est"; "est.parse"; "est.canon"; "est.cache"; "plan.fetch"; "exec.load"; "exec.run" ]
+
+(* ---- a shard loop that dies ------------------------------------------------------------ *)
+
+(* An exception outside any connection's turn — here [poll] fails with
+   EBADF — ends the loop: its connections are closed, the exit is
+   logged and counted, and HEALTH reports the server degraded. *)
+let test_shard_exit_counted () =
+  let server = fresh_server () in
+  (* HEALTH answers [OK lines=N], then [status=... uptime_s=...] *)
+  let status () =
+    let lines = String.split_on_char '\n' (fst (Server.handle_line server "HEALTH")) in
+    List.hd (String.split_on_char ' ' (List.nth lines 1))
+  in
+  Alcotest.(check string) "healthy before" "status=ok" (status ());
+  let net = Simio.create () in
+  let io =
+    { (Simio.io net) with Shard.poll = (fun _ _ _ _ -> raise (Unix.Unix_error (Unix.EBADF, "poll", ""))) }
+  in
+  let rt = Shard.create io ~sid:0 in
+  let peer = Simio.connect net [ "PING\n" ] in
+  Shard.submit rt peer;
+  Server.run_shard server rt;
+  Shard.destroy rt;
+  Alcotest.(check bool) "its connection is closed" true (Simio.dropped peer);
+  Alcotest.(check int) "the exit is counted" 1 (stat_int server "shard_exits");
+  Alcotest.(check string) "HEALTH says degraded" "status=degraded" (status ())
+
+(* ---- the shard loop over a simulated network ------------------------------------------- *)
+
+(* What a simulated peer sends, one message at a time. *)
+type sim_msg =
+  | Line of string * string  (* text line, its terminator *)
+  | Hello of string  (* a spelling of the BIN hello *)
+  | Frame of string  (* frame payload *)
+  | Long_line  (* a text line over the cap: answered, then closed *)
+  | Long_frame  (* a frame header announcing more than the cap: ditto *)
+
+let u32_be n =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
+  Bytes.to_string b
+
+let wire = function
+  | Line (l, term) -> l ^ term
+  | Hello h -> h ^ "\n"
+  | Frame p -> u32_be (String.length p) ^ p
+  | Long_line -> String.make (Protocol.Bin.max_frame + 1) 'x'
+  | Long_frame -> u32_be (Protocol.Bin.max_frame + 1)
+
+(* The bytes a connection is owed: each message answered as the
+   transport-free entry points answer it. *)
+let expected_replies reference msgs =
+  String.concat ""
+    (List.map
+       (function
+         | Line (l, _) -> fst (Server.handle_line reference l) ^ "\n"
+         | Hello _ -> Protocol.Bin.hello_ok ^ "\n"
+         | Frame p -> Server.handle_frame reference (Bytes.of_string p)
+         | Long_line -> Printf.sprintf "ERR line length exceeds %d\n" Protocol.Bin.max_frame
+         | Long_frame ->
+           Protocol.Bin.encode_response
+             (Protocol.Bin.Berr
+                (Printf.sprintf "bin: frame length %d exceeds %d" (Protocol.Bin.max_frame + 1)
+                   Protocol.Bin.max_frame)))
+       msgs)
+
+(* A TRUTH reply's [n=] counts the model's observations across every
+   connection so far, so it depends on how connections interleave. *)
+let mask_truth_counts s =
+  String.concat "\n"
+    (List.map
+       (fun l ->
+         match List.rev (String.split_on_char ' ' l) with
+         | n :: rest
+           when String.starts_with ~prefix:"OK qerror=" l && String.starts_with ~prefix:"n=" n ->
+           String.concat " " (List.rev rest)
+         | _ -> l)
+       (String.split_on_char '\n' s))
+
+let gen_sim_peer =
+  let open QCheck2.Gen in
+  let body =
+    oneofl
+      [ "c=contact, p=patient ; c.patient=p ; p.USBorn=1";
+        "c=contact, p=patient ; c.patient=p ; p.USBorn=0, c.Contype=2";
+        "p=patient ; ; p.USBorn=1"; "c=contact ; ; c.Contype=1" ]
+  in
+  let model = oneofl [ None; Some "default"; Some "other" ] in
+  let prefix = function None -> "" | Some m -> "@" ^ m ^ " " in
+  let text =
+    frequency
+      [ (6, map2 (fun m b -> "EST " ^ prefix m ^ b) model body);
+        (2, map (fun bs -> "ESTBATCH " ^ String.concat " || " bs) (list_size (int_range 1 3) body));
+        (2, map2 (fun t b -> Printf.sprintf "TRUTH %g %s" t b) (oneofl [ 10.0; 500.0; 1e12 ]) body);
+        (1, pure "PING");
+        (2, oneofl [ "EST p=patient ; ; p.Nope=1"; "FROB"; "TRUTH x p=patient"; "ESTBATCH"; "EST"; "" ]) ]
+  in
+  let line = map2 (fun l term -> Line (l, term)) text (oneofl [ "\n"; "\n"; "\r\n" ]) in
+  let payload req =
+    let f = Protocol.Bin.encode_request req in
+    String.sub f 4 (String.length f - 4)
+  in
+  let frame =
+    map
+      (fun p -> Frame p)
+      (frequency
+         [ (5, map2 (fun model b -> payload (Protocol.Bin.Best { model; body = b })) model body);
+           (2,
+            map2
+              (fun model bodies -> payload (Protocol.Bin.Bestbatch { model; bodies }))
+              model (list_size (int_range 1 3) body));
+           (1, string_size ~gen:printable (int_range 0 12)) ])
+  in
+  let* lines = list_size (int_range 0 8) line in
+  let* upgrade = frequency [ (2, pure None); (1, map Option.some (oneofl [ "BIN"; "bin"; " BIN "; "Bin\r" ])) ] in
+  let* frames = match upgrade with None -> pure [] | Some _ -> list_size (int_range 0 6) frame in
+  let* over = frequency [ (30, pure false); (1, pure true) ] in
+  let* max_chunk = oneofl [ 1; 2; 3; 7; 64; 4096; 8192 ] in
+  let msgs =
+    lines
+    @ (match upgrade with None -> [] | Some h -> Hello h :: frames)
+    @ (match (over, upgrade) with
+      | false, _ -> []
+      | true, None -> [ Long_line ]
+      | true, Some _ -> [ Long_frame ])
+  in
+  pure (max_chunk, msgs)
+
+let print_sim_msg = function
+  | Line (l, term) -> String.escaped (l ^ term)
+  | Hello h -> "hello " ^ String.escaped h
+  | Frame p -> "frame " ^ String.escaped p
+  | Long_line -> "<over-cap line>"
+  | Long_frame -> "<over-cap frame>"
+
+(* Random peers pipeline random mixes of text requests, malformed lines,
+   BIN upgrades and frames, and over-cap lines and frames, over 1 and 2
+   shards; reads arrive in chunks of 1 byte to 8 KiB and writes complete
+   short.  Every connection's reply stream equals what handle_line /
+   handle_frame answer on a fresh server for the same messages. *)
+let prop_sim_replies_match =
+  QCheck2.Test.make ~name:"simulated loop replies = handle_line/handle_frame" ~count:30
+    ~long_factor:20
+    ~print:
+      QCheck2.Print.(
+        triple int int
+          (list (pair int (fun msgs -> String.concat " | " (List.map print_sim_msg msgs)))))
+    QCheck2.Gen.(triple (int_range 1 2) nat (list_size (int_range 1 4) gen_sim_peer))
+    (fun (shards, seed, peers) ->
+      let server =
+        Server.create ~domains:shards ~db:(Lazy.force db) ~socket:"(test: unused)" ()
+      in
+      ignore (Registry.register (Server.registry server) ~name:"default" (Lazy.force model));
+      let nets =
+        List.init shards (fun i -> Simio.create ~seed:(seed + i) ~short_writes:true ())
+      in
+      let conns =
+        List.mapi
+          (fun i (max_chunk, msgs) ->
+            (Simio.connect (List.nth nets (i mod shards)) ~max_chunk (List.map wire msgs), msgs))
+          peers
+      in
+      Simio.serve server nets;
+      let reference = fresh_server () in
+      List.for_all
+        (fun (fd, msgs) ->
+          mask_truth_counts (Simio.received fd)
+          = mask_truth_counts (expected_replies reference msgs))
+        conns)
 
 let () =
   Alcotest.run "serve"
@@ -2877,6 +3038,8 @@ let () =
             test_socket_slowlog_capture;
           Alcotest.test_case "contradiction on the compiled path" `Quick
             test_server_bytecode_contradiction_regression;
+          Alcotest.test_case "slow-log replay counts nothing" `Quick
+            test_slowlog_replay_counts_nothing;
         ] );
       ( "shards",
         [
@@ -2939,6 +3102,8 @@ let () =
           Alcotest.test_case "1,100 connections on one shard" `Quick test_past_fd_setsize;
           Alcotest.test_case "accept sheds at the fd limit" `Quick
             test_accept_sheds_at_fd_limit;
+          Alcotest.test_case "dying shard loop is counted" `Quick test_shard_exit_counted;
+          QCheck_alcotest.to_alcotest prop_sim_replies_match;
         ] );
       ( "carry",
         [
