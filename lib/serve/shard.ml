@@ -156,14 +156,17 @@ let read_u32_be b i =
 let is_space = function ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false
 
 (* Is the line slice the [BIN] hello, in any case with blanks around
-   it?  A line is copied only when its trimmed length matches, so an
-   [EST] line never is. *)
+   it?  Tested on the slice without allocating. *)
 let is_hello buf ~off ~len =
-  let lo = ref off and hi = ref (off + len) in
+  let h = Protocol.Bin.hello in
+  let lo = ref off and hi = ref (off + len) and i = ref 0 in
   while !lo < !hi && is_space (Bytes.unsafe_get buf !lo) do incr lo done;
   while !hi > !lo && is_space (Bytes.unsafe_get buf (!hi - 1)) do decr hi done;
-  !hi - !lo = String.length Protocol.Bin.hello
-  && String.uppercase_ascii (Bytes.sub_string buf !lo (!hi - !lo)) = Protocol.Bin.hello
+  if !hi - !lo = String.length h then
+    while !i < String.length h && Char.uppercase_ascii (Bytes.get buf (!lo + !i)) = h.[!i] do
+      incr i
+    done;
+  !i = String.length h
 
 let hello_ok_line = Protocol.Bin.hello_ok ^ "\n"
 
