@@ -796,7 +796,7 @@ let fig_plan () =
   Printf.printf "warm execute %.2fus | recompile+execute %.1fx slower\n" warm_us.H.median
     speedup.H.median;
   H.check "warm execute <= per-request recompile" (speedup.H.median >= 1.0) (pp_stat speedup);
-  let hits = memo.Obs.Hotpath.order_hits and misses = memo.Obs.Hotpath.order_misses in
+  let hits = memo.Obs.Hotpath.program_hits and misses = memo.Obs.Hotpath.program_misses in
   H.check "schedule memo reused across bindings" (hits > 0 && misses = 0)
     (Printf.sprintf "%d/%d" hits misses);
   H.stat_row "execute_warm_us" "us" warm_us;

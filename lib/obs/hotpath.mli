@@ -15,12 +15,6 @@ type t = {
   mutable factor_ops : int;  (** kernel invocations (product / sum-out / marginalize) *)
   mutable entries_touched : int;  (** table entries read or written by kernels *)
   mutable max_factor_entries : int;  (** largest intermediate factor table built *)
-  mutable scratch_hits : int;  (** scratch-pool buffer reuses *)
-  mutable scratch_misses : int;  (** scratch-pool allocations *)
-  mutable order_hits : int;
-      (** plan schedule-memo hits (a compiled plan reused a memoized
-          elimination schedule for the binding's restricted-variable set) *)
-  mutable order_misses : int;  (** schedule-memo misses (freshly planned) *)
   mutable program_hits : int;
       (** plan program-memo hits (a warm request ran an already-compiled
           bytecode program for its restricted-variable set) *)
@@ -36,10 +30,6 @@ val kernel : entries:int -> out:int -> unit
 (** Bump [factor_ops], add [entries] to [entries_touched], and raise the
     [max_factor_entries] high-water mark to [out] if larger. *)
 
-val scratch_hit : unit -> unit
-val scratch_miss : unit -> unit
-val order_hit : unit -> unit
-val order_miss : unit -> unit
 val program_hit : unit -> unit
 val program_miss : unit -> unit
 

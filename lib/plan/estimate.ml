@@ -1,5 +1,4 @@
 open Selest_db
-open Selest_bn
 module Model = Selest_prm.Model
 
 let upward_closure prm q = Plan.upward_closure (Plan.compile prm q) q
@@ -23,171 +22,72 @@ let estimate prm ~sizes q =
 
 (* ---- suite-oriented cached estimator ----------------------------------- *)
 
-(* A query suite asks thousands of equality instantiations over one
-   skeleton.  The compiled plan is cached per skeleton; for all-equality
-   suites the joint posterior of the selected attributes given the join
-   evidence additionally answers every instantiation by table lookup. *)
-
-type cache_entry = {
-  plan : Plan.t;
-  keep : int array;  (* select node ids, sorted *)
-  node_of_sel : (string * string, int) Hashtbl.t;  (* (tv, attr) -> node id *)
-  posterior : Selest_prob.Factor.t Lazy.t;  (* P(keep | joins) *)
-  p_joins : float Lazy.t;
-  scale : float;
-}
+(* A query suite asks many instantiations of one skeleton: compile its
+   plan once and execute it for every instantiation, as the server
+   does. *)
 
 let make_cached prm ~sizes =
-  let cache : (string, cache_entry) Hashtbl.t = Hashtbl.create 16 in
-  let entry_for q =
+  let cache : (string, Plan.t) Hashtbl.t = Hashtbl.create 16 in
+  let plan_for q =
     let key = Plan.skeleton_key q in
     match Hashtbl.find_opt cache key with
-    | Some e -> e
+    | Some plan -> plan
     | None ->
       let plan = Plan.compile prm q in
-      let binding = Plan.bind plan q in
-      let node_of_sel = Hashtbl.create 8 in
-      List.iter2
-        (fun s (node, _) ->
-          Hashtbl.replace node_of_sel (s.Query.sel_tv, s.Query.sel_attr) node)
-        q.Query.selects binding;
-      let keep =
-        Array.of_list (List.sort_uniq compare (List.map fst binding))
-      in
-      let factors = Plan.factors plan in
-      let join_ev = Plan.join_evidence plan in
-      let e =
-        {
-          plan;
-          keep;
-          node_of_sel;
-          posterior = lazy (Ve.posterior factors join_ev ~keep);
-          p_joins = lazy (Ve.prob_of_evidence factors join_ev);
-          scale = Plan.scale plan ~sizes;
-        }
-      in
-      Hashtbl.add cache key e;
-      e
+      Hashtbl.add cache key plan;
+      plan
   in
-  let est q =
-    let entry = entry_for q in
-    let all_eq =
-      List.for_all
-        (fun s -> match s.Query.pred with Query.Eq _ -> true | _ -> false)
-        q.Query.selects
-    in
-    if not all_eq then Plan.estimate entry.plan ~sizes q
-    else begin
-      (* Look up the instantiation in the cached posterior.  Duplicate
-         selects on one attribute must agree — disagreeing equalities
-         describe an empty event, so the estimate is 0 (not last-wins). *)
-      let values = Array.make (Array.length entry.keep) (-1) in
-      let contradictory = ref false in
-      List.iter
-        (fun s ->
-          let node =
-            Hashtbl.find entry.node_of_sel (s.Query.sel_tv, s.Query.sel_attr)
-          in
-          let pos = ref 0 in
-          while entry.keep.(!pos) <> node do incr pos done;
-          match s.Query.pred with
-          | Query.Eq v ->
-            if values.(!pos) >= 0 && values.(!pos) <> v then
-              contradictory := true
-            else values.(!pos) <- v
-          | _ -> assert false)
-        q.Query.selects;
-      if !contradictory then 0.0
-      else
-        let p_sel = Selest_prob.Factor.get (Lazy.force entry.posterior) values in
-        Lazy.force entry.p_joins *. p_sel *. entry.scale
-    end
-  in
-  (entry_for, est)
+  (plan_for, fun q -> Plan.estimate (plan_for q) ~sizes q)
 
 let cached_estimator prm ~sizes = snd (make_cached prm ~sizes)
 
 let prepared_estimator prm ~sizes =
-  let entry_for, est = make_cached prm ~sizes in
-  ((fun q -> ignore (entry_for q)), est)
+  let plan_for, est = make_cached prm ~sizes in
+  ((fun q -> ignore (plan_for q)), est)
 
 (* ---- non-key equality joins (Sec. 6) ----------------------------------- *)
 
+let domain_card prm q tv attr =
+  let ts = Schema.find_table prm.Model.schema (Query.table_of q tv) in
+  Selest_db.Value.card (Schema.attr ts attr).Schema.domain
+
 let estimate_nonkey prm ~sizes (q1, tv1, a1) (q2, tv2, a2) =
-  let schema = prm.Model.schema in
   List.iter
     (fun (tv, _) ->
       if List.mem_assoc tv q2.Query.tvars then
         invalid_arg "Estimate.estimate_nonkey: sub-queries share a tuple variable")
     q1.Query.tvars;
-  let card_of q tv attr =
-    let ts = Schema.find_table schema (Query.table_of q tv) in
-    Selest_db.Value.card (Schema.attr ts attr).Schema.domain
-  in
-  let c1 = card_of q1 tv1 a1 and c2 = card_of q2 tv2 a2 in
+  let c1 = domain_card prm q1 tv1 a1 and c2 = domain_card prm q2 tv2 a2 in
   if c1 <> c2 then
     invalid_arg "Estimate.estimate_nonkey: joined attributes disagree on domain";
-  let e1 = cached_estimator prm ~sizes and e2 = cached_estimator prm ~sizes in
+  let est = cached_estimator prm ~sizes in
   let acc = ref 0.0 in
   for v = 0 to c1 - 1 do
     let q1v = Query.with_selects q1 (Query.eq tv1 a1 v :: q1.Query.selects) in
     let q2v = Query.with_selects q2 (Query.eq tv2 a2 v :: q2.Query.selects) in
-    acc := !acc +. (e1 q1v *. e2 q2v)
+    acc := !acc +. (est q1v *. est q2v)
   done;
   !acc
 
 let group_counts prm ~sizes q ~keys =
-  let schema = prm.Model.schema in
-  (* Seed the plan with one dummy equality per key so the closure pulls
-     the key attributes (and their ancestors) in; evaluate with only the
-     query's own selects plus the join evidence. *)
-  let dummy_selects = List.map (fun (tv, attr) -> Query.eq tv attr 0) keys in
-  let q_with_keys = Query.with_selects q (q.Query.selects @ dummy_selects) in
-  let plan = Plan.compile prm q_with_keys in
-  let binding = Plan.bind plan q_with_keys in
-  let factors = Plan.factors plan in
-  let join_ev = Plan.join_evidence plan in
-  let n_own = List.length q.Query.selects in
-  let own_ev = List.filteri (fun i _ -> i < n_own) binding in
-  let key_nodes = List.filteri (fun i _ -> i >= n_own) binding |> List.map fst in
-  let keep = Array.of_list (List.sort_uniq compare key_nodes) in
-  if Array.length keep <> List.length keys then
+  if List.length (List.sort_uniq compare keys) <> List.length keys then
     invalid_arg "Estimate.group_counts: duplicate key attributes";
-  let evidence = own_ev @ join_ev in
-  let posterior = Ve.posterior factors evidence ~keep in
-  let p_evidence = Ve.prob_of_evidence factors evidence in
-  let scale = Plan.scale plan ~sizes *. p_evidence in
-  (* Map each key to its position in the (sorted) keep array. *)
-  let positions =
-    List.map
-      (fun node ->
-        let rec go i = if keep.(i) = node then i else go (i + 1) in
-        go 0)
-      key_nodes
-  in
-  let cards =
-    List.map
-      (fun (tv, attr) ->
-        let ti = Schema.table_index schema (Query.table_of q_with_keys tv) in
-        let ts = (Schema.tables schema).(ti) in
-        Selest_db.Value.card (Schema.attr ts attr).Schema.domain)
-      keys
+  (* Every cell binds the query's selects plus one equality per key: one
+     skeleton, so one plan. *)
+  let with_cell cell =
+    Query.with_selects q
+      (q.Query.selects @ List.mapi (fun i (tv, attr) -> Query.eq tv attr cell.(i)) keys)
   in
   let d = List.length keys in
-  let cards_arr = Array.of_list cards in
-  let positions_arr = Array.of_list positions in
-  let out = ref [] in
   let cell = Array.make d 0 in
-  let keep_cell = Array.make (Array.length keep) 0 in
+  let plan = Plan.compile prm (with_cell cell) in
+  let cards = Array.of_list (List.map (fun (tv, attr) -> domain_card prm q tv attr) keys) in
+  let out = ref [] in
   let rec go i =
-    if i = d then begin
-      Array.iteri (fun j pos -> keep_cell.(pos) <- cell.(j)) positions_arr;
-      out :=
-        (Array.copy cell, Selest_prob.Factor.get posterior keep_cell *. scale)
-        :: !out
-    end
+    if i = d then
+      out := (Array.copy cell, Plan.estimate plan ~sizes (with_cell cell)) :: !out
     else
-      for v = 0 to cards_arr.(i) - 1 do
+      for v = 0 to cards.(i) - 1 do
         cell.(i) <- v;
         go (i + 1)
       done

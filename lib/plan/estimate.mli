@@ -11,9 +11,10 @@
 
     {[ size(q) ≈ Π |T_i| · P(selects, all J = true) ]}
 
-    Every entry point here compiles (or reuses) a plan and executes it —
-    callers with a long-lived skeleton should hold the {!Plan.t}
-    themselves (the serve layer's plan cache does). *)
+    Every entry point here compiles (or reuses) a plan and executes it on
+    the bytecode engine that serves requests — callers with a
+    long-lived skeleton should hold the {!Plan.t} themselves (the serve
+    layer's plan cache does). *)
 
 val upward_closure : Selest_prm.Model.t -> Selest_db.Query.t -> Selest_db.Query.t
 (** The closed query: same selects, possibly more tuple variables and
@@ -37,12 +38,10 @@ val sizes_of_db : Selest_db.Database.t -> int array
 val cached_estimator :
   Selest_prm.Model.t -> sizes:int array -> (Selest_db.Query.t -> float)
 (** An estimation function that memoizes a compiled {!Plan.t} per query
-    {e skeleton}: for all-equality queries it additionally computes the
-    joint posterior of the selected attributes given the join evidence
-    once, then answers every instantiation of the same skeleton by table
-    lookup.  Equivalent to {!estimate} (same model, same numbers) but
-    amortized over a suite.  Non-equality queries execute the cached plan
-    directly.  Contradictory instantiations return [0.0]. *)
+    {e skeleton} and answers every instantiation by executing it — the
+    bytecode engine that serves requests.  Bit-identical to {!estimate},
+    but amortized over a suite.
+    Contradictory instantiations return [0.0]. *)
 
 val prepared_estimator :
   Selest_prm.Model.t -> sizes:int array ->
@@ -66,6 +65,9 @@ val group_counts :
   keys:(string * string) list -> (int array * float) list
 (** Approximate [GROUP BY COUNT] (the Sec. 6 application): estimated result
     sizes of {e every} instantiation of the [keys] attributes under the
-    query's joins and selects, computed from one inference pass.  Cells are
-    returned in row-major order of the key domains (last key fastest); the
-    estimates of all cells sum to the estimate of the un-grouped query. *)
+    query's joins and selects.  One plan is compiled for the query plus
+    one equality per key, and executed once per cell, so each cell is
+    bit-identical to {!estimate} of the query with those equalities
+    added.  Cells are returned in row-major order of the key domains
+    (last key fastest); the estimates of all cells sum to the estimate of
+    the un-grouped query.  Raises [Invalid_argument] when a key repeats. *)

@@ -381,16 +381,6 @@ let execute_generic t binding =
   | Some prep ->
     Ve.run prep ~order:(schedule_for t (Ve.restricted_vars prep)).Ve.Schedule.order
 
-(* Memo accounting lands on the domain-local {!Selest_obs.Hotpath}
-   counters only: a request takes no lock to count itself. *)
-let count_hit () =
-  Selest_obs.Hotpath.order_hit ();
-  Selest_obs.Hotpath.program_hit ()
-
-let count_miss () =
-  Selest_obs.Hotpath.order_miss ();
-  Selest_obs.Hotpath.program_miss ()
-
 (* The two traced stages: [exec.load] (find the program whose shape the
    evidence fits — compiling it on a memo miss — and write the evidence
    into its slots) and [exec.run] (contractions and read-out).  [load]
@@ -403,12 +393,14 @@ let run_loaded load st =
   r
 
 (* No program fits: compile one for the binding's restricted set
-   (counted as a memo miss, like a fresh schedule), then run it. *)
+   (counted as a memo miss), then run it.  Memo accounting lands on the
+   domain-local {!Selest_obs.Hotpath} counters only: a request takes no
+   lock to count itself. *)
 let execute_slow t load binding =
   match program_for t binding with
   | None -> Selest_obs.Span.exit load; 0.0 (* contradictory: empty event *)
   | Some prog -> (
-    count_miss ();
+    Selest_obs.Hotpath.program_miss ();
     let st = Bytecode.state_for prog in
     match Bytecode.load prog st binding with
     | `Ok -> run_loaded load st
@@ -452,7 +444,7 @@ let rec execute_scan t load loader to_binding src progs =
     let st = Bytecode.state_for prog in
     match loader t prog st src with
     | `Ok ->
-      count_hit ();
+      Selest_obs.Hotpath.program_hit ();
       run_loaded load st
     | `Contradiction -> Selest_obs.Span.exit load; 0.0 (* no buffer touched *)
     | `No_match -> execute_scan t load loader to_binding src rest)

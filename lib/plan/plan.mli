@@ -27,11 +27,11 @@
     (the restricted-variable set of a binding determines the factor
     shapes, hence the schedule and the bytecode program), which are
     replaced under a mutex on a miss and read lock-free: one plan may be
-    executed concurrently from many domains.  Memo hits and misses are
-    counted only in the domain-local {!Selest_obs.Hotpath} counters
-    ([order_hits] / [order_misses] and [program_hits] /
-    [program_misses]), which the server surfaces in [STATS] and as
-    [selest_program_memo_{hits,misses}] in [METRICS]. *)
+    executed concurrently from many domains.  Program-memo hits and
+    misses are counted only in the domain-local {!Selest_obs.Hotpath}
+    counters ([program_hits] / [program_misses]), which the server
+    surfaces in [STATS] and as [selest_program_memo_{hits,misses}] in
+    [METRICS]. *)
 
 type t
 

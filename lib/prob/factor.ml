@@ -194,12 +194,9 @@ let scratch () : scratch = Hashtbl.create 8
 let scratch_take (sc : scratch) size =
   match Hashtbl.find_opt sc size with
   | Some ({ contents = buf :: rest } as slot) ->
-    Selest_obs.Hotpath.scratch_hit ();
     slot := rest;
     buf
-  | _ ->
-    Selest_obs.Hotpath.scratch_miss ();
-    Array.make size 0.0
+  | _ -> Array.make size 0.0
 
 let scratch_release (sc : scratch) (buf : float array) =
   let size = Array.length buf in

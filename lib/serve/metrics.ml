@@ -26,9 +26,7 @@ type t = {
 
 (* The kernel counters a request's {!Obs.Hotpath} delta rolls into.
    [max_factor_entries] is a high-water mark, not additive, and EXPLAIN
-   reports it instead; the schedule-memo pair moves with the
-   program-memo pair, and the scratch pair only in the generic kernels
-   serving does not run, so EXPLAIN alone reports those. *)
+   alone reports it. *)
 let kernel_names =
   [| "ve.factor_ops"; "ve.entries_touched"; "plan.program_hits"; "plan.program_misses" |]
 

@@ -35,8 +35,8 @@ let evaluate db suite est ?max_queries ?seed () =
   let cards = Suite.cards db suite in
   let cells = selected_cells db suite ?max_queries ?seed () in
   (* All of a suite's instantiations share one skeleton: let the
-     estimator compile its plan / posterior once, outside the per-query
-     loop. *)
+     estimator pay its per-skeleton work (a PRM's plan compile) once,
+     outside the per-query loop. *)
   if Array.length cells > 0 then
     est.Selest_est.Estimator.prepare
       (Suite.query_of_cell suite (decode cards cells.(0)));

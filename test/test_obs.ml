@@ -141,19 +141,15 @@ let test_hotpath_measure () =
     Hotpath.measure (fun () ->
         Hotpath.kernel ~entries:10 ~out:100;
         Hotpath.kernel ~entries:5 ~out:50;
-        Hotpath.scratch_hit ();
-        Hotpath.scratch_miss ();
-        Hotpath.order_hit ();
-        Hotpath.order_hit ();
-        Hotpath.order_miss ())
+        Hotpath.program_hit ();
+        Hotpath.program_hit ();
+        Hotpath.program_miss ())
   in
   Alcotest.(check int) "factor_ops" 2 d.Hotpath.factor_ops;
   Alcotest.(check int) "entries_touched" 15 d.Hotpath.entries_touched;
   Alcotest.(check int) "max_factor_entries" 100 d.Hotpath.max_factor_entries;
-  Alcotest.(check int) "scratch_hits" 1 d.Hotpath.scratch_hits;
-  Alcotest.(check int) "scratch_misses" 1 d.Hotpath.scratch_misses;
-  Alcotest.(check int) "order_hits" 2 d.Hotpath.order_hits;
-  Alcotest.(check int) "order_misses" 1 d.Hotpath.order_misses
+  Alcotest.(check int) "program_hits" 2 d.Hotpath.program_hits;
+  Alcotest.(check int) "program_misses" 1 d.Hotpath.program_misses
 
 let test_hotpath_high_water_restore () =
   (* the delta's high-water mark reflects only work inside the callback,
@@ -168,7 +164,7 @@ let test_hotpath_high_water_restore () =
 let test_hotpath_to_pairs () =
   let (), d = Hotpath.measure (fun () -> Hotpath.kernel ~entries:3 ~out:7) in
   let pairs = Hotpath.to_pairs d in
-  Alcotest.(check int) "nine counters" 9 (List.length pairs);
+  Alcotest.(check int) "five counters" 5 (List.length pairs);
   Alcotest.(check (option int)) "factor_ops listed" (Some 1)
     (List.assoc_opt "factor_ops" pairs);
   Alcotest.(check (option int)) "entries listed" (Some 3)

@@ -167,8 +167,8 @@ let prop_plan_reuse_across_bindings =
               [ Query.eq "e" "Rank" r; Query.eq "d" "Budget" b ]
           in
           let reused, d = Hotpath.measure (fun () -> Plan.estimate plan ~sizes q) in
-          hits := !hits + d.Hotpath.order_hits;
-          misses := !misses + d.Hotpath.order_misses;
+          hits := !hits + d.Hotpath.program_hits;
+          misses := !misses + d.Hotpath.program_misses;
           let fresh = Plan.estimate (Plan.compile prm q) ~sizes q in
           let slow = oracle plan ~sizes q in
           if
@@ -214,10 +214,10 @@ let test_plan_introspection () =
       1.0 tables
   in
   check_float "scale" expected (Plan.scale plan ~sizes);
-  (* executing the compile query's own binding hits the seeded schedule *)
+  (* executing the compile query's own binding hits the seeded program *)
   let (_ : float), d = Hotpath.measure (fun () -> Plan.execute plan (Plan.bind plan q)) in
   Alcotest.(check (pair int int)) "seeded schedule hit" (1, 0)
-    (d.Hotpath.order_hits, d.Hotpath.order_misses);
+    (d.Hotpath.program_hits, d.Hotpath.program_misses);
   let steps = Plan.steps plan q in
   Alcotest.(check bool) "steps predicted" true
     (List.for_all (fun s -> s.Ve.Schedule.predicted_entries >= 1) steps);
@@ -297,8 +297,8 @@ let test_contradiction_is_zero () =
   check_float "Estimate.estimate" 0.0 (Estimate.estimate prm ~sizes q);
   check_float "Estimate.prob" 0.0 (Estimate.prob prm q);
   let cached = Estimate.cached_estimator prm ~sizes in
-  (* warm the skeleton with a satisfiable binding first, then hit the
-     posterior-table path with the contradiction *)
+  (* warm the skeleton's cached plan with a satisfiable binding first,
+     then execute the contradiction on it *)
   let warm =
     Query.with_selects q [ Query.eq "e" "Rank" 1; Query.eq "e" "Rank" 1 ]
   in

@@ -4,6 +4,9 @@ module Estimate = Selest_plan.Estimate
 
 let check_float = Alcotest.(check (float 1e-6))
 
+let check_bits name expected actual =
+  Alcotest.(check int64) name (Int64.bits_of_float expected) (Int64.bits_of_float actual)
+
 (* Small two-table fixture: dept <- emp, with strong cross-table
    correlation (Rank tracks Budget) and join skew (big-budget departments
    have more employees). *)
@@ -252,12 +255,12 @@ let test_cached_estimator_matches () =
   for b = 0 to 1 do
     for rk = 0 to 1 do
       let q = Query.with_selects skeleton [ Query.eq "d" "Budget" b; Query.eq "e" "Rank" rk ] in
-      check_float "cached = direct" (Estimate.estimate r.Learn.model ~sizes q) (cached q)
+      check_bits "cached = direct" (Estimate.estimate r.Learn.model ~sizes q) (cached q)
     done
   done;
-  (* range query falls back and still matches *)
+  (* a range instantiation runs on the same cached plan *)
   let q = Query.with_selects skeleton [ Query.range "e" "Age" 1 2 ] in
-  check_float "range fallback" (Estimate.estimate r.Learn.model ~sizes q) (cached q)
+  check_bits "range fallback" (Estimate.estimate r.Learn.model ~sizes q) (cached q)
 
 let test_estimates_sum_to_join_size () =
   (* Summing the PRM estimate over all instantiations of a suite must give
@@ -581,7 +584,7 @@ let test_group_counts_consistency () =
   List.iter
     (fun (cell, est) ->
       let q = Query.with_selects skel [ Query.eq "d" "Budget" cell.(0) ] in
-      check_float "cell = select estimate" (Estimate.estimate r.Learn.model ~sizes q) est)
+      check_bits "cell = select estimate" (Estimate.estimate r.Learn.model ~sizes q) est)
     groups;
   (* groups partition the ungrouped estimate *)
   let total = List.fold_left (fun acc (_, e) -> acc +. e) 0.0 groups in
@@ -608,7 +611,7 @@ let test_group_counts_with_selects_and_two_keys () =
         Query.with_selects q
           (Query.eq "e" "Age" 1 :: [ Query.eq "e" "Rank" cell.(0); Query.eq "d" "Budget" cell.(1) ])
       in
-      check_float "cell matches" (Estimate.estimate r.Learn.model ~sizes qq) est)
+      check_bits "cell matches" (Estimate.estimate r.Learn.model ~sizes qq) est)
     groups;
   (* group estimates track the exact group sizes reasonably *)
   let truth_err =
@@ -740,6 +743,44 @@ let prop_serialize_stable =
       let q = Query.with_selects skel [ Query.eq "e" "Rank" 1; Query.eq "d" "Budget" 0 ] in
       Estimate.estimate r.Learn.model ~sizes q = Estimate.estimate loaded ~sizes q)
 
+(* Every instantiation of one skeleton, in an order rotated by [seed] so
+   that different instantiations compile the cached plan: equalities,
+   duplicate equalities, contradictions and ranges.  Each names Rank
+   before Floor, as a suite's instantiations do: [Plan.compile] numbers
+   the network's nodes in the order the selects first name them, and a
+   reordered query's one-shot estimate can differ in its last bit. *)
+let instantiations seed =
+  let rank v = Query.eq "e" "Rank" v and floor v = Query.eq "d" "Floor" v in
+  let qs =
+    List.concat_map
+      (fun fl ->
+        [ [ rank 0; floor fl ]; [ rank 1; floor fl ];
+          [ rank 1; rank 1; floor fl ]; [ rank 0; floor fl; floor fl ];
+          [ rank 0; rank 1; floor fl ]; [ rank 1; floor fl; floor ((fl + 1) mod 3) ];
+          [ Query.range "e" "Rank" 0 1; floor fl ];
+          [ rank 0; Query.range "d" "Floor" fl 2 ];
+          [ rank 1; floor fl; Query.range "d" "Floor" 1 2 ] ])
+      [ 0; 1; 2 ]
+  in
+  let k = seed mod List.length qs in
+  List.filteri (fun i _ -> i >= k) qs @ List.filteri (fun i _ -> i < k) qs
+  |> List.map (Query.with_selects skel)
+
+let prop_cached_is_one_shot =
+  QCheck2.Test.make ~name:"cached estimator = one-shot estimate, bit for bit" ~count:10
+    ~long_factor:20
+    QCheck2.Gen.(int_range 1 1000)
+    (fun seed ->
+      let dbx = random_fixture seed in
+      let r = Learn.learn ~config:(Learn.default_config ~budget_bytes:4000) dbx in
+      let sizes = Estimate.sizes_of_db dbx in
+      let cached = Estimate.cached_estimator r.Learn.model ~sizes in
+      List.for_all
+        (fun q ->
+          Int64.bits_of_float (cached q)
+          = Int64.bits_of_float (Estimate.estimate r.Learn.model ~sizes q))
+        (instantiations seed))
+
 (* ---- Incremental vs reference climber -------------------------------- *)
 
 (* The incremental climber (delta move cache + Depgraph legality + shared
@@ -848,6 +889,7 @@ let () =
             prop_sampled_db_valid;
             prop_serialize_stable;
           ] );
+      ( "one-engine", List.map QCheck_alcotest.to_alcotest [ prop_cached_is_one_shot ] );
       ( "learn-incremental",
         Alcotest.test_case "cache invalidation across walks" `Quick
           test_move_cache_invalidation
