@@ -452,41 +452,66 @@ let fig7b () =
   in
   Util.Tablefmt.print ~header (Array.of_list rows)
 
-(* Estimation latency: per-query inference without suite caching. *)
-let estimation_latency bn q_selects =
-  let n = 50 in
-  let (), s =
-    H.time (fun () ->
-        for _ = 1 to n do
-          ignore (Bn.Bn.prob_of bn q_selects)
-        done)
-  in
-  s /. float_of_int n *. 1e6
-
+(* Estimation time on the engine that serves, per budget and CPD kind: a
+   cold [Plan.compile] of the query on a fresh conversion of the BN (so
+   it also tabulates the CPDs, as after a LOAD) and a warm [Plan.estimate]
+   on the compiled plan, each the median of 15 calibration-scaled
+   samples. *)
 let fig7c () =
   section "F7c (Fig. 7c): estimation time vs model size (microseconds per query)";
-  let data = Bn.Data.of_table (Db.Database.table (Lazy.force census) "person") in
+  let db = Lazy.force census in
+  let person = Db.Database.table db "person" in
+  let data = Bn.Data.of_table person in
+  let attrs = Array.to_list (Db.Table.schema person).Db.Schema.attrs in
   let budgets = [ 1_000; 3_000; 5_000; 7_000; 9_000 ] in
-  let q = [ (10, Db.Query.Eq 7); (2, Db.Query.Eq 9); (0, Db.Query.Eq 5) ] in
-  let header = [| "budget"; "trees us/query"; "trees bytes"; "tables us/query"; "tables bytes" |] in
+  let q =
+    let eq a v = Db.Query.eq "p" Synth.Census.attr_names.(a) v in
+    Db.Query.create ~tvars:[ ("p", "person") ] ~selects:[ eq 10 7; eq 2 9; eq 0 5 ] ()
+  in
+  let sizes = [| Db.Table.size person |] in
+  let reps = 200 in
+  let timed b kind =
+    let r =
+      Bn.Learn.learn
+        ~config:{ (Bn.Learn.default_config ~budget_bytes:b) with Bn.Learn.kind }
+        data
+    in
+    let fresh () = Est.Bn_est.model_of_bn ~table:"person" attrs r.Bn.Learn.bn in
+    let compile m = ignore (Sys.opaque_identity (Plan.compile m q)) in
+    compile (fresh ());
+    let cold =
+      Array.init 15 (fun _ ->
+          let m = fresh () in
+          let calib = H.calibrate () in
+          H.scaled ~calib (fun () -> compile m))
+    in
+    let plan = Plan.compile (fresh ()) q in
+    let warm =
+      Array.init 15 (fun _ ->
+          let calib = H.calibrate () in
+          H.scaled ~calib (fun () ->
+              for _ = 1 to reps do
+                ignore (Sys.opaque_identity (Plan.estimate plan ~sizes q))
+              done))
+    in
+    let compile_us = H.per_op ~us:true ~ops:1 cold in
+    let estimate_us = H.per_op ~us:true ~ops:reps warm in
+    let label =
+      (match kind with Bn.Cpd.Trees -> "trees" | Bn.Cpd.Tables -> "tables") ^ " @ " ^ kb b
+    in
+    H.stat_row ("compile_us " ^ label) "us" compile_us;
+    H.stat_row ("estimate_us " ^ label) "us" estimate_us;
+    H.row ("bytes " ^ label) "bytes" (float_of_int r.Bn.Learn.bytes);
+    [| Printf.sprintf "%.1f" compile_us.H.median; Printf.sprintf "%.2f" estimate_us.H.median;
+       string_of_int r.Bn.Learn.bytes |]
+  in
+  let header =
+    [| "budget"; "trees compile us"; "trees estimate us"; "trees bytes";
+       "tables compile us"; "tables estimate us"; "tables bytes" |]
+  in
   let rows =
     List.map
-      (fun b ->
-        let tr =
-          Bn.Learn.learn
-            ~config:{ (Bn.Learn.default_config ~budget_bytes:b) with Bn.Learn.kind = Bn.Cpd.Trees }
-            data
-        in
-        let tbl =
-          Bn.Learn.learn
-            ~config:{ (Bn.Learn.default_config ~budget_bytes:b) with Bn.Learn.kind = Bn.Cpd.Tables }
-            data
-        in
-        [| kb b;
-           Printf.sprintf "%.1f" (estimation_latency tr.Bn.Learn.bn q);
-           string_of_int tr.Bn.Learn.bytes;
-           Printf.sprintf "%.1f" (estimation_latency tbl.Bn.Learn.bn q);
-           string_of_int tbl.Bn.Learn.bytes |])
+      (fun b -> Array.concat [ [| kb b |]; timed b Bn.Cpd.Trees; timed b Bn.Cpd.Tables ])
       budgets
   in
   Util.Tablefmt.print ~header (Array.of_list rows)
@@ -602,6 +627,7 @@ let ablation_score () =
     Suite.single_table ~name:"a1" ~table:"person" ~attrs:[ "Age"; "Education"; "Income" ]
   in
   let db = Lazy.force census in
+  let person = Db.Table.schema (Db.Database.table db "person") in
   let header = [| "budget"; "rule"; "loglik (bits/row)"; "bytes"; "avg err %" |] in
   let rows = ref [] in
   List.iter
@@ -612,24 +638,15 @@ let ablation_score () =
             { (Bn.Learn.default_config ~budget_bytes:budget) with Bn.Learn.rule }
           in
           let r = Bn.Learn.learn ~config data in
-          let prob = Bn.Bn.cached_prob r.Bn.Learn.bn in
+          let model =
+            Est.Bn_est.model_of_bn ~table:"person" (Array.to_list person.Db.Schema.attrs)
+              r.Bn.Learn.bn
+          in
           let est = {
             Est.Estimator.name = rname;
             bytes = r.Bn.Learn.bytes;
             prepare = ignore;
-            estimate =
-              (fun q ->
-                let ev =
-                  List.map
-                    (fun s ->
-                      let rec idx i =
-                        if Synth.Census.attr_names.(i) = s.Db.Query.sel_attr then i
-                        else idx (i + 1)
-                      in
-                      (idx 0, s.Db.Query.pred))
-                    q.Db.Query.selects
-                in
-                float_of_int census_rows *. prob ev);
+            estimate = Prm.Estimate.cached_estimator model ~sizes:[| census_rows |];
           } in
           let o = Runner.run db suite est ~max_queries:4_000 ~seed:cfg.seed () in
           rows :=

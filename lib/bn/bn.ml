@@ -66,38 +66,6 @@ let factors t =
 
 let prob_of t evidence = Ve.prob_of_evidence (factors t) evidence
 
-let cached_prob t =
-  (* Suite amortization: for all-equality evidence over a variable set, the
-     joint posterior over that set answers every instantiation by lookup. *)
-  let posterior_cache : (int list, Factor.t) Hashtbl.t = Hashtbl.create 8 in
-  fun evidence ->
-    let all_eq =
-      List.for_all
-        (fun (_, p) -> match p with Selest_db.Query.Eq _ -> true | _ -> false)
-        evidence
-    in
-    let vars = List.sort_uniq compare (List.map fst evidence) in
-    if all_eq && List.length vars = List.length evidence then begin
-      let posterior =
-        match Hashtbl.find_opt posterior_cache vars with
-        | Some f -> f
-        | None ->
-          let f = Ve.posterior (factors t) [] ~keep:(Array.of_list vars) in
-          Hashtbl.add posterior_cache vars f;
-          f
-      in
-      let vars_arr = Array.of_list vars in
-      let values = Array.make (Array.length vars_arr) 0 in
-      List.iter
-        (fun (v, p) ->
-          let pos = ref 0 in
-          while vars_arr.(!pos) <> v do incr pos done;
-          match p with Selest_db.Query.Eq x -> values.(!pos) <- x | _ -> assert false)
-        evidence;
-      Factor.get posterior values
-    end
-    else prob_of t evidence
-
 let sample rng t =
   let order = Dag.topological_order t.dag in
   let out = Array.make (n_vars t) (-1) in
@@ -108,10 +76,6 @@ let sample rng t =
       out.(v) <- Rng.categorical rng (Array.copy (Cpd.dist cpd pvals)))
     order;
   out
-
-let marginal t v =
-  let f = Ve.posterior (factors t) [] ~keep:[| v |] in
-  Factor.data f
 
 let pp ppf t =
   Format.fprintf ppf "BN over %d variables, %d edges, %d bytes@." (n_vars t)

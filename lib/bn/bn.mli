@@ -39,18 +39,11 @@ val factors : t -> Selest_prob.Factor.t list
 val prob_of : t -> (int * Selest_db.Query.pred) list -> float
 (** [prob_of bn evidence]: the probability that each listed variable
     satisfies its predicate, computed by variable elimination — the P(E_q)
-    of Sec. 2.3, including range and set predicates. *)
-
-val cached_prob : t -> ((int * Selest_db.Query.pred) list -> float)
-(** A query function that amortizes over suites: for all-equality evidence
-    it computes the joint posterior of each queried variable set once and
-    answers later instantiations by table lookup.  Agrees with {!prob_of}
-    exactly; other predicates fall through to it. *)
+    of Sec. 2.3, including range and set predicates.  Plans generic VE on
+    every call: estimators answer on a compiled plan instead (see
+    [Est.Bn_est]), and this stays as their oracle. *)
 
 val sample : Selest_util.Rng.t -> t -> int array
 (** Draw one joint assignment (used by generator-validation tests). *)
-
-val marginal : t -> int -> float array
-(** Single-variable marginal distribution. *)
 
 val pp : Format.formatter -> t -> unit

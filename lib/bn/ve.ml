@@ -261,9 +261,9 @@ let plan_order ~keep factors = (Schedule.plan ~keep factors).order
 
 let attr_of_order order = String.concat "," (List.map string_of_int order)
 
-let schedule_for ~keep factors =
+let schedule_for factors =
   Selest_obs.Span.with_ "ve.plan" (fun sp ->
-      let s = Schedule.plan ~keep factors in
+      let s = Schedule.plan ~keep:[||] factors in
       if Selest_obs.Span.live sp then begin
         Selest_obs.Span.add sp "cached" "none";
         Selest_obs.Span.add sp "order" (attr_of_order s.order)
@@ -342,30 +342,8 @@ let prob_of_evidence factors ev =
   match prepare factors ev with
   | None -> 0.0
   | Some p ->
-    let s = schedule_for ~keep:[||] (prepared_factors p) in
+    let s = schedule_for (prepared_factors p) in
     run p ~order:s.order
-
-let posterior factors ev ~keep =
-  match prepare factors ev with
-  | None -> invalid_arg "Ve.posterior: contradictory evidence"
-  | Some p ->
-    let keep_sorted = Array.copy keep in
-    Array.sort compare keep_sorted;
-    let s = schedule_for ~keep:keep_sorted (prepared_factors p) in
-    let scratch = local_scratch () in
-    let remaining =
-      Selest_obs.Span.with_ "ve.eliminate" (fun _ ->
-          run_order scratch p.p_factors s.order)
-    in
-    let result =
-      match remaining with
-      | [] -> Factor.constant 1.0
-      | fs -> Factor.normalize (Factor.product_all (List.map fst fs))
-    in
-    List.iter
-      (fun (f, owned) -> if owned then Factor.release scratch f)
-      remaining;
-    result
 
 (* ---- reference implementation --------------------------------------------
 
@@ -444,38 +422,4 @@ module Reference = struct
     | Some merged ->
       let restricted = List.map (fun f -> apply_evidence f merged) factors in
       eliminate_all restricted
-
-  let posterior factors ev ~keep =
-    let merged =
-      match normalize_evidence factors ev with
-      | Some m -> m
-      | None -> invalid_arg "Ve.posterior: contradictory evidence"
-    in
-    let restricted = List.map (fun f -> apply_evidence f merged) factors in
-    let keep_list = Array.to_list keep in
-    let rec loop factors =
-      let vars =
-        List.filter (fun v -> not (List.mem v keep_list)) (all_vars factors)
-      in
-      match vars with
-      | [] -> (
-        match factors with
-        | [] -> Factor.constant 1.0
-        | f :: fs ->
-          Factor.normalize (List.fold_left Factor.Reference.product f fs))
-      | vars ->
-        let v =
-          List.fold_left
-            (fun best v ->
-              match best with
-              | None -> Some (v, elimination_cost factors v)
-              | Some (_, c0) ->
-                let c = elimination_cost factors v in
-                if c < c0 then Some (v, c) else best)
-            None vars
-          |> Option.get |> fst
-        in
-        loop (eliminate_var factors v)
-    in
-    loop restricted
 end

@@ -13,7 +13,12 @@
     multiply-then-sum step into one {!Selest_prob.Factor.sum_out_product}
     kernel over a domain-local scratch pool, so a run performs O(1) large
     allocations once warm.  All of this is bit-compatible with the
-    pre-optimization engine kept in {!Reference}. *)
+    pre-optimization engine kept in {!Reference}.
+
+    Every estimate the library answers, single-table BN estimates
+    included, runs on the plan IR, which takes its evidence masks and
+    schedules from here; {!prob_of_evidence} (behind [Bn.prob_of]) and
+    {!Reference} are the one-shot engines tests check it against. *)
 
 type evidence = (int * Selest_db.Query.pred) list
 (** Variable id paired with the predicate it must satisfy.  [Eq] evidence
@@ -113,14 +118,6 @@ val prob_of_evidence : Selest_prob.Factor.t list -> evidence -> float
     on every call; repeated query shapes should compile a plan
     ([lib/plan]) and reuse its memoized schedules instead. *)
 
-val posterior :
-  Selest_prob.Factor.t list ->
-  evidence ->
-  keep:int array ->
-  Selest_prob.Factor.t
-(** Normalized joint marginal of the [keep] variables given the
-    evidence.  Raises [Invalid_argument] on contradictory evidence. *)
-
 (** The pre-optimization engine, verbatim: per-step greedy cost scans over
     the whole factor list, pairwise products, naive per-entry factor
     kernels ({!Selest_prob.Factor.Reference}).  The optimized path must
@@ -129,10 +126,4 @@ val posterior :
 module Reference : sig
   val eliminate_all : Selest_prob.Factor.t list -> float
   val prob_of_evidence : Selest_prob.Factor.t list -> evidence -> float
-
-  val posterior :
-    Selest_prob.Factor.t list ->
-    evidence ->
-    keep:int array ->
-    Selest_prob.Factor.t
 end

@@ -1,7 +1,7 @@
 open Selest_util
 open Selest_db
 open Selest_bn
-open Selest_prob
+module Estimate = Selest_plan.Estimate
 
 let build ~table ~bucketize ~budget_bytes ?(kind = Cpd.Trees) ?(seed = 0) db =
   let tbl = Database.table db table in
@@ -18,12 +18,16 @@ let build ~table ~bucketize ~budget_bytes ?(kind = Cpd.Trees) ?(seed = 0) db =
             (Discretize.equi_depth ~column:(Table.col tbl ai)
                ~card:(Value.card a.Schema.domain) ~bins))
   in
-  let cards =
-    Array.init n_attrs (fun ai ->
+  (* The bucket-level attributes the BN is learned over. *)
+  let attrs =
+    Array.mapi
+      (fun ai a ->
         match disc.(ai) with
-        | Some d -> d.Discretize.n_bins
-        | None -> Value.card ts.Schema.attrs.(ai).Schema.domain)
+        | Some d -> { a with Schema.domain = Value.ints d.Discretize.n_bins }
+        | None -> a)
+      ts.Schema.attrs
   in
+  let cards = Array.map (fun a -> Value.card a.Schema.domain) attrs in
   let cols =
     Array.init n_attrs (fun ai ->
         match disc.(ai) with
@@ -35,88 +39,54 @@ let build ~table ~bucketize ~budget_bytes ?(kind = Cpd.Trees) ?(seed = 0) db =
   let data = Data.create ~names ~cards ~ordinal cols in
   let cfg = { (Learn.default_config ~budget_bytes) with Learn.kind; seed } in
   let result = Learn.learn ~config:cfg data in
-  let bn = result.Learn.bn in
   let boundary_bytes =
     Array.fold_left
       (fun acc d -> match d with Some d -> acc + Bytesize.values d.Discretize.n_bins | None -> acc)
       0 disc
   in
-  let n = float_of_int (Table.size tbl) in
-  let attr_index name =
-    let rec go i =
-      if i >= n_attrs then raise Not_found
-      else if names.(i) = name then i
-      else go (i + 1)
-    in
-    go 0
+  let model = Bn_est.model_of_bn ~table (Array.to_list attrs) result.Learn.bn in
+  (* Coverage of a predicate on a bucketized attribute: the fraction of
+     each bucket's base-level values that satisfy it. *)
+  let coverage (d : Discretize.t) pred =
+    let cov = Array.make d.Discretize.n_bins 0.0 in
+    Array.iteri
+      (fun base_value bin ->
+        if Query.pred_holds pred base_value then cov.(bin) <- cov.(bin) +. 1.0)
+      d.Discretize.bin_of;
+    Array.mapi (fun b c -> c /. float_of_int d.Discretize.width.(b)) cov
   in
-  (* Coverage of a predicate at bucket level: fraction of each bucket's
-     base-level values that satisfy it. *)
-  let coverage ai pred =
-    match disc.(ai) with
-    | None ->
-      Array.init cards.(ai) (fun v -> if Query.pred_holds pred v then 1.0 else 0.0)
-    | Some d ->
-      let cov = Array.make d.Discretize.n_bins 0.0 in
-      Array.iteri
-        (fun base_value bin ->
-          if Query.pred_holds pred base_value then cov.(bin) <- cov.(bin) +. 1.0)
-        d.Discretize.bin_of;
-      Array.mapi (fun b c -> c /. float_of_int d.Discretize.width.(b)) cov
-  in
-  let posterior_cache : (int list, Factor.t) Hashtbl.t = Hashtbl.create 8 in
   let estimate q =
     Exec.validate db q;
-    (match (q.Query.tvars, q.Query.joins) with
-    | [ (_, t) ], [] when t = table -> ()
-    | _ -> raise (Estimator.Unsupported "discretized estimator: single table, no joins"));
-    (* Combine (multiply) coverages per attribute across the selects. *)
-    let cov_of : (int, float array) Hashtbl.t = Hashtbl.create 4 in
-    List.iter
-      (fun s ->
-        let ai =
-          try attr_index s.Query.sel_attr
-          with Not_found ->
-            raise (Estimator.Unsupported ("unknown attribute " ^ s.Query.sel_attr))
-        in
-        let c = coverage ai s.Query.pred in
-        match Hashtbl.find_opt cov_of ai with
-        | None -> Hashtbl.add cov_of ai c
-        | Some prev -> Hashtbl.replace cov_of ai (Array.map2 (fun a b -> a *. b) prev c))
-      q.Query.selects;
-    let vars = List.sort compare (Hashtbl.fold (fun v _ acc -> v :: acc) cov_of []) in
-    if vars = [] then n
-    else begin
-      let posterior =
-        match Hashtbl.find_opt posterior_cache vars with
-        | Some f -> f
-        | None ->
-          let f = Ve.posterior (Bn.factors bn) [] ~keep:(Array.of_list vars) in
-          Hashtbl.add posterior_cache vars f;
-          f
-      in
-      (* Σ over bucket cells of P(cell) × Π coverage. *)
-      let vars_arr = Array.of_list vars in
-      let d = Array.length vars_arr in
-      let cell = Array.make d 0 in
-      let acc = ref 0.0 in
-      let rec go i =
-        if i = d then begin
-          let w = ref (Factor.get posterior cell) in
-          Array.iteri
-            (fun j var -> w := !w *. (Hashtbl.find cov_of var).(cell.(j)))
-            vars_arr;
-          acc := !acc +. !w
-        end
-        else
-          for v = 0 to cards.(vars_arr.(i)) - 1 do
-            cell.(i) <- v;
-            go (i + 1)
-          done
-      in
-      go 0;
-      n *. !acc
-    end
+    let tv =
+      match (q.Query.tvars, q.Query.joins) with
+      | [ (tv, t) ], [] when t = table -> tv
+      | _ -> raise (Estimator.Unsupported "discretized estimator: single table, no joins")
+    in
+    (* Plain selects stay evidence; a bucketized attribute's selects
+       multiply into one coverage per bucket. *)
+    let cov = Array.make n_attrs None in
+    let plain =
+      List.filter
+        (fun s ->
+          let ai = Schema.attr_index ts s.Query.sel_attr in
+          match disc.(ai) with
+          | None -> true
+          | Some d ->
+            let c = coverage d s.Query.pred in
+            cov.(ai) <- Some (match cov.(ai) with None -> c | Some p -> Array.map2 ( *. ) p c);
+            false)
+        q.Query.selects
+    in
+    let keys = List.filter (fun ai -> cov.(ai) <> None) (List.init n_attrs Fun.id) in
+    (* Σ over bucket cells of the cell's estimate × Π coverage. *)
+    Estimate.group_counts model ~sizes:[| Table.size tbl |] (Query.with_selects q plain)
+      ~keys:(List.map (fun ai -> (tv, names.(ai))) keys)
+    |> List.fold_left
+         (fun acc (cell, est) ->
+           let w = ref est in
+           List.iteri (fun j ai -> w := !w *. (Option.get cov.(ai)).(cell.(j))) keys;
+           acc +. !w)
+         0.0
   in
   {
     Estimator.name = "PRM(bucketized)";

@@ -7,12 +7,16 @@
     selected attributes are equi-depth bucketized, a BN is learned over the
     transformed table, and base-level predicates are answered as
 
-    {[ N · Σ_cells P(bucket cells) · Π_attr coverage(cell) ]}
+    {[ Σ_cells est(plain selects, bucket cell) · Π_attr coverage(cell) ]}
 
-    where coverage is the fraction of a bucket's base values satisfying the
-    predicate (1 or 0 for non-bucketized attributes).  Exact bucket-level
-    queries lose nothing; base-level point queries pay only the
-    within-bucket uniformity assumption. *)
+    where the cells range over the buckets of the bucketized attributes
+    the query selects on, coverage is the fraction of a bucket's base
+    values satisfying that attribute's predicates, and each cell's
+    estimate comes from one compiled plan of the query's plain selects
+    plus one equality per bucketized attribute
+    ([Estimate.group_counts] over {!Bn_est.model_of_bn}).  Exact
+    bucket-level queries lose nothing; base-level point queries pay only
+    the within-bucket uniformity assumption. *)
 
 val build :
   table:string -> bucketize:(string * int) list -> budget_bytes:int ->

@@ -11,11 +11,12 @@ type t = {
   name : string;
   bytes : int;
   prepare : Selest_db.Query.t -> unit;
-      (** Pay any per-skeleton work (plan compilation, posterior
-          materialization) for the given query's shape up front, so a
-          suite runner keeps it out of the per-query path.  A no-op for
-          estimators with no compiled state; always optional — [estimate]
-          must work without it. *)
+      (** Pay any per-skeleton work (plan compilation) for the given
+          query's shape up front, so a suite runner keeps it out of the
+          per-query path.  A no-op for estimators with no compiled state
+          and for a query [estimate] rejects (the runner calls it
+          outside its {!Unsupported} handler); always optional —
+          [estimate] must work without it. *)
   estimate : Selest_db.Query.t -> float;
 }
 

@@ -13,7 +13,8 @@ module Model = Selest_prm.Model
    joins, and the network's nodes.  Tuple variables are indices — the
    query's own first, then each parent the closure adds, in insertion
    order.  Node ids: needed attributes in the order the closure first
-   needs them, then join indicators in join order. *)
+   needs them (the selected ones first, in (tuple variable, attribute)
+   order), then join indicators in join order. *)
 
 type network = {
   tv_names : string array;
@@ -116,13 +117,23 @@ let compute_network (prm : Model.t) q =
       require_join_parents tv fk fresh;
       fresh
   in
-  (* Seeds: selected attributes, plus the indicators of the query's own
-     joins (a join with no selects still constrains the result size). *)
-  List.iter
-    (fun s ->
+  (* Seeds: selected attributes in (tuple variable, attribute) order,
+     whatever order the selects name them in, so every ordering of one
+     skeleton numbers its network alike; then the indicators of the
+     query's own joins (a join with no selects still constrains the
+     result size).  Each select is one int key [tv * stride + attr]. *)
+  let stride =
+    1 + Array.fold_left (fun m ts -> max m (Array.length ts.Schema.attrs)) 0 tables
+  in
+  let seeds = Array.make (List.length q.Query.selects) 0 in
+  List.iteri
+    (fun i s ->
       let tv = tv_of s.Query.sel_tv in
-      need tv (Schema.attr_index tables.(!tvs.(tv).table) s.Query.sel_attr))
+      seeds.(i) <-
+        (tv * stride) + Schema.attr_index tables.(!tvs.(tv).table) s.Query.sel_attr)
     q.Query.selects;
+  Array.sort Int.compare seeds;
+  Array.iter (fun key -> need (key / stride) (key mod stride)) seeds;
   List.iter (fun (c, fk, p) -> require_join_parents c fk p) !joins;
   (* Fixpoint: pull in ancestors, materializing joins for cross-table
      parents. *)

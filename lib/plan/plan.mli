@@ -50,7 +50,11 @@ val compile : Selest_prm.Model.t -> Selest_db.Query.t -> t
     with the compile query's own binding shape.  The skeleton key and
     node names are rendered only when {!skeleton} or {!pp} ask.  Any
     query with the same {!skeleton_key} can be bound against the
-    result.  Wrapped in a ["plan.compile"] span. *)
+    result.  Nodes are numbered from the selected attributes in
+    (tuple variable, attribute) order, not select order, so every
+    query of one skeleton compiles the same network and gets the same
+    bits whichever of them compiled it.  Wrapped in a ["plan.compile"]
+    span. *)
 
 val relabel : Selest_prob.Factor.t -> int array -> Selest_prob.Factor.t
 (** [relabel f nodes]: [f] with its [i]-th variable ([vars f].(i))

@@ -442,11 +442,6 @@ let product_into sc a b =
 
 let total t = Arrayx.sum t.data
 
-let normalize t =
-  let z = total t in
-  if z > 0.0 then { t with data = Array.map (fun x -> x /. z) t.data }
-  else { t with data = Array.make (Array.length t.data) (1.0 /. float_of_int (Array.length t.data)) }
-
 (* Membership in a small sorted int array (scopes are tiny: linear scan
    with early exit beats binary search at these sizes). *)
 let mem_sorted arr v =

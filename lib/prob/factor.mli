@@ -112,8 +112,6 @@ val observe_mask : t -> int -> bool array -> t
 val total : t -> float
 (** Sum of all entries. *)
 
-val normalize : t -> t
-
 val marginal : t -> int array -> t
 (** [marginal f keep] sums out every variable not in [keep], in one fused
     pass over the table ({!marginalize_onto}). *)

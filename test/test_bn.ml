@@ -221,8 +221,7 @@ let test_bn_prob_of_evidence () =
 
 let test_bn_marginal_and_sample () =
   let bn = eih_bn Cpd.Tables in
-  let m = Bn.marginal bn 1 in
-  check_float "marginal I" 0.47 m.(0);
+  check_float "marginal I" 0.47 (Bn.prob_of bn [ (1, Query.Eq 0) ]);
   let rng = Selest_util.Rng.create 12 in
   let counts = Array.make 3 0 in
   for _ = 1 to 20_000 do
@@ -300,39 +299,7 @@ let prop_ve_total_is_one =
   QCheck2.Test.make ~name:"VE total mass 1" ~count:100 gen_random_bn_and_evidence
     (fun (bn, _, _) -> abs_float (Bn.prob_of bn [] -. 1.0) < 1e-9)
 
-let test_posterior () =
-  let bn = eih_bn Cpd.Tables in
-  let post = Ve.posterior (Bn.factors bn) [ (2, Query.Eq 1) ] ~keep:[| 1 |] in
-  (* P(I | H = 1) by Bayes on the Fig. 1 joint. *)
-  let p_h1 = 0.03 +. 0.045 +. 0.045 +. 0.015 +. 0.027 +. 0.054 +. 0.002 +. 0.018 +. 0.108 in
-  let p_i2_h1 = 0.045 +. 0.054 +. 0.108 in
-  check_float "posterior" (p_i2_h1 /. p_h1) (Selest_prob.Factor.get post [| 2 |])
-
-
-let test_cached_prob_agrees () =
-  let bn = eih_bn Cpd.Tables in
-  let cached = Bn.cached_prob bn in
-  for e = 0 to 2 do
-    for i = 0 to 2 do
-      let ev = [ (0, Query.Eq e); (1, Query.Eq i) ] in
-      check_float "cached = direct" (Bn.prob_of bn ev) (cached ev)
-    done
-  done;
-  (* range falls back and still agrees *)
-  let ev = [ (1, Query.Range (1, 2)); (2, Query.Eq 1) ] in
-  check_float "range fallback" (Bn.prob_of bn ev) (cached ev);
-  (* duplicated variable (conjunction on one var) falls back *)
-  let ev = [ (1, Query.Eq 1); (1, Query.Eq 2) ] in
-  check_float "contradiction" 0.0 (cached ev)
-
-
 (* ---- Optimized VE vs the Reference engine ----------------------------------- *)
-
-let factor_bit_equal f g =
-  let open Selest_prob in
-  Factor.vars f = Factor.vars g
-  && Factor.cards f = Factor.cards g
-  && Factor.data f = Factor.data g
 
 (* Like [gen_random_bn_and_evidence] but exercising the full predicate
    language: Eq, Range and In_set evidence, including redundant (all-true)
@@ -386,28 +353,6 @@ let prop_ve_bit_identical_to_reference =
       let fast = Ve.prob_of_evidence fs evidence in
       let slow = Ve.Reference.prob_of_evidence fs evidence in
       Int64.bits_of_float fast = Int64.bits_of_float slow)
-
-let prop_posterior_bit_identical_to_reference =
-  QCheck2.Test.make ~name:"optimized posterior ≡ Reference (bit-identical)" ~count:100
-    gen_random_bn_and_rich_evidence (fun (bn, cards, evidence) ->
-      let fs = Bn.factors bn in
-      (* keep the variables NOT mentioned in the evidence (at least var 0) *)
-      let mentioned = List.map fst evidence in
-      let keep =
-        Array.of_list
-          (List.filter
-             (fun v -> not (List.mem v mentioned))
-             (List.init (Array.length cards) (fun i -> i)))
-      in
-      let keep = if Array.length keep = 0 then [| 0 |] else keep in
-      match Ve.posterior fs evidence ~keep with
-      | fast -> factor_bit_equal fast (Ve.Reference.posterior fs evidence ~keep)
-      | exception Invalid_argument _ ->
-        (* contradictory evidence: both engines must refuse identically *)
-        (try
-           ignore (Ve.Reference.posterior fs evidence ~keep);
-           false
-         with Invalid_argument _ -> true))
 
 let test_ve_schedule () =
   let bn = eih_bn Cpd.Tables in
@@ -700,8 +645,6 @@ let () =
           Alcotest.test_case "prob of evidence" `Quick test_bn_prob_of_evidence;
           Alcotest.test_case "marginal and sample" `Quick test_bn_marginal_and_sample;
           Alcotest.test_case "structure improves loglik" `Quick test_bn_loglik_improves_with_structure;
-          Alcotest.test_case "posterior" `Quick test_posterior;
-          Alcotest.test_case "cached prob agrees" `Quick test_cached_prob_agrees;
           Alcotest.test_case "schedule" `Quick test_ve_schedule;
           Alcotest.test_case "normalize evidence" `Quick test_normalize_evidence;
           Alcotest.test_case "plan order" `Quick test_plan_order_covers_non_keep;
@@ -721,7 +664,6 @@ let () =
             prop_ve_matches_enumeration;
             prop_ve_total_is_one;
             prop_ve_bit_identical_to_reference;
-            prop_posterior_bit_identical_to_reference;
           ] );
       ( "learning",
         [

@@ -454,6 +454,108 @@ let test_join_synopses_budget_split () =
   let js = Join_synopses.build ~budget_bytes:12_000 ~seed:2 db in
   Alcotest.(check bool) "within budget-ish" true (js.Estimator.bytes <= 12_000 + 256)
 
+let test_bn_est_unsupported () =
+  let db = Lazy.force census in
+  let bn = Bn_est.build ~table:"person" ~attrs:[ "Age"; "Income" ] ~budget_bytes:1_500 db in
+  let unmodelled = person_q [ Query.eq "t" "Sex" 0 ] in
+  let two_tvars = Query.create ~tvars:[ ("t", "person"); ("u", "person") ] () in
+  List.iter
+    (fun q ->
+      (* a runner prepares before it estimates, outside its handler *)
+      bn.Estimator.prepare q;
+      Alcotest.(check bool) "estimate raises Unsupported" true
+        (try
+           ignore (bn.Estimator.estimate q);
+           false
+         with Estimator.Unsupported _ -> true))
+    [ unmodelled; two_tvars ]
+
+(* ---- the BN estimator on the compiled plan ------------------------------------------ *)
+
+let small_census = lazy (Selest_synth.Census.generate ~rows:2_000 ~seed:21 ())
+
+(* The BN [Bn_est.build] learns for [attrs]: the same data view and
+   config, so the same network. *)
+let learn_like_bn_est tbl attrs ~budget_bytes ~kind ~seed =
+  let open Selest_bn in
+  let all = Data.of_table tbl in
+  let sel = Array.of_list (List.map (Schema.attr_index (Table.schema tbl)) attrs) in
+  let pick a = Array.map (fun i -> a.(i)) sel in
+  let data =
+    Data.create ~names:(pick all.Data.names) ~cards:(pick all.Data.cards)
+      ~ordinal:(pick all.Data.ordinal) (pick all.Data.cols)
+  in
+  (Learn.learn ~config:{ (Learn.default_config ~budget_bytes) with Learn.kind; seed } data)
+    .Learn.bn
+
+(* From [seed]: a CPD kind, a budget, 3-4 modelled attributes, and
+   instantiations of one skeleton over 2-3 of them, each select a point,
+   range or set predicate, some attribute selected twice, in a shuffled
+   order. *)
+let bn_twin_case seed =
+  let rng = Selest_util.Rng.create (seed * 7919) in
+  let kind = if seed mod 2 = 0 then Selest_bn.Cpd.Tables else Selest_bn.Cpd.Trees in
+  let budget_bytes = 600 + Selest_util.Rng.int rng 3_000 in
+  let names = Selest_synth.Census.attr_names in
+  let person = Schema.find_table Selest_synth.Census.schema "person" in
+  let cards = Array.map (fun a -> Value.card a.Schema.domain) person.Schema.attrs in
+  let order = Array.init (Array.length names) Fun.id in
+  Selest_util.Rng.shuffle rng order;
+  let n_attrs = 3 + Selest_util.Rng.int rng 2 in
+  let modelled = Array.sub order 0 n_attrs in
+  let selected = Array.sub modelled 0 (2 + Selest_util.Rng.int rng 2) in
+  let pred a =
+    let card = cards.(a) and name = names.(a) in
+    match Selest_util.Rng.int rng 4 with
+    | 0 ->
+      let lo = Selest_util.Rng.int rng card in
+      Query.range "t" name lo (lo + Selest_util.Rng.int rng (card - lo))
+    | 1 -> Query.in_set "t" name (List.init 2 (fun _ -> Selest_util.Rng.int rng card))
+    | _ -> Query.eq "t" name (Selest_util.Rng.int rng card)
+  in
+  let queries =
+    List.init 8 (fun _ ->
+        let sels = Array.to_list (Array.map pred selected) in
+        let sels =
+          if Selest_util.Rng.int rng 3 = 0 then pred selected.(0) :: sels else sels
+        in
+        let sels = Array.of_list sels in
+        Selest_util.Rng.shuffle rng sels;
+        person_q (Array.to_list sels))
+  in
+  (kind, budget_bytes, Array.to_list (Array.map (fun a -> names.(a)) modelled), queries)
+
+let prop_bn_est_is_one_shot_plan =
+  QCheck2.Test.make
+    ~name:"BN estimator = one-shot plan, bit for bit, = N x Bn.prob_of" ~count:10
+    ~long_factor:20 ~print:QCheck2.Print.int
+    QCheck2.Gen.(int_range 1 1000)
+    (fun seed ->
+      let db = Lazy.force small_census in
+      let tbl = Database.table db "person" in
+      let kind, budget_bytes, attrs, queries = bn_twin_case seed in
+      let est = Bn_est.build ~table:"person" ~attrs ~budget_bytes ~kind ~seed db in
+      let bn = learn_like_bn_est tbl attrs ~budget_bytes ~kind ~seed in
+      let model =
+        Bn_est.model_of_bn ~table:"person" (List.map (Schema.attr (Table.schema tbl)) attrs) bn
+      in
+      let n = Table.size tbl in
+      let var a = Option.get (List.find_index (String.equal a) attrs) in
+      List.for_all
+        (fun q ->
+          let cached = est.Estimator.estimate q in
+          let one_shot =
+            Selest_plan.Plan.estimate (Selest_plan.Plan.compile model q) ~sizes:[| n |] q
+          in
+          let oracle =
+            float_of_int n
+            *. Selest_bn.Bn.prob_of bn
+                 (List.map (fun s -> (var s.Query.sel_attr, s.Query.pred)) q.Query.selects)
+          in
+          Int64.bits_of_float cached = Int64.bits_of_float one_shot
+          && Float.abs (cached -. oracle) <= 1e-12 *. Float.abs oracle)
+        queries)
+
 (* ---- Discretized estimator (Sec. 2.3) -------------------------------------------- *)
 
 let test_discretized_bucket_level_queries () =
@@ -522,6 +624,24 @@ let test_discretized_smaller_model () =
   let full = Bn_est.build ~table:"person" ~budget_bytes:50_000 db in
   (* with a generous budget, the bucketized model ends up smaller *)
   Alcotest.(check bool) "compression" true (coarse.Estimator.bytes < full.Estimator.bytes)
+
+(* With nothing bucketized, the discretized estimator learns the same
+   network as the BN estimator and answers on the same plan. *)
+let test_discretized_unbucketized_is_bn_est () =
+  let db = Lazy.force small_census in
+  List.iter
+    (fun seed ->
+      let kind, budget_bytes, _, queries = bn_twin_case seed in
+      let disc = Discretized.build ~table:"person" ~bucketize:[] ~budget_bytes ~kind ~seed db in
+      let bn = Bn_est.build ~table:"person" ~budget_bytes ~kind ~seed db in
+      List.iter
+        (fun q ->
+          Alcotest.(check int64)
+            "bit for bit"
+            (Int64.bits_of_float (bn.Estimator.estimate q))
+            (Int64.bits_of_float (disc.Estimator.estimate q)))
+        queries)
+    [ 1; 2; 3; 4 ]
 
 (* ---- PRM estimator (integration) -------------------------------------------------- *)
 
@@ -598,7 +718,9 @@ let () =
           Alcotest.test_case "beats AVI" `Quick test_bn_est_accuracy;
           Alcotest.test_case "names" `Quick test_bn_est_names;
           Alcotest.test_case "range and set predicates" `Quick test_bn_est_range_and_inset;
+          Alcotest.test_case "unsupported" `Quick test_bn_est_unsupported;
         ] );
+      ( "one-engine", List.map QCheck_alcotest.to_alcotest [ prop_bn_est_is_one_shot_plan ] );
       ( "synopsis-properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_haar_roundtrip_random_dims; prop_svd_rank_min_dim_exact ] );
@@ -622,6 +744,8 @@ let () =
           Alcotest.test_case "base-level point queries" `Quick test_discretized_base_level_point;
           Alcotest.test_case "range consistency" `Quick test_discretized_range_consistency;
           Alcotest.test_case "compression" `Quick test_discretized_smaller_model;
+          Alcotest.test_case "nothing bucketized = BN estimator" `Quick
+            test_discretized_unbucketized_is_bn_est;
         ] );
       ( "prm-est",
         [

@@ -277,8 +277,7 @@ let test_skeleton_key_splits_binding () =
 
 (* Mutually exclusive predicates on one attribute must surface as a zero
    estimate through every layer — plan execution, the one-shot wrapper,
-   the suite estimator's posterior-lookup path — never as an error.  The
-   posterior path used to silently let the last duplicate win. *)
+   the suite estimator's cached plan — never as an error. *)
 let contradictory_query =
   Query.create
     ~tvars:[ ("e", "emp"); ("d", "dept") ]

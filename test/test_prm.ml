@@ -745,10 +745,11 @@ let prop_serialize_stable =
 
 (* Every instantiation of one skeleton, in an order rotated by [seed] so
    that different instantiations compile the cached plan: equalities,
-   duplicate equalities, contradictions and ranges.  Each names Rank
-   before Floor, as a suite's instantiations do: [Plan.compile] numbers
-   the network's nodes in the order the selects first name them, and a
-   reordered query's one-shot estimate can differ in its last bit. *)
+   duplicate equalities, contradictions and ranges, each with its
+   selects in the given order, reversed, and with its first select
+   repeated last.  [Plan.compile] numbers the network's nodes by
+   (tuple variable, attribute), not by select order, so every one of
+   them compiles the same network. *)
 let instantiations seed =
   let rank v = Query.eq "e" "Rank" v and floor v = Query.eq "d" "Floor" v in
   let qs =
@@ -761,6 +762,7 @@ let instantiations seed =
           [ rank 0; Query.range "d" "Floor" fl 2 ];
           [ rank 1; floor fl; Query.range "d" "Floor" 1 2 ] ])
       [ 0; 1; 2 ]
+    |> List.concat_map (fun sels -> [ sels; List.rev sels; sels @ [ List.hd sels ] ])
   in
   let k = seed mod List.length qs in
   List.filteri (fun i _ -> i >= k) qs @ List.filteri (fun i _ -> i < k) qs
@@ -768,7 +770,7 @@ let instantiations seed =
 
 let prop_cached_is_one_shot =
   QCheck2.Test.make ~name:"cached estimator = one-shot estimate, bit for bit" ~count:10
-    ~long_factor:20
+    ~long_factor:20 ~print:QCheck2.Print.int
     QCheck2.Gen.(int_range 1 1000)
     (fun seed ->
       let dbx = random_fixture seed in
