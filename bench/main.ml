@@ -149,6 +149,17 @@ let prm_for db = fun budget -> Est.Prm_est.build ~budget_bytes:budget ~seed:cfg.
 
 let bn_uj_for db = fun budget -> Est.Prm_est.build_bn_uj ~budget_bytes:budget ~seed:cfg.seed db
 
+(* The census BN: the one-table census database learned as a PRM under
+   [Prm.Learn.bn_config] (seed 0). *)
+let census_bn ?(db = Lazy.force census) ?(kind = Bn.Cpd.Trees) ?(rule = Prm.Learn.Ssn) budget =
+  Prm.Learn.learn ~config:{ (Prm.Learn.bn_config ~budget_bytes:budget) with Prm.Learn.kind; rule } db
+
+(* Its factors for one-shot VE: one CPD per attribute, over the
+   attribute ids. *)
+let census_factors r =
+  let m = r.Prm.Learn.model in
+  List.init (Array.length m.Prm.Model.tables.(0).Prm.Model.attr_families) (Prm.Model.attr_table m 0)
+
 (* whole-join SAMPLE for multi-table dbs: store all attributes *)
 let join_sample_for db ~n_attrs = fun budget ->
   Est.Sample.build ~rows:(max 1 (budget / (4 * n_attrs))) ~seed:cfg.seed db
@@ -409,9 +420,7 @@ let learn_census ~kind ~budget ~rows =
     if rows = census_rows then Lazy.force census
     else Synth.Census.generate ~rows ~seed:cfg.seed ()
   in
-  let data = Bn.Data.of_table (Db.Database.table db "person") in
-  let config = { (Bn.Learn.default_config ~budget_bytes:budget) with Bn.Learn.kind } in
-  Bn.Learn.learn ~config data
+  census_bn ~db ~kind budget
 
 let fig7a () =
   section "F7a (Fig. 7a): construction time vs model storage (census)";
@@ -423,8 +432,8 @@ let fig7a () =
         let learn kind () = learn_census ~kind ~budget:b ~rows:census_rows in
         let rt, tt = H.time (learn Bn.Cpd.Trees) in
         let rb, tb = H.time (learn Bn.Cpd.Tables) in
-        [| kb b; Printf.sprintf "%.2f" tt; string_of_int rt.Bn.Learn.bytes;
-           Printf.sprintf "%.2f" tb; string_of_int rb.Bn.Learn.bytes |])
+        [| kb b; Printf.sprintf "%.2f" tt; string_of_int rt.Prm.Learn.bytes;
+           Printf.sprintf "%.2f" tb; string_of_int rb.Prm.Learn.bytes |])
       budgets
   in
   Util.Tablefmt.print ~header (Array.of_list rows)
@@ -441,7 +450,7 @@ let fig7b () =
   let learn kind n =
     Prob.Counts.reset_total_scans ();
     let r, t = H.time (fun () -> learn_census ~kind ~budget:3_584 ~rows:n) in
-    [| Printf.sprintf "%.2f" t; string_of_int r.Bn.Learn.family_evaluations;
+    [| Printf.sprintf "%.2f" t; string_of_int r.Prm.Learn.family_evaluations;
        string_of_int (Prob.Counts.total_scans ()) |]
   in
   let rows =
@@ -453,16 +462,14 @@ let fig7b () =
   Util.Tablefmt.print ~header (Array.of_list rows)
 
 (* Estimation time on the engine that serves, per budget and CPD kind: a
-   cold [Plan.compile] of the query on a fresh conversion of the BN (so
-   it also tabulates the CPDs, as after a LOAD) and a warm [Plan.estimate]
+   cold [Plan.compile] of the query on a fresh copy of the model (so it
+   also tabulates the CPDs, as after a LOAD) and a warm [Plan.estimate]
    on the compiled plan, each the median of 15 calibration-scaled
    samples. *)
 let fig7c () =
   section "F7c (Fig. 7c): estimation time vs model size (microseconds per query)";
   let db = Lazy.force census in
   let person = Db.Database.table db "person" in
-  let data = Bn.Data.of_table person in
-  let attrs = Array.to_list (Db.Table.schema person).Db.Schema.attrs in
   let budgets = [ 1_000; 3_000; 5_000; 7_000; 9_000 ] in
   let q =
     let eq a v = Db.Query.eq "p" Synth.Census.attr_names.(a) v in
@@ -471,12 +478,9 @@ let fig7c () =
   let sizes = [| Db.Table.size person |] in
   let reps = 200 in
   let timed b kind =
-    let r =
-      Bn.Learn.learn
-        ~config:{ (Bn.Learn.default_config ~budget_bytes:b) with Bn.Learn.kind }
-        data
-    in
-    let fresh () = Est.Bn_est.model_of_bn ~table:"person" attrs r.Bn.Learn.bn in
+    let r = census_bn ~db ~kind b in
+    let m = r.Prm.Learn.model in
+    let fresh () = Prm.Model.create m.Prm.Model.schema m.Prm.Model.tables in
     let compile m = ignore (Sys.opaque_identity (Plan.compile m q)) in
     compile (fresh ());
     let cold =
@@ -501,9 +505,9 @@ let fig7c () =
     in
     H.stat_row ("compile_us " ^ label) "us" compile_us;
     H.stat_row ("estimate_us " ^ label) "us" estimate_us;
-    H.row ("bytes " ^ label) "bytes" (float_of_int r.Bn.Learn.bytes);
+    H.row ("bytes " ^ label) "bytes" (float_of_int r.Prm.Learn.bytes);
     [| Printf.sprintf "%.1f" compile_us.H.median; Printf.sprintf "%.2f" estimate_us.H.median;
-       string_of_int r.Bn.Learn.bytes |]
+       string_of_int r.Prm.Learn.bytes |]
   in
   let header =
     [| "budget"; "trees compile us"; "trees estimate us"; "trees bytes";
@@ -587,7 +591,6 @@ let census_true_edges =
 
 let fig_structure () =
   section "S1: skeleton recovery vs the generator's ground truth (census)";
-  let data = Bn.Data.of_table (Db.Database.table (Lazy.force census) "person") in
   let name i = Synth.Census.attr_names.(i) in
   let true_adj =
     List.map (fun (a, b) -> if a < b then (a, b) else (b, a)) census_true_edges
@@ -597,13 +600,18 @@ let fig_structure () =
   let rows =
     List.map
       (fun budget ->
-        let r = Bn.Learn.learn ~config:(Bn.Learn.default_config ~budget_bytes:budget) data in
+        let m = (census_bn budget).Prm.Learn.model in
+        let scope = Prm.Model.scope m 0 in
         let learned =
-          List.map
-            (fun (u, v) ->
-              let a = name u and b = name v in
-              if a < b then (a, b) else (b, a))
-            (Bn.Dag.edges r.Bn.Learn.bn.Bn.Bn.dag)
+          Array.to_list m.Prm.Model.tables.(0).Prm.Model.attr_families
+          |> List.mapi (fun v f ->
+                 List.map
+                   (fun p -> (Prm.Model.Scope.local_id scope p, v))
+                   (Array.to_list f.Prm.Model.parents))
+          |> List.concat
+          |> List.map (fun (u, v) ->
+                 let a = name u and b = name v in
+                 if a < b then (a, b) else (b, a))
           |> List.sort_uniq compare
         in
         let tp = List.length (List.filter (fun e -> List.mem e true_adj) learned) in
@@ -622,40 +630,31 @@ let fig_structure () =
 
 let ablation_score () =
   section "A1 (Sec. 4.3.3): move-selection rules Naive vs SSN vs MDL (census)";
-  let data = Bn.Data.of_table (Db.Database.table (Lazy.force census) "person") in
   let suite =
     Suite.single_table ~name:"a1" ~table:"person" ~attrs:[ "Age"; "Education"; "Income" ]
   in
   let db = Lazy.force census in
-  let person = Db.Table.schema (Db.Database.table db "person") in
   let header = [| "budget"; "rule"; "loglik (bits/row)"; "bytes"; "avg err %" |] in
   let rows = ref [] in
   List.iter
     (fun budget ->
       List.iter
         (fun (rname, rule) ->
-          let config =
-            { (Bn.Learn.default_config ~budget_bytes:budget) with Bn.Learn.rule }
-          in
-          let r = Bn.Learn.learn ~config data in
-          let model =
-            Est.Bn_est.model_of_bn ~table:"person" (Array.to_list person.Db.Schema.attrs)
-              r.Bn.Learn.bn
-          in
+          let r = census_bn ~rule budget in
           let est = {
             Est.Estimator.name = rname;
-            bytes = r.Bn.Learn.bytes;
+            bytes = r.Prm.Learn.bytes;
             prepare = ignore;
-            estimate = Prm.Estimate.cached_estimator model ~sizes:[| census_rows |];
+            estimate = Prm.Estimate.cached_estimator r.Prm.Learn.model ~sizes:[| census_rows |];
           } in
           let o = Runner.run db suite est ~max_queries:4_000 ~seed:cfg.seed () in
           rows :=
             [| kb budget; rname;
-               Printf.sprintf "%.3f" (r.Bn.Learn.loglik /. float_of_int census_rows);
-               string_of_int r.Bn.Learn.bytes;
+               Printf.sprintf "%.3f" (r.Prm.Learn.loglik /. float_of_int census_rows);
+               string_of_int r.Prm.Learn.bytes;
                Printf.sprintf "%.1f" o.Runner.avg_error |]
             :: !rows)
-        [ ("naive", Bn.Learn.Naive); ("ssn", Bn.Learn.Ssn); ("mdl", Bn.Learn.Mdl) ])
+        [ ("naive", Prm.Learn.Naive); ("ssn", Prm.Learn.Ssn); ("mdl", Prm.Learn.Mdl) ])
     [ 1_000; 2_000; 4_000 ];
   Util.Tablefmt.print ~header (Array.of_list (List.rev !rows))
 
@@ -718,13 +717,7 @@ let check_bits name bad n what =
    first) and ESTBATCH against sequential EST on cold estimate caches. *)
 let fig_inference () =
   section "I1: fast inference core — stride kernels, ESTBATCH";
-  let data = Bn.Data.of_table (Db.Database.table (Lazy.force census) "person") in
-  let learn_tables budget =
-    (Bn.Learn.learn
-       ~config:
-         { (Bn.Learn.default_config ~budget_bytes:budget) with Bn.Learn.kind = Bn.Cpd.Tables }
-       data).Bn.Learn.bn
-  in
+  let table_factors budget = census_factors (census_bn ~kind:Bn.Cpd.Tables budget) in
   (* prob_of_evidence plans from scratch per call; schedule reuse is the
      plan IR's job and is measured by the "plan" figure. *)
   let ve_pair ~label ~metric ~reps ~pairs fs ev =
@@ -749,11 +742,11 @@ let fig_inference () =
   (* headline: a select+range query (the paper's Sec. 2.3 workload) on a
      64KB table-CPD census model — big CPTs keep the kernels busy *)
   ve_pair ~label:"VE eq+range query (64KB census BN)" ~metric:"ve_single" ~reps:3 ~pairs:7
-    (Bn.Bn.factors (learn_tables 65_536))
+    (table_factors 65_536)
     [ (10, Db.Query.Eq 7); (0, Db.Query.Range (2, 9)) ];
   (* secondary: an all-equality query on a paper-scale 4KB model *)
   ve_pair ~label:"VE 3xEq query (4KB census BN)" ~metric:"ve_eq_small" ~reps:30 ~pairs:9
-    (Bn.Bn.factors (learn_tables 4_096))
+    (table_factors 4_096)
     [ (10, Db.Query.Eq 7); (2, Db.Query.Eq 9); (0, Db.Query.Eq 5) ];
 
   (* --- ESTBATCH vs sequential EST, cold estimate cache: the ratio prices
@@ -1169,34 +1162,49 @@ let fig_frontend () =
     Perfbench.Workloads.stream Perfbench.Workloads.tb_miss ~seed:cfg.seed ~n:(warm + n_miss)
   in
   let miss_lines = Array.map (fun b -> "EST " ^ b) miss_bodies in
-  let mserver = H.fresh_server fx in
-  let serve_range lo hi =
+  let serve_range server lo hi =
     for i = lo to hi - 1 do
-      ignore (Sys.opaque_identity (Serve.Server.handle_line_shard mserver ~shard:0 miss_lines.(i)))
+      ignore (Sys.opaque_identity (Serve.Server.handle_line_shard server ~shard:0 miss_lines.(i)))
     done
   in
-  serve_range 0 warm;
+  let mserver = H.fresh_server fx in
+  serve_range mserver 0 warm;
   let misses0 = Serve.Lru.misses (Serve.Server.cache mserver) in
   let _, pmiss0, _ = Serve.Plan_cache.stats (Serve.Server.plan_cache mserver) in
   let block = n_miss / blocks in
-  let w0 = Gc.minor_words () in
   let block_ns =
     Array.init blocks (fun b ->
         let calib = H.calibrate () in
-        H.scaled ~calib (fun () -> serve_range (warm + (b * block)) (warm + ((b + 1) * block))))
+        H.scaled ~calib (fun () ->
+            serve_range mserver (warm + (b * block)) (warm + ((b + 1) * block))))
   in
-  let miss_words = (Gc.minor_words () -. w0) /. float_of_int n_miss in
   let miss_us = H.per_op ~us:true ~ops:block block_ns in
   let misses = Serve.Lru.misses (Serve.Server.cache mserver) - misses0 in
   let _, pmiss1, _ = Serve.Plan_cache.stats (Serve.Server.plan_cache mserver) in
-  Printf.printf "miss path (handle_line_shard): %.2fus/est, %.0f minor words/est\n"
-    miss_us.H.median miss_words;
   (* (SLOWLOG latency captures replay a few bodies on top: those probes
      hit the entry just filled, so count misses, not hits) *)
   H.check "miss workload: every estimate misses on a cached plan"
     (misses >= n_miss && pmiss1 = pmiss0)
     (Printf.sprintf "%d misses, %d plan compiles over %d estimates" misses (pmiss1 - pmiss0)
        n_miss);
+  (* Words per miss, counted apart from the timed blocks: a fresh server
+     compiles the plans on the [warm] bodies, then answers [n_count]
+     misses with no calibration in the window.  The timed pass above
+     also counted its slow-log latency captures, whose replays allocate
+     and whose number depends on timing.  A server arms latency capture
+     only at its 512th response, so this pass (fewer responses) has
+     none, and the check below holds it to that. *)
+  let n_count = 300 in
+  let cserver = H.fresh_server fx in
+  serve_range cserver 0 warm;
+  let w0 = Gc.minor_words () in
+  serve_range cserver warm (warm + n_count);
+  let miss_words = (Gc.minor_words () -. w0) /. float_of_int n_count in
+  H.check "miss word count ran no slow-log capture"
+    (Obs.Slowlog.total (Serve.Server.slowlog cserver) = 0)
+    (Printf.sprintf "%d captures" (Obs.Slowlog.total (Serve.Server.slowlog cserver)));
+  Printf.printf "miss path (handle_line_shard): %.2fus/est, %.0f minor words/est\n"
+    miss_us.H.median miss_words;
   H.check "miss path allocates <= 170 minor words/est" (miss_words <= 170.0)
     (Printf.sprintf "%.0f words/est" miss_words);
   H.stat_row "miss_us" "us" miss_us;
@@ -1371,7 +1379,22 @@ let fig_obs () =
   in
   sink_records := 0;
   let t_noop, t_traced = H.timed_pairs ~pairs:21 cold_pass (traced cold_pass) in
-  let spans_per_query = float_of_int !sink_records /. float_of_int (22 * n_queries) in
+  (* Spans per cold EST, counted in an untimed pass on a fresh server
+     (plans compiled first), each request collecting its own spans.  The
+     traced passes above also sink the spans of slow-log latency
+     captures' replays, whose number depends on timing; a replay
+     collects into its own buffer, so none reaches this count. *)
+  let spans_per_query =
+    let cserver = H.fresh_server fx in
+    List.iter (fun l -> ignore (H.ask cserver l)) est_lines;
+    Serve.Lru.clear (Serve.Server.cache cserver);
+    let spans =
+      List.fold_left
+        (fun acc l -> acc + List.length (snd (Obs.Span.collect (fun () -> H.ask cserver l))))
+        0 est_lines
+    in
+    float_of_int spans /. float_of_int n_queries
+  in
   let traced_over_noop = H.ratio t_traced t_noop in
   let query_us = H.per_op ~us:true ~ops:n_queries t_noop in
   let noop_pct =
@@ -1795,15 +1818,8 @@ let bechamel_suite () =
   section "Bechamel micro-benchmarks (inference and counting kernels)";
   let open Bechamel in
   let data = Bn.Data.of_table (Db.Database.table (Lazy.force census) "person") in
-  let tree_bn =
-    (Bn.Learn.learn ~config:(Bn.Learn.default_config ~budget_bytes:4_096) data).Bn.Learn.bn
-  in
-  let table_bn =
-    (Bn.Learn.learn
-       ~config:
-         { (Bn.Learn.default_config ~budget_bytes:4_096) with Bn.Learn.kind = Bn.Cpd.Tables }
-       data).Bn.Learn.bn
-  in
+  let tree_bn = census_factors (census_bn 4_096) in
+  let table_bn = census_factors (census_bn ~kind:Bn.Cpd.Tables 4_096) in
   let q = [ (10, Db.Query.Eq 7); (2, Db.Query.Eq 9) ] in
   let prm_model = lazy (learn_prm ~budget_bytes:4_096 ~seed:cfg.seed (Lazy.force tb)) in
   let tb_db = Lazy.force tb in
@@ -1815,9 +1831,9 @@ let bechamel_suite () =
   let tests =
     [
       Test.make ~name:"bn-ve-tree-cpds (select query)" (Staged.stage (fun () ->
-          ignore (Bn.Bn.prob_of tree_bn q)));
+          ignore (Bn.Ve.prob_of_evidence tree_bn q)));
       Test.make ~name:"bn-ve-table-cpds (select query)" (Staged.stage (fun () ->
-          ignore (Bn.Bn.prob_of table_bn q)));
+          ignore (Bn.Ve.prob_of_evidence table_bn q)));
       Test.make ~name:"prm-estimate (3-table join query)" (Staged.stage (fun () ->
           ignore (Prm.Estimate.estimate (Lazy.force prm_model) ~sizes join_q)));
       Test.make ~name:"contingency-count (40K rows x 2 attrs)" (Staged.stage (fun () ->

@@ -131,8 +131,8 @@ let rule_arg =
   Arg.(
     value
     & opt
-        (enum [ ("ssn", Bn.Learn.Ssn); ("mdl", Bn.Learn.Mdl); ("naive", Bn.Learn.Naive) ])
-        Bn.Learn.Ssn
+        (enum [ ("ssn", Prm.Learn.Ssn); ("mdl", Prm.Learn.Mdl); ("naive", Prm.Learn.Naive) ])
+        Prm.Learn.Ssn
     & info [ "rule" ] ~docv:"RULE" ~doc:"Move-selection rule: ssn, mdl or naive.")
 
 let bn_uj_arg =

@@ -15,7 +15,7 @@ let () =
 
   (* 2. Offline phase: learn the model under a 4KB storage budget. *)
   let bn = learn_bn ~budget_bytes:4096 person in
-  Format.printf "learned model:@.%a@." Bn.Bn.pp bn;
+  Format.printf "learned model:@.%a@." Prm.Model.pp bn;
 
   (* 3. Online phase: estimate query sizes.  A query selects values for
      some attributes; the model answers any such query. *)

@@ -20,19 +20,6 @@ let fit data ~dag ~kind =
   in
   { names = data.Data.names; cards = data.Data.cards; dag; cpds; factor_memo = None }
 
-let of_cpds ~names ~cards ~dag cpds =
-  let n = Array.length names in
-  if Dag.n_nodes dag <> n || Array.length cpds <> n || Array.length cards <> n then
-    invalid_arg "Bn.of_cpds: size mismatch";
-  Array.iteri
-    (fun v cpd ->
-      if Cpd.parents cpd <> Dag.parents dag v then
-        invalid_arg "Bn.of_cpds: CPD parents disagree with DAG";
-      if Cpd.child_card cpd <> cards.(v) then
-        invalid_arg "Bn.of_cpds: CPD arity disagrees with cards")
-    cpds;
-  { names; cards; dag; cpds; factor_memo = None }
-
 let n_vars t = Array.length t.names
 
 let joint_prob t assignment =
@@ -48,10 +35,6 @@ let joint_prob t assignment =
 
 let loglik t data =
   Arrayx.fold_lefti (fun acc v cpd -> acc +. Cpd.loglik cpd data ~child:v) 0.0 t.cpds
-
-let size_bytes t =
-  Array.fold_left (fun acc cpd -> acc + Cpd.size_bytes cpd) 0 t.cpds
-  + Bytesize.values (n_vars t)
 
 let factors t =
   match t.factor_memo with
@@ -76,18 +59,3 @@ let sample rng t =
       out.(v) <- Rng.categorical rng (Array.copy (Cpd.dist cpd pvals)))
     order;
   out
-
-let pp ppf t =
-  Format.fprintf ppf "BN over %d variables, %d edges, %d bytes@." (n_vars t)
-    (Dag.n_edges t.dag) (size_bytes t);
-  Array.iteri
-    (fun v cpd ->
-      let parents = Cpd.parents cpd in
-      if Array.length parents > 0 then
-        Format.fprintf ppf "  %s <- %s (%d params, %s)@." t.names.(v)
-          (String.concat ", "
-             (Array.to_list (Array.map (fun p -> t.names.(p)) parents)))
-          (Cpd.n_params cpd)
-          (match Cpd.kind_of cpd with Cpd.Tables -> "table" | Cpd.Trees -> "tree")
-      else Format.fprintf ppf "  %s (marginal, %d params)@." t.names.(v) (Cpd.n_params cpd))
-    t.cpds

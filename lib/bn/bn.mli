@@ -17,10 +17,6 @@ type t = private {
 val fit : Data.t -> dag:Dag.t -> kind:Cpd.kind -> t
 (** Maximum-likelihood CPDs for the given structure. *)
 
-val of_cpds : names:string array -> cards:int array -> dag:Dag.t -> Cpd.t array -> t
-(** Assemble from explicit CPDs; validates that each CPD's parents match
-    the DAG. *)
-
 val n_vars : t -> int
 
 val joint_prob : t -> int array -> float
@@ -28,10 +24,6 @@ val joint_prob : t -> int array -> float
 
 val loglik : t -> Data.t -> float
 (** Total data log-likelihood in bits (Eq. 3). *)
-
-val size_bytes : t -> int
-(** Model storage under the library-wide accounting: CPD parameters plus
-    structure. *)
 
 val factors : t -> Selest_prob.Factor.t list
 (** One factor per CPD over variable ids [0..n-1], for inference. *)
@@ -45,5 +37,3 @@ val prob_of : t -> (int * Selest_db.Query.pred) list -> float
 
 val sample : Selest_util.Rng.t -> t -> int array
 (** Draw one joint assignment (used by generator-validation tests). *)
-
-val pp : Format.formatter -> t -> unit

@@ -80,19 +80,3 @@ let topological_order t =
   if !k <> n then invalid_arg "Dag.topological_order: graph has a cycle";
   out
 
-let edges t =
-  let out = ref [] in
-  Array.iteri
-    (fun dst ps -> Array.iter (fun src -> out := (src, dst) :: !out) ps)
-    t.parents;
-  List.rev !out
-
-let equal a b = a.parents = b.parents
-
-let pp ppf t =
-  Array.iteri
-    (fun v ps ->
-      if Array.length ps > 0 then
-        Format.fprintf ppf "%d <- {%s}@." v
-          (String.concat "," (Array.to_list (Array.map string_of_int ps))))
-    t.parents

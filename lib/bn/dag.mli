@@ -27,6 +27,3 @@ val creates_cycle : t -> src:int -> dst:int -> bool
 val topological_order : t -> int array
 (** Parents before children. *)
 
-val edges : t -> (int * int) list
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

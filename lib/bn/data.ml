@@ -54,8 +54,3 @@ let contingency t vars =
   match t.weights with
   | None -> Contingency.count ~cards cols
   | Some weights -> Contingency.count_weighted ~cards ~weights cols
-
-let restrict_rows t rows =
-  let cols = Array.map (fun col -> Array.map (fun r -> col.(r)) rows) t.cols in
-  let weights = Option.map (fun w -> Array.map (fun r -> w.(r)) rows) t.weights in
-  { t with cols; weights; n = Array.length rows }

@@ -30,6 +30,3 @@ val weight : t -> int -> float
 val contingency : t -> int array -> Selest_prob.Contingency.t
 (** Joint counts over the listed variables (strictly increasing ids),
     respecting row weights. *)
-
-val restrict_rows : t -> int array -> t
-(** Sub-dataset of the listed row indices (copies columns). *)

@@ -122,20 +122,6 @@ let family_capped cache ~child ~parents ~cap =
   | Some f -> f
   | None -> cache_add cache key (compute cache ~child ~parents ~max_params:(Some cap))
 
-let structure_loglik cache dag =
-  let acc = ref 0.0 in
-  for v = 0 to Dag.n_nodes dag - 1 do
-    acc := !acc +. (family cache ~child:v ~parents:(Dag.parents dag v)).loglik
-  done;
-  !acc
-
-let structure_bytes cache dag =
-  let acc = ref (Bytesize.values (Dag.n_nodes dag)) in
-  for v = 0 to Dag.n_nodes dag - 1 do
-    acc := !acc + (family cache ~child:v ~parents:(Dag.parents dag v)).bytes
-  done;
-  !acc
-
 let mutual_information data xs ys =
   let all = Array.of_list (List.sort_uniq compare (Array.to_list xs @ Array.to_list ys)) in
   let joint = Data.contingency data all in
@@ -149,7 +135,5 @@ let mutual_information data xs ys =
     p
   in
   Info.mutual_information joint (positions xs) (positions ys)
-
-let mdl_penalty_per_param data = Arrayx.log2 (Float.max 2.0 (Data.total_weight data)) /. 2.0
 
 let n_evaluations cache = cache.evaluations

@@ -40,19 +40,9 @@ val family_capped : cache -> child:int -> parents:int array -> cap:int -> family
     the byte budget tightens, skipping {!family}'s base-entry probe.
     Identical to [family ~max_params:cap] under that precondition. *)
 
-val structure_loglik : cache -> Dag.t -> float
-(** Σ family log-likelihoods: the [Score(S | D)] of Sec. 4.3.1. *)
-
-val structure_bytes : cache -> Dag.t -> int
-(** Model storage: CPD bytes plus per-node overhead. *)
-
 val mutual_information : Data.t -> int array -> int array -> float
 (** Empirical MI between two variable groups, in bits — exposed for tests
     and for reporting learned-structure quality. *)
-
-val mdl_penalty_per_param : Data.t -> float
-(** [log2 N / 2]: the per-parameter description-length charge used by the
-    MDL move-selection rule. *)
 
 val n_evaluations : cache -> int
 (** Families actually fitted (cache misses) — used to verify incremental

@@ -17,9 +17,13 @@ module Workload = Selest_workload
 module Serve = Selest_serve
 
 let learn_bn ?(budget_bytes = 8192) ?(kind = Selest_bn.Cpd.Trees)
-    ?(rule = Selest_bn.Learn.Ssn) ?(seed = 0) table =
-  let data = Selest_bn.Data.of_table table in
-  Selest_bn.Learn.learn_bn ~budget_bytes ~kind ~rule ~seed data
+    ?(rule = Selest_prm.Learn.Ssn) ?(seed = 0) table =
+  let ts = Selest_db.Table.schema table in
+  let columns =
+    List.mapi (fun i a -> (a, Selest_db.Table.col table i)) (Array.to_list ts.attrs)
+  in
+  let config = { (Selest_prm.Learn.bn_config ~budget_bytes) with kind; rule; seed } in
+  (Selest_est.Bn_est.learn ~table:ts.tname columns ~config).model
 
 let learn_prm ?(budget_bytes = 8192) ?(seed = 0) db =
   Selest_prm.Learn.learn_prm ~budget_bytes ~seed db

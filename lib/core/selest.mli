@@ -52,10 +52,11 @@ module Serve = Selest_serve
 (** {1 One-call pipelines} *)
 
 val learn_bn :
-  ?budget_bytes:int -> ?kind:Selest_bn.Cpd.kind -> ?rule:Selest_bn.Learn.rule ->
-  ?seed:int -> Selest_db.Table.t -> Selest_bn.Bn.t
+  ?budget_bytes:int -> ?kind:Selest_bn.Cpd.kind -> ?rule:Selest_prm.Learn.rule ->
+  ?seed:int -> Selest_db.Table.t -> Selest_prm.Model.t
 (** Learn a Bayesian network over one table's attributes (offline phase,
-    single-table case). *)
+    single-table case): the one-table PRM of those attributes, with no
+    foreign key, learned with [Prm.Learn.bn_config] (8KB budget). *)
 
 val learn_prm :
   ?budget_bytes:int -> ?seed:int -> Selest_db.Database.t -> Selest_prm.Model.t

@@ -1,21 +1,18 @@
 open Selest_db
 open Selest_bn
-module Model = Selest_prm.Model
+module Learn = Selest_prm.Learn
 module Estimate = Selest_plan.Estimate
 
 let name_for = function Cpd.Trees -> "PRM(tree)" | Cpd.Tables -> "PRM(table)"
 
-let model_of_bn ~table attrs bn =
+let learn ~table columns ~config =
   let ts =
     Schema.table_schema ~name:table
-      ~attrs:(List.map (fun a -> (a.Schema.aname, a.Schema.domain)) attrs)
+      ~attrs:(List.map (fun (a, _) -> (a.Schema.aname, a.Schema.domain)) columns)
       ()
   in
-  let family cpd =
-    { Model.parents = Array.map (fun p -> Model.Own p) (Cpd.parents cpd); cpd }
-  in
-  Model.create (Schema.create [ ts ])
-    [| { Model.attr_families = Array.map family bn.Bn.cpds; join_families = [||] } |]
+  let tbl = Table.create ts ~cols:(Array.of_list (List.map snd columns)) ~fk_cols:[||] in
+  Learn.learn ~config (Database.create (Schema.create [ ts ]) [ tbl ])
 
 let build ~table ?attrs ~budget_bytes ?(kind = Cpd.Trees) ?(rule = Learn.Ssn) ?(seed = 0) db =
   let tbl = Database.table db table in
@@ -25,17 +22,14 @@ let build ~table ?attrs ~budget_bytes ?(kind = Cpd.Trees) ?(rule = Learn.Ssn) ?(
     | Some l -> l
     | None -> Array.to_list (Array.map (fun a -> a.Schema.aname) ts.Schema.attrs)
   in
-  let data =
-    (* Restrict to the modelled attribute subset. *)
-    let all = Data.of_table tbl in
-    let pick a = Array.of_list (List.map (fun n -> a.(Schema.attr_index ts n)) attr_names) in
-    Data.create ~names:(pick all.Data.names) ~cards:(pick all.Data.cards)
-      ~ordinal:(pick all.Data.ordinal) (pick all.Data.cols)
+  let result =
+    learn ~table
+      (List.map (fun n -> (Schema.attr ts n, Table.col_by_name tbl n)) attr_names)
+      ~config:{ (Learn.bn_config ~budget_bytes) with Learn.kind; rule; seed }
   in
-  let cfg = { (Learn.default_config ~budget_bytes) with Learn.kind; rule; seed } in
-  let result = Learn.learn ~config:cfg data in
-  let model = model_of_bn ~table (List.map (Schema.attr ts) attr_names) result.Learn.bn in
-  let prepare, estimate = Estimate.prepared_estimator model ~sizes:[| Table.size tbl |] in
+  let prepare, estimate =
+    Estimate.prepared_estimator result.Learn.model ~sizes:[| Table.size tbl |]
+  in
   let check q =
     Exec.validate db q;
     (match (q.Query.tvars, q.Query.joins) with

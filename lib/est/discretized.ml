@@ -1,6 +1,7 @@
 open Selest_util
 open Selest_db
 open Selest_bn
+module Learn = Selest_prm.Learn
 module Estimate = Selest_plan.Estimate
 
 let build ~table ~bucketize ~budget_bytes ?(kind = Cpd.Trees) ?(seed = 0) db =
@@ -18,33 +19,32 @@ let build ~table ~bucketize ~budget_bytes ?(kind = Cpd.Trees) ?(seed = 0) db =
             (Discretize.equi_depth ~column:(Table.col tbl ai)
                ~card:(Value.card a.Schema.domain) ~bins))
   in
-  (* The bucket-level attributes the BN is learned over. *)
-  let attrs =
-    Array.mapi
-      (fun ai a ->
+  (* The bucket-level columns the BN is learned over; a bucketized
+     attribute keeps its ordinal flag, which decides its tree splits. *)
+  let columns =
+    List.init n_attrs (fun ai ->
+        let a = ts.Schema.attrs.(ai) in
         match disc.(ai) with
-        | Some d -> { a with Schema.domain = Value.ints d.Discretize.n_bins }
-        | None -> a)
-      ts.Schema.attrs
+        | Some d ->
+          let ordinal = Value.is_ordinal a.Schema.domain in
+          ( { a with
+              Schema.domain =
+                Value.labeled ~ordinal (Array.init d.Discretize.n_bins string_of_int) },
+            Discretize.apply d (Table.col tbl ai) )
+        | None -> (a, Table.col tbl ai))
   in
-  let cards = Array.map (fun a -> Value.card a.Schema.domain) attrs in
-  let cols =
-    Array.init n_attrs (fun ai ->
-        match disc.(ai) with
-        | Some d -> Discretize.apply d (Table.col tbl ai)
-        | None -> Table.col tbl ai)
+  let result =
+    Bn_est.learn ~table columns
+      ~config:{ (Learn.bn_config ~budget_bytes) with Learn.kind; seed }
   in
-  let names = Array.map (fun a -> a.Schema.aname) ts.Schema.attrs in
-  let ordinal = Array.map (fun a -> Value.is_ordinal a.Schema.domain) ts.Schema.attrs in
-  let data = Data.create ~names ~cards ~ordinal cols in
-  let cfg = { (Learn.default_config ~budget_bytes) with Learn.kind; seed } in
-  let result = Learn.learn ~config:cfg data in
   let boundary_bytes =
     Array.fold_left
       (fun acc d -> match d with Some d -> acc + Bytesize.values d.Discretize.n_bins | None -> acc)
       0 disc
   in
-  let model = Bn_est.model_of_bn ~table (Array.to_list attrs) result.Learn.bn in
+  let prepare, estimate =
+    Estimate.prepared_estimator result.Learn.model ~sizes:[| Table.size tbl |]
+  in
   (* Coverage of a predicate on a bucketized attribute: the fraction of
      each bucket's base-level values that satisfy it. *)
   let coverage (d : Discretize.t) pred =
@@ -55,15 +55,17 @@ let build ~table ~bucketize ~budget_bytes ?(kind = Cpd.Trees) ?(seed = 0) db =
       d.Discretize.bin_of;
     Array.mapi (fun b c -> c /. float_of_int d.Discretize.width.(b)) cov
   in
-  let estimate q =
+  (* A query as its bucketized attributes (with their coverages) and the
+     bucket-level query of one cell: the plain selects stay evidence, and
+     each bucketized attribute's selects become one equality on its
+     bucket.  Every cell has the same skeleton, so one plan. *)
+  let split q =
     Exec.validate db q;
     let tv =
       match (q.Query.tvars, q.Query.joins) with
       | [ (tv, t) ], [] when t = table -> tv
       | _ -> raise (Estimator.Unsupported "discretized estimator: single table, no joins")
     in
-    (* Plain selects stay evidence; a bucketized attribute's selects
-       multiply into one coverage per bucket. *)
     let cov = Array.make n_attrs None in
     let plain =
       List.filter
@@ -77,20 +79,49 @@ let build ~table ~bucketize ~budget_bytes ?(kind = Cpd.Trees) ?(seed = 0) db =
             false)
         q.Query.selects
     in
-    let keys = List.filter (fun ai -> cov.(ai) <> None) (List.init n_attrs Fun.id) in
-    (* Σ over bucket cells of the cell's estimate × Π coverage. *)
-    Estimate.group_counts model ~sizes:[| Table.size tbl |] (Query.with_selects q plain)
-      ~keys:(List.map (fun ai -> (tv, names.(ai))) keys)
-    |> List.fold_left
-         (fun acc (cell, est) ->
-           let w = ref est in
-           List.iteri (fun j ai -> w := !w *. (Option.get cov.(ai)).(cell.(j))) keys;
-           acc +. !w)
-         0.0
+    let keys =
+      List.filter_map (fun ai -> Option.map (fun c -> (ai, c)) cov.(ai)) (List.init n_attrs Fun.id)
+    in
+    let cell_query cell =
+      Query.with_selects q
+        (plain @ List.mapi (fun j (ai, _) -> Query.eq tv ts.Schema.attrs.(ai).Schema.aname cell.(j)) keys)
+    in
+    (keys, cell_query)
+  in
+  (* Σ over bucket cells of the cell's estimate × Π coverage, cells in
+     row-major order of the keys.  A cell with a zero coverage adds
+     exactly 0.0 to the sum (estimates are finite), so it is not
+     estimated at all. *)
+  let estimate q =
+    let keys, cell_query = split q in
+    let keys = Array.of_list keys in
+    let cell = Array.make (Array.length keys) 0 in
+    let acc = ref 0.0 in
+    let rec go j =
+      if j = Array.length keys then begin
+        let w = ref (estimate (cell_query cell)) in
+        Array.iteri (fun j (_, c) -> w := !w *. c.(cell.(j))) keys;
+        acc := !acc +. !w
+      end
+      else
+        Array.iteri
+          (fun b c ->
+            if c > 0.0 then begin
+              cell.(j) <- b;
+              go (j + 1)
+            end)
+          (snd keys.(j))
+    in
+    go 0;
+    !acc
   in
   {
     Estimator.name = "PRM(bucketized)";
     bytes = result.Learn.bytes + boundary_bytes;
-    prepare = ignore;
+    prepare =
+      (fun q ->
+        match split q with
+        | keys, cell_query -> prepare (cell_query (Array.make (List.length keys) 0))
+        | exception (Estimator.Unsupported _ | Invalid_argument _) -> ());
     estimate;
   }

@@ -12,15 +12,17 @@
     where the cells range over the buckets of the bucketized attributes
     the query selects on, coverage is the fraction of a bucket's base
     values satisfying that attribute's predicates, and each cell's
-    estimate comes from one compiled plan of the query's plain selects
-    plus one equality per bucketized attribute
-    ([Estimate.group_counts] over {!Bn_est.model_of_bn}).  Exact
-    bucket-level queries lose nothing; base-level point queries pay only
-    the within-bucket uniformity assumption. *)
+    estimate comes from the compiled plan of the query's plain selects
+    plus one equality per bucketized attribute — one plan per such
+    skeleton, compiled once and reused (the model is learned by
+    {!Bn_est.learn}).  Exact bucket-level queries lose nothing;
+    base-level point queries pay only the within-bucket uniformity
+    assumption. *)
 
 val build :
   table:string -> bucketize:(string * int) list -> budget_bytes:int ->
   ?kind:Selest_bn.Cpd.kind -> ?seed:int -> Selest_db.Database.t -> Estimator.t
 (** [bucketize] maps attribute names to bucket counts; unlisted attributes
     keep their domains.  Storage = the BN plus one boundary value per
-    bucket.  Queries must be single-table selects on [table]. *)
+    bucket.  Queries must be single-table selects on [table]; [prepare]
+    compiles a supported query's plan and ignores any other query. *)

@@ -8,11 +8,11 @@
     the uniform-join assumption, the paper's BN+UJ baseline. *)
 
 val build :
-  budget_bytes:int -> ?kind:Selest_bn.Cpd.kind -> ?rule:Selest_bn.Learn.rule ->
+  budget_bytes:int -> ?kind:Selest_bn.Cpd.kind -> ?rule:Selest_prm.Learn.rule ->
   ?seed:int -> Selest_db.Database.t -> Estimator.t
 
 val build_bn_uj :
-  budget_bytes:int -> ?kind:Selest_bn.Cpd.kind -> ?rule:Selest_bn.Learn.rule ->
+  budget_bytes:int -> ?kind:Selest_bn.Cpd.kind -> ?rule:Selest_prm.Learn.rule ->
   ?seed:int -> Selest_db.Database.t -> Estimator.t
 
 val of_model : name:string -> Selest_prm.Model.t -> sizes:int array -> Estimator.t

@@ -6,11 +6,13 @@ let log_src = Logs.Src.create "selest.prm.learn" ~doc:"PRM structure search"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+type rule = Naive | Ssn | Mdl
+
 type config = {
   kind : Cpd.kind;
   budget_bytes : int;
   max_parents : int;
-  rule : Selest_bn.Learn.rule;
+  rule : rule;
   allow_cross_table : bool;
   allow_join_parents : bool;
   random_restarts : int;
@@ -23,7 +25,7 @@ let default_config ~budget_bytes =
     kind = Cpd.Trees;
     budget_bytes;
     max_parents = 3;
-    rule = Selest_bn.Learn.Ssn;
+    rule = Ssn;
     allow_cross_table = true;
     allow_join_parents = true;
     random_restarts = 1;
@@ -34,11 +36,15 @@ let default_config ~budget_bytes =
 let bn_uj_config ~budget_bytes =
   { (default_config ~budget_bytes) with allow_cross_table = false; allow_join_parents = false }
 
+let bn_config ~budget_bytes =
+  { (bn_uj_config ~budget_bytes) with max_parents = 4; random_restarts = 2 }
+
 type result = {
   model : Model.t;
   loglik : float;
   bytes : int;
   iterations : int;
+  family_evaluations : int;
   trajectory : string list;
 }
 
@@ -249,7 +255,7 @@ let candidate_moves st =
     ~join_add_legal:(fun ~ti ~fk ~current p ->
       legal_with st ~kind:`Join ~ti ~idx:fk ~parents:(with_parent current p))
 
-(* Size guard for dense families, mirroring Selest_bn.Learn. *)
+(* Size guard for dense families: their size is known without fitting. *)
 let dense_family_bytes st ti ~child_card parents =
   let configs =
     Array.fold_left
@@ -309,12 +315,12 @@ let evaluate st move =
 
 let criterion cfg ~mdl_penalty (dscore, dbytes, dparams) =
   match cfg.rule with
-  | Selest_bn.Learn.Naive -> dscore
-  | Selest_bn.Learn.Ssn ->
+  | Naive -> dscore
+  | Ssn ->
     if dbytes > 0 then dscore /. float_of_int dbytes
     else if dscore > 0.0 then Float.infinity
     else dscore
-  | Selest_bn.Learn.Mdl -> dscore -. (mdl_penalty *. float_of_int dparams)
+  | Mdl -> dscore -. (mdl_penalty *. float_of_int dparams)
 
 let eps = 1e-6
 
@@ -724,6 +730,8 @@ let learn_with ~make_scorer ~counts ~config:cfg db =
     loglik = snd !best;
     bytes = st.size;
     iterations = !iterations;
+    family_evaluations =
+      Array.fold_left (fun acc c -> acc + Score.n_evaluations c) !(st.join_misses) caches;
     trajectory = List.rev !trail;
   }
 

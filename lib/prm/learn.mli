@@ -1,7 +1,9 @@
-(** PRM structure search (Sec. 4.3, relational version).
+(** PRM structure search (Sec. 4.3).
 
-    The same greedy hill-climbing as {!Selest_bn.Learn}, with the move set
-    extended to the relational setting:
+    Greedy hill-climbing over parent additions and removals under one
+    byte budget, escaping local maxima with bounded random walks
+    (deterministic in [seed]) and keeping the best structure seen.  The
+    move set is the relational one:
     {ul
     {- add/remove an {e own} parent [R.B -> R.A];}
     {- add/remove a {e cross-table} parent [S.B -> R.A] through a foreign
@@ -16,13 +18,23 @@
     covers the whole model.
 
     Disabling cross-table and join parents yields the BN+UJ baseline of
-    Sec. 5 (independent per-table BNs plus the uniform-join assumption). *)
+    Sec. 5 (independent per-table BNs plus the uniform-join assumption).
+    A database of one table without foreign keys is a BN (Sec. 3), so the
+    same search learns every single-table model too ({!bn_config}). *)
+
+(** Move-selection rules (Sec. 4.3.3). *)
+type rule =
+  | Naive  (** largest raw likelihood improvement *)
+  | Ssn
+      (** storage-size-normalized: largest improvement per byte of model
+          growth (the knapsack heuristic) *)
+  | Mdl  (** improvement net of a description-length charge per added parameter *)
 
 type config = {
   kind : Selest_bn.Cpd.kind;
   budget_bytes : int;
   max_parents : int;
-  rule : Selest_bn.Learn.rule;
+  rule : rule;
   allow_cross_table : bool;
   allow_join_parents : bool;
   random_restarts : int;
@@ -38,11 +50,21 @@ val bn_uj_config : budget_bytes:int -> config
 (** {!default_config} with cross-table and join parents disabled: the
     BN+UJ baseline. *)
 
+val bn_config : budget_bytes:int -> config
+(** {!bn_uj_config} with [max_parents = 4] and 2 restarts (walks of
+    length 3, trees, SSN, [seed = 0]): the single-table BN search of
+    Fig. 4, 5 and 7, run on a database of one table without foreign
+    keys. *)
+
 type result = {
   model : Model.t;
   loglik : float;  (** total structure score (bits); see note below *)
   bytes : int;
   iterations : int;
+  family_evaluations : int;
+      (** Families actually fitted: score-cache misses over every table
+          plus join sufficient-statistic fits.  Equal between {!learn}
+          and {!learn_reference}. *)
   trajectory : string list;
       (** Every accepted move (climb and random-walk alike), in order, as
           compact labels — the search's audit trail, compared verbatim

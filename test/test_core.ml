@@ -6,9 +6,11 @@ let db = lazy (Selest.Synth.Tb.generate ~patients:300 ~contacts:2_000 ~strains:2
 
 let test_learn_bn_facade () =
   let db = Lazy.force db in
-  let bn = Selest.learn_bn ~budget_bytes:2_000 (Selest.Db.Database.table db "patient") in
-  Alcotest.(check int) "six variables" 6 (Selest.Bn.Bn.n_vars bn);
-  check_float "normalized" 1.0 (Selest.Bn.Bn.prob_of bn [])
+  let m = Selest.learn_bn ~budget_bytes:2_000 (Selest.Db.Database.table db "patient") in
+  Alcotest.(check int) "six variables" 6
+    (Array.length m.Selest.Prm.Model.tables.(0).Selest.Prm.Model.attr_families);
+  check_float "normalized" 1.0
+    (Selest.Prm.Estimate.prob m (Selest.Db.Query.create ~tvars:[ ("t", "patient") ] ()))
 
 let test_learn_prm_and_estimate_facade () =
   let db = Lazy.force db in

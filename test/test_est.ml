@@ -474,19 +474,15 @@ let test_bn_est_unsupported () =
 
 let small_census = lazy (Selest_synth.Census.generate ~rows:2_000 ~seed:21 ())
 
-(* The BN [Bn_est.build] learns for [attrs]: the same data view and
+(* The model [Bn_est.build] learns for [attrs]: the same columns and
    config, so the same network. *)
 let learn_like_bn_est tbl attrs ~budget_bytes ~kind ~seed =
-  let open Selest_bn in
-  let all = Data.of_table tbl in
-  let sel = Array.of_list (List.map (Schema.attr_index (Table.schema tbl)) attrs) in
-  let pick a = Array.map (fun i -> a.(i)) sel in
-  let data =
-    Data.create ~names:(pick all.Data.names) ~cards:(pick all.Data.cards)
-      ~ordinal:(pick all.Data.ordinal) (pick all.Data.cols)
-  in
-  (Learn.learn ~config:{ (Learn.default_config ~budget_bytes) with Learn.kind; seed } data)
-    .Learn.bn
+  let module Learn = Selest_prm.Learn in
+  let ts = Table.schema tbl in
+  (Bn_est.learn ~table:"person"
+     (List.map (fun a -> (Schema.attr ts a, Table.col_by_name tbl a)) attrs)
+     ~config:{ (Learn.bn_config ~budget_bytes) with Learn.kind; seed })
+    .Learn.model
 
 (* From [seed]: a CPD kind, a budget, 3-4 modelled attributes, and
    instantiations of one skeleton over 2-3 of them, each select a point,
@@ -535,10 +531,10 @@ let prop_bn_est_is_one_shot_plan =
       let tbl = Database.table db "person" in
       let kind, budget_bytes, attrs, queries = bn_twin_case seed in
       let est = Bn_est.build ~table:"person" ~attrs ~budget_bytes ~kind ~seed db in
-      let bn = learn_like_bn_est tbl attrs ~budget_bytes ~kind ~seed in
-      let model =
-        Bn_est.model_of_bn ~table:"person" (List.map (Schema.attr (Table.schema tbl)) attrs) bn
-      in
+      let model = learn_like_bn_est tbl attrs ~budget_bytes ~kind ~seed in
+      (* the BN's factors, one CPD per modelled attribute over their ids:
+         Bn.prob_of's one-shot VE on them *)
+      let factors = List.init (List.length attrs) (Selest_prm.Model.attr_table model 0) in
       let n = Table.size tbl in
       let var a = Option.get (List.find_index (String.equal a) attrs) in
       List.for_all
@@ -549,7 +545,7 @@ let prop_bn_est_is_one_shot_plan =
           in
           let oracle =
             float_of_int n
-            *. Selest_bn.Bn.prob_of bn
+            *. Selest_bn.Ve.prob_of_evidence factors
                  (List.map (fun s -> (var s.Query.sel_attr, s.Query.pred)) q.Query.selects)
           in
           Int64.bits_of_float cached = Int64.bits_of_float one_shot
