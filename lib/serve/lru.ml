@@ -148,6 +148,16 @@ let find t hash =
     raise Not_found
   end
 
+let find_exact t hash entry =
+  let n = lookup t hash in
+  n != t.head
+  && n.entry == entry
+  &&
+  (t.hits <- t.hits + 1;
+   unlink n;
+   push_hot t n;
+   true)
+
 let collision t =
   t.hits <- t.hits - 1;
   t.misses <- t.misses + 1;

@@ -48,6 +48,14 @@ val find : t -> int -> entry
     ([Squery.Vec.matches] + model name/version) and call {!collision}
     if the verification fails. *)
 
+val find_exact : t -> int -> entry -> bool
+(** [find_exact t hash entry]: does [hash] still map to this very
+    [entry] (physically)?  If so, promote and count it as a {!find} hit;
+    if not, count nothing.  Allocation-free.  The server's raw-body memo
+    answers a repeated body with it: the entry was verified when the
+    memo took it, and an eviction, an overwrite or a {!clear} since
+    makes the check fail. *)
+
 val collision : t -> unit
 (** Recount the last {!find} hit as a miss: the hash matched but the
     full key did not.  Also bumps the collision counter. *)

@@ -265,11 +265,16 @@ module Bin = struct
               Buffer.add_string buf b)
             bodies)
 
+  (* The one frame a warm hit writes, built as its 13 bytes. *)
+  let value_frame v =
+    let b = Bytes.create 13 in
+    Bytes.set_int32_be b 0 9l;
+    Bytes.set_uint8 b 4 op_value;
+    Bytes.set_int64_be b 5 (Int64.bits_of_float v);
+    Bytes.unsafe_to_string b
+
   let encode_response = function
-    | Bvalue v ->
-      frame (fun buf ->
-          Buffer.add_uint8 buf op_value;
-          Buffer.add_int64_be buf (Int64.bits_of_float v))
+    | Bvalue v -> value_frame v
     | Bvalues vs ->
       if List.length vs > 0xffff then
         invalid_arg "Protocol.Bin: too many batch values";

@@ -218,6 +218,9 @@ module Bin : sig
 
   val encode_response : bresponse -> string
 
+  val value_frame : float -> string
+  (** [encode_response (Bvalue v)]: the 13-byte frame, built directly. *)
+
   val decode_response : bytes -> (bresponse, string) result
 
   val read_frame :

@@ -19,6 +19,10 @@ type sstate = {
   splans : Plan_cache.t;
   scratch : Squery.t;  (* reusable zero-copy parse target *)
   slice : Protocol.Slice.t;  (* reusable request-slice scratch *)
+  memo : Memo.t;  (* raw EST bodies -> the entries that answered them *)
+  mutable memo_hash : int;
+      (* the estimate-cache hash of the last [est_core] answer, when a
+         verified hit or a carried adoption gave it; -1 after a miss *)
   c_req : Selest_obs.Telemetry.counter_handle;
       (* handle for "shard.<sid>.requests" — the fast path bumps by id *)
   mutable c_infer : (string * Selest_obs.Telemetry.counter_handle) list;
@@ -88,6 +92,8 @@ let create ?(cache_bytes = 1 lsl 20) ?(slowlog_capacity = 128)
           splans = Plan_cache.create ();
           scratch = Squery.create symtab;
           slice = Protocol.Slice.create ();
+          memo = Memo.create ();
+          memo_hash = -1;
           c_req = Metrics.counter_handle metrics (Metrics.shard_key sid "requests");
           c_infer = [];
           hot = Obs.Hotpath.create ();
@@ -254,24 +260,16 @@ let probe st ~name ~version hash =
 
 (* Pre-render both wire responses when an entry is filled, so warm hits
    write stored bytes straight to the socket.  The text is
-   ["OK " ^ Printf.sprintf "%.17g" est ^ "\n"] built in one exact-size
-   string: Printf's [%g] is this very [caml_format_float] call. *)
-external format_float : string -> float -> string = "caml_format_float"
-
-let render_ok est =
-  let s = format_float "%.17g" est in
-  let n = String.length s in
-  let b = Bytes.create (n + 4) in
-  Bytes.blit_string "OK " 0 b 0 3;
-  Bytes.blit_string s 0 b 3 n;
-  Bytes.set b (n + 3) '\n';
-  Bytes.unsafe_to_string b
+   ["OK " ^ Printf.sprintf "%.17g" est ^ "\n"], rendered by a C kernel
+   into one exact-size string (render_stubs.c); the binary frame is
+   built as its 13 bytes. *)
+external render_ok : float -> string = "selest_serve_render_ok"
 
 let make_entry ~name ~version ~vec est =
   {
     Lru.est;
     text = render_ok est;
-    bin = Protocol.Bin.encode_response (Protocol.Bin.Bvalue est);
+    bin = Protocol.Bin.value_frame est;
     vec;
     model = name;
     version;
@@ -341,9 +339,11 @@ let answer t st ~name ~version plan =
 
 (* The miss half: fetch (or compile) the skeleton's plan, [answer] on
    it and fill the shard's estimate cache with the fully rendered
-   entry.  The kernel counters the request moved are read before and
-   after into [st.hot] and rolled up through handles.  [on_plan] sees
-   the plan that ran (EXPLAIN renders it). *)
+   entry.  A NaN or infinite estimate is answered but never cached: a
+   model that produces one is broken, and its answer must not outlive
+   the request.  The kernel counters the request moved are read before
+   and after into [st.hot] and rolled up through handles.  [on_plan]
+   sees the plan that ran (EXPLAIN renders it). *)
 let infer t st ~on_plan ~name ~(entry : Registry.entry) ~hash =
   Obs.Hotpath.begin_delta st.hot;
   match
@@ -353,7 +353,7 @@ let infer t st ~on_plan ~name ~(entry : Registry.entry) ~hash =
   with
   | le ->
     Obs.Hotpath.end_delta st.hot;
-    Lru.add st.scache hash le;
+    if Float.is_finite le.Lru.est then Lru.add st.scache hash le;
     Metrics.bump t.metrics (infer_counter t st name);
     Metrics.kernel_delta t.metrics st.hot;
     le
@@ -401,7 +401,10 @@ let carry_answers t st ~name ~(prev : Registry.entry) ~version plans =
           ~verify:(fun key s -> Canon.Skel.scratch_matches key ~name ~version s)
           s
       in
-      (est_hash st ~name ~version, answer t st ~name ~version plan))
+      let le = answer t st ~name ~version plan in
+      (* a non-finite answer is skipped, as [infer] never caches one *)
+      if not (Float.is_finite le.Lru.est) then raise Exit;
+      (est_hash st ~name ~version, le))
 
 let handle_load t st ~name ~path =
   let carry (prev : Registry.entry) ~version model =
@@ -448,7 +451,9 @@ let parse_into st sp buf ~off ~len =
    never lets a hit short-circuit inference, so the stages price a real
    estimate; the probe outcome is the [est.cache] span's [cached]
    attribute.  Moves the [frontend.*] stage counters for every caller;
-   the front-end spans reuse those clock reads. *)
+   the front-end spans reuse those clock reads.  Leaves in
+   [st.memo_hash] the estimate-cache hash of an answer the raw-body memo
+   may remember (a verified hit or a carried adoption), -1 otherwise. *)
 let est_core ?(force = false) ?(on_plan = ignore) t st (name, (e : Registry.entry))
     buf ~off ~len =
   let t0 = Obs.Clock.now_ns () in
@@ -470,10 +475,12 @@ let est_core ?(force = false) ?(on_plan = ignore) t st (name, (e : Registry.entr
   match probe st ~name ~version hash with
   | entry when not force ->
     Obs.Span.exit sp;
+    st.memo_hash <- hash;
     entry
   | (_ : Lru.entry) ->
     Obs.Span.add sp "cached" "hit";
     Obs.Span.exit sp;
+    st.memo_hash <- -1;
     infer t st ~on_plan ~name ~entry:e ~hash
   | exception Not_found -> (
     (* [force] prices a real inference, so it adopts nothing *)
@@ -481,10 +488,12 @@ let est_core ?(force = false) ?(on_plan = ignore) t st (name, (e : Registry.entr
     | le ->
       Obs.Span.add sp "cached" "carried";
       Obs.Span.exit sp;
+      st.memo_hash <- hash;
       le
     | exception Not_found ->
       Obs.Span.add sp "cached" "miss";
       Obs.Span.exit sp;
+      st.memo_hash <- -1;
       infer t st ~on_plan ~name ~entry:e ~hash)
 
 (* [est_core] on a string body, for the allocating reference entry
@@ -838,7 +847,8 @@ let handle_truth t st ~model ~truth ~body ~t0 =
     Protocol.err msg
   | le ->
     let estimate = le.Lru.est and name = le.Lru.model in
-    Metrics.observe_qerror t.metrics name ~est:estimate ~truth;
+    (* a non-finite estimate has no q-error: the table stays finite *)
+    if Float.is_finite estimate then Metrics.observe_qerror t.metrics name ~est:estimate ~truth;
     let qv = Obs.Qerror.value ~est:estimate ~truth in
     (* Accuracy gate: an estimate this wrong is captured with its span
        tree regardless of how fast it was computed. *)
@@ -1124,27 +1134,61 @@ let handle_frame_st t st payload =
 
    The warm EST round trip — socket read to answer write — touches the
    heap zero times.  A request is recognized as a slice of the
-   connection buffer ({!Protocol.Slice}) and handed to the EST core
-   straight from the buffer: resolve, lex, canonicalize, hash, probe; a
-   verified hit returns the entry's pre-rendered response bytes, which
-   the shard loop writes as they are.  Misses and errors are answered
-   here too — by the same core, with the reference error messages and
-   accounting — so the reference path only sees lines the slice
-   recognizers reject (other verbs, malformed EST lines).  Tracing does
+   connection buffer ({!Protocol.Slice}), its model resolved, and its
+   body looked up by its raw bytes in the shard's memo ({!Memo}): a body
+   whose exact bytes were last answered by a verified hit under this
+   model name and version, with that entry still resident under its
+   hash ({!Lru.find_exact}, which promotes and counts it as the hit it
+   is), is answered from the entry without lexing.  Any other body goes
+   to the EST core straight from the buffer: lex, canonicalize, hash,
+   probe; a verified hit or a carried adoption enters the memo under
+   the hash the core computed (a miss never does), and a hit returns
+   the entry's pre-rendered response bytes, which the shard loop writes
+   as they are.  Misses and errors are answered here too — by the same
+   core, with the reference error messages and accounting — so the
+   reference path only sees lines the slice recognizers reject (other
+   verbs, malformed EST lines).  The canonical key stays the cache key:
+   reordered and respaced bodies share one entry and one inference, and
+   the memo only skips the lexer for bytes already seen.  Tracing does
    not switch paths: with a sink installed the same code emits its
-   spans.  Tail sampling is skipped: a warm hit is answered far under
-   any realistic capture threshold, and slow-path responses keep the
-   threshold fresh. *)
+   spans, and a memo hit's [est.cache] says [cached=memo].  Tail
+   sampling is skipped: a warm hit is answered far under any realistic
+   capture threshold, and slow-path responses keep the threshold
+   fresh. *)
+
+(* Does memo slot [s] still answer for this model version: the same
+   name and version, and the very entry still resident under its hash?
+   Only the last check counts (as a hit), and only when it holds. *)
+let memo_stands st s ~name ~version =
+  let le = Memo.entry st.memo s in
+  le.Lru.version = version
+  && String.equal le.Lru.model name
+  && Lru.find_exact st.scache (Memo.lru_hash st.memo s) le
+
+(* The memo, then the EST core for a body it cannot answer. *)
+let memo_or_core t st buf ~off ~len ((name, (e : Registry.entry)) as m) =
+  let key = Memo.key buf ~off ~len in
+  let s = Memo.find st.memo key buf ~off ~len in
+  if s >= 0 && memo_stands st s ~name ~version:e.Registry.version then begin
+    let sp = Obs.Span.enter "est.cache" in
+    Obs.Span.add sp "cached" "memo";
+    Obs.Span.exit sp;
+    Memo.entry st.memo s
+  end
+  else begin
+    let le = est_core t st m buf ~off ~len in
+    if st.memo_hash >= 0 then
+      Memo.add st.memo ~slot:s key buf ~off ~len ~hash:st.memo_hash le;
+    le
+  end
 
 (* Answer one recognized EST slice ([st.slice] already filled); [bin]
    selects which rendering is returned. *)
 let fast_answer t st buf ~bin =
   let sl = st.slice in
   match
-    est_core t st
-      (resolve t buf ~off:sl.Protocol.Slice.model_off
-         ~len:sl.Protocol.Slice.model_len)
-      buf ~off:sl.Protocol.Slice.body_off ~len:sl.Protocol.Slice.body_len
+    memo_or_core t st buf ~off:sl.Protocol.Slice.body_off ~len:sl.Protocol.Slice.body_len
+      (resolve t buf ~off:sl.Protocol.Slice.model_off ~len:sl.Protocol.Slice.model_len)
   with
   | le ->
     let sp = Obs.Span.enter "est.respond" in

@@ -69,7 +69,16 @@
     [EST] line or frame is recognized and served entirely from buffer
     slices: the whole warm round trip from socket read to answer write
     allocates nothing, and misses and errors are answered by the same
-    core with the reference messages.  Only
+    core with the reference messages.  In front of the lexer, each
+    shard keeps a fixed-size memo of raw bodies ({!Memo}): a body whose
+    exact bytes were last answered by a verified hit (or a carried
+    adoption) under the same model name and version, with that very
+    entry still resident under its hash ({!Lru.find_exact}), is
+    answered from the entry without lexing, canonicalizing or hashing,
+    and promoted and counted as that hit.  A miss only hashes the body
+    and compares one set of slots; it never enters the memo.  The
+    reference entry points ({!handle_line}, [ESTBATCH], [EXPLAIN], the
+    slow-log replay) do not use the memo.  Only
     requests the slice recognizers reject — other verbs, malformed EST
     lines — take the reference path ({!Protocol.parse_request} +
     [handle_line]).  Tracing does not change the path.
@@ -84,7 +93,9 @@
 
     The EST core is instrumented with {!Selest_obs.Span} (spans [est] →
     [est.parse], [est.canon], [est.cache], [plan.fetch],
-    [plan.compile], [exec.load], [exec.run], [est.respond]), opened
+    [plan.compile], [exec.load], [exec.run], [est.respond]; a memo hit
+    emits [est] → [est.cache] with [cached=memo] → [est.respond] and
+    moves no [frontend.*] counter, since no front-end stage ran), opened
     through the closure-free {!Selest_obs.Span.enter}/[exit], and every
     inference's {!Selest_obs.Hotpath} kernel counters (read before and
     after, per shard) are rolled into the service metrics through
@@ -154,9 +165,9 @@ type t
 val make_entry : name:string -> version:int -> vec:Selest_db.Squery.Vec.t -> float -> Lru.entry
 (** The estimate-cache entry a miss fills for an estimate under model
     [name] at [version]: the text response (["OK " ^ Printf.sprintf
-    "%.17g" est ^ "\n"], byte for byte, in one exact-size string) and
-    the binary value frame, pre-rendered, beside the canonical snapshot
-    [vec]. *)
+    "%.17g" est ^ "\n"], byte for byte, rendered in C into one
+    exact-size string) and the 13-byte binary value frame, pre-rendered,
+    beside the canonical snapshot [vec]. *)
 
 val create :
   ?cache_bytes:int ->
@@ -273,7 +284,8 @@ val run_shard : t -> 'fd Shard.t -> unit
     The handlers return each request's complete reply and never touch
     the connection.  A text line or frame the slice recognizers accept
     as an [EST] is answered from the buffer slice through the EST core
-    — on a verified cache hit the reply is the entry's pre-rendered
+    — on a verified cache hit (or a memo hit, for a body whose exact
+    bytes a verified hit answered) the reply is the entry's pre-rendered
     bytes, so the warm round trip allocates nothing; misses and errors
     get the reference bytes and counters.  Any other message is copied
     out and answered as {!handle_line} / {!handle_frame} answer it.

@@ -1913,24 +1913,47 @@ let test_fast_path_loopback () =
       (* the transport-free reference path sees the same cache entry *)
       let direct, _ = Server.handle_line server ("EST " ^ body) in
       Alcotest.(check string) "matches handle_line" (direct ^ "\n") cold;
-      (* tracing on: same path, same bytes, front-end counters still
-         move, and the sink receives the request's spans *)
-      let records = ref [] in
-      let parse_ns0 = Metrics.get m "frontend.parse_ns" in
-      let traced =
-        Fun.protect
-          ~finally:(fun () -> Selest_obs.Span.set_global_sink None)
-          (fun () ->
-            Selest_obs.Span.set_global_sink (Some (fun r -> records := r :: !records));
-            ask ("EST " ^ body))
+      (* tracing on: same path, same bytes, and the sink receives the
+         request's spans.  A first hit (the same query spelled with its
+         selects swapped) takes the canonical path and moves the
+         front-end counters... *)
+      let frontend () =
+        List.map (Metrics.get m) [ "frontend.parse_ns"; "frontend.canon_ns"; "frontend.key_ns" ]
       in
-      Alcotest.(check string) "traced est identical" cold traced;
+      let traced line =
+        let records = ref [] in
+        let reply =
+          Fun.protect
+            ~finally:(fun () -> Selest_obs.Span.set_global_sink None)
+            (fun () ->
+              Selest_obs.Span.set_global_sink (Some (fun r -> records := r :: !records));
+              ask line)
+        in
+        (reply, List.rev !records)
+      in
+      let names = List.map (fun (r : Selest_obs.Span.record) -> r.Selest_obs.Span.name) in
+      let parse_ns0 = Metrics.get m "frontend.parse_ns" in
+      let first_hit, records =
+        traced "EST c=contact, p=patient ; c.patient=p ; c.Contype=2, p.USBorn=1"
+      in
+      Alcotest.(check string) "traced est identical" cold first_hit;
       Alcotest.(check bool) "traced est moves frontend.parse_ns" true
         (Metrics.get m "frontend.parse_ns" > parse_ns0);
-      let names = List.map (fun (r : Selest_obs.Span.record) -> r.Selest_obs.Span.name) !records in
       List.iter
-        (fun n -> Alcotest.(check bool) ("sink saw span " ^ n) true (List.mem n names))
+        (fun n -> Alcotest.(check bool) ("sink saw span " ^ n) true (List.mem n (names records)))
         [ "est"; "est.parse"; "est.canon"; "est.cache"; "est.respond" ];
+      (* ...while a body whose exact bytes a verified hit answered is a
+         memo hit: no front-end stage runs, so no front-end counter
+         moves, and its est.cache span says so *)
+      let frontend0 = frontend () in
+      let repeat, records = traced ("EST " ^ body) in
+      Alcotest.(check string) "traced memo hit identical" cold repeat;
+      Alcotest.(check (list int)) "memo hit moves no frontend counter" frontend0 (frontend ());
+      Alcotest.(check (list string)) "memo hit spans" [ "est.cache"; "est.respond"; "est" ]
+        (names records);
+      Alcotest.(check (list (pair string string))) "memo hit est.cache attrs"
+        [ ("cached", "memo") ]
+        (List.hd records).Selest_obs.Span.attrs;
       (* error paths are answered by the fast path with the reference
          handler's exact bytes and accounting *)
       let bad =
@@ -2987,6 +3010,442 @@ let prop_sim_replies_match =
           = mask_truth_counts (expected_replies reference msgs))
         conns)
 
+(* ---- the raw-body memo and the miss's reply rendering --------------------------- *)
+
+let test_lru_find_exact () =
+  let c = Lru.create ~capacity_bytes:14 in
+  let e1 = ent 1.0 in
+  Lru.add c 1 e1;
+  Lru.add c 2 (ent 2.0);
+  Alcotest.(check bool) "resident entry" true (Lru.find_exact c 1 e1);
+  Alcotest.(check int) "counted as a hit" 1 (Lru.hits c);
+  Alcotest.(check (list int)) "promoted" [ 1; 2 ] (Lru.hashes_hot_first c);
+  Alcotest.(check bool) "another entry under the hash" false (Lru.find_exact c 2 e1);
+  Alcotest.(check bool) "absent hash" false (Lru.find_exact c 3 e1);
+  Lru.add c 1 (ent 1.0);
+  Alcotest.(check bool) "replaced entry" false (Lru.find_exact c 1 e1);
+  Lru.clear c;
+  Alcotest.(check bool) "cleared" false (Lru.find_exact c 1 e1);
+  Alcotest.(check (pair int int)) "failures count nothing" (1, 0) (Lru.hits c, Lru.misses c)
+
+(* Random bit patterns, estimate-like values, powers of ten and their
+   neighbours, exact decimal ties at the 17th digit, powers of two,
+   subnormals, integers near 2^53, and the special values. *)
+let gen_render_float =
+  let open QCheck2.Gen in
+  (* an 18-digit decimal ending in 5, exactly representable: an integer
+     of 18 - j digits below 2^(53-j) plus an odd multiple of 2^-j *)
+  let tie =
+    let* j = int_range 2 6 in
+    let lo = int_of_float (10. ** float_of_int (17 - j)) in
+    let hi = min (int_of_float (10. ** float_of_int (18 - j))) (1 lsl (53 - j)) in
+    let* a = int_range lo (hi - 1) in
+    let* odd = int_range 0 ((1 lsl (j - 1)) - 1) in
+    return (float_of_int a +. Float.ldexp (float_of_int ((2 * odd) + 1)) (-j))
+  in
+  let near x = function 0 -> x | 1 -> Float.succ x | _ -> Float.pred x in
+  let value =
+    frequency
+      [ (4, map Int64.float_of_bits int64);
+        (4,
+         map2
+           (fun m e -> m *. (10. ** float_of_int e))
+           (float_range 1.0 10.0) (int_range (-12) 12));
+        (2, map2 (fun k d -> near (10. ** float_of_int k) d) (int_range (-323) 308) (int_range 0 2));
+        (2, tie);
+        (1, map (fun k -> Float.ldexp 1.0 k) (int_range (-1074) 1023));
+        (1, map (fun m -> Int64.float_of_bits (Int64.logand m 0xF_FFFF_FFFF_FFFFL)) int64);
+        (1, map (fun d -> Float.ldexp 1.0 53 +. float_of_int d) (int_range (-64) 64));
+        (1,
+         oneofl
+           [ 0.0; infinity; nan; Float.max_float; Float.min_float; Float.epsilon; 0.1; 1e16;
+             1e17; 9.999999999999999e16; 1234567890123456.25; 1234567890123456.75;
+             Float.ldexp 1.0 (-25); 0.5; 2.5 ]) ]
+  in
+  map2 (fun neg x -> if neg then -.x else x) bool value
+
+let prop_render_matches_printf =
+  QCheck2.Test.make ~name:"miss reply = OK %.17g, value frame decodes" ~count:3_000
+    ~long_factor:20 ~print:(Printf.sprintf "%h") gen_render_float (fun x ->
+      let e = Server.make_entry ~name:"m" ~version:1 ~vec:Squery.Vec.empty x in
+      e.Lru.text = "OK " ^ Printf.sprintf "%.17g" x ^ "\n"
+      && String.length e.Lru.bin = 13
+      && String.sub e.Lru.bin 0 4 = "\000\000\000\009"
+      &&
+      match Protocol.Bin.decode_response (Bytes.of_string (String.sub e.Lru.bin 4 9)) with
+      | Ok (Protocol.Bin.Bvalue v) -> Int64.bits_of_float v = Int64.bits_of_float x
+      | _ -> false)
+
+(* [items] served in order on shard 0 of [server] through the shard loop
+   over a simulated network: an [`Est line] is one lockstep request on a
+   connection of its own, a [`Do f] runs [f] on the loop's domain
+   between requests.  For each request: its reply, the [cached]
+   attribute of its [est.cache] span ("-" when it has none), and
+   whether it lexed (an [est.parse] span). *)
+let memo_serve server items =
+  let net = Simio.create () in
+  let records = ref [] and results = ref [] and flush = ref ignore in
+  let rec step items () =
+    !flush ();
+    flush := ignore;
+    match items with
+    | [] -> ()
+    | `Do f :: rest ->
+      f ();
+      step rest ()
+    | `Est line :: rest ->
+      records := [];
+      let fd = Simio.connect net ~lockstep:true [ line ^ "\n" ] in
+      flush :=
+        (fun () ->
+          let span name =
+            List.find_opt (fun (r : Selest_obs.Span.record) -> r.Selest_obs.Span.name = name)
+              !records
+          in
+          let cached =
+            match span "est.cache" with
+            | Some r -> Option.value ~default:"-" (List.assoc_opt "cached" r.Selest_obs.Span.attrs)
+            | None -> "none"
+          in
+          results := (Simio.received fd, cached, span "est.parse" <> None) :: !results);
+      Simio.when_idle net (step rest)
+  in
+  Simio.when_idle net (step items);
+  Fun.protect
+    ~finally:(fun () -> Selest_obs.Span.set_global_sink None)
+    (fun () ->
+      Selest_obs.Span.set_global_sink (Some (fun r -> records := r :: !records));
+      Simio.serve server [ net ]);
+  List.rev !results
+
+let lru_counts server =
+  let c = Server.cache server in
+  [ Lru.hits c; Lru.misses c; Lru.evictions c; Lru.length c; Lru.bytes c; Lru.collisions c ]
+
+let est_line body = "EST " ^ body
+let memo_body = "c=contact, p=patient ; c.patient=p ; p.USBorn=1, c.Contype=2"
+let show_outcomes = List.map (fun (_, cached, lexed) -> Printf.sprintf "%s/%b" cached lexed)
+
+(* A LOAD bumps the version: the memo's slot still holds the body, but
+   its entry is the old version's, so the next ask takes the canonical
+   path (here: the answer the reload carried) and answers the new
+   model's estimate. *)
+let test_memo_stale_after_load () =
+  let file_a, file_b = Lazy.force carry_files in
+  let server = Server.create ~db:(Lazy.force db) ~socket:"(test: unused)" () in
+  ignore (Server.handle_line server ("LOAD tb " ^ file_a));
+  let ask = `Est (est_line memo_body) in
+  let results =
+    memo_serve server
+      [ ask; ask; ask;
+        `Do (fun () -> ignore (Server.handle_line_shard server ~shard:0 ("LOAD tb " ^ file_b)));
+        ask; ask ]
+  in
+  let answer path =
+    let s = Server.create ~db:(Lazy.force db) ~socket:"(test: unused)" () in
+    ignore (Server.handle_line s ("LOAD tb " ^ path));
+    fst (Server.handle_line s (est_line memo_body)) ^ "\n"
+  in
+  let a = answer file_a and b = answer file_b in
+  Alcotest.(check bool) "the two models differ here" true (a <> b);
+  Alcotest.(check (list string)) "replies" [ a; a; a; b; b ]
+    (List.map (fun (r, _, _) -> r) results);
+  Alcotest.(check (list string)) "paths"
+    [ "miss/true"; "-/true"; "memo/false"; "carried/true"; "memo/false" ]
+    (show_outcomes results)
+
+(* The size of [body]'s cache entry on a fresh server. *)
+let entry_bytes body =
+  let s = fresh_server () in
+  ignore (Server.handle_line s (est_line body));
+  Lru.bytes (Server.cache s)
+
+(* An entry evicted from the estimate cache, then refilled under the
+   same hash by a new inference: the memo's slot names the old entry
+   record, so the ask after the eviction misses, the one after the
+   refill is a canonical hit, and only then is the memo used again.
+   The LRU counters equal those of a twin answering every line through
+   the reference entry point. *)
+let test_memo_evicted_or_replaced () =
+  let other = "p=patient ; ; p.Age=1" in
+  let cache_bytes = max (entry_bytes memo_body) (entry_bytes other) + 1 in
+  let mk () =
+    let s = Server.create ~cache_bytes ~db:(Lazy.force db) ~socket:"(test: unused)" () in
+    ignore (Registry.register (Server.registry s) ~name:"default" (Lazy.force model));
+    s
+  in
+  let server = mk () and twin = mk () in
+  let lines = List.map est_line [ memo_body; memo_body; memo_body; other; memo_body; memo_body; memo_body ] in
+  let results = memo_serve server (List.map (fun l -> `Est l) lines) in
+  let expected = List.map (fun l -> fst (Server.handle_line_shard twin ~shard:0 l) ^ "\n") lines in
+  Alcotest.(check (list string)) "replies = reference" expected
+    (List.map (fun (r, _, _) -> r) results);
+  Alcotest.(check (list string)) "paths"
+    [ "miss/true"; "-/true"; "memo/false"; "miss/true"; "miss/true"; "-/true"; "memo/false" ]
+    (show_outcomes results);
+  Alcotest.(check (list int)) "LRU counters = reference" (lru_counts twin) (lru_counts server);
+  Alcotest.(check bool) "evictions happened" true (Lru.evictions (Server.cache server) >= 2)
+
+(* Bodies that share a memo key (so a set and a stored key) are told
+   apart by their bytes; a full set replaces its oldest body; a stored
+   body is refreshed in place; a body over [Memo.max_body] is never
+   stored; and a body whose ring bytes were written over is never
+   matched. *)
+let test_memo_shared_slot () =
+  let m = Memo.create () in
+  let e v = ent v in
+  let find ?(key = 0) body =
+    let b = Bytes.of_string ("<<" ^ body ^ ">>") in
+    Memo.find m key b ~off:2 ~len:(String.length body)
+  in
+  let add ?(key = 0) ?(hash = 0) body entry =
+    let b = Bytes.of_string body in
+    Memo.add m ~slot:(find ~key body) key b ~off:0 ~len:(Bytes.length b) ~hash entry
+  in
+  Alcotest.(check bool) "body keys are non-negative" true
+    (List.for_all
+       (fun i ->
+         let b = Bytes.of_string (Printf.sprintf "p=patient ; ; p.Age=%d" i) in
+         Memo.key b ~off:0 ~len:(Bytes.length b) >= 0)
+       (List.init 2_000 Fun.id));
+  let e1 = e 1.0 and e2 = e 2.0 and e3 = e 3.0 in
+  add ~hash:11 "alpha" e1;
+  add ~hash:22 "bravo" e2;
+  let s1 = find "alpha" and s2 = find "bravo" in
+  Alcotest.(check bool) "both found, apart" true (s1 >= 0 && s2 >= 0 && s1 <> s2);
+  Alcotest.(check bool) "alpha's answer" true (Memo.entry m s1 == e1 && Memo.lru_hash m s1 = 11);
+  Alcotest.(check bool) "bravo's answer" true (Memo.entry m s2 == e2 && Memo.lru_hash m s2 = 22);
+  Alcotest.(check int) "same key, other bytes" (-1) (find "alphb");
+  Alcotest.(check int) "same key, a prefix" (-1) (find "alph");
+  Alcotest.(check int) "same bytes, other key" (-1) (find ~key:1 "alpha");
+  add ~hash:33 "bravo" e3;
+  Alcotest.(check int) "refreshed in place" s2 (find "bravo");
+  Alcotest.(check bool) "refreshed answer" true (Memo.entry m s2 == e3 && Memo.lru_hash m s2 = 33);
+  (* twenty more under the same key: the set keeps its newest bodies *)
+  let more = List.init 20 (Printf.sprintf "body-%02d") in
+  List.iter (fun b -> add b e1) more;
+  let kept = List.map (fun b -> find b >= 0) ("alpha" :: "bravo" :: more) in
+  Alcotest.(check bool) "a full set replaces its oldest" true
+    (List.nth kept 21 && not (List.hd kept)
+    && kept = List.sort compare kept (* false ... false true ... true *));
+  let big = String.make (Memo.max_body + 1) 'x' in
+  add ~key:5 big e1;
+  Alcotest.(check int) "over max_body: not stored" (-1) (find ~key:5 big);
+  (* 80 bodies of 2 KiB under distinct keys: 160 KiB through the
+     128 KiB ring *)
+  let body i = Printf.sprintf "%04d" i ^ String.make (Memo.max_body - 4) '.' in
+  for i = 0 to 79 do
+    add ~key:(100 + i) (body i) e1
+  done;
+  Alcotest.(check int) "written over: not matched" (-1) (find ~key:100 (body 0));
+  Alcotest.(check bool) "recent: matched" true (find ~key:179 (body 79) >= 0)
+
+(* A body longer than the memo's room is lexed on every ask and answered
+   exactly as the reference path answers it. *)
+let test_memo_oversized_body () =
+  let body = "p=patient ;" ^ String.make (Memo.max_body + 100) ' ' ^ "; p.Age=1" in
+  let server = fresh_server () and twin = fresh_server () in
+  let lines = List.init 4 (fun _ -> est_line body) in
+  let results = memo_serve server (List.map (fun l -> `Est l) lines) in
+  Alcotest.(check (list string)) "replies = reference"
+    (List.map (fun l -> fst (Server.handle_line_shard twin ~shard:0 l) ^ "\n") lines)
+    (List.map (fun (r, _, _) -> r) results);
+  Alcotest.(check (list string)) "always lexed" [ "miss/true"; "-/true"; "-/true"; "-/true" ]
+    (show_outcomes results);
+  Alcotest.(check (list int)) "LRU counters = reference" (lru_counts twin) (lru_counts server)
+
+(* The memo against the reference path: random sequences of EST lines
+   (exact repeats, permuted and respaced spellings, [@model] and the
+   default, errors) and LOADs alternating two model files, served
+   through the shard loop over a simulated network in text or BIN
+   framing (each stretch between LOADs one connection), and the same
+   sequence through [handle_line_shard]/[handle_frame] on a twin
+   server.  Every reply is byte-identical, and so are the LRU counters
+   and the per-model inference counts at the end.  The cache is tiny, so
+   entries are evicted and refilled. *)
+let memo_pool =
+  [| memo_body;
+     "c=contact, p=patient ; c.patient=p ; c.Contype=2, p.USBorn=1";
+     "c=contact,  p=patient ;c.patient=p; p.USBorn=1 , c.Contype=2";
+     "p=patient ; ; p.Age=1";
+     "p=patient ;  ; p.Age=1";
+     "s=strain ; ; s.Lineage={1,3}";
+     "s=strain ; ; s.Lineage={3,1}";
+     "p=patient, s=strain ; p.strain=s ; p.Homeless=1, s.Unique=0";
+     "p=patient ; ; p.Nope=1" |]
+
+type memo_op = Ask of string option * int | Reload of string * bool
+
+let gen_memo_case =
+  let open QCheck2.Gen in
+  let ask =
+    map2
+      (fun m b -> Ask (m, b))
+      (frequencyl [ (4, None); (3, Some "default"); (3, Some "other"); (1, Some "nope") ])
+      (int_range 0 (Array.length memo_pool - 1))
+  in
+  let reload = map2 (fun n f -> Reload (n, f)) (oneofl [ "default"; "other" ]) bool in
+  let* ops = list_size (int_range 1 40) (frequency [ (9, ask); (1, reload) ]) in
+  let* framing = int in
+  let* cache_bytes = oneofl [ 300; 700; 1_500; 1 lsl 20 ] in
+  return (framing, cache_bytes, ops)
+
+let print_memo_case (framing, cache_bytes, ops) =
+  Printf.sprintf "framing=%d cache=%d %s" framing cache_bytes
+    (String.concat " | "
+       (List.map
+          (function
+            | Ask (m, b) -> Printf.sprintf "%s%d" (match m with None -> "" | Some m -> "@" ^ m ^ " ") b
+            | Reload (n, f) -> Printf.sprintf "LOAD %s %b" n f)
+          ops))
+
+let prop_memo_matches_reference =
+  QCheck2.Test.make ~name:"memo replies and counters = reference path" ~count:40
+    ~long_factor:20 ~print:print_memo_case gen_memo_case (fun (framing, cache_bytes, ops) ->
+      let file_a, file_b = Lazy.force carry_files in
+      let file f = if f then file_b else file_a in
+      let mk () =
+        let s = Server.create ~cache_bytes ~db:(Lazy.force db) ~socket:"(test: unused)" () in
+        ignore (Registry.register (Server.registry s) ~name:"default" (Lazy.force model));
+        ignore (Server.handle_line s ("LOAD other " ^ file_a));
+        s
+      in
+      let server = mk () and twin = mk () in
+      (* the stretches of asks between reloads, each with its framing *)
+      let rec stretches acc cur = function
+        | [] -> List.rev (`Asks (List.rev cur) :: acc)
+        | (Ask _ as a) :: rest -> stretches acc (a :: cur) rest
+        | Reload (n, f) :: rest -> stretches (`Load (n, f) :: `Asks (List.rev cur) :: acc) [] rest
+      in
+      let line m b =
+        "EST " ^ (match m with None -> "" | Some m -> "@" ^ m ^ " ") ^ memo_pool.(b)
+      in
+      let payload m b =
+        let f = Protocol.Bin.encode_request (Protocol.Bin.Best { model = m; body = memo_pool.(b) }) in
+        String.sub f 4 (String.length f - 4)
+      in
+      let net = Simio.create () in
+      let got = ref [] and want = ref [] in
+      let rec step k items () =
+        match items with
+        | [] -> ()
+        | `Load (n, f) :: rest ->
+          let l = Printf.sprintf "LOAD %s %s" n (file f) in
+          got := fst (Server.handle_line_shard server ~shard:0 l) :: !got;
+          want := fst (Server.handle_line_shard twin ~shard:0 l) :: !want;
+          step k rest ()
+        | `Asks asks :: rest ->
+          let bin = (framing lsr (k land 31)) land 1 = 1 in
+          let asks = List.filter_map (function Ask (m, b) -> Some (m, b) | Reload _ -> None) asks in
+          let msgs =
+            if bin then
+              "BIN\n" :: List.map (fun (m, b) -> let p = payload m b in u32_be (String.length p) ^ p) asks
+            else List.map (fun (m, b) -> line m b ^ "\n") asks
+          in
+          let fd = Simio.connect net ~lockstep:true msgs in
+          let expected =
+            if bin then
+              (Protocol.Bin.hello_ok ^ "\n")
+              :: List.map (fun (m, b) -> Server.handle_frame twin (Bytes.of_string (payload m b))) asks
+            else List.map (fun (m, b) -> fst (Server.handle_line_shard twin ~shard:0 (line m b)) ^ "\n") asks
+          in
+          want := String.concat "" expected :: !want;
+          Simio.when_idle net (fun () ->
+              got := Simio.received fd :: !got;
+              step (k + 1) rest ())
+      in
+      Simio.when_idle net (step 0 (stretches [] [] ops));
+      Simio.serve server [ net ];
+      let infer s = List.map (Metrics.get (Server.metrics s)) [ "infer.default"; "infer.other" ] in
+      List.rev !got = List.rev !want
+      && lru_counts server = lru_counts twin
+      && infer server = infer twin)
+
+(* A model file with one leaf probability of strain.DrugResist set to
+   NaN: the learned TB model, edited in its serialized form. *)
+let nan_model_file =
+  lazy
+    (let open Selest_util.Sexp in
+     let schema = Database.schema (Lazy.force db) in
+     let ti = Schema.table_index schema "strain" in
+     let ai = Schema.attr_index (Schema.find_table schema "strain") "DrugResist" in
+     let nth i f = List.mapi (fun j x -> if j = i then f x else x) in
+     let rec first_leaf = function
+       | List (Atom "leaf" :: w :: _ :: rest) -> List (Atom "leaf" :: w :: Atom "nan" :: rest)
+       | List (Atom "multi" :: p :: kid :: kids) -> List (Atom "multi" :: p :: first_leaf kid :: kids)
+       | List [ Atom "thresh"; p; c; lo; hi ] -> List [ Atom "thresh"; p; c; first_leaf lo; hi ]
+       | s -> s
+     in
+     let cpd = function
+       | List (Atom "table-cpd" :: fields) ->
+         List
+           (Atom "table-cpd"
+           :: List.map
+                (function
+                  | List (Atom "entries" :: _ :: es) -> List (Atom "entries" :: Atom "nan" :: es)
+                  | f -> f)
+                fields)
+       | List (Atom "tree-cpd" :: fields) ->
+         List
+           (Atom "tree-cpd"
+           :: List.map
+                (function List [ Atom "root"; n ] -> List [ Atom "root"; first_leaf n ] | f -> f)
+                fields)
+       | s -> s
+     in
+     let family = function
+       | List [ Atom "family"; parents; List [ Atom "cpd"; c ] ] ->
+         List [ Atom "family"; parents; List [ Atom "cpd"; cpd c ] ]
+       | s -> s
+     in
+     let table_model = function
+       | List [ Atom "table-model"; List (Atom "attrs" :: fams); joins ] ->
+         List [ Atom "table-model"; List (Atom "attrs" :: nth ai family fams); joins ]
+       | s -> s
+     in
+     let edited =
+       match Selest_prm.Serialize.to_sexp (Lazy.force model) with
+       | List items ->
+         List
+           (List.map
+              (function
+                | List (Atom "tables" :: tms) -> List (Atom "tables" :: nth ti table_model tms)
+                | s -> s)
+              items)
+       | s -> s
+     in
+     let path = Filename.temp_file "selest_nan" ".prm" in
+     save path edited;
+     at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+     path)
+
+(* A NaN estimate is answered, but it enters neither the estimate cache
+   (so a repeat is no hit) nor the q-error table (so HEALTH's mean stays
+   finite). *)
+let test_non_finite_stays_out () =
+  let server = fresh_server () in
+  let ask l = fst (Server.handle_line server l) in
+  Alcotest.(check bool) "LOAD" true
+    (Protocol.is_ok (ask ("LOAD m2 " ^ Lazy.force nan_model_file)));
+  let finite = ask "TRUTH @m2 50 s=strain ; ; s.DrugResist=1" in
+  Alcotest.(check bool) ("a finite TRUTH: " ^ finite) true
+    (Protocol.is_ok finite && not (contains finite "nan"));
+  let c = Server.cache server in
+  let len0 = Lru.length c and hits0 = Lru.hits c in
+  let body = "s=strain ; ; s.DrugResist=0" in
+  let r1 = ask ("EST @m2 " ^ body) and r2 = ask ("EST @m2 " ^ body) in
+  Alcotest.(check (pair string string)) "answered NaN" ("OK nan", "OK nan") (r1, r2);
+  Alcotest.(check int) "no cache entry" len0 (Lru.length c);
+  Alcotest.(check int) "no hit" hits0 (Lru.hits c);
+  Alcotest.(check bool) "TRUTH answered" true (Protocol.is_ok (ask ("TRUTH @m2 5 " ^ body)));
+  let qline =
+    List.find
+      (fun l -> String.starts_with ~prefix:"qerror model=m2 " l)
+      (String.split_on_char '\n' (ask "HEALTH"))
+  in
+  Alcotest.(check bool) ("q-error mean finite: " ^ qline) true
+    (contains qline " n=1 " && not (contains qline "nan"))
+
 let () =
   Alcotest.run "serve"
     [
@@ -3005,6 +3464,7 @@ let () =
           Alcotest.test_case "byte budget" `Quick test_lru_byte_budget;
           Alcotest.test_case "oversized entry" `Quick test_lru_oversized_entry;
           Alcotest.test_case "collision recount" `Quick test_lru_collision_recount;
+          Alcotest.test_case "find_exact" `Quick test_lru_find_exact;
           QCheck_alcotest.to_alcotest prop_lru_matches_model;
         ] );
       ( "metrics",
@@ -3040,6 +3500,8 @@ let () =
             test_server_bytecode_contradiction_regression;
           Alcotest.test_case "slow-log replay counts nothing" `Quick
             test_slowlog_replay_counts_nothing;
+          Alcotest.test_case "non-finite estimate stays out" `Quick
+            test_non_finite_stays_out;
         ] );
       ( "shards",
         [
@@ -3117,6 +3579,15 @@ let () =
             test_answer_cap_and_uncarried;
           Alcotest.test_case "answer failure skips its entry" `Quick
             test_answer_failure_skips_entry;
+        ] );
+      ( "memo",
+        [
+          QCheck_alcotest.to_alcotest prop_memo_matches_reference;
+          QCheck_alcotest.to_alcotest prop_render_matches_printf;
+          Alcotest.test_case "stale after LOAD" `Quick test_memo_stale_after_load;
+          Alcotest.test_case "evicted or replaced entry" `Quick test_memo_evicted_or_replaced;
+          Alcotest.test_case "bodies sharing a slot" `Quick test_memo_shared_slot;
+          Alcotest.test_case "body over the memo's room" `Quick test_memo_oversized_body;
         ] );
       ( "miss-path",
         List.map QCheck_alcotest.to_alcotest
