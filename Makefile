@@ -1,7 +1,7 @@
 SOCKET ?= /tmp/selest-demo.sock
 CLI = dune exec --no-build bin/selest_cli.exe --
 
-.PHONY: build test bench bench-smoke serve-demo clean
+.PHONY: build test bench bench-smoke serve-demo loc clean
 
 build:
 	dune build
@@ -43,6 +43,15 @@ serve-demo: build
 	$(CLI) ask --socket $(SOCKET) STATS && \
 	$(CLI) ask --socket $(SOCKET) SHUTDOWN && \
 	wait
+
+# Source line counts (.ml, .mli and .c files) per directory, for the net
+# line change a change reports.
+LOC_DIRS = lib bin test bench perfbench
+loc:
+	@total=0; for d in $(LOC_DIRS); do \
+	  n=$$(find $$d -type f \( -name '*.ml' -o -name '*.mli' -o -name '*.c' \) -exec cat {} + | wc -l); \
+	  printf '%-10s %7d\n' $$d $$n; total=$$((total + n)); \
+	done; printf '%-10s %7d\n' total $$total
 
 clean:
 	dune clean

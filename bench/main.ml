@@ -154,11 +154,10 @@ let bn_uj_for db = fun budget -> Est.Prm_est.build_bn_uj ~budget_bytes:budget ~s
 let census_bn ?(db = Lazy.force census) ?(kind = Bn.Cpd.Trees) ?(rule = Prm.Learn.Ssn) budget =
   Prm.Learn.learn ~config:{ (Prm.Learn.bn_config ~budget_bytes:budget) with Prm.Learn.kind; rule } db
 
-(* Its factors for one-shot VE: one CPD per attribute, over the
-   attribute ids. *)
-let census_factors r =
-  let m = r.Prm.Learn.model in
-  List.init (Array.length m.Prm.Model.tables.(0).Prm.Model.attr_families) (Prm.Model.attr_table m 0)
+(* A select query over the census table's attributes, by id. *)
+let census_query selects =
+  let sel (a, pred) = { Db.Query.sel_tv = "p"; sel_attr = Synth.Census.attr_names.(a); pred } in
+  Db.Query.create ~tvars:[ ("p", "person") ] ~selects:(List.map sel selects) ()
 
 (* whole-join SAMPLE for multi-table dbs: store all attributes *)
 let join_sample_for db ~n_attrs = fun budget ->
@@ -471,10 +470,7 @@ let fig7c () =
   let db = Lazy.force census in
   let person = Db.Database.table db "person" in
   let budgets = [ 1_000; 3_000; 5_000; 7_000; 9_000 ] in
-  let q =
-    let eq a v = Db.Query.eq "p" Synth.Census.attr_names.(a) v in
-    Db.Query.create ~tvars:[ ("p", "person") ] ~selects:[ eq 10 7; eq 2 9; eq 0 5 ] ()
-  in
+  let q = census_query [ (10, Db.Query.Eq 7); (2, Db.Query.Eq 9); (0, Db.Query.Eq 5) ] in
   let sizes = [| Db.Table.size person |] in
   let reps = 200 in
   let timed b kind =
@@ -710,43 +706,49 @@ let write_golden file buf =
 let check_bits name bad n what =
   H.check name (bad = 0) (Printf.sprintf "%d/%d %s" (n - bad) n what)
 
-(* ---- inference core: optimized engine vs reference ------------------------------------------- *)
+(* ---- inference core: the one-shot compiled plan vs Ve.Reference ---------------------------- *)
 
-(* The fast inference core against its pre-optimization baselines:
-   single-query VE against the naive Reference engine (bit-identity
-   first) and ESTBATCH against sequential EST on cold estimate caches. *)
+(* The engine that serves, run one-shot, against the naive oracle:
+   single-query [Plan.compile] + [Plan.execute] on a census BN against
+   [Ve.Reference] on the plan's own factors and evidence (bit-identity
+   first), and ESTBATCH against sequential EST on cold estimate caches. *)
 let fig_inference () =
-  section "I1: fast inference core — stride kernels, ESTBATCH";
-  let table_factors budget = census_factors (census_bn ~kind:Bn.Cpd.Tables budget) in
-  (* prob_of_evidence plans from scratch per call; schedule reuse is the
-     plan IR's job and is measured by the "plan" figure. *)
-  let ve_pair ~label ~metric ~reps ~pairs fs ev =
-    let fast = Bn.Ve.prob_of_evidence fs ev in
-    let naive = Bn.Ve.Reference.prob_of_evidence fs ev in
-    if Int64.bits_of_float fast <> Int64.bits_of_float naive then
-      failwith "inference bench: optimized VE diverged from Reference";
+  section "I1: one-shot compiled plan vs Ve.Reference, ESTBATCH";
+  (* The one-shot side compiles afresh on every call; the model's CPD
+     tables, tabulated once per model, are warm after the first.
+     Schedule and program reuse is the "plan" figure's. *)
+  let ve_pair ~label ~metric ~reps ~pairs budget selects =
+    let model = (census_bn ~kind:Bn.Cpd.Tables budget).Prm.Learn.model in
+    let q = census_query selects in
+    let one_shot () =
+      let plan = Plan.compile model q in
+      Plan.execute plan (Plan.bind plan q)
+    in
+    let plan = Plan.compile model q in
+    let fs = Plan.factors plan and ev = Plan.bind plan q @ Plan.join_evidence plan in
+    let reference () = Bn.Ve.Reference.prob_of_evidence fs ev in
+    if Int64.bits_of_float (one_shot ()) <> Int64.bits_of_float (reference ()) then
+      failwith "inference bench: one-shot plan diverged from Ve.Reference";
     let loop f () =
       for _ = 1 to reps do
-        ignore (f fs ev)
+        ignore (Sys.opaque_identity (f ()))
       done
     in
-    let t_ref, t_fast =
-      H.timed_pairs ~pairs (loop Bn.Ve.Reference.prob_of_evidence) (loop Bn.Ve.prob_of_evidence)
-    in
-    let speedup = H.ratio t_ref t_fast in
-    let ns = H.per_op ~ops:reps t_fast in
-    Printf.printf "%-40s %10.0f ns   %.1fx over Reference\n" label ns.H.median speedup.H.median;
+    let t_ref, t_plan = H.timed_pairs ~pairs (loop reference) (loop one_shot) in
+    let speedup = H.ratio t_ref t_plan in
+    let ns = H.per_op ~ops:reps t_plan in
+    Printf.printf "%-44s %10.0f ns   %.1fx over Reference\n" label ns.H.median speedup.H.median;
     H.stat_row (metric ^ "_ns") "ns" ns;
     H.stat_row (metric ^ "_speedup") "ratio" speedup
   in
   (* headline: a select+range query (the paper's Sec. 2.3 workload) on a
      64KB table-CPD census model — big CPTs keep the kernels busy *)
-  ve_pair ~label:"VE eq+range query (64KB census BN)" ~metric:"ve_single" ~reps:3 ~pairs:7
-    (table_factors 65_536)
+  ve_pair ~label:"plan eq+range query (64KB census BN)" ~metric:"ve_single" ~reps:3 ~pairs:7
+    65_536
     [ (10, Db.Query.Eq 7); (0, Db.Query.Range (2, 9)) ];
   (* secondary: an all-equality query on a paper-scale 4KB model *)
-  ve_pair ~label:"VE 3xEq query (4KB census BN)" ~metric:"ve_eq_small" ~reps:30 ~pairs:9
-    (table_factors 4_096)
+  ve_pair ~label:"plan 3xEq query (4KB census BN)" ~metric:"ve_eq_small" ~reps:30 ~pairs:9
+    4_096
     [ (10, Db.Query.Eq 7); (2, Db.Query.Eq 9); (0, Db.Query.Eq 5) ];
 
   (* --- ESTBATCH vs sequential EST, cold estimate cache: the ratio prices
@@ -910,8 +912,8 @@ let fig_plan () =
 (* ---- bytecode executor + binary wire frames -------------------------------------------------- *)
 
 (* The zero-allocation bytecode executor (Selest_plan.Exec) and the
-   binary EST frames: bit-identity against Ve.Reference and the generic
-   engine over every TB binding, >= 5x the generic warm execute, zero
+   binary EST frames: bit-identity against Ve.Reference over every TB
+   binding, >= 10x Ve.Reference on the same warm bindings, zero
    minor-heap words across 10k warm load+run pairs, and binary frames
    no slower than text on the same warm-cache workload (both
    transport-free: handle_frame vs handle_line). *)
@@ -922,29 +924,30 @@ let fig_exec () =
   let n = List.length queries in
   let plan = Plan.compile fx.H.model (List.hd queries) in
   let bindings = Array.of_list (List.map (Plan.bind plan) queries) in
-
-  (* --- gate 1: bit-identity vs Ve.Reference and the generic engine --- *)
   let factors = Plan.factors plan and jev = Plan.join_evidence plan in
+  let reference _ b = Bn.Ve.Reference.prob_of_evidence factors (b @ jev) in
+
+  (* --- gate 1: bit-identity vs Ve.Reference --- *)
   let count p = Array.fold_left (fun acc b -> if p b then acc + 1 else acc) 0 bindings in
   let differs x y = Int64.bits_of_float x <> Int64.bits_of_float y in
   check_bits "bytecode bit-identical to Ve.Reference"
-    (count (fun b ->
-         differs (Plan.execute plan b) (Bn.Ve.Reference.prob_of_evidence factors (b @ jev))))
-    n "bindings";
-  check_bits "bytecode bit-identical to generic execute"
-    (count (fun b -> differs (Plan.execute plan b) (Plan.execute_generic plan b)))
+    (count (fun b -> differs (Plan.execute plan b) (reference plan b)))
     n "bindings";
 
-  (* --- gate 2: warm execute speedup over the generic path --- *)
+  (* --- gate 2: warm execute speedup over Ve.Reference.  The gate it
+     replaced asked >= 5x the fused generic engine, which ran 1.84-1.89x
+     faster than Ve.Reference on these bindings (3 runs, 2 cores): 5 x
+     1.89 rounds up to 10. --- *)
   let run f () = Array.iter (fun b -> ignore (f plan b)) bindings in
-  let t_gen, t_byte = H.timed_pairs ~pairs:15 (run Plan.execute_generic) (run Plan.execute) in
-  let speedup = H.ratio t_gen t_byte in
+  let t_ref, t_byte = H.timed_pairs ~pairs:15 (run reference) (run Plan.execute) in
+  let speedup = H.ratio t_ref t_byte in
   let byte_us = H.per_op ~us:true ~ops:n t_byte in
-  Printf.printf "warm execute: bytecode %.3fus, %.1fx generic\n" byte_us.H.median
+  Printf.printf "warm execute: bytecode %.3fus, %.1fx Ve.Reference\n" byte_us.H.median
     speedup.H.median;
-  H.check "bytecode >= 5x generic warm execute" (speedup.H.median >= 5.0) (pp_stat speedup);
+  H.check "bytecode >= 10x Ve.Reference warm execute" (speedup.H.median >= 10.0)
+    (pp_stat speedup);
   H.stat_row "execute_bytecode_us" "us" byte_us;
-  H.stat_row "bytecode_speedup" "ratio" speedup;
+  H.stat_row "bytecode_speedup_over_reference" "ratio" speedup;
 
   (* --- gate 3: zero minor-heap allocation per warm request --- *)
   (match Plan.program_for plan bindings.(0) with
@@ -1015,7 +1018,7 @@ let fig_exec () =
    pipeline answers exactly like the reference split/Qparse/validate/
    normalize pipeline and beats it >= 2x on a warm miss; (2) range and
    set predicates lower into the bytecode executor bit-identically to
-   the generic engine and Ve.Reference; (3) a warm served EST allocates
+   Ve.Reference; (3) a warm served EST allocates
    zero minor-heap words end to end — socket read to answer write — in
    both text and binary framing, driven through the shard loop
    production runs over a simulated network, and a repeated body is
@@ -1098,16 +1101,14 @@ let fig_frontend () =
   in
   let mplan = Plan.compile fx.H.model (List.hd masked_queries) in
   let mfactors = Plan.factors mplan and mjev = Plan.join_evidence mplan in
-  let div_gen = ref 0 and div_ref = ref 0 in
+  let div_ref = ref 0 in
   List.iter
     (fun q ->
       let b = Plan.bind mplan q in
       let byte = Int64.bits_of_float (Plan.execute mplan b) in
-      if byte <> Int64.bits_of_float (Plan.execute_generic mplan b) then incr div_gen;
       if byte <> Int64.bits_of_float (Bn.Ve.Reference.prob_of_evidence mfactors (b @ mjev))
       then incr div_ref)
     masked_queries;
-  check_bits "range/set bytecode ≡ generic engine" !div_gen n_masked "queries";
   check_bits "range/set bytecode ≡ Ve.Reference" !div_ref n_masked "queries";
 
   (* --- gate 3: zero allocation end to end through the shard loop --- *)
@@ -1860,9 +1861,16 @@ let bechamel_suite () =
   section "Bechamel micro-benchmarks (inference and counting kernels)";
   let open Bechamel in
   let data = Bn.Data.of_table (Db.Database.table (Lazy.force census) "person") in
-  let tree_bn = census_factors (census_bn 4_096) in
-  let table_bn = census_factors (census_bn ~kind:Bn.Cpd.Tables 4_096) in
-  let q = [ (10, Db.Query.Eq 7); (2, Db.Query.Eq 9) ] in
+  (* the census BN estimate on its compiled plan: the binding's
+     evidence writes and the bytecode run, as a served miss on a cached
+     plan does *)
+  let q = census_query [ (10, Db.Query.Eq 7); (2, Db.Query.Eq 9) ] in
+  let bn_plan kind =
+    let plan = Plan.compile (census_bn ~kind 4_096).Prm.Learn.model q in
+    (plan, Plan.bind plan q)
+  in
+  let tree_plan, tree_binding = bn_plan Bn.Cpd.Trees in
+  let table_plan, table_binding = bn_plan Bn.Cpd.Tables in
   let prm_model = lazy (learn_prm ~budget_bytes:4_096 ~seed:cfg.seed (Lazy.force tb)) in
   let tb_db = Lazy.force tb in
   let sizes = Prm.Estimate.sizes_of_db tb_db in
@@ -1872,10 +1880,10 @@ let bechamel_suite () =
   in
   let tests =
     [
-      Test.make ~name:"bn-ve-tree-cpds (select query)" (Staged.stage (fun () ->
-          ignore (Bn.Ve.prob_of_evidence tree_bn q)));
-      Test.make ~name:"bn-ve-table-cpds (select query)" (Staged.stage (fun () ->
-          ignore (Bn.Ve.prob_of_evidence table_bn q)));
+      Test.make ~name:"bn-plan-tree-cpds (select query)" (Staged.stage (fun () ->
+          ignore (Plan.execute tree_plan tree_binding)));
+      Test.make ~name:"bn-plan-table-cpds (select query)" (Staged.stage (fun () ->
+          ignore (Plan.execute table_plan table_binding)));
       Test.make ~name:"prm-estimate (3-table join query)" (Staged.stage (fun () ->
           ignore (Prm.Estimate.estimate (Lazy.force prm_model) ~sizes join_q)));
       Test.make ~name:"contingency-count (40K rows x 2 attrs)" (Staged.stage (fun () ->

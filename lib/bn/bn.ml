@@ -47,8 +47,6 @@ let factors t =
     t.factor_memo <- Some fs;
     fs
 
-let prob_of t evidence = Ve.prob_of_evidence (factors t) evidence
-
 let sample rng t =
   let order = Dag.topological_order t.dag in
   let out = Array.make (n_vars t) (-1) in

@@ -26,14 +26,11 @@ val loglik : t -> Data.t -> float
 (** Total data log-likelihood in bits (Eq. 3). *)
 
 val factors : t -> Selest_prob.Factor.t list
-(** One factor per CPD over variable ids [0..n-1], for inference. *)
-
-val prob_of : t -> (int * Selest_db.Query.pred) list -> float
-(** [prob_of bn evidence]: the probability that each listed variable
-    satisfies its predicate, computed by variable elimination — the P(E_q)
-    of Sec. 2.3, including range and set predicates.  Plans generic VE on
-    every call: estimators answer on a compiled plan instead (see
-    [Est.Bn_est]), and this stays as their oracle. *)
+(** One factor per CPD over variable ids [0..n-1], for inference: the
+    P(E_q) of Sec. 2.3 is [Ve.Reference.prob_of_evidence (factors bn)
+    evidence].  Estimators answer on a compiled plan instead (see
+    [Est.Bn_est]); that one-shot oracle is what tests check them
+    against. *)
 
 val sample : Selest_util.Rng.t -> t -> int array
 (** Draw one joint assignment (used by generator-validation tests). *)

@@ -23,15 +23,6 @@ let all_vars factors =
 
 let mentions f v = Factor.mentions f v
 
-let apply_evidence f ev =
-  List.fold_left
-    (fun f (v, pred) ->
-      match pred with
-      | Query.Eq x -> Factor.restrict f v x
-      | Query.In_set xs -> Factor.observe f v (fun u -> List.mem u xs)
-      | Query.Range (lo, hi) -> Factor.observe f v (fun u -> lo <= u && u <= hi))
-    f ev
-
 (* ---- evidence normalization ---------------------------------------------
 
    Merge multiple predicates on one variable into a single allowed-value
@@ -75,57 +66,16 @@ let merged_masks factors ev =
   if List.exists (fun (_, m) -> not (Array.exists Fun.id m)) merged then None
   else Some merged
 
-(* Per-variable actions derived from the masks.  A single allowed value
-   restricts (removing the variable); an all-true mask is a no-op and is
-   dropped; anything else zeroes the disallowed slabs. *)
-type action = Restrict of int | Mask of bool array
-
-let actions_of_masks merged =
-  List.filter_map
-    (fun (v, mask) ->
-      let n_allowed = Array.fold_left (fun n ok -> if ok then n + 1 else n) 0 mask in
-      if n_allowed = Array.length mask then None
-      else if n_allowed = 1 then begin
-        let x = ref 0 in
-        while not mask.(!x) do incr x done;
-        Some (v, Restrict !x)
-      end
-      else Some (v, Mask mask))
-    merged
-
-(* The variables the actions restrict, sorted.  They leave every scope,
-   so together with the keep set they fix the restricted factor
-   shapes. *)
+(* A mask with one allowed value out of two or more restricts its
+   variable, which then leaves every scope; so these variables, with the
+   keep set, fix the restricted factor shapes. *)
 let restricted_of_masks merged =
   List.sort compare
     (List.filter_map
-       (function v, Restrict _ -> Some v | _, Mask _ -> None)
-       (actions_of_masks merged))
-
-let normalize_evidence factors ev =
-  match merged_masks factors ev with
-  | None -> None
-  | Some merged ->
-    Some
-      (List.filter_map
-         (fun (v, act) ->
-           match act with
-           | Restrict x -> Some (v, Query.Eq x)
-           | Mask mask ->
-             let values = ref [] in
-             for x = Array.length mask - 1 downto 0 do
-               if mask.(x) then values := x :: !values
-             done;
-             Some (v, Query.In_set !values))
-         (actions_of_masks merged))
-
-let apply_actions f actions =
-  List.fold_left
-    (fun f (v, act) ->
-      match act with
-      | Restrict x -> Factor.restrict f v x
-      | Mask mask -> Factor.observe_mask f v mask)
-    f actions
+       (fun (v, mask) ->
+         let n_allowed = Array.fold_left (fun n ok -> if ok then n + 1 else n) 0 mask in
+         if n_allowed = 1 && Array.length mask > 1 then Some v else None)
+       merged)
 
 (* ---- elimination planning -----------------------------------------------
 
@@ -254,103 +204,11 @@ end
 
 let plan_order ~keep factors = (Schedule.plan ~keep factors).order
 
-(* The old process-global elimination-order LRU (keyed by caller-supplied
-   [plan_key] strings) lived here.  Schedules are now first-class values:
-   callers with repeated query shapes memoize {!Schedule.t} per restricted
-   variable set themselves — see the plan IR in [lib/plan]. *)
-
-let attr_of_order order = String.concat "," (List.map string_of_int order)
-
-let schedule_for factors =
-  Selest_obs.Span.with_ "ve.plan" (fun sp ->
-      let s = Schedule.plan ~keep:[||] factors in
-      if Selest_obs.Span.live sp then begin
-        Selest_obs.Span.add sp "cached" "none";
-        Selest_obs.Span.add sp "order" (attr_of_order s.order)
-      end;
-      s)
-
-(* ---- execution -----------------------------------------------------------
-
-   One fused multiply-and-sum kernel per eliminated variable; intermediate
-   tables live in a domain-local scratch pool, so a full run performs O(1)
-   large allocations once the pool is warm.  Ownership: factors created
-   here (or freshly allocated by evidence application) are released back
-   to the pool when consumed; caller-supplied factors never are. *)
-
-let scratch_key = Domain.DLS.new_key Factor.scratch
-
-let local_scratch () = Domain.DLS.get scratch_key
-
-let eliminate_step scratch fs v =
-  let touching, rest = List.partition (fun (f, _) -> Factor.mentions f v) fs in
-  match touching with
-  | [] -> fs
-  | _ ->
-    let nf = Factor.sum_out_product ~scratch (List.map fst touching) v in
-    List.iter (fun (f, owned) -> if owned then Factor.release scratch f) touching;
-    (nf, true) :: rest
-
-let run_order scratch fs order = List.fold_left (eliminate_step scratch) fs order
-
-let total_of scratch fs =
-  let acc =
-    List.fold_left (fun acc (f, _) -> acc *. Factor.total f) 1.0 fs
-  in
-  List.iter (fun (f, owned) -> if owned then Factor.release scratch f) fs;
-  acc
-
-let eliminate_all factors =
-  let order = plan_order ~keep:[||] factors in
-  let scratch = local_scratch () in
-  let fs = List.map (fun f -> (f, false)) factors in
-  total_of scratch (run_order scratch fs order)
-
-let restricted_factors factors actions =
-  List.map
-    (fun f ->
-      let g = apply_actions f actions in
-      (g, g != f))
-    factors
-
-type prepared = {
-  p_factors : (Factor.t * bool) list;  (* factor, owned-by-the-run *)
-  p_restricted : int list;  (* variables sliced to one value, sorted *)
-}
-
-let prepare factors ev =
-  Selest_obs.Span.with_ "ve.evidence" (fun _ ->
-      match merged_masks factors ev with
-      | None -> None (* contradictory evidence: empty event *)
-      | Some merged ->
-        let actions = actions_of_masks merged in
-        Some
-          {
-            p_factors = restricted_factors factors actions;
-            p_restricted = restricted_of_masks merged;
-          })
-
-let restricted_vars p = p.p_restricted
-let prepared_factors p = List.map fst p.p_factors
-
-let run p ~order =
-  let scratch = local_scratch () in
-  Selest_obs.Span.with_ "ve.eliminate" (fun _ ->
-      total_of scratch (run_order scratch p.p_factors order))
-
-let prob_of_evidence factors ev =
-  match prepare factors ev with
-  | None -> 0.0
-  | Some p ->
-    let s = schedule_for (prepared_factors p) in
-    run p ~order:s.order
-
 (* ---- reference implementation --------------------------------------------
 
-   The pre-optimization engine, verbatim: per-step greedy cost scans over
-   the whole factor list, pairwise products, naive per-entry kernels.  The
-   optimized path above must agree with it bit for bit; kept as the
-   benchmark baseline and property-test oracle. *)
+   The oracle: per-step greedy cost scans over the whole factor list,
+   pairwise products, naive per-entry kernels.  The compiled executor in
+   [lib/plan] must agree with it bit for bit. *)
 
 module Reference = struct
   let apply_evidence f ev =

@@ -4,9 +4,9 @@
     global span sink that writes one JSON object per closed span:
 
     {v
-    {"name":"ve.eliminate","id":3,"parent":2,"depth":2,
+    {"name":"prm.estimate","id":3,"parent":2,"depth":2,
      "start_ns":123,"end_ns":456,"dur_us":0.333,
-     "attrs":{"order":"1,0,2"}}
+     "attrs":{"factors":"7","tvars":"c;p;s"}}
     v}
 
     Lines are written under a mutex so records from concurrent domains

@@ -10,15 +10,17 @@ module Factor = Selest_prob.Factor
      Gather    copy the slice [factor | slot values] into an arena
                buffer (the compiled form of the evidence restricts);
                pure data movement, bit-identical to composing
-               {!Factor.restrict} over the bound variables.
-     Contract  one variable-elimination step: the fused
-               multiply-then-sum odometer kernel of
-               {!Factor.sum_out_product}, with the union scope, operand
-               stride tables and output offsets all precomputed.
+               {!Factor.Reference.restrict} over the bound variables.
+     Contract  one variable-elimination step in one multiply-then-sum
+               odometer pass, with the union scope, operand stride
+               tables and output offsets all precomputed; products
+               associate left over the touching factors and sums run in
+               ascending value, as in [Ve.Reference]'s product fold and
+               sum-out.
 
    Execution then reads the surviving buffers back with the same Kahan
-   summation and left-fold product as [Ve.run]'s [total_of], so results
-   are bit-identical to the generic engine.  All buffers are sized at
+   summation and left-fold product as [Ve.Reference], so results are
+   bit-identical to that oracle.  All buffers are sized at
    compile time; a warm [load]+[run] performs no GC allocation and no
    closure dispatch. *)
 
@@ -39,7 +41,7 @@ type gather = {
   (* Mask evidence (range/set predicates): kept dimensions whose values
      are filtered per request.  Disallowed entries are written as exact
      0.0 during the copy — the compiled form of
-     {!Factor.observe_mask}, bit-identical because no arithmetic
+     {!Factor.Reference.observe}, bit-identical because no arithmetic
      happens. *)
   g_mask_pos : int array;  (* positions within the kept dims *)
   g_mask_slots : int array;  (* mask slot id per masked dim *)
@@ -272,10 +274,11 @@ let compile ~factors ~slots ~masked ~static ~order =
       end)
     factors;
   let sym = ref (List.rev !sym) in
-  (* Symbolic replay of [Ve.eliminate_step] over the memoized order,
-     emitting one Contract per eliminated variable.  The union scope is
-     collected on an id-indexed mark array, ascending like the fused
-     kernel's. *)
+  (* Symbolic replay of [Ve.Reference]'s elimination step over the
+     memoized order (touching factors out, their product summed over v
+     prepended to the rest), emitting one Contract per eliminated
+     variable.  The union scope is collected on an id-indexed mark
+     array, ascending like the product's. *)
   let mark = Array.make n_vars (-1) in
   List.iteri
     (fun si v ->
@@ -484,7 +487,7 @@ let slot_for prog st node =
   end
   else s
 
-(* Values are range-checked as they arrive, with [Ve.prepare]'s
+(* Values are range-checked as they arrive, with [Ve.merged_masks]'s
    message. *)
 let check_value prog s x =
   if x < 0 || x >= prog.slot_card.(s) then invalid_arg "Ve: evidence value out of range"
@@ -668,9 +671,8 @@ let run st =
         done
       else
         (* Masked-out entries are written as exact 0.0 — the compiled
-           form of {!Factor.observe_mask}; no arithmetic happens, so the
-           copy is bit-identical to the generic engine's zeroed
-           factor. *)
+           form of {!Factor.Reference.observe}; no arithmetic happens, so
+           the copy is bit-identical to the oracle's zeroed factor. *)
         for j = 0 to n_out - 1 do
           let allowed = ref true in
           for k = 0 to nmask - 1 do
@@ -740,7 +742,7 @@ let run st =
       done
   done;
   (* Read-out: Kahan total per surviving buffer ({!Selest_util.Arrayx.sum}
-     inlined), product folded left from 1.0 — the [total_of] of [Ve.run]. *)
+     inlined), product folded left from 1.0 — [Ve.Reference]'s read-out. *)
   let finals = st.sfinals in
   let acc = ref 1.0 in
   for fi = 0 to Array.length finals - 1 do

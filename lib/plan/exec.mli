@@ -1,33 +1,35 @@
-(** Flat "bytecode" executor for compiled plans.
+(** Flat "bytecode" executor for compiled plans: the one engine that
+    computes estimates.
 
-    {!Plan.execute}'s generic path rebuilds restricted [Factor.t] values
-    and allocates fresh intermediate tables on every request.  This
-    module lowers one {e restricted-variable shape} of a plan — its
+    This module lowers one {e restricted-variable shape} of a plan — its
     factors, the set of evidence slots, and the memoized elimination
     order — into a linear program of two step kinds executed over
     arena-allocated float buffers sized at compile time:
 
     - {b Gather}: copy the slice [factor | bound values] into an arena
       buffer with precomputed strides, writing exact [0.0] for entries a
-      mask slot disallows (the compiled form of the per-request
-      {!Selest_prob.Factor.restrict} chain composed with
-      {!Selest_prob.Factor.observe_mask} — pure data movement, bitwise
-      identical by construction);
-    - {b Contract}: one variable-elimination step, the fused
-      multiply-then-sum odometer kernel of
-      {!Selest_prob.Factor.sum_out_product} with the union scope,
-      operand stride tables and output offsets all precomputed.
+      mask slot disallows (the compiled form of slicing each factor by
+      {!Selest_prob.Factor.Reference.restrict} and zeroing it by
+      {!Selest_prob.Factor.Reference.observe} — pure data movement,
+      bitwise identical by construction);
+    - {b Contract}: one variable-elimination step in a single odometer
+      pass, with the union scope, operand stride tables and output
+      offsets all precomputed: each cell's product associates left over
+      the touching factors in bag order and the sum runs in ascending
+      value of the eliminated variable, the arithmetic of
+      [Ve.Reference]'s product fold followed by its sum-out.
 
-    The read-out replays [Ve.run]'s [total_of] (Kahan sum per surviving
-    buffer, left-fold product), so results are {e bit-identical} to the
-    generic engine — [Ve.Reference] remains the oracle for both.
+    The read-out is the oracle's too (Kahan sum per surviving buffer,
+    left-fold product), so results are {e bit-identical} to
+    [Ve.Reference], the test oracle.
 
     A warm {!load} + {!run} pair performs {e zero} GC allocation (gate:
     [Gc.minor_words] delta over N requests = 0) and no closure dispatch:
     arenas, odometer digit arrays and operand index arrays live in a
     per-domain {!state} and are reset in place.  Contractions bump
-    {!Selest_obs.Hotpath.kernel} exactly like the generic kernels, so
-    [max_factor_entries] and per-model metrics keep working. *)
+    {!Selest_obs.Hotpath.kernel} with their entries touched and
+    produced, so [max_factor_entries] and per-model metrics describe
+    the program that ran. *)
 
 type program
 (** An immutable compiled program.  Shareable across domains; all
@@ -77,7 +79,7 @@ val state_for : program -> state
     variable; a predicate on a variable this program has no request
     slot for makes the load a misfit.  Values are range-checked as they
     arrive, raising [Invalid_argument "Ve: evidence value out of
-    range"] like [Ve.prepare].  Warm writes allocate nothing. *)
+    range"] like [Ve.merged_masks].  Warm writes allocate nothing. *)
 
 val begin_load : program -> state -> unit
 val write_eq : program -> state -> int -> int -> unit

@@ -386,12 +386,6 @@ let program_for t binding =
 
 (* ---- bind / execute ---------------------------------------------------------- *)
 
-let execute_generic t binding =
-  match Ve.prepare t.factors (binding @ t.join_evidence) with
-  | None -> 0.0 (* contradictory binding: the event is empty *)
-  | Some prep ->
-    Ve.run prep ~order:(schedule_for t (Ve.restricted_vars prep)).Ve.Schedule.order
-
 (* The two traced stages: [exec.load] (find the program whose shape the
    evidence fits — compiling it on a memo miss — and write the evidence
    into its slots) and [exec.run] (contractions and read-out).  [load]

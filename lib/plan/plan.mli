@@ -79,7 +79,9 @@ val execute : t -> binding -> float
     allocation and no closure dispatch once the program for the
     binding's (value nodes, mask nodes) shape exists (the compile
     query's shape is pre-compiled).  Results are bit-identical to
-    {!execute_generic} and [Ve.Reference].  The two stages open the
+    [Ve.Reference.prob_of_evidence] on {!factors} with the binding and
+    {!join_evidence}, the oracle tests and benchmarks check it
+    against.  The two stages open the
     spans ["exec.load"] (program lookup, compiling it on a memo miss,
     and the evidence writes) and ["exec.run"] through the closure-free
     {!Selest_obs.Span.enter}/[exit], so [EXPLAIN] and [SLOWLOG] trace
@@ -99,13 +101,6 @@ val execute_scratch : t -> Selest_db.Squery.t -> float
     -> node table {!compile} lays out.  Bit-identical to [execute t
     (bind t (Squery.to_query s))].  Raises [Invalid_argument] when a
     selected attribute has no slot (a different skeleton). *)
-
-val execute_generic : t -> binding -> float
-(** The pre-bytecode engine: slice/mask fresh [Factor.t] values by the
-    bound predicates and run the fused elimination kernels
-    ([Ve.prepare] / [Ve.run]).  Same result, bit for bit — kept only as
-    the comparison oracle for tests and benchmarks; nothing serves on
-    it.  Uncounted. *)
 
 val program_for : t -> binding -> Exec.program option
 (** The compiled bytecode program for the binding's evidence shape —

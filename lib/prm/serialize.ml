@@ -14,6 +14,8 @@ let guard f =
   | Error _ as e -> raise e
   | Failure m -> raise (Error m)
   | Sys_error m -> raise (Error m)
+  | Unix.Unix_error (e, _, _) -> raise (Error ("Serialize: " ^ Unix.error_message e))
+  | End_of_file -> raise (Error "Serialize: model file truncated while read")
   | Not_found -> raise (Error "Serialize: malformed model file")
   | Invalid_argument m -> raise (Error ("Serialize: " ^ m))
 
@@ -221,4 +223,35 @@ let of_sexp ~schema s =
   Model.create schema tables
 
 let save path model = Sexp.save path (to_sexp model)
-let load path ~schema = guard (fun () -> of_sexp ~schema (Sexp.load path))
+
+let max_file_bytes = 64 * 1024 * 1024
+
+(* The text of the regular file at [path], at most [max_file_bytes]
+   long.  The path is stat'ed before it is opened, so a directory,
+   FIFO or device is refused without being opened (opening a FIFO
+   blocks until a writer comes); the descriptor, opened non-blocking,
+   must still be that same file. *)
+let read_model_file path =
+  let fail e = error "Serialize: %s: %s" path (Unix.error_message e) in
+  let check (st : Unix.stats) =
+    if st.st_kind <> Unix.S_REG then error "Serialize: %s is not a regular file" path;
+    if st.st_size > max_file_bytes then
+      error "Serialize: %s is larger than %d bytes" path max_file_bytes
+  in
+  let st = try Unix.stat path with Unix.Unix_error (e, _, _) -> fail e in
+  check st;
+  let fd =
+    try Unix.openfile path [ Unix.O_RDONLY; Unix.O_NONBLOCK; Unix.O_CLOEXEC ] 0
+    with Unix.Unix_error (e, _, _) -> fail e
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let now = Unix.fstat fd in
+      if now.st_dev <> st.st_dev || now.st_ino <> st.st_ino then
+        error "Serialize: %s changed while it was opened" path;
+      check now;
+      really_input_string (Unix.in_channel_of_descr fd) now.st_size)
+
+let load path ~schema =
+  guard (fun () -> of_sexp ~schema (Sexp.of_string (read_model_file path)))

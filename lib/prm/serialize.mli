@@ -31,4 +31,7 @@ val of_sexp : schema:Selest_db.Schema.t -> Selest_util.Sexp.t -> Model.t
 val save : string -> Model.t -> unit
 
 val load : string -> schema:Selest_db.Schema.t -> Model.t
-(** Raises {!Error} on an unreadable or malformed file. *)
+(** Raises {!Error} on an unreadable or malformed file, and on a path
+    that is not a regular file of at most 64 MiB, far above any learned
+    model (checked before the file is opened, so a FIFO never blocks).
+    No error message quotes the file's contents. *)

@@ -161,16 +161,16 @@ let as_atom = function
 let as_int t =
   match int_of_string_opt (as_atom t) with
   | Some i -> i
-  | None -> failwith ("Sexp.as_int: " ^ as_atom t)
+  | None -> failwith "Sexp.as_int: atom is not an integer"
 
 let as_float t =
   match float_of_string_opt (as_atom t) with
   | Some x -> x
-  | None -> failwith ("Sexp.as_float: " ^ as_atom t)
+  | None -> failwith "Sexp.as_float: atom is not a float"
 
 let as_list = function
   | List items -> items
-  | Atom a -> failwith ("Sexp.as_list: got atom " ^ a)
+  | Atom _ -> failwith "Sexp.as_list: expected a list, got an atom"
 
 let field t name =
   match t with

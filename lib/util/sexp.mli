@@ -33,6 +33,9 @@ val as_atom : t -> string
 val as_int : t -> int
 val as_float : t -> float
 val as_list : t -> t list
+(** Raise [Failure] on the wrong shape.  Their messages name the rule
+    broken and never quote the atom, so decoding an untrusted file
+    echoes none of its text. *)
 
 val field : t -> string -> t
 (** [field (List [...; List [Atom name; v; ...]; ...]) name]: the tagged

@@ -208,20 +208,23 @@ let test_bn_factored_equals_joint () =
       max_err := Float.max !max_err (abs_float (p -. (w /. n))));
   Alcotest.(check bool) "factored = joint" true (!max_err < 1e-9)
 
+(* P(evidence) on the oracle engine, over the network's CPD factors. *)
+let p_evidence bn evidence = Ve.Reference.prob_of_evidence (Bn.factors bn) evidence
+
 let test_bn_prob_of_evidence () =
   let bn = eih_bn Cpd.Tables in
   (* P(i=2, h=1) = sum over e of joint. *)
   let expected = 0.045 +. 0.054 +. 0.108 in
-  check_float "P(i=high, h=yes)" expected (Bn.prob_of bn [ (1, Query.Eq 2); (2, Query.Eq 1) ]);
+  check_float "P(i=high, h=yes)" expected (p_evidence bn [ (1, Query.Eq 2); (2, Query.Eq 1) ]);
   (* Range evidence: P(i >= 1). *)
   check_float "P(i>=med)"
     (1.0 -. 0.27 -. 0.03 -. 0.135 -. 0.015 -. 0.018 -. 0.002)
-    (Bn.prob_of bn [ (1, Query.Range (1, 2)) ]);
-  check_float "empty evidence" 1.0 (Bn.prob_of bn [])
+    (p_evidence bn [ (1, Query.Range (1, 2)) ]);
+  check_float "empty evidence" 1.0 (p_evidence bn [])
 
 let test_bn_marginal_and_sample () =
   let bn = eih_bn Cpd.Tables in
-  check_float "marginal I" 0.47 (Bn.prob_of bn [ (1, Query.Eq 0) ]);
+  check_float "marginal I" 0.47 (p_evidence bn [ (1, Query.Eq 0) ]);
   let rng = Selest_util.Rng.create 12 in
   let counts = Array.make 3 0 in
   for _ = 1 to 20_000 do
@@ -291,68 +294,13 @@ let brute_force_prob bn cards evidence =
 let prop_ve_matches_enumeration =
   QCheck2.Test.make ~name:"VE = enumeration" ~count:100 gen_random_bn_and_evidence
     (fun (bn, cards, evidence) ->
-      let ve = Bn.prob_of bn evidence in
+      let ve = p_evidence bn evidence in
       let bf = brute_force_prob bn cards evidence in
       abs_float (ve -. bf) < 1e-9)
 
 let prop_ve_total_is_one =
   QCheck2.Test.make ~name:"VE total mass 1" ~count:100 gen_random_bn_and_evidence
-    (fun (bn, _, _) -> abs_float (Bn.prob_of bn [] -. 1.0) < 1e-9)
-
-(* ---- Optimized VE vs the Reference engine ----------------------------------- *)
-
-(* Like [gen_random_bn_and_evidence] but exercising the full predicate
-   language: Eq, Range and In_set evidence, including redundant (all-true)
-   and conjoined (two predicates on one variable) forms. *)
-let gen_random_bn_and_rich_evidence =
-  let open QCheck2.Gen in
-  let* seed = int_range 0 10_000 in
-  let rng = Selest_util.Rng.create seed in
-  let n_vars = 3 + Selest_util.Rng.int rng 2 in
-  let cards = Array.init n_vars (fun _ -> 2 + Selest_util.Rng.int rng 2) in
-  let dag = ref (Dag.empty n_vars) in
-  for child = 1 to n_vars - 1 do
-    for parent = 0 to child - 1 do
-      if Selest_util.Rng.float rng < 0.4 then dag := Dag.add_edge !dag ~src:parent ~dst:child
-    done
-  done;
-  let n_rows = 200 in
-  let cols = Array.map (fun c -> Array.init n_rows (fun _ -> Selest_util.Rng.int rng c)) cards in
-  let data =
-    Data.create
-      ~names:(Array.init n_vars (fun i -> Printf.sprintf "V%d" i))
-      ~cards cols
-  in
-  let bn = Bn.fit data ~dag:!dag ~kind:Cpd.Tables in
-  let random_pred v =
-    match Selest_util.Rng.int rng 3 with
-    | 0 -> Query.Eq (Selest_util.Rng.int rng cards.(v))
-    | 1 ->
-      let a = Selest_util.Rng.int rng cards.(v) in
-      let b = a + Selest_util.Rng.int rng (cards.(v) - a) in
-      Query.Range (a, b)
-    | _ ->
-      let k = 1 + Selest_util.Rng.int rng cards.(v) in
-      Query.In_set (List.init k (fun _ -> Selest_util.Rng.int rng cards.(v)))
-  in
-  let evidence =
-    List.concat_map
-      (fun v ->
-        if Selest_util.Rng.float rng < 0.6 then
-          if Selest_util.Rng.float rng < 0.25 then [ (v, random_pred v); (v, random_pred v) ]
-          else [ (v, random_pred v) ]
-        else [])
-      (List.init n_vars (fun i -> i))
-  in
-  pure (bn, cards, evidence)
-
-let prop_ve_bit_identical_to_reference =
-  QCheck2.Test.make ~name:"optimized VE ≡ Reference (bit-identical)" ~count:100
-    gen_random_bn_and_rich_evidence (fun (bn, _, evidence) ->
-      let fs = Bn.factors bn in
-      let fast = Ve.prob_of_evidence fs evidence in
-      let slow = Ve.Reference.prob_of_evidence fs evidence in
-      Int64.bits_of_float fast = Int64.bits_of_float slow)
+    (fun (bn, _, _) -> abs_float (p_evidence bn [] -. 1.0) < 1e-9)
 
 let test_ve_schedule () =
   let bn = eih_bn Cpd.Tables in
@@ -372,40 +320,60 @@ let test_ve_schedule () =
         "predicted entries positive" true
         (s.Ve.Schedule.predicted_entries >= 1))
     sched.Ve.Schedule.steps;
-  (* running a prepared bag along its own planned schedule matches the
-     one-shot path *)
-  let p_direct = Ve.prob_of_evidence fs ev in
-  (match Ve.prepare fs ev with
+  (* the evidence restricts both variables it names, and the schedule
+     planned on shapes alone is the one planned on the sliced factors *)
+  match Ve.merged_masks fs ev with
   | None -> Alcotest.fail "evidence is satisfiable"
-  | Some prep ->
+  | Some merged ->
+    let restricted = Ve.restricted_of_masks merged in
+    Alcotest.(check (list int)) "restricted vars" [ 0; 2 ] restricted;
+    let sliced =
+      List.map
+        (fun f ->
+          List.fold_left
+            (fun f (v, pred) ->
+              match pred with
+              | Query.Eq x -> Selest_prob.Factor.Reference.restrict f v x
+              | _ -> f)
+            f ev)
+        fs
+    in
+    let shapes =
+      List.map (fun f -> (Selest_prob.Factor.vars f, Selest_prob.Factor.cards f)) fs
+    in
     Alcotest.(check (list int))
-      "restricted vars" [ 0; 2 ]
-      (Ve.restricted_vars prep);
-    let s = Ve.Schedule.plan ~keep:[||] (Ve.prepared_factors prep) in
-    check_float "run = prob_of_evidence" p_direct
-      (Ve.run prep ~order:s.Ve.Schedule.order))
+      "shape schedule = sliced schedule"
+      (Ve.plan_order ~keep:[||] sliced)
+      (Ve.Schedule.of_shapes ~keep:[||] ~restricted:(Array.of_list restricted) shapes)
+        .Ve.Schedule.order
 
 let test_normalize_evidence () =
   let bn = eih_bn Cpd.Tables in
   let fs = Bn.factors bn in
-  (* all-true predicates are dropped entirely (cards are E=3, I=3, H=2) *)
-  Alcotest.(check bool) "full range dropped" true
-    (Ve.normalize_evidence fs [ (1, Query.Range (0, 2)) ] = Some []);
-  Alcotest.(check bool) "full set dropped" true
-    (Ve.normalize_evidence fs [ (2, Query.In_set [ 1; 0 ]) ] = Some []);
+  let masks ev = Ve.merged_masks fs ev in
+  (* all-true predicates leave a full mask and restrict nothing (cards
+     are E=3, I=3, H=2) *)
+  Alcotest.(check bool) "full range is a full mask" true
+    (masks [ (1, Query.Range (0, 2)) ] = Some [ (1, [| true; true; true |]) ]);
+  Alcotest.(check bool) "full set is a full mask" true
+    (masks [ (2, Query.In_set [ 1; 0 ]) ] = Some [ (2, [| true; true |]) ]);
+  Alcotest.(check (list int)) "full masks restrict nothing" []
+    (Ve.restricted_of_masks (Option.get (masks [ (1, Query.Range (0, 2)) ])));
   (* conjunction on one variable narrows to the intersection *)
-  Alcotest.(check bool) "conjunction intersects to Eq" true
-    (Ve.normalize_evidence fs [ (1, Query.In_set [ 0; 2 ]); (1, Query.Range (1, 2)) ]
-    = Some [ (1, Query.Eq 2) ]);
+  let conj = masks [ (1, Query.In_set [ 0; 2 ]); (1, Query.Range (1, 2)) ] in
+  Alcotest.(check bool) "conjunction intersects" true
+    (conj = Some [ (1, [| false; false; true |]) ]);
+  Alcotest.(check (list int)) "a one-value conjunction restricts" [ 1 ]
+    (Ve.restricted_of_masks (Option.get conj));
   (* contradictory conjunction *)
   Alcotest.(check bool) "contradiction" true
-    (Ve.normalize_evidence fs [ (1, Query.Eq 0); (1, Query.Eq 1) ] = None);
-  (* a dropped no-op predicate leaves the probability untouched *)
+    (masks [ (1, Query.Eq 0); (1, Query.Eq 1) ] = None);
+  (* a no-op predicate leaves the probability untouched *)
   check_float "no-op evidence mass" 1.0
-    (Ve.prob_of_evidence fs [ (1, Query.Range (0, 2)) ]);
+    (Ve.Reference.prob_of_evidence fs [ (1, Query.Range (0, 2)) ]);
   Alcotest.(check bool) "out-of-range value rejected" true
     (try
-       ignore (Ve.normalize_evidence fs [ (1, Query.Eq 99) ]);
+       ignore (masks [ (1, Query.Eq 99) ]);
        false
      with Invalid_argument _ -> true)
 
@@ -622,7 +590,6 @@ let () =
           [
             prop_ve_matches_enumeration;
             prop_ve_total_is_one;
-            prop_ve_bit_identical_to_reference;
           ] );
       ( "learning",
         [

@@ -118,21 +118,22 @@ let dedup binding =
    allowed-value masks classify each node as a value slot (one allowed
    value) or a mask slot (two or more). *)
 let program_of factors shape static =
-  match Ve.prepare factors shape with
+  match Ve.merged_masks factors shape with
   | None -> Alcotest.fail "exec test: shape binding cannot be contradictory"
-  | Some prep ->
-    let order = Ve.plan_order ~keep:[||] (Ve.prepared_factors prep) in
+  | Some merged ->
+    let shapes =
+      List.map (fun f -> (Factor.unsafe_vars f, Factor.unsafe_cards f)) factors
+    in
+    let restricted = Array.of_list (Ve.restricted_of_masks merged) in
+    let order = (Ve.Schedule.of_shapes ~keep:[||] ~restricted shapes).Ve.Schedule.order in
     let static_vars = List.map fst static in
     let eq = ref [] and masked = ref [] in
-    (match Ve.merged_masks factors shape with
-    | None -> Alcotest.fail "exec test: shape binding cannot be contradictory"
-    | Some merged ->
-      List.iter
-        (fun (v, m) ->
-          if not (List.mem v static_vars) then
-            let n = Array.fold_left (fun n ok -> if ok then n + 1 else n) 0 m in
-            if n = 1 then eq := v :: !eq else masked := v :: !masked)
-        merged);
+    List.iter
+      (fun (v, m) ->
+        if not (List.mem v static_vars) then
+          let n = Array.fold_left (fun n ok -> if ok then n + 1 else n) 0 m in
+          if n = 1 then eq := v :: !eq else masked := v :: !masked)
+      merged;
     let slots = List.sort compare !eq and masked = List.sort compare !masked in
     Exec.compile ~factors ~slots ~masked ~static ~order
 
@@ -142,7 +143,7 @@ let program_of factors shape static =
    `Contradiction must coincide with an exactly-zero oracle. *)
 let prop_exec_matches_reference =
   QCheck2.Test.make ~name:"bytecode ≡ Ve.Reference (random models × evidence)"
-    ~count:500 ~print:print_case gen_case (fun (factors, binding) ->
+    ~count:500 ~long_factor:20 ~print:print_case gen_case (fun (factors, binding) ->
       let oracle = Ve.Reference.prob_of_evidence factors binding in
       let prog = program_of factors (dedup binding) [] in
       let st = Exec.state_for prog in
@@ -157,7 +158,7 @@ let prop_exec_matches_reference =
    program at compile time must answer exactly like passing the whole
    binding through request slots. *)
 let prop_static_slots =
-  QCheck2.Test.make ~name:"static slots ≡ request slots" ~count:300
+  QCheck2.Test.make ~name:"static slots ≡ request slots" ~count:300 ~long_factor:20
     ~print:print_case gen_case (fun (factors, binding) ->
       let shape = dedup binding in
       match shape with
@@ -177,7 +178,7 @@ let prop_static_slots =
    program's slot set must answer `No_match (never a wrong number), and
    non-equality predicates never reach a program in the first place. *)
 let prop_no_match_on_missing_slot =
-  QCheck2.Test.make ~name:"missing slot ⇒ `No_match" ~count:200
+  QCheck2.Test.make ~name:"missing slot ⇒ `No_match" ~count:200 ~long_factor:20
     ~print:print_case gen_case (fun (factors, binding) ->
       match dedup binding with
       | [] -> true
@@ -194,6 +195,7 @@ let prop_no_match_on_missing_slot =
 let prop_masked_matches_reference =
   QCheck2.Test.make
     ~name:"bytecode mask slots ≡ Ve.Reference (range/set evidence)" ~count:500
+    ~long_factor:20
     ~print:print_case gen_masked_case (fun (factors, binding) ->
       let oracle = Ve.Reference.prob_of_evidence factors binding in
       match Ve.merged_masks factors binding with
@@ -214,7 +216,7 @@ let prop_masked_matches_reference =
    shape but different mask values must answer each bit-identically —
    the per-slot masks are fully rewritten between loads. *)
 let prop_mask_reload_no_residue =
-  QCheck2.Test.make ~name:"mask reload ≡ fresh state" ~count:300
+  QCheck2.Test.make ~name:"mask reload ≡ fresh state" ~count:300 ~long_factor:20
     ~print:(fun (c, _) -> print_case c)
     QCheck2.Gen.(
       let* n_vars, cards, factors = gen_model in
@@ -246,7 +248,7 @@ let prop_mask_reload_no_residue =
    state answers — the contradiction leaves no residue. *)
 let prop_contradiction_leaves_no_residue =
   QCheck2.Test.make ~name:"contradiction then valid request ≡ fresh state"
-    ~count:300 ~print:print_case gen_case (fun (factors, binding) ->
+    ~count:300 ~long_factor:20 ~print:print_case gen_case (fun (factors, binding) ->
       match dedup binding with
       | [] -> true
       | (v, Query.Eq x) :: _ as shape ->

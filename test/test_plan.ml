@@ -564,7 +564,7 @@ let prop_planner_matches_oracle =
       let sliced =
         List.map
           (fun f ->
-            Array.fold_left (fun f v -> Selest_prob.Factor.restrict f v 0) f restricted)
+            Array.fold_left (fun f v -> Selest_prob.Factor.Reference.restrict f v 0) f restricted)
           factors
       in
       let shapes =

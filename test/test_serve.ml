@@ -659,7 +659,7 @@ let test_socket_slowlog_capture () =
             (List.exists (fun l -> contains l "span est.parse") lines);
           Alcotest.(check bool) "bytecode engine spans present" true
             (List.exists (fun l -> contains l "span exec.run") lines);
-          Alcotest.(check bool) "no generic engine spans" false
+          Alcotest.(check bool) "no ve.* spans" false
             (List.exists (fun l -> contains l "span ve.") lines);
           (* the backing ring agrees with the text dump *)
           (match Selest_obs.Slowlog.recent ~n:1 (Server.slowlog server) with
@@ -1660,8 +1660,8 @@ let gen_miss_body (mc : miss_case) =
      not;
    - the scratch loads the same evidence: the served estimate, and
      [Plan.execute_scratch] on the scratch, are bit-identical to
-     [Plan.execute] on [Plan.bind] of the materialized query, and to the
-     generic engine's answer;
+     [Plan.execute] on [Plan.bind] of the materialized query, and to
+     [Ve.Reference] on the plan's factors;
    - contradictions answer exactly 0.0. *)
 let prop_scratch_miss_path (mc : miss_case) name =
   let server =
@@ -1696,7 +1696,10 @@ let prop_scratch_miss_path (mc : miss_case) name =
       let plan = Selest_plan.Plan.compile m q in
       let bits = Int64.bits_of_float in
       let direct = Selest_plan.Plan.execute plan (Selest_plan.Plan.bind plan q) in
-      let generic = Selest_plan.Plan.execute_generic plan (Selest_plan.Plan.bind plan q) in
+      let reference =
+        Selest_bn.Ve.Reference.prob_of_evidence (Selest_plan.Plan.factors plan)
+          (Selest_plan.Plan.bind plan q @ Selest_plan.Plan.join_evidence plan)
+      in
       let from_scratch = Selest_plan.Plan.execute_scratch plan s in
       let served =
         float_of_string
@@ -1709,7 +1712,7 @@ let prop_scratch_miss_path (mc : miss_case) name =
       && fst (key ~version:4 s) <> fst (key s)
       && not (Canon.Skel.scratch_matches (snd (key s)) ~name:"default" ~version:4 s2)
       && Int64.equal (bits from_scratch) (bits direct)
-      && Int64.equal (bits generic) (bits direct)
+      && Int64.equal (bits reference) (bits direct)
       && Int64.equal (bits served) (bits (direct *. scale))
       && ((not contradictory) || served = 0.0))
 
@@ -2608,6 +2611,83 @@ let test_answer_failure_skips_entry () =
     (List.filteri (fun i _ -> i < 4) (fresh_answers p2))
     (List.map (fun b -> ask ("EST " ^ b)) bodies);
   Alcotest.(check int) "without inference" 0 (stat_int server "infer.tb" - i0)
+
+(* ---- LOAD reads only a regular model file ------------------------------------------ *)
+
+(* A LOAD over a serving name of a path that is not a model file
+   answers ERR, counts a load error, quotes none of the file, and
+   leaves the old version serving.  [make dir] creates the path to
+   LOAD in a fresh directory. *)
+let load_refused label make =
+  let p1, _ = Lazy.force carry_files in
+  let dir = Filename.temp_dir "selest_load" "" in
+  let path = make dir in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ])))
+    (fun () ->
+      let server = Server.create ~db:(Lazy.force db) ~socket:"(test: unused)" () in
+      let ask line = fst (Server.handle_line server line) in
+      ignore (ask ("LOAD tb " ^ p1));
+      let body = List.nth carry_bodies 2 in
+      let before = ask ("EST " ^ body) in
+      let errors0 = stat_int server "load_errors" in
+      let reply = ask ("LOAD tb " ^ path) in
+      Alcotest.(check bool) (label ^ ": ERR " ^ reply) true (Protocol.is_err reply);
+      Alcotest.(check int) (label ^ ": load error counted") (errors0 + 1)
+        (stat_int server "load_errors");
+      (match Registry.find (Server.registry server) "tb" with
+      | Some e ->
+        Alcotest.(check (pair int string)) (label ^ ": old version kept") (1, p1)
+          (e.Registry.version, e.Registry.source)
+      | None -> Alcotest.fail "tb unregistered");
+      Alcotest.(check string) (label ^ ": old version serves") before (ask ("EST " ^ body));
+      reply)
+
+let test_load_text_file_unquoted () =
+  let token = "selest-private-token-5d1e" in
+  let reply =
+    load_refused "text file" (fun dir ->
+        let path = Filename.concat dir "hostname" in
+        Out_channel.with_open_text path (fun oc -> output_string oc (token ^ "\n"));
+        path)
+  in
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) ("reply quotes none of the file: " ^ reply) false (contains reply token)
+
+let test_load_directory () = ignore (load_refused "directory" Fun.id)
+
+(* Opening a FIFO for reading blocks until a writer comes.  Should the
+   LOAD open it anyway, a watchdog opens the write end after 5 s, so
+   the test fails on its elapsed time instead of hanging. *)
+let test_load_fifo () =
+  let fifo = ref "" and finished = Atomic.make false in
+  let make dir =
+    let path = Filename.concat dir "model.fifo" in
+    Unix.mkfifo path 0o600;
+    fifo := path;
+    path
+  in
+  let watchdog =
+    Domain.spawn (fun () ->
+        let deadline = Unix.gettimeofday () +. 5.0 in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.01
+        done;
+        if not (Atomic.get finished) then
+          try Unix.close (Unix.openfile !fifo [ Unix.O_WRONLY; Unix.O_NONBLOCK ] 0)
+          with Unix.Unix_error _ -> ())
+  in
+  let t0 = Unix.gettimeofday () in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join watchdog)
+    (fun () -> ignore (load_refused "FIFO" make));
+  Alcotest.(check bool) "answered without blocking" true (Unix.gettimeofday () -. t0 < 5.0)
 
 (* ---- many connections, and running out of descriptors ------------------------------ *)
 
@@ -3579,6 +3659,12 @@ let () =
             test_answer_cap_and_uncarried;
           Alcotest.test_case "answer failure skips its entry" `Quick
             test_answer_failure_skips_entry;
+        ] );
+      ( "load-refusal",
+        [
+          Alcotest.test_case "text file, unquoted" `Quick test_load_text_file_unquoted;
+          Alcotest.test_case "directory" `Quick test_load_directory;
+          Alcotest.test_case "FIFO, without blocking" `Quick test_load_fifo;
         ] );
       ( "memo",
         [
