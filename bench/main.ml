@@ -1476,10 +1476,11 @@ let fig_obs () =
   H.check "EXPLAIN stage sum within 10% of wall time"
     (cover >= 0.9 && cover <= 1.1)
     (Printf.sprintf "cover %.3f" cover);
-  (* EXPLAIN fills the cache; EST must echo the identical estimate *)
+  (* EXPLAIN after an EST of the query: the cache the EST filled is
+     reported warm, and the estimate is EST's, bit for bit *)
   let tr0 = List.hd explain_triples in
-  let exp_resp = H.ask server ("EXPLAIN " ^ H.body tr0) in
   let est_val = Serve.Protocol.payload (H.ask server ("EST " ^ H.body tr0)) in
+  let exp_resp = H.ask server ("EXPLAIN " ^ H.body tr0) in
   H.check "EXPLAIN estimate matches EST" (field exp_resp "estimate" = est_val) est_val;
   H.check "EXPLAIN reports warm cache" (field exp_resp "cache" = "hit") "";
   H.row ~n:(Array.length covers) "explain_stage_cover" "ratio" cover;

@@ -175,9 +175,13 @@ let learn_cmd =
       const run $ dataset_arg $ seed_arg $ scale_arg $ from_dir_arg $ budget_arg
       $ kind_arg $ rule_arg $ bn_uj_arg $ save_arg $ verbose_arg)
 
-(* ---- estimate ------------------------------------------------------------------ *)
+(* ---- the query and the model of estimate, plan and optimize --------------------- *)
 
-let estimate_cmd =
+(* A query as the command line gives it: a [--sql] text, or the
+   [--tv]/[--join]/[--select] clauses. *)
+type query_spec = Sql of string | Clauses of string list * string list * string list
+
+let query_arg =
   let tv_arg =
     Arg.(
       value
@@ -201,6 +205,46 @@ let estimate_cmd =
             "Selection, e.g. p.USBorn=yes, p.Age=1..3 or c.Contype={household,roommate} \
              (repeatable).")
   in
+  let sql_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "sql" ] ~docv:"QUERY"
+          ~doc:
+            "A SELECT COUNT(*) query, e.g. \"SELECT COUNT(*) FROM contact c JOIN \
+             patient p ON c.patient = p.id WHERE p.USBorn = 'yes'\".  Replaces \
+             --tv/--join/--select.")
+  in
+  let spec tvs joins selects = function
+    | Some text -> Sql text
+    | None -> Clauses (tvs, joins, selects)
+  in
+  Term.(const spec $ tv_arg $ join_arg $ select_arg $ sql_arg)
+
+let parse_query db = function
+  | Sql text -> Db.Sql.parse db text
+  | Clauses (tvars, joins, selects) -> Db.Qparse.parse db ~tvars ~joins ~selects ()
+
+(* The model to estimate with: [--model]'s file, or one learned under
+   the command's budget and seed. *)
+let model_arg =
+  let file_arg =
+    Arg.(
+      value
+      & opt (some file) None
+      & info [ "model" ] ~docv:"FILE"
+          ~doc:"Load a previously saved model instead of learning one.")
+  in
+  let model file ~budget ~seed db =
+    match file with
+    | Some path -> Prm.Serialize.load path ~schema:(Db.Database.schema db)
+    | None -> learn_prm ~budget_bytes:budget ~seed db
+  in
+  Term.(const model $ file_arg)
+
+(* ---- estimate ------------------------------------------------------------------ *)
+
+let estimate_cmd =
   let truth_arg =
     Arg.(value & flag & info [ "truth" ] ~doc:"Also compute the exact size (scans the data).")
   in
@@ -212,40 +256,15 @@ let estimate_cmd =
             "Print the compiled plan: upward closure, query-evaluation factors, \
              evidence slots and elimination schedules.")
   in
-  let model_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "model" ] ~docv:"FILE"
-          ~doc:"Load a previously saved model instead of learning one.")
-  in
-  let sql_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sql" ] ~docv:"QUERY"
-          ~doc:
-            "A SELECT COUNT(*) query, e.g. \"SELECT COUNT(*) FROM contact c JOIN \
-             patient p ON c.patient = p.id WHERE p.USBorn = 'yes'\".  Replaces \
-             --tv/--join/--select.")
-  in
-  let run dataset seed scale from_dir budget tvs joins selects truth explain model_file sql
-      trace =
+  let run dataset seed scale from_dir budget query truth explain model trace =
     setup_trace trace;
     let db = make_db dataset ~scale ~seed ~from_dir in
-    let q =
-      match sql with
-      | Some text -> Db.Sql.parse db text
-      | None ->
-        if tvs = [] then failwith "estimate: need --sql or at least one --tv";
-        Db.Qparse.parse db ~tvars:tvs ~joins ~selects ()
-    in
+    (match query with
+    | Clauses ([], _, _) -> failwith "estimate: need --sql or at least one --tv"
+    | _ -> ());
+    let q = parse_query db query in
     Format.printf "query: %a@." Db.Query.pp q;
-    let model =
-      match model_file with
-      | Some path -> Prm.Serialize.load path ~schema:(Db.Database.schema db)
-      | None -> learn_prm ~budget_bytes:budget ~seed db
-    in
+    let model = model ~budget ~seed db in
     if explain then begin
       let plan = Plan.compile model q in
       Format.printf "closure: %a@." Db.Query.pp (Plan.upward_closure plan q);
@@ -260,8 +279,7 @@ let estimate_cmd =
        ~doc:"Learn a PRM and estimate the result size of one query.")
     Term.(
       const run $ dataset_arg $ seed_arg $ scale_arg $ from_dir_arg $ budget_arg
-      $ tv_arg $ join_arg $ select_arg $ truth_arg $ explain_arg $ model_arg $ sql_arg
-      $ trace_arg)
+      $ query_arg $ truth_arg $ explain_arg $ model_arg $ trace_arg)
 
 (* ---- compare -------------------------------------------------------------------- *)
 
@@ -318,34 +336,9 @@ let compare_cmd =
 (* ---- plan ----------------------------------------------------------------------- *)
 
 let plan_cmd =
-  let tv_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "t"; "tv" ] ~docv:"TV=TABLE" ~doc:"Tuple variable binding (repeatable).")
-  in
-  let join_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "j"; "join" ] ~docv:"C.FK=P" ~doc:"Keyjoin clause (repeatable).")
-  in
-  let select_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "s"; "select" ] ~docv:"TV.ATTR=V" ~doc:"Selection (repeatable).")
-  in
-  let sql_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sql" ] ~docv:"QUERY" ~doc:"A SELECT COUNT(*) query (replaces --tv/--join/--select).")
-  in
-  let run dataset seed scale from_dir budget tvs joins selects sql =
+  let run dataset seed scale from_dir budget query =
     let db = make_db dataset ~scale ~seed ~from_dir in
-    let q =
-      match sql with
-      | Some text -> Db.Sql.parse db text
-      | None -> Db.Qparse.parse db ~tvars:tvs ~joins ~selects ()
-    in
+    let q = parse_query db query in
     let model = learn_prm ~budget_bytes:budget ~seed db in
     let prm_oracle =
       Prm.Estimate.cached_estimator model ~sizes:(Prm.Estimate.sizes_of_db db)
@@ -369,32 +362,11 @@ let plan_cmd =
        ~doc:"Rank left-deep join orders of a query by PRM-estimated cost.")
     Term.(
       const run $ dataset_arg $ seed_arg $ scale_arg $ from_dir_arg $ budget_arg
-      $ tv_arg $ join_arg $ select_arg $ sql_arg)
+      $ query_arg)
 
 (* ---- optimize ------------------------------------------------------------------- *)
 
 let optimize_cmd =
-  let tv_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "t"; "tv" ] ~docv:"TV=TABLE" ~doc:"Tuple variable binding (repeatable).")
-  in
-  let join_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "j"; "join" ] ~docv:"C.FK=P" ~doc:"Keyjoin clause (repeatable).")
-  in
-  let select_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "s"; "select" ] ~docv:"TV.ATTR=V" ~doc:"Selection (repeatable).")
-  in
-  let sql_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sql" ] ~docv:"QUERY" ~doc:"A SELECT COUNT(*) query (replaces --tv/--join/--select).")
-  in
   let bushy_arg =
     Arg.(
       value & flag
@@ -408,26 +380,10 @@ let optimize_cmd =
             "Also print every left-deep order's PRM-estimated vs. true C_out \
              and their rank correlation.")
   in
-  let model_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "model" ] ~docv:"FILE"
-          ~doc:"Load a previously saved model instead of learning one.")
-  in
-  let run dataset seed scale from_dir budget tvs joins selects sql bushy explain
-      model_file =
+  let run dataset seed scale from_dir budget query bushy explain model =
     let db = make_db dataset ~scale ~seed ~from_dir in
-    let q =
-      match sql with
-      | Some text -> Db.Sql.parse db text
-      | None -> Db.Qparse.parse db ~tvars:tvs ~joins ~selects ()
-    in
-    let model =
-      match model_file with
-      | Some path -> Prm.Serialize.load path ~schema:(Db.Database.schema db)
-      | None -> learn_prm ~budget_bytes:budget ~seed db
-    in
+    let q = parse_query db query in
+    let model = model ~budget ~seed db in
     let prm_oracle =
       Prm.Estimate.cached_estimator model ~sizes:(Prm.Estimate.sizes_of_db db)
     in
@@ -472,8 +428,7 @@ let optimize_cmd =
           rows per operator.")
     Term.(
       const run $ dataset_arg $ seed_arg $ scale_arg $ from_dir_arg $ budget_arg
-      $ tv_arg $ join_arg $ select_arg $ sql_arg $ bushy_arg $ explain_arg
-      $ model_arg)
+      $ query_arg $ bushy_arg $ explain_arg $ model_arg)
 
 (* ---- sample --------------------------------------------------------------------- *)
 

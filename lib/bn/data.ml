@@ -6,11 +6,10 @@ type t = {
   cards : int array;
   ordinal : bool array;
   cols : int array array;
-  weights : float array option;
   n : int;
 }
 
-let create ~names ~cards ?ordinal ?weights cols =
+let create ~names ~cards ?ordinal cols =
   let k = Array.length names in
   if Array.length cards <> k || Array.length cols <> k then
     invalid_arg "Data.create: names/cards/cols length mismatch";
@@ -18,9 +17,6 @@ let create ~names ~cards ?ordinal ?weights cols =
   if Array.length ordinal <> k then invalid_arg "Data.create: ordinal length mismatch";
   let n = if k = 0 then 0 else Array.length cols.(0) in
   Array.iter (fun c -> if Array.length c <> n then invalid_arg "Data.create: ragged columns") cols;
-  (match weights with
-  | Some w when Array.length w <> n -> invalid_arg "Data.create: weights length mismatch"
-  | _ -> ());
   Array.iteri
     (fun i col ->
       Array.iter
@@ -29,7 +25,7 @@ let create ~names ~cards ?ordinal ?weights cols =
             invalid_arg (Printf.sprintf "Data.create: %s value %d out of range" names.(i) v))
         col)
     cols;
-  { names; cards; ordinal; cols; weights; n }
+  { names; cards; ordinal; cols; n }
 
 let of_table tbl =
   let ts = Table.schema tbl in
@@ -37,20 +33,13 @@ let of_table tbl =
   let cards = Table.cards tbl in
   let ordinal = Array.map (fun a -> Value.is_ordinal a.Schema.domain) ts.Schema.attrs in
   let cols = Array.init (Array.length names) (fun i -> Table.col tbl i) in
-  { names; cards; ordinal; cols; weights = None; n = Table.size tbl }
+  { names; cards; ordinal; cols; n = Table.size tbl }
 
 let n_vars t = Array.length t.names
 
-let total_weight t =
-  match t.weights with
-  | None -> float_of_int t.n
-  | Some w -> Selest_util.Arrayx.sum w
-
-let weight t r = match t.weights with None -> 1.0 | Some w -> w.(r)
+let total_weight t = float_of_int t.n
 
 let contingency t vars =
   let cards = Array.map (fun v -> t.cards.(v)) vars in
   let cols = Array.map (fun v -> t.cols.(v)) vars in
-  match t.weights with
-  | None -> Contingency.count ~cards cols
-  | Some weights -> Contingency.count_weighted ~cards ~weights cols
+  Contingency.count ~cards cols

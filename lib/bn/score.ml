@@ -15,9 +15,6 @@ type cache = {
 }
 
 let create_cache ~kind ?counts data =
-  (* The kernel path is only bit-identical on unweighted data (exact
-     integer counts); weighted data silently keeps the scan path. *)
-  let counts = if data.Data.weights = None then counts else None in
   { kind; data; counts; table = Hashtbl.create 256; mutex = Mutex.create (); evaluations = 0 }
 
 let family_bytes ~params ~n_parents = Bytesize.params params + Bytesize.values n_parents

@@ -23,8 +23,7 @@ val create_cache : kind:Cpd.kind -> ?counts:Selest_prob.Counts.t * int -> Data.t
     data registers under): family fits are then served from cached joint
     counts ({!Table_cpd.fit_counted} / {!Tree_cpd.fit_counted}) with
     tabulated log-likelihoods — bitwise identical scores, one data scan per
-    distinct attribute set instead of per fit.  Ignored for weighted data,
-    where only the row-scan path preserves bit identity. *)
+    distinct attribute set instead of per fit. *)
 
 val family : ?max_params:int -> cache -> child:int -> parents:int array -> family
 (** Fit (or recall) the family's CPD and score.  [max_params] caps the

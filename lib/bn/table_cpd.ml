@@ -50,7 +50,7 @@ let fit data ~child ~parents =
       cfg := (!cfg * parent_cards.(i)) + parent_cols.(i).(r)
     done;
     let idx = (!cfg * child_card) + child_col.(r) in
-    table.(idx) <- table.(idx) +. Data.weight data r
+    table.(idx) <- table.(idx) +. 1.0
   done;
   Counts.record_scan ();
   normalize_rows ~child_card table;
@@ -58,11 +58,9 @@ let fit data ~child ~parents =
 
 let fit_counted kernel ~table:table_id data ~child ~parents =
   (* The kernel's prefix key over dims = parents @ [child] is exactly
-     [fit]'s configuration index, and on unweighted data both accumulate
-     exact integer counts — the normalized table is bitwise identical.
-     The kernel array is shared, so copy before normalizing in place. *)
-  if data.Data.weights <> None then
-    invalid_arg "Table_cpd.fit_counted: weighted data is not supported";
+     [fit]'s configuration index, and both accumulate exact integer
+     counts — the normalized table is bitwise identical.  The kernel
+     array is shared, so copy before normalizing in place. *)
   check_parents parents;
   let child_card = data.Data.cards.(child) in
   let parent_cards = Array.map (fun p -> data.Data.cards.(p)) parents in
@@ -115,7 +113,7 @@ let loglik t data ~child =
       cfg := (!cfg * t.parent_cards.(i)) + parent_cols.(i).(r)
     done;
     let p = t.table.((!cfg * t.child_card) + child_col.(r)) in
-    acc := !acc +. (Data.weight data r *. Arrayx.log2 (Float.max p 1e-300))
+    acc := !acc +. Arrayx.log2 (Float.max p 1e-300)
   done;
   Counts.record_scan ();
   !acc
@@ -133,7 +131,7 @@ let loglik_tabulated t data ~child =
     for i = 0 to np - 1 do
       cfg := (!cfg * t.parent_cards.(i)) + parent_cols.(i).(r)
     done;
-    acc := !acc +. (Data.weight data r *. logt.((!cfg * t.child_card) + child_col.(r)))
+    acc := !acc +. logt.((!cfg * t.child_card) + child_col.(r))
   done;
   Counts.record_scan ();
   !acc

@@ -9,7 +9,7 @@ type t = private {
   parents : int array;  (** variable ids, strictly increasing *)
   parent_cards : int array;
   table : float array;  (** [config * child_card + child], rows normalized *)
-  fitted_weight : float;  (** total data weight used in fitting *)
+  fitted_weight : float;  (** rows used in fitting *)
 }
 
 val fit : Data.t -> child:int -> parents:int array -> t
@@ -21,8 +21,7 @@ val fit_counted :
 (** [fit] served from a count-once group-by kernel: the contingency over
     [parents @ [child]] comes from (and stays cached in) the kernel under
     table id [table], so repeated fits over overlapping families share one
-    data scan per distinct attribute set.  Bitwise identical to [fit] on
-    unweighted data; weighted data is rejected with [Invalid_argument]. *)
+    data scan per distinct attribute set.  Bitwise identical to [fit]. *)
 
 val of_table : child_card:int -> parents:int array -> parent_cards:int array -> float array -> t
 (** Build from explicit (already per-row normalized or normalizable)

@@ -41,7 +41,7 @@ let leaf_stats data ~child rows =
   let card = data.Data.cards.(child) in
   let counts = Array.make card 0.0 in
   let col = data.Data.cols.(child) in
-  Array.iter (fun r -> counts.(col.(r)) <- counts.(col.(r)) +. Data.weight data r) rows;
+  Array.iter (fun r -> counts.(col.(r)) <- counts.(col.(r)) +. 1.0) rows;
   Counts.record_scan ();
   counts
 
@@ -55,7 +55,7 @@ let loglik_of_counts counts =
    column pass per query, the reference cost model.  [fit_counted]'s ops
    instead aggregate cached group-by counts from a {!Counts} kernel and
    never revisit rows after the kernel's single scan per attribute set.
-   On unweighted data every count either way is a sum of 1.0s — an exact
+   Every count either way is a sum of 1.0s — an exact
    small-integer float whatever the accumulation order — so both routes
    produce bitwise-identical count arrays and hence identical split
    decisions, leaf distributions, and parameter tallies. *)
@@ -231,7 +231,7 @@ let row_ops data ~child ~parents =
         Array.iter
           (fun r ->
             let idx = (pcol.(r) * child_card) + child_col.(r) in
-            counts.(idx) <- counts.(idx) +. Data.weight data r)
+            counts.(idx) <- counts.(idx) +. 1.0)
           rows;
         Counts.record_scan ();
         counts);
@@ -351,8 +351,6 @@ let count_ops kernel ~table data ~child ~parents ~parent_cards =
   }
 
 let fit_counted kernel ~table data ~child ~parents ?param_budget ?gain_threshold () =
-  if data.Data.weights <> None then
-    invalid_arg "Tree_cpd.fit_counted: weighted data is not supported";
   check_increasing parents;
   let child_card = data.Data.cards.(child) in
   let parent_cards = Array.map (fun p -> data.Data.cards.(p)) parents in
@@ -483,7 +481,7 @@ let loglik t data ~child =
   for r = 0 to data.Data.n - 1 do
     Array.iteri (fun i col -> pvals.(i) <- col.(r)) parent_cols;
     let d = walk t.root pvals in
-    acc := !acc +. (Data.weight data r *. Arrayx.log2 (Float.max d.(child_col.(r)) 1e-300))
+    acc := !acc +. Arrayx.log2 (Float.max d.(child_col.(r)) 1e-300)
   done;
   Counts.record_scan ();
   !acc
@@ -510,7 +508,7 @@ let loglik_tabulated t data ~child =
   for r = 0 to data.Data.n - 1 do
     Array.iteri (fun i col -> pvals.(i) <- col.(r)) parent_cols;
     let d = walk lroot pvals in
-    acc := !acc +. (Data.weight data r *. d.(child_col.(r)))
+    acc := !acc +. d.(child_col.(r))
   done;
   Counts.record_scan ();
   !acc

@@ -46,9 +46,8 @@ val fit_counted :
     count over (path parents, candidate parent, child), registered in the
     kernel under table id [table].  The data is scanned once per distinct
     attribute set — across every fit sharing the kernel — rather than once
-    per query.  On unweighted data the result is bitwise identical to
-    [fit]'s (all counts are exact integer floats, so accumulation order
-    cannot matter); weighted data is rejected with [Invalid_argument]. *)
+    per query.  The result is bitwise identical to [fit]'s (all counts
+    are exact integer floats, so accumulation order cannot matter). *)
 
 val leaf : float array -> node
 (** Hand-construct a (normalized) leaf, for explicit models in tests. *)

@@ -257,12 +257,6 @@ let joint_counts db q ~keys =
     in
     Contingency.count_masked ~cards ~mask cols
 
-let count_by db q ~keys =
-  let c = joint_counts db q ~keys in
-  let out = ref [] in
-  Contingency.iter c (fun values w -> out := (Array.copy values, w) :: !out);
-  List.rev !out
-
 let nonkey_join_size db (q1, tv1, a1) (q2, tv2, a2) =
   validate db q1;
   validate db q2;

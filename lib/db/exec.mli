@@ -42,10 +42,6 @@ val joint_counts :
     selects applied as a filter.  Requires {!single_base} to succeed.  The
     ground truth for {e every} equality query over [keys] in one pass. *)
 
-val count_by : Database.t -> Query.t -> keys:(string * string) list -> (int array * float) list
-(** Non-zero cells of {!joint_counts} as an association list (keys in
-    [keys] order). *)
-
 val nonkey_join_size :
   Database.t -> Query.t * string * string -> Query.t * string * string -> float
 (** [nonkey_join_size db (q1, tv1, a1) (q2, tv2, a2)]: exact size of the

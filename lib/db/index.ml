@@ -24,11 +24,6 @@ let fanout t p = t.offsets.(p + 1) - t.offsets.(p)
 
 let children t p = Array.sub t.rows t.offsets.(p) (fanout t p)
 
-let iter_children t p f =
-  for i = t.offsets.(p) to t.offsets.(p + 1) - 1 do
-    f t.rows.(i)
-  done
-
 let max_fanout t =
   let best = ref 0 in
   for p = 0 to Array.length t.offsets - 2 do

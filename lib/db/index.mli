@@ -13,6 +13,5 @@ val children : t -> int -> int array
 (** Child rows referencing the given parent row (a fresh array). *)
 
 val fanout : t -> int -> int
-val iter_children : t -> int -> (int -> unit) -> unit
 val max_fanout : t -> int
 val mean_fanout : t -> float

@@ -89,4 +89,3 @@ let parse db ~tvars ?(joins = []) ?(selects = []) () =
   (try Exec.validate db q with Invalid_argument m -> failwith m);
   q
 
-let parse_select db q spec = parse_select_with db q.Query.tvars spec

@@ -15,5 +15,3 @@ val parse :
 (** Raises [Failure] with a descriptive message on syntax or schema
     errors. *)
 
-val parse_select : Database.t -> Query.t -> string -> Query.select
-(** Parse one select clause against an existing query's tuple variables. *)

@@ -41,16 +41,3 @@ let get t ~row ~attr = t.cols.(attr).(row)
 let attr_card t i = Value.card t.schema.Schema.attrs.(i).Schema.domain
 let cards t = Array.map (fun a -> Value.card a.Schema.domain) t.schema.Schema.attrs
 let project t idxs = Array.map (fun i -> t.cols.(i)) idxs
-
-let pp_row ppf t row =
-  Format.fprintf ppf "%s[%d](" (name t) row;
-  Array.iteri
-    (fun i a ->
-      if i > 0 then Format.fprintf ppf ", ";
-      Format.fprintf ppf "%s=%s" a.Schema.aname (Value.label a.Schema.domain t.cols.(i).(row)))
-    t.schema.Schema.attrs;
-  Array.iteri
-    (fun i f ->
-      Format.fprintf ppf ", %s=%d" f.Schema.fkname t.fk_cols.(i).(row))
-    t.schema.Schema.fks;
-  Format.fprintf ppf ")"

@@ -33,5 +33,3 @@ val cards : t -> int array
 val project : t -> int array -> int array array
 (** Columns of the given attribute indices. *)
 
-val pp_row : Format.formatter -> t -> int -> unit
-(** Render one row with labels, for debugging and the CLI. *)

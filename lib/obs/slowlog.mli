@@ -1,9 +1,11 @@
 (** Tail-sampled slow-log: a bounded ring of captured outlier requests.
 
-    The server appends an entry when a request's latency crosses the
-    quantile-derived threshold or a TRUTH-reported q-error crosses the
-    accuracy gate; each entry keeps the canonical query, the trigger
-    metadata and a {!Span.record} tree.  Captures are rare (tail
+    The server appends an entry when the latency of a request answered
+    on its reference path crosses the quantile-derived threshold (the
+    wire fast path, which answers every recognized EST, never samples,
+    hit or miss) or a TRUTH-reported q-error crosses the accuracy gate;
+    each entry keeps the canonical query, the trigger metadata and a
+    {!Span.record} tree.  Captures are rare (tail
     sampling plus the server's rate limiter), so the single mutex here
     is never on the request hot path — ordinary requests don't touch
     this module. *)

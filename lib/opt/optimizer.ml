@@ -157,10 +157,6 @@ let independence db =
   let est = lazy (Selest_est.Avi.build db) in
   fun q -> (Lazy.force est).Estimator.estimate q
 
-let for_estimator ?bushy db est q =
-  est.Estimator.prepare q;
-  best ?bushy ~fallback:(independence db) ~cost:est.Estimator.estimate q
-
 let rank_correlation xs ys =
   if List.length xs <> List.length ys then invalid_arg "Optimizer.rank_correlation";
   let ranks l =

@@ -54,16 +54,6 @@ val independence : Selest_db.Database.t -> Selest_db.Query.t -> float
     attribute-value-independence and uniform-join assumptions.  Covers
     every table and attribute, so it never raises [Unsupported]. *)
 
-val for_estimator :
-  ?bushy:bool ->
-  Selest_db.Database.t ->
-  Selest_est.Estimator.t ->
-  Selest_db.Query.t ->
-  result
-(** [best] with the estimator's [estimate] as the oracle and
-    {!independence} as the fallback.  The estimator's [prepare] is called
-    on the full query first. *)
-
 val rank_correlation : float list -> float list -> float
 (** Spearman rank correlation between two cost vectors over the same plan
     list (average ranks for ties) — how faithfully an estimator

@@ -364,13 +364,6 @@ let compile ~factors ~slots ~masked ~static ~order =
     max_ops = !max_ops;
   }
 
-let n_steps prog = Array.length prog.steps
-
-let arena_entries prog =
-  Array.fold_left
-    (fun acc -> function Alias _ -> acc | Arena n -> acc + n)
-    0 prog.bufs
-
 (* ---- per-domain execution state ----------------------------------------- *)
 
 let build_state prog =

@@ -120,12 +120,3 @@ val run : state -> unit
 
 val result : state -> float
 (** The scalar produced by the last {!run}. *)
-
-(** {2 Introspection} *)
-
-val n_steps : program -> int
-(** Step count (gathers + contractions). *)
-
-val arena_entries : program -> int
-(** Total float entries across the program's arena buffers (the arena
-    footprint of one state, excluding aliased factor tables). *)

@@ -470,6 +470,10 @@ let execute t binding =
 
 let execute_scratch t s = execute_from t load_scratch binding_of_scratch s
 
+(* A shallow copy: [programs] is a mutable field, so the copy's memo
+   misses extend the copy's list and never the original's. *)
+let fork t = { t with programs = t.programs }
+
 let estimate t ~sizes q = execute t (bind t q) *. scale t ~sizes
 
 let steps t q =

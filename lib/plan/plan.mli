@@ -102,6 +102,14 @@ val execute_scratch : t -> Selest_db.Squery.t -> float
     (bind t (Squery.to_query s))].  Raises [Invalid_argument] when a
     selected attribute has no slot (a different skeleton). *)
 
+val fork : t -> t
+(** The plan with a program memo of its own: it shares every table,
+    schedule and compiled program with [t], but a program it compiles
+    for a new evidence shape stays in the copy, so executing the copy
+    never changes which shapes [t] has compiled (nor, hence, the
+    program hits and misses [t] later counts).  The server's diagnostic
+    runs (EXPLAIN, slow-log captures) execute a fork. *)
+
 val program_for : t -> binding -> Exec.program option
 (** The compiled bytecode program for the binding's evidence shape —
     the (value nodes, mask nodes) partition of its merged predicates —

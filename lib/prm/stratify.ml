@@ -218,47 +218,3 @@ let table_order schema s =
       t_children.(t)
   done;
   Array.of_list (List.rev !out)
-
-let topological_attrs schema s =
-  (match check schema s with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Stratify.topological_attrs: " ^ e));
-  let offsets, n_attrs_total = attr_offsets schema in
-  let tables = Schema.tables schema in
-  let of_global g =
-    (* invert offsets *)
-    let ti = ref (Array.length offsets - 1) in
-    while offsets.(!ti) > g do decr ti done;
-    (!ti, g - offsets.(!ti))
-  in
-  let parents_of = Array.make n_attrs_total [] in
-  Array.iteri
-    (fun ti per_attr ->
-      Array.iteri
-        (fun a ps ->
-          Array.iter
-            (fun p ->
-              let pt, pa = resolve_parent schema ti p in
-              parents_of.(offsets.(ti) + a) <- (offsets.(pt) + pa) :: parents_of.(offsets.(ti) + a))
-            ps)
-        per_attr)
-    s.attr_parents;
-  ignore tables;
-  let in_deg = Array.map List.length parents_of in
-  let children = Array.make n_attrs_total [] in
-  Array.iteri
-    (fun v ps -> List.iter (fun p -> children.(p) <- v :: children.(p)) ps)
-    parents_of;
-  let queue = Queue.create () in
-  Array.iteri (fun v d -> if d = 0 then Queue.add v queue) in_deg;
-  let out = ref [] in
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    out := of_global v :: !out;
-    List.iter
-      (fun c ->
-        in_deg.(c) <- in_deg.(c) - 1;
-        if in_deg.(c) = 0 then Queue.add c queue)
-      children.(v)
-  done;
-  Array.of_list (List.rev !out)

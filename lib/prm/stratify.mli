@@ -30,6 +30,3 @@ val table_order : Selest_db.Schema.t -> structure -> int array
 (** A table ordering consistent with the stratification (raises
     [Invalid_argument] if the structure is not stratified). *)
 
-val topological_attrs : Selest_db.Schema.t -> structure -> (int * int) array
-(** All (table, attr) pairs in an order where parents precede children —
-    used by the PRM sampler. *)

@@ -95,16 +95,6 @@ let count ~cards cols =
     t
   end
 
-let count_weighted ~cards ~weights cols =
-  let n = check_cols cards cols in
-  if Array.length weights <> n then invalid_arg "Contingency: weights length";
-  let t = make cards in
-  for r = 0 to n - 1 do
-    let key = if Array.length cards = 0 then 0 else encode cards cols r in
-    add t key weights.(r)
-  done;
-  t
-
 let count_masked ~cards ~mask cols =
   let n = check_cols cards cols in
   if Array.length mask <> n then invalid_arg "Contingency: mask length";

@@ -24,10 +24,6 @@ val count : cards:int array -> int array array -> t
     whose [i]-th column ranges over [0..cards.(i)-1].  Chooses a dense or
     hashed representation based on the joint domain size. *)
 
-val count_weighted : cards:int array -> weights:float array -> int array array -> t
-(** Same, adding [weights.(r)] instead of 1 for row [r] (used for counting
-    over implicit join results). *)
-
 val count_masked : cards:int array -> mask:bool array -> int array array -> t
 (** Count only rows [r] with [mask.(r)]. *)
 

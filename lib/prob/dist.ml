@@ -22,7 +22,6 @@ let point k v =
 
 let arity = Array.length
 let prob t v = t.(v)
-let to_array = Array.copy
 
 let entropy t = -.Array.fold_left (fun acc p -> acc +. Arrayx.xlogx p) 0.0 t
 

@@ -22,7 +22,6 @@ val point : int -> int -> t
 
 val arity : t -> int
 val prob : t -> int -> float
-val to_array : t -> float array
 
 val entropy : t -> float
 (** Shannon entropy in bits. *)

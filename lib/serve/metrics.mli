@@ -82,8 +82,8 @@ val kernel_delta : t -> Selest_obs.Hotpath.t -> unit
 (** Roll one request's {!Selest_obs.Hotpath} delta into
     [ve.factor_ops], [ve.entries_touched] and [plan.program_hits] /
     [plan.program_misses] through pre-registered handles, bumping only
-    the counters that moved.  The delta's other fields are EXPLAIN's
-    alone.  Allocation-free. *)
+    the counters that moved.  The delta's other fields, and a diagnostic
+    run's whole delta, are EXPLAIN's alone.  Allocation-free. *)
 
 val observe : t -> float -> unit
 (** Record one request latency, in seconds, into the aggregate

@@ -42,10 +42,11 @@
     first offending body if {e any} body fails (all-or-nothing, so the
     response shape is always predictable).
 
-    [EXPLAIN] runs the same query as [EST] but always performs inference
-    (the estimate cache is probed and reported, never short-circuited)
-    and answers with the per-stage time and hot-path op breakdown plus
-    the elimination order used — see {!Server}.
+    [EXPLAIN] runs the same query as [EST] once more as a diagnostic,
+    not a request (it reports whether the estimate and plan caches hold
+    the query, but fills and counts nothing), and answers with the
+    per-stage time and hot-path op breakdown plus the elimination order
+    used — see {!Server}.
 
     [EXPLAINPLAN] is the optimizer's view of the same query: the server
     picks the C_out-minimal join order under the model's sub-query

@@ -83,14 +83,89 @@ let install ?carry t ~name ~source model =
       Atomic.set t.current next;
       entry)
 
+(* ---- the model check ---------------------------------------------------------- *)
+
+module Model = Selest_prm.Model
+module Cpd = Selest_bn.Cpd
+module Tree_cpd = Selest_bn.Tree_cpd
+module Table_cpd = Selest_bn.Table_cpd
+
+let row_tolerance = 1e-6
+
+exception Illegal of string
+
+(* Raise [Illegal] naming the family and what is wrong with it. *)
+let illegal fmt = Printf.ksprintf (fun s -> raise (Illegal s)) fmt
+
+(* The entries [a.(lo) .. a.(lo + n - 1)] as one distribution. *)
+let check_row what a lo n =
+  let sum = ref 0.0 in
+  for i = lo to lo + n - 1 do
+    let p = a.(i) in
+    if not (Float.is_finite p && p >= 0.0) then
+      illegal "%s: probability %g is not finite and non-negative" what p;
+    sum := !sum +. p
+  done;
+  if Float.abs (!sum -. 1.0) > row_tolerance then
+    illegal "%s: a distribution sums to %.17g, not 1" what !sum
+
+let rec check_node what = function
+  | Tree_cpd.Leaf { dist; _ } -> check_row what dist 0 (Array.length dist)
+  | Tree_cpd.Split { arms = Tree_cpd.Multi kids; _ } -> Array.iter (check_node what) kids
+  | Tree_cpd.Split { arms = Tree_cpd.Thresh (_, lo, hi); _ } ->
+    check_node what lo;
+    check_node what hi
+
+let check_family scope table ~child (fam : Model.family) =
+  let what = table ^ "." ^ Model.Scope.name scope child in
+  let parent_cards =
+    match fam.Model.cpd with
+    | Cpd.Table c ->
+      let k = c.Table_cpd.child_card in
+      for row = 0 to (Array.length c.Table_cpd.table / k) - 1 do
+        check_row what c.Table_cpd.table (row * k) k
+      done;
+      c.Table_cpd.parent_cards
+    | Cpd.Tree c ->
+      check_node what c.Tree_cpd.root;
+      c.Tree_cpd.parent_cards
+  in
+  if parent_cards <> Array.map (Model.Scope.card scope) (Cpd.parents fam.Model.cpd) then
+    illegal "%s: parent cards disagree with the schema" what
+
+(* Is [m] a legal model: every CPD row (table row or tree leaf) a
+   distribution, every CPD's parent cards the schema's, and the structure
+   stratified (Def. 3.2)?  {!Model.create} has checked the rest of each
+   family's shape: parent ids and their order, and child arity, so card
+   2 for a join indicator.  [Error] names the first family at fault. *)
+let check_model (m : Model.t) =
+  let schema = m.Model.schema in
+  match
+    Array.iteri
+      (fun ti (tm : Model.table_model) ->
+        let scope = Model.scope m ti in
+        let table = (Selest_db.Schema.tables schema).(ti).Selest_db.Schema.tname in
+        Array.iteri (fun a fam -> check_family scope table ~child:a fam) tm.Model.attr_families;
+        Array.iteri
+          (fun f fam -> check_family scope table ~child:(Model.Scope.join_id scope f) fam)
+          tm.Model.join_families)
+      m.Model.tables
+  with
+  | () -> Selest_prm.Stratify.check schema (Selest_prm.Stratify.of_model m)
+  | exception Illegal msg -> Error msg
+
 let load ?carry t ~name ~path =
   let model = Selest_prm.Serialize.load path ~schema:t.schema in
-  install ?carry t ~name ~source:path model
+  match check_model model with
+  | Ok () -> install ?carry t ~name ~source:path model
+  | Error msg -> raise (Selest_prm.Serialize.Error ("illegal model: " ^ msg))
 
 let register t ~name model =
-  if Selest_prm.Serialize.schema_fingerprint model.Selest_prm.Model.schema <> t.fingerprint
+  if Selest_prm.Serialize.schema_fingerprint model.Model.schema <> t.fingerprint
   then invalid_arg "Registry.register: model schema does not match this registry";
-  install t ~name ~source:"<memory>" model
+  match check_model model with
+  | Ok () -> install t ~name ~source:"<memory>" model
+  | Error msg -> invalid_arg ("Registry.register: illegal model: " ^ msg)
 
 (* Conveniences that pin internally — each is one Atomic.get, no lock. *)
 let find t name = Epoch.find (Epoch.pin t) name

@@ -7,7 +7,17 @@
     reload), and are looked up per request.  Every model is checked
     against the registry's schema on the way in ({!Selest_prm.Serialize}
     validates the stored fingerprint), so a request can never be answered
-    by a model learned for a different database layout.
+    by a model learned for a different database layout, and is checked
+    to be a legal model, so a request is always answered by a
+    probability distribution: every CPD row (a table CPD's row, a tree
+    CPD's leaf) is finite and non-negative and sums to 1 within 1e-6;
+    every CPD's parent cards are the cards of its parents in the
+    table's scope; and the structure is stratified
+    ({!Selest_prm.Stratify.check}, Def. 3.2).  The rest of a family's
+    shape — parent ids and order, child arity, so card 2 for every join
+    family — holds for every {!Selest_prm.Model.t}
+    ({!Selest_prm.Model.create} checks it).  {!load} and {!register}
+    check before they publish.
 
     {b Concurrency model.}  The registry holds one {e immutable}
     snapshot behind an [Atomic.t].  Readers pin the current snapshot
@@ -93,8 +103,9 @@ val load :
   entry
 (** Load (or hot-reload) a model file under [name].  Raises
     {!Selest_prm.Serialize.Error} on an unreadable, malformed or
-    schema-mismatched file; the published snapshot is unchanged in that
-    case.
+    schema-mismatched file, and on an illegal model (["illegal model:
+    "] and the first family at fault); the published snapshot is
+    unchanged in that case.
 
     A reload publishes in three steps: deserialize, then [carry prev
     ~version model] builds the new version's shared plans and carried
@@ -110,7 +121,7 @@ val register : t -> name:string -> Selest_prm.Model.t -> entry
 (** Install an in-memory model (e.g. learned at server start-up) under
     [name], with the same versioning rules as {!load}.  Raises
     [Invalid_argument] when the model's schema fingerprint differs from
-    the registry's. *)
+    the registry's or the model is illegal. *)
 
 val find : t -> string -> entry option
 (** [Epoch.find (Epoch.pin t)] — fine for one-shot lookups; requests

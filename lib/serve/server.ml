@@ -67,7 +67,7 @@ type t = {
 
 (* Tail-sampling knobs.  The latency threshold is recomputed from the
    merged histogram every [refresh_mask + 1] responses once [slow_warmup]
-   observations exist; latency captures (which replay the query under
+   observations exist; latency captures (which run the query again under
    span collection) are limited to one per [capture_min_gap] responses so
    a latency regression can never turn the capture path into the
    workload.  q-error captures bypass the limiter — TRUTH is rare. *)
@@ -151,7 +151,6 @@ let metrics t = t.metrics
 let n_domains t = Array.length t.shards
 let max_inflight t = t.max_inflight
 let backlog t = t.backlog
-let tcp_endpoint t = t.tcp
 
 (* Shard 0's caches double as "the" caches for embedded single-shard use
    (and for the transport-free [handle_line] entry point, which always
@@ -161,7 +160,6 @@ let plan_cache t = t.shards.(0).splans
 
 let shard_cache t i = t.shards.(i).scache
 let shard_plan_cache t i = t.shards.(i).splans
-let socket_path t = t.socket
 let slowlog t = t.slowlog
 
 (* Per-model accuracy tables ride the telemetry core since the
@@ -174,7 +172,7 @@ let snapshot t = Catalog.snapshot t.catalog
 (* ---- the EST core ------------------------------------------------------------
 
    Every estimate a request asks for — the wire fast path, text and
-   binary EST, ESTBATCH body by body, TRUTH and EXPLAIN — runs
+   binary EST, ESTBATCH body by body and TRUTH — runs
    [resolve] then [est_core]: pin the registry, lex the
    body into the shard scratch, canonicalize, hash, probe the shard's
    estimate cache and, on a miss, adopt the answer a reload carried for
@@ -342,15 +340,10 @@ let answer t st ~name ~version plan =
    entry.  A NaN or infinite estimate is answered but never cached: a
    model that produces one is broken, and its answer must not outlive
    the request.  The kernel counters the request moved are read before
-   and after into [st.hot] and rolled up through handles.  [on_plan]
-   sees the plan that ran (EXPLAIN renders it). *)
-let infer t st ~on_plan ~name ~(entry : Registry.entry) ~hash =
+   and after into [st.hot] and rolled up through handles. *)
+let infer t st ~name ~(entry : Registry.entry) ~hash =
   Obs.Hotpath.begin_delta st.hot;
-  match
-    let plan = scratch_plan st ~name ~entry in
-    on_plan plan;
-    answer t st ~name ~version:entry.Registry.version plan
-  with
+  match answer t st ~name ~version:entry.Registry.version (scratch_plan st ~name ~entry) with
   | le ->
     Obs.Hotpath.end_delta st.hot;
     if Float.is_finite le.Lru.est then Lru.add st.scache hash le;
@@ -446,16 +439,14 @@ let parse_into st sp buf ~off ~len =
   | exception Not_found ->
     parse_error sp "unknown table, tuple variable or attribute in query"
 
-(* Answer one body for a resolved model: the resident or freshly filled
-   cache entry.  [force] (EXPLAIN) probes the cache but
-   never lets a hit short-circuit inference, so the stages price a real
-   estimate; the probe outcome is the [est.cache] span's [cached]
-   attribute.  Moves the [frontend.*] stage counters for every caller;
-   the front-end spans reuse those clock reads.  Leaves in
-   [st.memo_hash] the estimate-cache hash of an answer the raw-body memo
-   may remember (a verified hit or a carried adoption), -1 otherwise. *)
-let est_core ?(force = false) ?(on_plan = ignore) t st (name, (e : Registry.entry))
-    buf ~off ~len =
+(* Answer one body for a resolved model: the resident, adopted or freshly
+   filled cache entry; the probe outcome is the [est.cache] span's
+   [cached] attribute (none on a verified hit).  Moves the [frontend.*]
+   stage counters; the front-end spans reuse those clock reads.  Leaves
+   in [st.memo_hash] the estimate-cache hash of an answer the raw-body
+   memo may remember (a verified hit or a carried adoption), -1
+   otherwise. *)
+let est_core t st (name, (e : Registry.entry)) buf ~off ~len =
   let t0 = Obs.Clock.now_ns () in
   let sp = Obs.Span.enter_at "est.parse" t0 in
   parse_into st sp buf ~off ~len;
@@ -473,18 +464,12 @@ let est_core ?(force = false) ?(on_plan = ignore) t st (name, (e : Registry.entr
   Metrics.frontend_key_ns t.metrics (t3 - t2);
   let sp = Obs.Span.enter_at "est.cache" t3 in
   match probe st ~name ~version hash with
-  | entry when not force ->
+  | entry ->
     Obs.Span.exit sp;
     st.memo_hash <- hash;
     entry
-  | (_ : Lru.entry) ->
-    Obs.Span.add sp "cached" "hit";
-    Obs.Span.exit sp;
-    st.memo_hash <- -1;
-    infer t st ~on_plan ~name ~entry:e ~hash
   | exception Not_found -> (
-    (* [force] prices a real inference, so it adopts nothing *)
-    match if force then raise Not_found else adopt st ~name e hash with
+    match adopt st ~name e hash with
     | le ->
       Obs.Span.add sp "cached" "carried";
       Obs.Span.exit sp;
@@ -494,13 +479,12 @@ let est_core ?(force = false) ?(on_plan = ignore) t st (name, (e : Registry.entr
       Obs.Span.add sp "cached" "miss";
       Obs.Span.exit sp;
       st.memo_hash <- -1;
-      infer t st ~on_plan ~name ~entry:e ~hash)
+      infer t st ~name ~entry:e ~hash)
 
 (* [est_core] on a string body, for the allocating reference entry
    points. *)
-let est_body ?force ?on_plan t st model body =
-  est_core ?force ?on_plan t st model (Bytes.unsafe_of_string body) ~off:0
-    ~len:(String.length body)
+let est_body t st model body =
+  est_core t st model (Bytes.unsafe_of_string body) ~off:0 ~len:(String.length body)
 
 (* The response stage: [respond] renders (or writes) the answer. *)
 let respond f x =
@@ -550,21 +534,79 @@ let handle_estbatch t st ~model ~bodies =
     Metrics.incr t.metrics "est_errors";
     Protocol.err msg
 
+(* ---- the diagnostic run -----------------------------------------------------
+
+   What EXPLAIN answers and a slow-log capture records: one body's
+   estimate, derived again under span collection on the bytecode engine
+   that serves EST, in the spans the EST core opens (est.parse /
+   est.canon / est.cache / plan.fetch, with plan.compile inside it when
+   a plan is compiled / exec.load / exec.run).  A diagnostic is not a
+   request.  It probes the estimate cache with [Lru.mem], takes the plan
+   with [Plan_cache.peek] and executes a {!Plan.fork} of it (compiling a
+   throwaway plan only when none is resident or carried), so no cache,
+   memo, program memo or counter moves: the kernel counters the run
+   moved are left in [st.hot] and rolled into nothing.  Returns the
+   estimate with the plan that ran, or the rejection message, beside the
+   span tree; when the body parsed, the scratch holds its canonical
+   query afterwards. *)
+let diagnose t st ~model ~body =
+  let run () =
+    let name, (e : Registry.entry) = resolve_model t model in
+    let version = e.Registry.version and s = st.scratch in
+    let sp = Obs.Span.enter "est.parse" in
+    parse_into st sp (Bytes.unsafe_of_string body) ~off:0 ~len:(String.length body);
+    Obs.Span.exit sp;
+    Obs.Span.with_ "est.canon" (fun _ -> Squery.canon s);
+    Obs.Span.with_ "est.cache" (fun sp ->
+        Obs.Span.add sp "cached"
+          (if Lru.mem st.scache (est_hash st ~name ~version) then "hit" else "miss"));
+    let plan =
+      Obs.Span.with_ "plan.fetch" (fun sp ->
+          match
+            Plan_cache.peek st.splans e.Registry.plans
+              ~hash:(Canon.Skel.scratch_hash ~name ~version s)
+              ~verify:(fun key s -> Canon.Skel.scratch_matches key ~name ~version s)
+              s
+          with
+          | plan ->
+            Obs.Span.add sp "cached" "hit";
+            Plan.fork plan
+          | exception Not_found ->
+            let plan = Plan.compile e.Registry.model (Squery.to_query s) in
+            Obs.Span.add sp "cached" "miss";
+            plan)
+    in
+    Obs.Hotpath.begin_delta st.hot;
+    let p =
+      Fun.protect
+        ~finally:(fun () -> Obs.Hotpath.end_delta st.hot)
+        (fun () -> Plan.execute_scratch plan s)
+    in
+    (p *. Plan.scale plan ~sizes:t.sizes, plan)
+  in
+  Obs.Span.collect (fun () ->
+      est_span (fun () ->
+          match run () with
+          | r -> Ok r
+          | exception Rejected msg -> Error msg
+          | exception exn -> Error (Printexc.to_string exn)))
+
 (* ---- EXPLAIN ---------------------------------------------------------------
 
-   The EST core under span collection, forced: the cache is probed and
-   its outcome reported but never allowed to short-circuit, so the
-   breakdown prices a real end-to-end estimate on the bytecode engine
-   that serves EST.
+   The diagnostic run, rendered: its estimate (bit for bit EST's), the
+   estimate-cache and plan-cache outcomes, the plan that ran and the
+   run's stage times and kernel counters.
 
    Stage times are *self* times: each span's duration minus its direct
    children's.  Self times partition the root's wall time exactly, so the
    stages sum to total_us and nothing is double-counted; a span that is
    not a stage counts toward its nearest stage ancestor.  Plan-cache lookup glue reports as
-   fetch_us, a cold skeleton's compilation as compile_us (zero on a
-   plan-cache hit), the bytecode program's lookup and evidence writes as
-   load_us, its contractions as run_us, and the glue inside "est" itself
-   (dispatch, binding, cache fill, metrics) as other_us. *)
+   fetch_us, a cold skeleton's compilation as compile_us (zero when a
+   plan is resident or carried), the bytecode program's lookup and
+   evidence writes as load_us, its contractions as run_us, and the glue
+   inside "est" itself (dispatch, the kernel-counter reads) as other_us.
+   respond_us stays in the field set and reads 0: the run writes no
+   reply (EXPLAIN renders its line after it). *)
 
 let explain_stages =
   [ ("parse_us", "est.parse"); ("canon_us", "est.canon");
@@ -616,20 +658,9 @@ let span_attr records span_name key =
     records
 
 let handle_explain t st ~model ~body =
-  let plan = ref None in
-  match
-    Obs.Span.collect (fun () ->
-        est_span (fun () ->
-            respond
-              (fun le -> Printf.sprintf "%.17g" le.Lru.est)
-              (est_body ~force:true
-                 ~on_plan:(fun p -> plan := Some p)
-                 t st (resolve_model t model) body)))
-  with
-  | exception Rejected msg ->
-    Metrics.incr t.metrics "est_errors";
-    Protocol.err msg
-  | estimate, records ->
+  match diagnose t st ~model ~body with
+  | Error msg, _ -> Protocol.err msg
+  | Ok (estimate, plan), records ->
     let selfs = stage_self_times records in
     let stages =
       List.map (fun (k, sp) -> (k, stage_us selfs sp)) explain_stages
@@ -644,7 +675,7 @@ let handle_explain t st ~model ~body =
     in
     let attr span = Option.value ~default:"none" (span_attr records span "cached") in
     let buf = Buffer.create 256 in
-    Buffer.add_string buf (Printf.sprintf "estimate=%s" estimate);
+    Buffer.add_string buf (Printf.sprintf "estimate=%.17g" estimate);
     Buffer.add_string buf (Printf.sprintf " total_us=%.1f" total_us);
     List.iter
       (fun (k, us) -> Buffer.add_string buf (Printf.sprintf " %s=%.1f" k us))
@@ -652,26 +683,23 @@ let handle_explain t st ~model ~body =
     Buffer.add_string buf (Printf.sprintf " stage_sum_us=%.1f" stage_sum);
     Buffer.add_string buf (Printf.sprintf " cache=%s" (attr "est.cache"));
     Buffer.add_string buf (Printf.sprintf " plan_cache=%s" (attr "plan.fetch"));
-    (match !plan with
-    | None -> ()
-    | Some plan ->
-      (* the real executed schedule: per-step eliminated variable and the
-         planner's predicted intermediate entries (compare against the
-         measured max_factor_entries below) *)
-      let steps = Plan.steps plan (Squery.to_query st.scratch) in
-      Buffer.add_string buf
-        (Printf.sprintf " plan=%s"
-           (Format.asprintf "%a" Selest_bn.Ve.Schedule.pp
-              {
-                Selest_bn.Ve.Schedule.order =
-                  List.map (fun s -> s.Selest_bn.Ve.Schedule.var) steps;
-                steps;
-              }));
-      Buffer.add_string buf
-        (Printf.sprintf " factors=%d" (List.length (Plan.factors plan))));
+    (* the real executed schedule: per-step eliminated variable and the
+       planner's predicted intermediate entries (compare against the
+       measured max_factor_entries below) *)
+    let steps = Plan.steps plan (Squery.to_query st.scratch) in
+    Buffer.add_string buf
+      (Printf.sprintf " plan=%s"
+         (Format.asprintf "%a" Selest_bn.Ve.Schedule.pp
+            {
+              Selest_bn.Ve.Schedule.order =
+                List.map (fun s -> s.Selest_bn.Ve.Schedule.var) steps;
+              steps;
+            }));
+    Buffer.add_string buf
+      (Printf.sprintf " factors=%d" (List.length (Plan.factors plan)));
     List.iter
       (fun (k, v) -> Buffer.add_string buf (Printf.sprintf " %s=%d" k v))
-      (* the forced inference's kernel counters ([infer]'s delta) *)
+      (* the run's kernel counters ([diagnose]'s delta) *)
       (Obs.Hotpath.to_pairs st.hot);
     Protocol.ok (Buffer.contents buf)
 
@@ -735,9 +763,7 @@ let handle_explainplan t st ~model ~body =
       Selest_opt.Explain.render ~est:price q result
       ^ Selest_opt.Explain.summary_line ~cost_est result
     with
-    | rendered ->
-      Metrics.bump t.metrics (infer_counter t st name);
-      Protocol.ok_multiline rendered
+    | rendered -> Protocol.ok_multiline rendered
     | exception exn ->
       Metrics.incr t.metrics "est_errors";
       Protocol.err (Printexc.to_string exn))
@@ -761,69 +787,32 @@ let refresh_slow_threshold t =
     Atomic.set t.slow_threshold
       (max 1 (Obs.Histogram.quantile_ns h t.slow_quantile))
 
-(* Re-execute a captured request's query under span collection.  The
+(* Record a captured request with the diagnostic run's span tree: the
    live path does not collect (collection would eat the telemetry budget
-   on every request), so a capture replays the query once on the
-   bytecode engine to reconstruct the est.parse / est.canon / est.cache
-   / plan.fetch / exec.* tree of the path that served it.  A replay is
-   not a request: it probes the estimate cache with [Lru.mem], takes the
-   plan with [Plan_cache.peek] (compiling a throwaway one only when the
-   skeleton is gone) and runs it, so no counter and no cache moves.
-   Returns the canonical query text and the span tree; the raw body when
-   the body no longer resolves, parses or runs. *)
-let replay_spans t st ~model ~body =
-  let replay () =
-    let name, e = resolve_model t model in
-    let version = e.Registry.version and s = st.scratch in
-    let sp = Obs.Span.enter "est.parse" in
-    parse_into st sp (Bytes.unsafe_of_string body) ~off:0 ~len:(String.length body);
-    Obs.Span.exit sp;
-    let sp = Obs.Span.enter "est.canon" in
-    Squery.canon s;
-    Obs.Span.exit sp;
-    let sp = Obs.Span.enter "est.cache" in
-    Obs.Span.add sp "cached"
-      (if Lru.mem st.scache (est_hash st ~name ~version) then "hit" else "miss");
-    Obs.Span.exit sp;
-    let sp = Obs.Span.enter "plan.fetch" in
-    let plan =
-      match
-        Plan_cache.peek st.splans e.Registry.plans
-          ~hash:(Canon.Skel.scratch_hash ~name ~version s)
-          ~verify:(fun key s -> Canon.Skel.scratch_matches key ~name ~version s)
-          s
-      with
-      | plan -> plan
-      | exception Not_found -> Plan.compile e.Registry.model (Squery.to_query s)
-    in
-    Obs.Span.exit sp;
-    ignore (Plan.execute_scratch plan s : float);
-    Canon.key (Squery.to_query s)
-  in
-  let outcome, records =
-    Obs.Span.collect (fun () ->
-        est_span (fun () ->
-            match replay () with
-            | key -> Some key
-            | exception _ -> None))
-  in
-  (Option.value ~default:body outcome, records)
-
+   on every request), so the capture derives the tree of the path that
+   served it again ([diagnose], which moves no counter and no cache).
+   The entry's query is the canonical text, or the raw body when the body
+   no longer resolves, parses or runs. *)
 let capture t st ~verb ~reason ?model ?body ?qerror ~lat_ns () =
   let query, spans =
     match body with
     | None -> (verb, [])
-    | Some b -> replay_spans t st ~model ~body:b
+    | Some body -> (
+      match diagnose t st ~model ~body with
+      | Ok _, spans -> (Canon.key (Squery.to_query st.scratch), spans)
+      | Error _, spans -> (body, spans))
   in
   ignore
     (Obs.Slowlog.add t.slowlog ~verb ~reason ~query ~lat_ns
        ~threshold_ns:(Atomic.get t.slow_threshold) ?qerror ~spans ())
 
-(* Per-response bookkeeping: per-verb latency recording, periodic
-   threshold refresh, and latency-outlier capture.  Only verbs whose
-   work a replay reproduces pass a body (EST / EXPLAIN / TRUTH): an
-   ESTBATCH latency is N requests wide and would always cross a
-   per-request threshold, and the STATS-family verbs carry no query. *)
+(* Per-response bookkeeping on the reference path: per-verb latency
+   recording, periodic threshold refresh, and latency-outlier capture.
+   Only the requests whose work [diagnose] reproduces pass a body (text
+   and binary EST, TRUTH): an ESTBATCH latency is N requests wide and
+   would always cross a per-request threshold, an EXPLAIN is a
+   diagnostic already, and the STATS-family verbs carry no query.  The
+   fast path never comes here. *)
 let observe_response t st ~verb ?model ?body ~dt_ns () =
   Metrics.observe_verb_ns t.metrics ~verb dt_ns;
   let seen = Atomic.fetch_and_add t.responses 1 in
@@ -1054,7 +1043,7 @@ let handle_line_st t st line =
   let t0 = Obs.Clock.now_ns () in
   (* The handler has already run when [finish] fires (argument order):
      it records the verb's latency and feeds the tail sampler.  Only
-     verbs a replay reproduces pass [?body] — see [observe_response]. *)
+     verbs [diagnose] reproduces pass [?body] — see [observe_response]. *)
   let finish ~verb ?model ?body (r, action) =
     observe_response t st ~verb ?model ?body
       ~dt_ns:(Obs.Clock.now_ns () - t0)
@@ -1077,8 +1066,7 @@ let handle_line_st t st line =
     finish ~verb:"estbatch" (handle_estbatch t st ~model ~bodies, `Continue)
   | Ok (Protocol.Explain { model; body }) ->
     Metrics.incr t.metrics "explain_requests";
-    finish ~verb:"explain" ?model ~body
-      (handle_explain t st ~model ~body, `Continue)
+    finish ~verb:"explain" (handle_explain t st ~model ~body, `Continue)
   | Ok (Protocol.Explainplan { model; body }) ->
     Metrics.incr t.metrics "explainplan_requests";
     finish ~verb:"explainplan"
@@ -1151,10 +1139,12 @@ let handle_frame_st t st payload =
    reordered and respaced bodies share one entry and one inference, and
    the memo only skips the lexer for bytes already seen.  Tracing does
    not switch paths: with a sink installed the same code emits its
-   spans, and a memo hit's [est.cache] says [cached=memo].  Tail
-   sampling is skipped: a warm hit is answered far under any realistic
-   capture threshold, and slow-path responses keep the threshold
-   fresh. *)
+   spans, and a memo hit's [est.cache] says [cached=memo].  The tail
+   sampler is not on this path: [fast_est] never calls
+   [observe_response], so no wire EST, hit or miss, is ever
+   latency-captured, and the capture threshold refreshes only on
+   reference-path responses (the histogram it reads does hold the fast
+   path's latencies). *)
 
 (* Does memo slot [s] still answer for this model version: the same
    name and version, and the very entry still resident under its hash?

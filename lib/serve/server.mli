@@ -47,8 +47,8 @@
     miss, so a carried query's first estimate after the flip is a hit.
 
     Every estimate a request asks for — [EST] over text or binary
-    framing, [ESTBATCH] body by body, [TRUTH] and [EXPLAIN] — runs one
-    EST core, as follows: pin the registry snapshot;
+    framing, [ESTBATCH] body by body and [TRUTH] — runs one EST core,
+    as follows: pin the registry snapshot;
     lex the body straight out of the request buffer into the shard's
     reusable scratch query ({!Selest_db.Squery} — interned symbols, no
     intermediate strings); canonicalize in place; derive the 63-bit
@@ -77,8 +77,8 @@
     answered from the entry without lexing, canonicalizing or hashing,
     and promoted and counted as that hit.  A miss only hashes the body
     and compares one set of slots; it never enters the memo.  The
-    reference entry points ({!handle_line}, [ESTBATCH], [EXPLAIN], the
-    slow-log replay) do not use the memo.  Only
+    reference entry points ({!handle_line}, [ESTBATCH]) and the
+    diagnostic runs ([EXPLAIN], slow-log captures) do not use the memo.  Only
     requests the slice recognizers reject — other verbs, malformed EST
     lines — take the reference path ({!Protocol.parse_request} +
     [handle_line]).  Tracing does not change the path.
@@ -99,25 +99,33 @@
     through the closure-free {!Selest_obs.Span.enter}/[exit], and every
     inference's {!Selest_obs.Hotpath} kernel counters (read before and
     after, per shard) are rolled into the service metrics through
-    pre-registered handles, as is the per-model [infer.<name>] count
+    pre-registered handles, as is the per-model [infer.<name>] count of
+    estimate-cache misses
     ([ve.factor_ops], [ve.entries_touched] and
     [plan.program_hits]/[misses], the program-memo pair of the compiled
     plans).
 
-    [EXPLAIN <query>] runs the EST core with span collection on and
-    answers one line of [key=value] fields: [estimate], [total_us], the
+    [EXPLAIN <query>] is a diagnostic run, not a request: the query is
+    parsed, canonicalized and executed on the bytecode engine that
+    serves EST, under span collection, and one line of [key=value]
+    fields answers: [estimate] (bit for bit EST's), [total_us], the
     per-stage times ([parse_us], [canon_us], [cache_us], [fetch_us],
     [compile_us], [load_us], [run_us], [respond_us], [other_us] —
-    {e self} times, so they partition [total_us]), their
-    [stage_sum_us], the estimate-cache ([cache]) and plan-cache
-    ([plan_cache]) outcomes, the executed [plan] (per-step eliminated
-    variable and predicted intermediate entries, to set against the
-    measured [max_factor_entries]), the plan's [factors] count, and the
-    per-query hot-path counters (whose [program_hits]/[program_misses]
-    say whether the bytecode program was memoized).  The estimate cache
-    is probed (and reported) but never short-circuits the run, so the
-    breakdown always prices real inference on the serving engine; the
-    cache is filled afterwards, making EXPLAIN a valid warm-up.
+    {e self} times, so they partition [total_us]; [respond_us] is 0,
+    since the run writes no reply), their [stage_sum_us], whether the
+    estimate cache ([cache]) and the plan cache or the version's
+    carried plans ([plan_cache]) hold the query, the executed [plan]
+    (per-step eliminated variable and predicted intermediate entries,
+    to set against the measured [max_factor_entries]), the plan's
+    [factors] count, and the run's hot-path counters (whose
+    [program_hits]/[program_misses] say whether the plan had a
+    bytecode program for the query's evidence shape).  The run probes
+    the estimate cache without promoting or counting, runs a resident
+    plan on a {!Selest_plan.Plan.fork} (a throwaway compile when there
+    is none) and fills nothing: an EXPLAIN moves [requests],
+    [explain_requests] and its [explain] latency histogram, and no
+    cache, memo, plan, inference, kernel or [frontend.*] counter.  A
+    client warms the cache with [EST].
 
     [EXPLAINPLAN <query>] answers the optimizer's view: the C_out-minimal
     join tree under the model's sub-query estimates (priced through the
@@ -154,10 +162,12 @@
     latency and q-error SLOs, cache hit rates, per-shard identity lines
     ([shard id=... inflight=... accepted=... requests=...]), per-model
     accuracy and the slow-log state.  [SLOWLOG \[n\]] dumps the newest
-    tail-sampled captures — requests over the quantile-derived latency
-    threshold or TRUTHs over the q-error gate — each with its canonical
-    query and a replayed span tree.  A replay is not a request: it moves
-    no counter and no cache.  [HEALTH] reports [status=degraded] while a
+    tail-sampled captures — reference-path requests over the
+    quantile-derived latency threshold or TRUTHs over the q-error gate —
+    each with its canonical query and the span tree of the same
+    diagnostic run [EXPLAIN] prices, which moves no counter and no
+    cache.  A wire [EST] (the fast path, {!run_shard}), hit or miss, is
+    never latency-captured.  [HEALTH] reports [status=degraded] while a
     latency or q-error SLO burns over budget or a shard loop has died. *)
 
 type t
@@ -198,10 +208,11 @@ val create :
 
     Telemetry knobs: [slowlog_capacity] (default 128) bounds the
     slow-log ring; [slow_quantile] (default 0.99) sets the latency
-    capture threshold — a request slower than this quantile of the
-    merged latency histogram is captured (threshold refreshed every 512
-    responses after 64 observations, rate-limited to one capture per 256
-    responses); [qerror_gate] (default 100) captures any [TRUTH] whose
+    capture threshold — a reference-path [EST] or [TRUTH] slower than
+    this quantile of the merged latency histogram is captured
+    (threshold refreshed every 512 reference-path responses after 64
+    observations, rate-limited to one capture per 256 of them; the
+    wire fast path neither refreshes the threshold nor is captured); [qerror_gate] (default 100) captures any [TRUTH] whose
     q-error reaches it; [slo_p99_us] (default 10000) and [slo_qerror]
     (default 100) declare the p99 latency and q-error SLO targets
     [HEALTH] burns the error budget against. *)
@@ -214,9 +225,6 @@ val n_domains : t -> int
 
 val max_inflight : t -> int
 val backlog : t -> int
-
-val tcp_endpoint : t -> (string * int) option
-(** The optional TCP listen endpoint ([?tcp] argument). *)
 
 val cache : t -> Lru.t
 (** Shard 0's estimate cache — "the" cache for embedded single-shard
@@ -234,8 +242,6 @@ val shard_cache : t -> int -> Lru.t
 
 val shard_plan_cache : t -> int -> Plan_cache.t
 (** A specific shard's plan cache (domain-private, no lock). *)
-
-val socket_path : t -> string
 
 val slowlog : t -> Selest_obs.Slowlog.t
 (** The tail-sampled slow-log ring — [SLOWLOG]'s backing store, exposed

@@ -23,11 +23,6 @@ let bump a i w =
   b.(i) <- b.(i) +. w;
   b
 
-let mixture rng components =
-  let comp_weights = Array.of_list (List.map fst components) in
-  let k = Rng.categorical rng comp_weights in
-  Rng.categorical rng (snd (List.nth components k))
-
 let zipf n s = Array.init n (fun k -> 1.0 /. Float.pow (float_of_int (k + 1)) s)
 
 let categorical = Rng.categorical

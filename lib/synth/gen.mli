@@ -19,9 +19,6 @@ val weights : (int * float) list -> card:int -> float array
 val bump : float array -> int -> float -> float array
 (** Functional update: add mass to one code. *)
 
-val mixture : Rng.t -> (float * float array) list -> int
-(** Draw a component by its weight, then a value from that component. *)
-
 val zipf : int -> float -> float array
 (** [zipf n s]: unnormalized Zipf weights [1/(k+1)^s], k in [0..n-1]. *)
 

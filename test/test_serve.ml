@@ -2878,39 +2878,55 @@ let test_raising_handler_closes_its_connection () =
       Unix.close a;
       Unix.close b)
 
-(* ---- the slow log's replay is not a request ------------------------------------------- *)
+(* ---- diagnostics are not requests ------------------------------------------------------ *)
 
 (* A q-error capture bypasses the rate limiter, so the TRUTH below is
-   always replayed to rebuild its span tree.  The replay moves no
-   counter and no cache: the inference and the cache counters move by
-   the two requests' own probes only. *)
+   always captured with the diagnostic run's span tree.  Neither that
+   run nor an EXPLAIN (cold or warm) moves a counter or a cache, and an
+   EXPLAINPLAN counts no inference: the inference and the cache counters
+   move by the two requests' own probes only. *)
 let test_slowlog_replay_counts_nothing () =
   let server = Server.create ~db:(Lazy.force db) ~socket:"(test: unused)" () in
   ignore (Registry.register (Server.registry server) ~name:"tb" (Lazy.force model));
   let keys =
-    [ "infer.tb"; "cache_hits"; "cache_misses"; "plan_cache_hits"; "plan_cache_misses";
-      "ve.factor_ops"; "ve.entries_touched"; "plan.program_hits"; "plan.program_misses" ]
-  in
+    [ "infer.tb"; "cache_hits"; "cache_misses"; "cache_entries"; "plan_cache_hits";
+      "plan_cache_misses"; "plan_cache_entries"; "ve.factor_ops"; "ve.entries_touched";
+      "plan.program_hits"; "plan.program_misses" ]
+  and frontend = [ "frontend.parse_ns"; "frontend.canon_ns"; "frontend.key_ns" ] in
   (* [infer.tb] appears with the model's first inference *)
-  let counts () =
+  let counts keys =
     let stats = fst (Server.handle_line server "STATS") in
     List.map
       (fun k -> (k, Option.fold ~none:0 ~some:int_of_string (Protocol.stats_field stats k)))
       keys
   in
-  let moved before = List.map2 (fun (k, a) (_, b) -> (k, b - a)) before (counts ()) in
+  let moved keys before = List.map2 (fun (k, a) (_, b) -> (k, b - a)) before (counts keys) in
+  let still what f =
+    let c = counts (keys @ frontend) in
+    f ();
+    Alcotest.(check (list (pair string int))) (what ^ " moves nothing")
+      (List.map (fun (k, _) -> (k, 0)) c) (moved (keys @ frontend) c)
+  in
   let body = "c=contact, p=patient ; c.patient=p ; p.USBorn=1, c.Contype=2" in
-  let c0 = counts () in
+  let explain cached () =
+    let r = fst (Server.handle_line server ("EXPLAIN " ^ body)) in
+    Alcotest.(check (option string)) "EXPLAIN's cache field" (Some cached)
+      (Protocol.stats_field r "cache")
+  in
+  still "a cold EXPLAIN" (explain "miss");
+  let c0 = counts keys in
   ignore (Server.handle_line server ("EST " ^ body));
-  let est = moved c0 in
+  let est = moved keys c0 in
   Alcotest.(check int) "the cold EST infers once" 1 (List.assoc "infer.tb" est);
-  let c1 = counts () in
+  Alcotest.(check int) "and misses once" 1 (List.assoc "cache_misses" est);
+  still "a warm EXPLAIN" (explain "hit");
+  let c1 = counts keys in
   let truth = fst (Server.handle_line server ("TRUTH 1e12 " ^ body)) in
   Alcotest.(check bool) "TRUTH answered" true (Protocol.is_ok truth);
   Alcotest.(check int) "the TRUTH was captured" 1 (Selest_obs.Slowlog.total (Server.slowlog server));
   Alcotest.(check (list (pair string int))) "the TRUTH's hit is all that moved"
     (List.map (fun k -> (k, if k = "cache_hits" then 1 else 0)) keys)
-    (moved c1);
+    (moved keys c1);
   let spans =
     List.concat_map
       (fun (e : Selest_obs.Slowlog.entry) ->
@@ -2919,7 +2935,12 @@ let test_slowlog_replay_counts_nothing () =
   in
   List.iter
     (fun n -> Alcotest.(check bool) ("replayed span " ^ n) true (List.mem n spans))
-    [ "est"; "est.parse"; "est.canon"; "est.cache"; "plan.fetch"; "exec.load"; "exec.run" ]
+    [ "est"; "est.parse"; "est.canon"; "est.cache"; "plan.fetch"; "exec.load"; "exec.run" ];
+  let c2 = counts [ "infer.tb" ] in
+  Alcotest.(check bool) "EXPLAINPLAN answered" true
+    (Protocol.is_ok (fst (Server.handle_line server ("EXPLAINPLAN " ^ body))));
+  Alcotest.(check (list (pair string int))) "an EXPLAINPLAN infers nothing"
+    [ ("infer.tb", 0) ] (moved [ "infer.tb" ] c2)
 
 (* ---- a shard loop that dies ------------------------------------------------------------ *)
 
@@ -3441,72 +3462,217 @@ let prop_memo_matches_reference =
       && lru_counts server = lru_counts twin
       && infer server = infer twin)
 
-(* A model file with one leaf probability of strain.DrugResist set to
-   NaN: the learned TB model, edited in its serialized form. *)
+(* ---- diagnostics are invisible to request counters ---------------------------------------- *)
+
+(* Random sequences of requests (EST, ESTBATCH, TRUTH and LOADs of two
+   model files) mixed with diagnostics (EXPLAIN, SLOWLOG, STATS,
+   METRICS, HEALTH, SHARDS), served by the shard loop over a simulated
+   network on a server with a tiny estimate cache, and the same sequence
+   without its diagnostics on a twin.  Every request's reply, the
+   [cached] attribute of its [est.cache] span and whether it lexed are
+   the same on both, and so are the estimate and plan cache counters,
+   the carried answers, the inference counts and the kernel counters at
+   the end.  TRUTHs of 1e12 cross the q-error gate, so captures run
+   too; the pool holds one skeleton under two evidence shapes, so a
+   diagnostic that memoized a program in a served plan would show. *)
+let diag_pool =
+  [| memo_body;
+     "c=contact, p=patient ; c.patient=p ; c.Contype=2, p.USBorn=1";
+     "p=patient ; ; p.Age=1";
+     "p=patient ; ; p.Age={0,1}";
+     "s=strain ; ; s.Lineage={1,3}";
+     "s=strain ; ; s.Lineage=2";
+     "p=patient, s=strain ; p.strain=s ; p.Homeless=1, s.Unique=0";
+     "p=patient ; ; p.Nope=1" |]
+
+let diagnostic line =
+  List.exists
+    (fun v -> String.starts_with ~prefix:v line)
+    [ "EXPLAIN"; "SLOWLOG"; "STATS"; "METRICS"; "HEALTH"; "SHARDS" ]
+
+let gen_diag_case =
+  let open QCheck2.Gen in
+  let at = oneofl [ ""; ""; "@default "; "@other "; "@nope " ] in
+  let body = map (Array.get diag_pool) (int_range 0 (Array.length diag_pool - 1)) in
+  let line =
+    frequency
+      [ (6, map2 (fun m b -> "EST " ^ m ^ b) at body);
+        ( 1,
+          map2
+            (fun m bs -> "ESTBATCH " ^ m ^ String.concat " || " bs)
+            at (list_size (int_range 1 3) body) );
+        (1, map3 (fun m t b -> Printf.sprintf "TRUTH %s%s %s" m t b) at (oneofl [ "10"; "1e12" ]) body);
+        (1, map2 (fun n f -> Printf.sprintf "LOAD %s %b" n f) (oneofl [ "default"; "other" ]) bool);
+        (4, map2 (fun m b -> "EXPLAIN " ^ m ^ b) at body);
+        (2, oneofl [ "SLOWLOG"; "SLOWLOG 3"; "STATS"; "METRICS"; "HEALTH"; "SHARDS" ]) ]
+  in
+  pair (oneofl [ 300; 700; 1_500 ]) (list_size (int_range 1 30) line)
+
+let prop_diagnostics_invisible =
+  QCheck2.Test.make ~name:"diagnostics are invisible to request counters" ~count:40
+    ~long_factor:20
+    ~print:QCheck2.Print.(pair int (list string))
+    gen_diag_case
+    (fun (cache_bytes, lines) ->
+      let file_a, file_b = Lazy.force carry_files in
+      (* "LOAD name true|false" names one of the two model files *)
+      let resolve line =
+        match String.split_on_char ' ' line with
+        | [ "LOAD"; n; f ] -> Printf.sprintf "LOAD %s %s" n (if bool_of_string f then file_b else file_a)
+        | _ -> line
+      in
+      let run lines =
+        let s = Server.create ~cache_bytes ~db:(Lazy.force db) ~socket:"(test: unused)" () in
+        ignore (Registry.register (Server.registry s) ~name:"default" (Lazy.force model));
+        ignore (Server.handle_line s ("LOAD other " ^ file_a));
+        let served =
+          List.filteri
+            (fun i _ -> not (diagnostic (List.nth lines i)))
+            (memo_serve s (List.map (fun l -> `Est (resolve l)) lines))
+        in
+        let m = Server.metrics s and p = Server.plan_cache s in
+        let h, mi, ev = Plan_cache.stats p in
+        ( served,
+          lru_counts s @ [ h; mi; ev; Plan_cache.length p ]
+          @ List.map (Metrics.get m)
+              [ "cache_carried"; "infer.default"; "infer.other"; "ve.factor_ops";
+                "ve.entries_touched"; "plan.program_hits"; "plan.program_misses" ] )
+      in
+      run lines = run (List.filter (fun l -> not (diagnostic l)) lines))
+
+(* ---- LOAD publishes only a legal model ------------------------------------------------ *)
+
+(* The learned TB model's serialized form with the family of
+   [table].[attr] replaced by [f] of it. *)
+let edited_model table attr f =
+  let open Selest_util.Sexp in
+  let schema = Database.schema (Lazy.force db) in
+  let ti = Schema.table_index schema table in
+  let ai = Schema.attr_index (Schema.find_table schema table) attr in
+  let nth i f = List.mapi (fun j x -> if j = i then f x else x) in
+  let table_model = function
+    | List [ Atom "table-model"; List (Atom "attrs" :: fams); joins ] ->
+      List [ Atom "table-model"; List (Atom "attrs" :: nth ai f fams); joins ]
+    | s -> s
+  in
+  match Selest_prm.Serialize.to_sexp (Lazy.force model) with
+  | List items ->
+    List
+      (List.map
+         (function
+           | List (Atom "tables" :: tms) -> List (Atom "tables" :: nth ti table_model tms)
+           | s -> s)
+         items)
+  | s -> s
+
+(* A family with the first probability of its CPD (a table CPD's first
+   entry, a tree CPD's first leaf's first entry) set to the atom [v]. *)
+let first_prob v =
+  let open Selest_util.Sexp in
+  let rec first_leaf = function
+    | List (Atom "leaf" :: w :: _ :: rest) -> List (Atom "leaf" :: w :: Atom v :: rest)
+    | List (Atom "multi" :: p :: kid :: kids) -> List (Atom "multi" :: p :: first_leaf kid :: kids)
+    | List [ Atom "thresh"; p; c; lo; hi ] -> List [ Atom "thresh"; p; c; first_leaf lo; hi ]
+    | s -> s
+  in
+  let cpd = function
+    | List (Atom "table-cpd" :: fields) ->
+      List
+        (Atom "table-cpd"
+        :: List.map
+             (function
+               | List (Atom "entries" :: _ :: es) -> List (Atom "entries" :: Atom v :: es)
+               | f -> f)
+             fields)
+    | List (Atom "tree-cpd" :: fields) ->
+      List
+        (Atom "tree-cpd"
+        :: List.map
+             (function List [ Atom "root"; n ] -> List [ Atom "root"; first_leaf n ] | f -> f)
+             fields)
+    | s -> s
+  in
+  function
+  | List [ Atom "family"; parents; List [ Atom "cpd"; c ] ] ->
+    List [ Atom "family"; parents; List [ Atom "cpd"; cpd c ] ]
+  | s -> s
+
+(* [sexp] saved in [dir]. *)
+let model_in dir sexp =
+  let path = Filename.concat dir "edited.prm" in
+  Selest_util.Sexp.save path sexp;
+  path
+
+(* Each refusal is a LOAD over the serving name whose reply names the
+   fault; each of these files loaded before LOAD checked models. *)
+let refuses label ~because sexp =
+  let reply = load_refused label (fun dir -> model_in dir sexp) in
+  Alcotest.(check bool) (label ^ ": the reply names the fault: " ^ reply) true
+    (contains reply because)
+
+(* strain.DrugResist's first leaf probability NaN: answered [OK nan]. *)
+let test_load_nan_leaf () =
+  refuses "NaN leaf" ~because:"strain.DrugResist: probability nan is not finite"
+    (edited_model "strain" "DrugResist" (first_prob "nan"))
+
+(* The same probability negative: answered [OK -23296]. *)
+let test_load_negative_leaf () =
+  refuses "negative leaf" ~because:"strain.DrugResist: probability -0.5 is not finite"
+    (edited_model "strain" "DrugResist" (first_prob "-0.5"))
+
+(* strain.Unique's parent strain.Lineage has 6 values; its CPD said 60:
+   an EST on the family answered [ERR Invalid_argument("Exec:
+   cardinality disagreement")]. *)
+let test_load_parent_cards () =
+  let open Selest_util.Sexp in
+  let rec sixty = function
+    | List [ Atom "parent-cards"; Atom "6" ] -> List [ Atom "parent-cards"; Atom "60" ]
+    | List l -> List (List.map sixty l)
+    | s -> s
+  in
+  refuses "parent cards 6 -> 60" ~because:"strain.Unique: parent cards disagree"
+    (edited_model "strain" "Unique" sixty)
+
+(* strain.Unique depends on strain.Lineage; make strain.Lineage depend
+   on strain.Unique too. *)
+let test_load_cycle () =
+  let lineage =
+    Selest_util.Sexp.of_string
+      "(family (parents (own 0)) (cpd (tree-cpd (child-card 6) (parents 0) (parent-cards 2) \
+       (ordinal 0) (root (leaf 250 0.25 0.25 0.125 0.125 0.125 0.125)))))"
+  in
+  refuses "two-family cycle" ~because:"cycle" (edited_model "strain" "Lineage" (fun _ -> lineage))
+
 let nan_model_file =
   lazy
-    (let open Selest_util.Sexp in
-     let schema = Database.schema (Lazy.force db) in
-     let ti = Schema.table_index schema "strain" in
-     let ai = Schema.attr_index (Schema.find_table schema "strain") "DrugResist" in
-     let nth i f = List.mapi (fun j x -> if j = i then f x else x) in
-     let rec first_leaf = function
-       | List (Atom "leaf" :: w :: _ :: rest) -> List (Atom "leaf" :: w :: Atom "nan" :: rest)
-       | List (Atom "multi" :: p :: kid :: kids) -> List (Atom "multi" :: p :: first_leaf kid :: kids)
-       | List [ Atom "thresh"; p; c; lo; hi ] -> List [ Atom "thresh"; p; c; first_leaf lo; hi ]
-       | s -> s
-     in
-     let cpd = function
-       | List (Atom "table-cpd" :: fields) ->
-         List
-           (Atom "table-cpd"
-           :: List.map
-                (function
-                  | List (Atom "entries" :: _ :: es) -> List (Atom "entries" :: Atom "nan" :: es)
-                  | f -> f)
-                fields)
-       | List (Atom "tree-cpd" :: fields) ->
-         List
-           (Atom "tree-cpd"
-           :: List.map
-                (function List [ Atom "root"; n ] -> List [ Atom "root"; first_leaf n ] | f -> f)
-                fields)
-       | s -> s
-     in
-     let family = function
-       | List [ Atom "family"; parents; List [ Atom "cpd"; c ] ] ->
-         List [ Atom "family"; parents; List [ Atom "cpd"; cpd c ] ]
-       | s -> s
-     in
-     let table_model = function
-       | List [ Atom "table-model"; List (Atom "attrs" :: fams); joins ] ->
-         List [ Atom "table-model"; List (Atom "attrs" :: nth ai family fams); joins ]
-       | s -> s
-     in
-     let edited =
-       match Selest_prm.Serialize.to_sexp (Lazy.force model) with
-       | List items ->
-         List
-           (List.map
-              (function
-                | List (Atom "tables" :: tms) -> List (Atom "tables" :: nth ti table_model tms)
-                | s -> s)
-              items)
-       | s -> s
-     in
-     let path = Filename.temp_file "selest_nan" ".prm" in
-     save path edited;
+    (let path = Filename.temp_file "selest_nan" ".prm" in
+     Selest_util.Sexp.save path (edited_model "strain" "DrugResist" (first_prob "nan"));
      at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
      path)
 
 (* A NaN estimate is answered, but it enters neither the estimate cache
    (so a repeat is no hit) nor the q-error table (so HEALTH's mean stays
-   finite). *)
+   finite).  No file can give a model one — LOAD refuses the NaN file —
+   so the model here is a legal copy, registered, whose
+   strain.DrugResist CPD is then written in place before its first use. *)
 let test_non_finite_stays_out () =
   let server = fresh_server () in
   let ask l = fst (Server.handle_line server l) in
-  Alcotest.(check bool) "LOAD" true
-    (Protocol.is_ok (ask ("LOAD m2 " ^ Lazy.force nan_model_file)));
+  Alcotest.(check bool) "LOAD refuses the NaN file" true
+    (Protocol.is_err (ask ("LOAD m2 " ^ Lazy.force nan_model_file)));
+  let schema = Database.schema (Lazy.force db) in
+  let m2 = Selest_prm.Serialize.of_sexp ~schema (Selest_prm.Serialize.to_sexp (Lazy.force model)) in
+  ignore (Registry.register (Server.registry server) ~name:"m2" m2);
+  let ti = Schema.table_index schema "strain" in
+  let ai = Schema.attr_index (Schema.find_table schema "strain") "DrugResist" in
+  let rec first_leaf = function
+    | Selest_bn.Tree_cpd.Leaf { dist; _ } -> dist
+    | Selest_bn.Tree_cpd.Split { arms = Selest_bn.Tree_cpd.Multi kids; _ } -> first_leaf kids.(0)
+    | Selest_bn.Tree_cpd.Split { arms = Selest_bn.Tree_cpd.Thresh (_, lo, _); _ } -> first_leaf lo
+  in
+  (match m2.Selest_prm.Model.tables.(ti).Selest_prm.Model.attr_families.(ai).Selest_prm.Model.cpd with
+  | Selest_bn.Cpd.Table c -> c.Selest_bn.Table_cpd.table.(0) <- Float.nan
+  | Selest_bn.Cpd.Tree c -> (first_leaf c.Selest_bn.Tree_cpd.root).(0) <- Float.nan);
   let finite = ask "TRUTH @m2 50 s=strain ; ; s.DrugResist=1" in
   Alcotest.(check bool) ("a finite TRUTH: " ^ finite) true
     (Protocol.is_ok finite && not (contains finite "nan"));
@@ -3665,6 +3831,10 @@ let () =
           Alcotest.test_case "text file, unquoted" `Quick test_load_text_file_unquoted;
           Alcotest.test_case "directory" `Quick test_load_directory;
           Alcotest.test_case "FIFO, without blocking" `Quick test_load_fifo;
+          Alcotest.test_case "NaN leaf" `Quick test_load_nan_leaf;
+          Alcotest.test_case "negative leaf" `Quick test_load_negative_leaf;
+          Alcotest.test_case "parent cards 6 -> 60" `Quick test_load_parent_cards;
+          Alcotest.test_case "two-family cycle" `Quick test_load_cycle;
         ] );
       ( "memo",
         [
@@ -3675,6 +3845,7 @@ let () =
           Alcotest.test_case "bodies sharing a slot" `Quick test_memo_shared_slot;
           Alcotest.test_case "body over the memo's room" `Quick test_memo_oversized_body;
         ] );
+      ("diagnostics", [ QCheck_alcotest.to_alcotest prop_diagnostics_invisible ]);
       ( "miss-path",
         List.map QCheck_alcotest.to_alcotest
           (List.map2 prop_scratch_miss_path miss_cases [ "TB"; "FIN"; "two-fk" ])
