@@ -573,6 +573,10 @@ let serve_cmd =
       ignore (Serve.Registry.register (Serve.Server.registry server) ~name:"default" model);
       Printf.printf "learned default model (%d bytes)\n%!" (Prm.Model.size_bytes model)
     end;
+    (* Serve from a collected heap: generation and learning leave garbage
+       that the major GC would otherwise still hold while the estimate
+       caches fill, and that would count in the peak RSS. *)
+    Gc.full_major ();
     Printf.printf "serving on %s%s (schema %s, %d domain%s)\n%!" socket
       (match tcp with
       | None -> ""

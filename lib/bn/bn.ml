@@ -54,6 +54,6 @@ let sample rng t =
     (fun v ->
       let cpd = t.cpds.(v) in
       let pvals = Array.map (fun p -> out.(p)) (Cpd.parents cpd) in
-      out.(v) <- Rng.categorical rng (Array.copy (Cpd.dist cpd pvals)))
+      out.(v) <- Rng.categorical rng (Cpd.dist cpd pvals))
     order;
   out

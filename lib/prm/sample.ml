@@ -124,7 +124,7 @@ let database rng (model : Model.t) ~sizes =
             let pvals = Array.make (Array.length fam.Model.parents) 0 in
             for row = 0 to n - 1 do
               Array.iteri (fun i p -> pvals.(i) <- parent_value ~row p) fam.Model.parents;
-              cols.(a).(row) <- Rng.categorical rng (Array.copy (Cpd.dist fam.Model.cpd pvals))
+              cols.(a).(row) <- Rng.categorical rng (Cpd.dist fam.Model.cpd pvals)
             done
           | E_fk f ->
             let fam = tm.Model.join_families.(f) in
@@ -172,9 +172,10 @@ let database rng (model : Model.t) ~sizes =
               done;
               out
             in
-            (* Weights per (own config): count(cfg) * P(J=1 | own, cfg);
+            (* Weights per (own config): count(cfg) * P(J=1 | own, cfg),
+               as a prefix-sum table, or [None] when they sum to zero;
                memoized because own configurations repeat across rows. *)
-            let weight_cache : (int list, float array) Hashtbl.t = Hashtbl.create 16 in
+            let weight_cache : (int list, Rng.cdf option) Hashtbl.t = Hashtbl.create 16 in
             let weights_for own_vals =
               let key = Array.to_list own_vals in
               match Hashtbl.find_opt weight_cache key with
@@ -189,19 +190,17 @@ let database rng (model : Model.t) ~sizes =
                         cnt *. (Cpd.dist fam.Model.cpd pvals).(1)
                       end)
                 in
-                Hashtbl.add weight_cache key w;
-                w
+                let cdf = if Arrayx.sum w > 0.0 then Some (Rng.cdf w) else None in
+                Hashtbl.add weight_cache key cdf;
+                cdf
             in
             for row = 0 to n - 1 do
               let own_vals = Array.map (fun p -> parent_value ~row p) own_ps in
-              let w = weights_for own_vals in
-              let total = Arrayx.sum w in
-              if total > 0.0 then begin
-                let cfg = Rng.categorical rng w in
-                let group = groups.(cfg) in
+              match weights_for own_vals with
+              | Some cdf ->
+                let group = groups.(Rng.draw rng cdf) in
                 fk_cols.(f).(row) <- group.(Rng.int rng (Array.length group))
-              end
-              else
+              | None ->
                 (* Degenerate indicator (e.g. unseen own config): uniform. *)
                 fk_cols.(f).(row) <- Rng.int rng target_size
             done)

@@ -18,17 +18,8 @@ let weights pairs ~card =
     pairs;
   a
 
-let bump a i w =
-  let b = Array.copy a in
-  b.(i) <- b.(i) +. w;
-  b
-
 let zipf n s = Array.init n (fun k -> 1.0 /. Float.pow (float_of_int (k + 1)) s)
 
-let categorical = Rng.categorical
-
-let column n f = Array.init n f
-
 let assign_children rng ~parent_count ~total ~weight =
-  let w = Array.init parent_count weight in
-  Array.init total (fun _ -> Rng.categorical rng w)
+  let cdf = Rng.cdf (Array.init parent_count weight) in
+  Array.init total (fun _ -> Rng.draw rng cdf)

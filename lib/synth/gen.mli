@@ -16,21 +16,13 @@ val normal_bucket : Rng.t -> mean:float -> sd:float -> card:int -> int
 val weights : (int * float) list -> card:int -> float array
 (** Sparse weight-vector literal: unlisted codes get weight 0. *)
 
-val bump : float array -> int -> float -> float array
-(** Functional update: add mass to one code. *)
-
 val zipf : int -> float -> float array
 (** [zipf n s]: unnormalized Zipf weights [1/(k+1)^s], k in [0..n-1]. *)
-
-val categorical : Rng.t -> float array -> int
-(** Re-export of {!Rng.categorical} for generator readability. *)
-
-val column : int -> (int -> int) -> int array
-(** [column n f]: materialize a column by row index. *)
 
 val assign_children :
   Rng.t -> parent_count:int -> total:int -> weight:(int -> float) -> int array
 (** Foreign-key assignment with skew: produce a [total]-length fk column
     where parent [p] attracts children proportionally to [weight p].  The
     realized counts are multinomial, so fanout varies realistically around
-    the intended skew. *)
+    the intended skew.  Each draw is a binary search of one prefix-sum
+    table, so the column costs O(total * log parent_count). *)

@@ -98,7 +98,7 @@ let generate ?(patients = default_patients) ?(contacts = default_contacts)
   let p_homeless = Array.make patients 0 in
   let p_site = Array.make patients 0 in
   let p_strain = Array.make patients 0 in
-  let cluster_weights = Gen.zipf n_cluster 1.05 in
+  let cluster_cdf = Rng.cdf (Gen.zipf n_cluster 1.05) in
   let next_unique = ref n_cluster in
   for p = 0 to patients - 1 do
     let age = sample_patient_age rng in
@@ -124,7 +124,7 @@ let generate ?(patients = default_patients) ?(contacts = default_contacts)
     in
     let strain =
       if clustered || !next_unique >= strains then
-        Rng.categorical rng cluster_weights
+        Rng.draw rng cluster_cdf
       else begin
         let s = !next_unique in
         incr next_unique;

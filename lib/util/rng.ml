@@ -35,11 +35,25 @@ let float t =
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 
+(* The running total, added left to right: [categorical]'s scan and
+   [cdf]'s prefix sums make the same float additions in the same order. *)
+let checked_total name weights =
+  let n = Array.length weights in
+  if n = 0 then invalid_arg (name ^ ": empty weights");
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    let w = weights.(i) in
+    if not (w >= 0.0 && w < Float.infinity) then
+      invalid_arg (name ^ ": weights must be finite and non-negative");
+    total := !total +. w
+  done;
+  if not (!total > 0.0) then invalid_arg (name ^ ": weights sum to zero");
+  if !total = Float.infinity then invalid_arg (name ^ ": weights sum to infinity");
+  !total
+
 let categorical t weights =
   let n = Array.length weights in
-  if n = 0 then invalid_arg "Rng.categorical: empty weights";
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  if not (total > 0.0) then invalid_arg "Rng.categorical: weights sum to zero";
+  let total = checked_total "Rng.categorical" weights in
   let u = float t *. total in
   let rec scan i acc =
     if i >= n - 1 then n - 1
@@ -48,6 +62,29 @@ let categorical t weights =
       if u < acc then i else scan (i + 1) acc
   in
   scan 0 0.0
+
+type cdf = float array
+
+let cdf weights =
+  ignore (checked_total "Rng.cdf" weights);
+  let cum = Array.copy weights in
+  for i = 1 to Array.length cum - 1 do
+    cum.(i) <- cum.(i - 1) +. cum.(i)
+  done;
+  cum
+
+let draw t cum =
+  let n = Array.length cum in
+  let u = float t *. cum.(n - 1) in
+  (* The first i <= n-2 with u < cum.(i), else n-1, as [categorical]'s
+     scan returns: non-negative weights make [cum] non-decreasing, so the
+     test is monotone in i. *)
+  let lo = ref 0 and hi = ref (n - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if u < cum.(mid) then hi := mid else lo := mid + 1
+  done;
+  !lo
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -34,8 +34,21 @@ val bool : t -> bool
 
 val categorical : t -> float array -> int
 (** [categorical t weights] draws an index proportionally to the
-    (non-negative, not necessarily normalized) [weights].  Raises
-    [Invalid_argument] on an empty or all-zero array. *)
+    (non-negative, not necessarily normalized) [weights], with one
+    {!float} draw.  Raises [Invalid_argument] on an empty array, a
+    negative, NaN or infinite weight, or weights summing to zero or
+    overflowing to infinity. *)
+
+type cdf
+(** A categorical distribution prepared for repeated draws. *)
+
+val cdf : float array -> cdf
+(** [cdf weights] builds the prefix sums of [weights] in O(n).  Raises
+    [Invalid_argument] on the weights {!categorical} rejects. *)
+
+val draw : t -> cdf -> int
+(** [draw t (cdf weights)] returns the index [categorical t weights]
+    returns, consuming the same single {!float} draw, in O(log n). *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

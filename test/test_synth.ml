@@ -207,6 +207,51 @@ let test_gen_weights_zipf () =
   let z = Selest_synth.Gen.zipf 3 1.0 in
   Alcotest.(check (float 1e-9)) "zipf decays" (1.0 /. 3.0) z.(2)
 
+(* ---- same bytes as before ------------------------------------------------ *)
+
+(* MD5 of every column and foreign-key column of every table, in schema
+   order.  The constants below pin the generators' and the sampler's
+   output: a change that moves one draw changes them. *)
+let db_digest db =
+  let b = Buffer.create 65536 in
+  let add col =
+    Array.iter (fun v -> Buffer.add_string b (string_of_int v); Buffer.add_char b ',') col;
+    Buffer.add_char b ';'
+  in
+  Array.iter
+    (fun t ->
+      let s = Table.schema t in
+      Buffer.add_string b (Table.name t);
+      Array.iteri (fun i _ -> add (Table.col t i)) s.Schema.attrs;
+      Array.iteri (fun i _ -> add (Table.fk_col t i)) s.Schema.fks)
+    (Database.tables db);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_bytes_tb () =
+  Alcotest.(check string) "tb seed 1" "a2ba1c4bd4dfb80bd7263890751c17f3"
+    (db_digest (Selest_synth.Tb.generate ~seed:1 ()))
+
+let test_bytes_fin () =
+  Alcotest.(check string) "fin seed 1" "9ed308b425b72f6d3f95e1f6032b96cd"
+    (db_digest (Selest_synth.Financial.generate ~seed:1 ()))
+
+let test_bytes_census () =
+  Alcotest.(check string) "census 2000 rows seed 1" "742bb922f2d197452775f4fe9db4d464"
+    (db_digest (Selest_synth.Census.generate ~rows:2_000 ~seed:1 ()))
+
+let test_bytes_prm_sample () =
+  (* The TB model [learn -d tb] saves, sampled as [sample -d tb] does. *)
+  let db = Selest_synth.Tb.generate ~seed:1 () in
+  let model =
+    (Selest_prm.Learn.learn ~config:(Selest_prm.Learn.default_config ~budget_bytes:4096) db)
+      .Selest_prm.Learn.model
+  in
+  let sampled =
+    Selest_prm.Sample.database (Selest_util.Rng.create (1 lxor 0x5A)) model
+      ~sizes:(Selest_plan.Estimate.sizes_of_db db)
+  in
+  Alcotest.(check string) "prm sample of tb" "0e5dac445d6d2164fa70b6ed95ec2316" (db_digest sampled)
+
 let test_gen_assign_children () =
   let rng = Selest_util.Rng.create 8 in
   let fk =
@@ -251,5 +296,12 @@ let () =
           Alcotest.test_case "normal bucket" `Quick test_gen_normal_bucket;
           Alcotest.test_case "weights and zipf" `Quick test_gen_weights_zipf;
           Alcotest.test_case "assign children" `Quick test_gen_assign_children;
+        ] );
+      ( "same-bytes",
+        [
+          Alcotest.test_case "tb" `Quick test_bytes_tb;
+          Alcotest.test_case "fin" `Quick test_bytes_fin;
+          Alcotest.test_case "census" `Quick test_bytes_census;
+          Alcotest.test_case "prm sample of tb" `Quick test_bytes_prm_sample;
         ] );
     ]

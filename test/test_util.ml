@@ -60,10 +60,60 @@ let test_rng_categorical_frequencies () =
 
 let test_rng_categorical_errors () =
   let rng = Rng.create 1 in
-  Alcotest.check_raises "empty" (Invalid_argument "Rng.categorical: empty weights")
-    (fun () -> ignore (Rng.categorical rng [||]));
-  Alcotest.check_raises "zero mass" (Invalid_argument "Rng.categorical: weights sum to zero")
-    (fun () -> ignore (Rng.categorical rng [| 0.0; 0.0 |]))
+  let bad = "weights must be finite and non-negative" in
+  List.iter
+    (fun (case, w, msg) ->
+      Alcotest.check_raises ("categorical " ^ case) (Invalid_argument ("Rng.categorical: " ^ msg))
+        (fun () -> ignore (Rng.categorical rng w));
+      Alcotest.check_raises ("cdf " ^ case) (Invalid_argument ("Rng.cdf: " ^ msg))
+        (fun () -> ignore (Rng.cdf w)))
+    [ ("empty", [||], "empty weights");
+      ("zero mass", [| 0.0; 0.0; 0.0 |], "weights sum to zero");
+      ("negative", [| -1.0; 2.0 |], bad);
+      ("nan", [| 1.0; Float.nan |], bad);
+      ("infinite", [| Float.infinity; 1.0 |], bad);
+      ("negative infinite", [| 1.0; Float.neg_infinity |], bad);
+      ("overflowing sum", [| Float.max_float; Float.max_float |], "weights sum to infinity") ]
+
+(* Weight vectors of 1 to 5,000 entries mixing zeros, ties (a repeat of the
+   previous entry) and magnitudes from 1e-300 to 1e300: within one vector the
+   exponents span a window of 0 to 600 decades. *)
+let gen_weights =
+  let open QCheck2.Gen in
+  let* n = int_range 1 5_000 in
+  let* lo = int_range (-300) 300 in
+  let* span = oneof [ int_range 0 3; int_range 0 30; pure 600 ] in
+  let hi = min 300 (lo + span) in
+  let fresh =
+    let* m = float_range 1.0 10.0 and* e = int_range lo hi in
+    pure (Float.min 1e300 (m *. Float.pow 10.0 (float_of_int e)))
+  in
+  let* entries = array_repeat n (frequency [ (1, pure `Zero); (1, pure `Tie); (3, map (fun x -> `W x) fresh) ]) in
+  let w = Array.make n 0.0 in
+  Array.iteri
+    (fun i -> function
+      | `Zero -> ()
+      | `Tie -> if i > 0 then w.(i) <- w.(i - 1)
+      | `W x -> w.(i) <- x)
+    entries;
+  pure w
+
+let prop_draw_is_categorical =
+  QCheck2.Test.make ~name:"draw from cdf = categorical" ~count:100 ~long_factor:20
+    ~print:(fun (seed, w) -> Printf.sprintf "seed %d, %d weights" seed (Array.length w))
+    QCheck2.Gen.(pair int gen_weights)
+    (fun (seed, w) ->
+      let r1 = Rng.create seed in
+      let r2 = Rng.copy r1 in
+      match Rng.cdf w with
+      | exception Invalid_argument _ ->
+        (try ignore (Rng.categorical r2 w); false with Invalid_argument _ -> true)
+      | cdf ->
+        let same = ref true in
+        for _ = 1 to 20 do
+          if Rng.draw r1 cdf <> Rng.categorical r2 w then same := false
+        done;
+        !same && Rng.int64 r1 = Rng.int64 r2)
 
 let test_sample_without_replacement () =
   let rng = Rng.create 9 in
@@ -273,6 +323,7 @@ let () =
           Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
         ] );
+      ("rng-cdf", [ QCheck_alcotest.to_alcotest prop_draw_is_categorical ]);
       ( "arrayx",
         [
           Alcotest.test_case "kahan sum" `Quick test_sum_kahan;
